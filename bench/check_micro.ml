@@ -2,7 +2,7 @@
    a committed baseline and fail (exit 1) when any key regressed by
    more than its tolerance. Understands both headline shapes:
 
-   - BENCH_micro.json:  "sim_seconds_per_wall_second": {kernel/shape: N}
+   - BENCH_micro.json:  "sim_seconds_per_wall_second": {shape: N}
    - BENCH_scale.json:  "flow_seconds_per_wall_second": {"scale": N}
 
    The default threshold is generous — timings on shared CI runners are

@@ -37,17 +37,6 @@ let shards = ref 4
 let scale_name () =
   match !scale with Fast -> "fast" | Default -> "default" | Full -> "full"
 
-(* `--kernel wheel|heap`: event-kernel backend for every runner the
-   experiments construct. The default (heap) path is the byte-identity
-   reference; the wheel kernel is the perf configuration and fires the
-   same schedule in the same order (see lib/eventsim/sim.mli). *)
-let kernel = ref Proteus_eventsim.Sim.Heap_kernel
-
-let kernel_name () =
-  match !kernel with
-  | Proteus_eventsim.Sim.Heap_kernel -> "heap"
-  | Proteus_eventsim.Sim.Wheel_kernel -> "wheel"
-
 (* ---------- observability ---------- *)
 
 (* `--trace FILE` / `--metrics FILE`: experiments that support per-run
@@ -62,12 +51,8 @@ let metrics_file : string option ref = ref None
    widths; the scale knob changes the numbers, so it is included. *)
 let emit_manifest ?seed ?(params = []) ?metrics ?registry id =
   let path = "MANIFEST_" ^ id ^ ".json" in
-  (* The kernel choice is a first-class manifest field (and stays in
-     params for older consumers): every run records which event-kernel
-     backend produced it. *)
   Proteus_obs.Manifest.write ~path ~run:id ?seed ~scenario:id
-    ~kernel:(kernel_name ())
-    ~params:(("scale", scale_name ()) :: ("kernel", kernel_name ()) :: params)
+    ~params:(("scale", scale_name ()) :: params)
     ?metrics ?registry ();
   Printf.printf "(wrote %s)\n" path
 
@@ -249,7 +234,7 @@ let single_run ?(seed = 1) ?loss_rate ?noise ?(bandwidth_mbps = 50.0)
   let duration = single_duration () in
   let warmup = duration /. 3.0 in
   let cfg = emulab_cfg ?loss_rate ?noise ~bandwidth_mbps ~rtt_ms ~buffer_bytes () in
-  let r = Net.Runner.create ~seed ~kernel:!kernel cfg in
+  let r = Net.Runner.create ~seed cfg in
   let f = Net.Runner.add_flow r ~label:"single" ~factory in
   Net.Runner.run r ~until:duration;
   let st = Net.Runner.stats f in
@@ -313,7 +298,7 @@ let pair_run ?(seed = 1) ?loss_rate ?noise ?(bandwidth_mbps = 50.0)
   let scav_start = duration /. 6.0 in
   let t0 = duration /. 3.0 in
   let cfg = emulab_cfg ?loss_rate ?noise ~bandwidth_mbps ~rtt_ms ~buffer_bytes () in
-  let r1 = Net.Runner.create ~seed ~kernel:!kernel cfg in
+  let r1 = Net.Runner.create ~seed cfg in
   let p1 = Net.Runner.add_flow r1 ~label:"primary" ~factory:(primary ()) in
   Net.Runner.run r1 ~until:duration;
   let st1 = Net.Runner.stats p1 in
@@ -322,7 +307,7 @@ let pair_run ?(seed = 1) ?loss_rate ?noise ?(bandwidth_mbps = 50.0)
     Option.value ~default:0.0
       (Net.Flow_stats.rtt_percentile st1 ~t0 ~t1:duration ~p:95.0)
   in
-  let r2 = Net.Runner.create ~seed:(seed + 1000) ~kernel:!kernel cfg in
+  let r2 = Net.Runner.create ~seed:(seed + 1000) cfg in
   let p2 = Net.Runner.add_flow r2 ~label:"primary" ~factory:(primary ()) in
   let s2 =
     Net.Runner.add_flow r2 ~start:scav_start ~label:"scavenger"

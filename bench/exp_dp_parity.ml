@@ -1,7 +1,7 @@
 (* Datapath parity gate: the faults-smoke outage scenario (plus a
    chaos-impaired dumbbell and a 3-hop chain) reruns with each
-   monolithic controller swapped for its fold-program twin, under both
-   event kernels, and the full-precision flow digests must be
+   monolithic controller swapped for its fold-program twin, and the
+   full-precision flow digests must be
    byte-identical. Writes the two digest files CI compares with `cmp`
    (DP_digest_monolithic.txt / DP_digest_datapath.txt) and fails the
    process immediately on any in-process mismatch, so a local
@@ -10,7 +10,6 @@
 module Net = Proteus_net
 module Link = Net.Link
 module Topology = Net.Topology
-module Sim = Proteus_eventsim.Sim
 
 let fmt_f v = Printf.sprintf "%.17g" v
 
@@ -67,8 +66,8 @@ let chain_links () =
 (* Two flows of the protocol under test share the bottleneck (smoke
    shape); they stop a second before the horizon so the auditor can
    assert full conservation at the end. *)
-let run_scenario ~kernel ~seed ~topo ~route factory =
-  let r = Net.Runner.create_topo ~seed ~kernel topo in
+let run_scenario ~seed ~topo ~route factory =
+  let r = Net.Runner.create_topo ~seed topo in
   let a = Net.Runner.add_flow r ~stop:4.0 ?route ~label:"a" ~factory in
   let b =
     Net.Runner.add_flow r ~start:0.5 ~stop:4.0 ?route ~label:"b" ~factory
@@ -127,24 +126,19 @@ let run () =
   let oc_dp = open_out "DP_digest_datapath.txt" in
   let mismatches = ref 0 in
   List.iter
-    (fun (kname, kernel) ->
+    (fun (sid, (topo, route)) ->
       List.iter
-        (fun (sid, (topo, route)) ->
-          List.iter
-            (fun p ->
-              let d_mono =
-                run_scenario ~kernel ~seed:11 ~topo ~route (p.mono ())
-              in
-              let d_dp = run_scenario ~kernel ~seed:11 ~topo ~route (p.dp ()) in
-              Printf.fprintf oc_mono "%s/%s/%s %s\n" sid kname p.pid d_mono;
-              Printf.fprintf oc_dp "%s/%s/%s %s\n" sid kname p.pid d_dp;
-              let ok = String.equal d_mono d_dp in
-              if not ok then incr mismatches;
-              Printf.printf "%-8s %-6s %-14s %s\n" sid kname p.pid
-                (if ok then "ok" else "MISMATCH"))
-            pairs)
-        (scenarios ()))
-    [ ("heap", Sim.Heap_kernel); ("wheel", Sim.Wheel_kernel) ];
+        (fun p ->
+          let d_mono = run_scenario ~seed:11 ~topo ~route (p.mono ()) in
+          let d_dp = run_scenario ~seed:11 ~topo ~route (p.dp ()) in
+          Printf.fprintf oc_mono "%s/%s %s\n" sid p.pid d_mono;
+          Printf.fprintf oc_dp "%s/%s %s\n" sid p.pid d_dp;
+          let ok = String.equal d_mono d_dp in
+          if not ok then incr mismatches;
+          Printf.printf "%-8s %-14s %s\n" sid p.pid
+            (if ok then "ok" else "MISMATCH"))
+        pairs)
+    (scenarios ());
   close_out oc_mono;
   close_out oc_dp;
   Printf.printf "(wrote DP_digest_monolithic.txt, DP_digest_datapath.txt)\n";
@@ -153,4 +147,4 @@ let run () =
       (Printf.sprintf "dp-parity: %d digest mismatch(es) between fold twins \
                        and monolithic controllers" !mismatches);
   Printf.printf "dp-parity: all %d twin runs byte-identical\n"
-    (2 * List.length (scenarios ()) * List.length pairs)
+    (List.length (scenarios ()) * List.length pairs)

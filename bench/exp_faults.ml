@@ -129,7 +129,7 @@ let run_one ~seed (p : Exp_common.proto) (sc : scenario) =
   let duration = duration () in
   let fs = fault_start () in
   let stop = duration -. drain_margin in
-  let r = Net.Runner.create ~seed ~kernel:!Exp_common.kernel sc.cfg in
+  let r = Net.Runner.create ~seed sc.cfg in
   Exp_common.arm r;
   let audit = Net.Runner.attach_audit r in
   let f1 = Net.Runner.add_flow r ~stop ~label:"a" ~factory:(p.make ()) in
@@ -246,7 +246,6 @@ let sweep () =
         [
           "faults";
           Exp_common.scale_name ();
-          Exp_common.kernel_name ();
           string_of_int trials;
           Printf.sprintf "%g" (duration ());
         ]
@@ -332,7 +331,6 @@ let emit_json rows failures =
   output_string oc "{\n  \"schema\": \"pcc-proteus-bench-faults/2\",\n";
   Printf.fprintf oc "  \"code_version\": \"%s\",\n"
     (Proteus_obs.Manifest.code_version ());
-  Printf.fprintf oc "  \"kernel\": \"%s\",\n" (Exp_common.kernel_name ());
   Printf.fprintf oc
     "  \"config\": {\"bandwidth_mbps\": %g, \"rtt_ms\": 30, \
      \"buffer_bytes\": 150000, \"duration_s\": %g, \"fault_start_s\": %g, \
@@ -448,7 +446,7 @@ let smoke () =
         | Some _ -> Proteus_obs.Trace.create ()
         | None -> Proteus_obs.Trace.disabled
       in
-      let r = Net.Runner.create ~seed:11 ~trace ~kernel:!Exp_common.kernel cfg in
+      let r = Net.Runner.create ~seed:11 ~trace cfg in
       let audit = Net.Runner.attach_audit r in
       let f = Net.Runner.add_flow r ~stop:4.0 ~label:p.name ~factory:(p.make ()) in
       Net.Runner.run r ~until:5.0;

@@ -90,8 +90,7 @@ let decode_metrics s =
       (String.split_on_char ',' s)
 
 let run_instance (i : Scn.Grid.instance) =
-  Scn.Build.run_metrics ~kernel:!Exp_common.kernel ~arm:Exp_common.arm
-    ~seed:i.seed i.spec
+  Scn.Build.run_metrics ~arm:Exp_common.arm ~seed:i.seed i.spec
 
 (* ---------- aggregation ---------- *)
 
@@ -169,7 +168,6 @@ let emit_json ~trials ~n_files ~n_instances ~digest cells failures =
   output_string oc "{\n  \"schema\": \"pcc-proteus-bench-matrix/1\",\n";
   Printf.fprintf oc "  \"code_version\": \"%s\",\n"
     (Proteus_obs.Manifest.code_version ());
-  Printf.fprintf oc "  \"kernel\": \"%s\",\n" (Exp_common.kernel_name ());
   Printf.fprintf oc
     "  \"config\": {\"scale\": \"%s\", \"trials\": %d, \"scenarios\": %d, \
      \"instances\": %d, \"corpus_digest\": \"%s\"},\n"
@@ -215,7 +213,6 @@ let run () =
         [
           "matrix";
           Exp_common.scale_name ();
-          Exp_common.kernel_name ();
           string_of_int trials;
           digest;
         ]

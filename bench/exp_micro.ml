@@ -1,7 +1,7 @@
 (* Bechamel microbenchmarks of the simulator's hot paths: event heap
    churn, pooled-kernel schedule/fire, link admission, MI metric
    extraction, utility evaluation, and full simulated seconds of loaded
-   bottlenecks under both event kernels (heap vs timing wheel).
+   bottlenecks.
 
    Besides wall-clock (ns/run) this measures the minor-heap allocation
    witness (words/run). Every micro is measured [rounds] times and the
@@ -99,60 +99,47 @@ let utility_test =
    Each run simulates exactly one second of a loaded bottleneck, so
    sim-seconds-per-wall-second is 1e9 / ns_per_run. The 2-flow shape is
    the historical baseline; the 64-flow shape approximates the item-2
-   scale-out load (many concurrent senders on a fat link). Both run
-   under each kernel: identical results (golden-tested), different
-   speed. *)
+   scale-out load (many concurrent senders on a fat link). Names are
+   kept stable across PRs so committed BENCH_micro.json rows line up. *)
 
-(* Name of the historical 2-flow micro — keep stable across PRs so
-   committed BENCH_micro.json baselines line up. *)
-let two_flow_name kernel =
-  match kernel with
-  | Sim.Heap_kernel -> "1 sim-second, 2 flows @50Mbps"
-  | Sim.Wheel_kernel -> "1 sim-second, 2 flows @50Mbps (wheel)"
-
-let many_flow_name kernel =
-  match kernel with
-  | Sim.Heap_kernel -> "1 sim-second, 64 flows @500Mbps"
-  | Sim.Wheel_kernel -> "1 sim-second, 64 flows @500Mbps (wheel)"
+let two_flow_name = "1 sim-second, 2 flows @50Mbps"
+let many_flow_name = "1 sim-second, 64 flows @500Mbps"
 
 (* The 2-flow shape with CUBIC swapped for its fold-program twin: the
    delta against the plain 2-flow micro is the datapath adapter's
    overhead (budgeted at <= 5%; the CI tolerance key on the headline
    guards the committed ratio). *)
-let two_flow_dp_name kernel =
-  match kernel with
-  | Sim.Heap_kernel -> "1 sim-second, 2 flows @50Mbps (cubic-dp)"
-  | Sim.Wheel_kernel -> "1 sim-second, 2 flows @50Mbps (cubic-dp wheel)"
+let two_flow_dp_name = "1 sim-second, 2 flows @50Mbps (cubic-dp)"
 
-let two_flow_shape ~cubic kernel name =
+let two_flow_shape ~cubic name =
   Test.make ~name
     (Staged.stage (fun () ->
          let cfg =
            Net.Link.config ~bandwidth_mbps:50.0 ~rtt_ms:30.0
              ~buffer_bytes:375_000 ()
          in
-         let r = Net.Runner.create ~kernel cfg in
+         let r = Net.Runner.create cfg in
          ignore (Net.Runner.add_flow r ~label:"a" ~factory:(cubic ()));
          ignore (Net.Runner.add_flow r ~label:"b"
                    ~factory:(Proteus.Presets.proteus_s ()));
          Net.Runner.run r ~until:1.0))
 
-let two_flow_test kernel =
-  two_flow_shape ~cubic:(fun () -> Proteus_cc.Cubic.factory ()) kernel
-    (two_flow_name kernel)
+let two_flow_test =
+  two_flow_shape ~cubic:(fun () -> Proteus_cc.Cubic.factory ()) two_flow_name
 
-let two_flow_dp_test kernel =
-  two_flow_shape ~cubic:(fun () -> Proteus_cc.Cubic_dp.factory ()) kernel
-    (two_flow_dp_name kernel)
+let two_flow_dp_test =
+  two_flow_shape
+    ~cubic:(fun () -> Proteus_cc.Cubic_dp.factory ())
+    two_flow_dp_name
 
-let many_flow_test kernel =
-  Test.make ~name:(many_flow_name kernel)
+let many_flow_test =
+  Test.make ~name:many_flow_name
     (Staged.stage (fun () ->
          let cfg =
            Net.Link.config ~bandwidth_mbps:500.0 ~rtt_ms:30.0
              ~buffer_bytes:1_875_000 ()
          in
-         let r = Net.Runner.create ~kernel cfg in
+         let r = Net.Runner.create cfg in
          for i = 0 to 63 do
            let factory =
              if i land 1 = 0 then Proteus_cc.Cubic.factory ()
@@ -166,12 +153,7 @@ let tests =
   Test.make_grouped ~name:"pcc-proteus"
     [
       heap_test; sim_kernel_test; link_test; mi_test; utility_test;
-      two_flow_test Sim.Heap_kernel;
-      two_flow_test Sim.Wheel_kernel;
-      two_flow_dp_test Sim.Heap_kernel;
-      two_flow_dp_test Sim.Wheel_kernel;
-      many_flow_test Sim.Heap_kernel;
-      many_flow_test Sim.Wheel_kernel;
+      two_flow_test; two_flow_dp_test; many_flow_test;
     ]
 
 let estimate tbl name =
@@ -217,12 +199,9 @@ let headline_pairs rows =
     | _ -> None
   in
   [
-    ("two_flow_heap", sim_secs (two_flow_name Sim.Heap_kernel));
-    ("two_flow_wheel", sim_secs (two_flow_name Sim.Wheel_kernel));
-    ("two_flow_heap_dp", sim_secs (two_flow_dp_name Sim.Heap_kernel));
-    ("two_flow_wheel_dp", sim_secs (two_flow_dp_name Sim.Wheel_kernel));
-    ("many_flow_heap", sim_secs (many_flow_name Sim.Heap_kernel));
-    ("many_flow_wheel", sim_secs (many_flow_name Sim.Wheel_kernel));
+    ("two_flow", sim_secs two_flow_name);
+    ("two_flow_dp", sim_secs two_flow_dp_name);
+    ("many_flow", sim_secs many_flow_name);
   ]
 
 let emit_json rows =

@@ -142,7 +142,6 @@ let emit_json ~edges:e ~dur ~shards ~fluid_flows ~foreground ~failures body =
   output_string oc "{\n  \"schema\": \"pcc-proteus-bench-scale/2\",\n";
   Printf.fprintf oc "  \"code_version\": \"%s\",\n"
     (Proteus_obs.Manifest.code_version ());
-  Printf.fprintf oc "  \"kernel\": \"%s\",\n" (Exp_common.kernel_name ());
   Printf.fprintf oc
     "  \"config\": {\"edges\": %d, \"edge_bandwidth_mbps\": %g, \
      \"duration_s\": %g, \"shards\": %d, \"fluid_flows\": %d, \
@@ -207,10 +206,7 @@ let run () =
     match List.assoc_opt rid !Exp_common.injections with
     | Some inj -> Exp_common.Harness.Sweep.run_injected rid inj
     | None ->
-        let sh =
-          Shard.create ~seed:20_260_808 ~kernel:!Exp_common.kernel ~shards
-            ~epoch:0.5 topo specs
-        in
+        let sh = Shard.create ~seed:20_260_808 ~shards ~epoch:0.5 topo specs in
         for i = 0 to Shard.num_shards sh - 1 do
           Exp_common.arm (Shard.runner_at sh i)
         done;
@@ -321,10 +317,7 @@ let smoke () =
   let dur = 3.0 in
   let topo, specs = build ~edges:e ~stop:1.5 in
   let run_with shards =
-    let sh =
-      Shard.create ~seed:20_260_808 ~kernel:!Exp_common.kernel ~shards
-        ~epoch:0.5 topo specs
-    in
+    let sh = Shard.create ~seed:20_260_808 ~shards ~epoch:0.5 topo specs in
     Shard.run sh ~until:dur;
     Shard.assert_quiesced sh;
     (Shard.num_shards sh, digest ~edges:e ~dur sh)

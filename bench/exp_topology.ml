@@ -59,7 +59,7 @@ let run_parking ~seed ~e2e =
   let dur = duration () in
   let t0 = dur /. 3.0 in
   let topo = Net.Topology.chain (List.init parking_hops (fun _ -> hop_cfg ())) in
-  let r = Net.Runner.create_topo ~seed ~kernel:!Exp_common.kernel topo in
+  let r = Net.Runner.create_topo ~seed topo in
   Exp_common.arm r;
   let _audit = Net.Runner.attach_audit r in
   let e2e_flow =
@@ -95,7 +95,7 @@ let run_revpath ~seed ~e2e =
   let dur = duration () in
   let t0 = dur /. 3.0 in
   let topo = Net.Topology.chain [ rev_cfg () ] in
-  let r = Net.Runner.create_topo ~seed ~kernel:!Exp_common.kernel topo in
+  let r = Net.Runner.create_topo ~seed topo in
   Exp_common.arm r;
   let _audit = Net.Runner.attach_audit r in
   let probe =
@@ -228,7 +228,6 @@ let sweep () =
         [
           "topology";
           Exp_common.scale_name ();
-          Exp_common.kernel_name ();
           string_of_int trials;
           Printf.sprintf "%g" (duration ());
         ]
@@ -322,7 +321,6 @@ let emit_json rows failures =
   output_string oc "{\n  \"schema\": \"pcc-proteus-bench-topology/2\",\n";
   Printf.fprintf oc "  \"code_version\": \"%s\",\n"
     (Proteus_obs.Manifest.code_version ());
-  Printf.fprintf oc "  \"kernel\": \"%s\",\n" (Exp_common.kernel_name ());
   Printf.fprintf oc
     "  \"config\": {\"parking_hops\": %d, \"hop_bandwidth_mbps\": %g, \
      \"rev_bandwidth_mbps\": %g, \"duration_s\": %g},\n"
@@ -405,7 +403,7 @@ let smoke () =
       let topo =
         Net.Topology.chain (List.init parking_hops (fun _ -> hop_cfg ()))
       in
-      let r = Net.Runner.create_topo ~seed:11 ~kernel:!Exp_common.kernel topo in
+      let r = Net.Runner.create_topo ~seed:11 topo in
       let audit = Net.Runner.attach_audit r in
       let e2e =
         Net.Runner.add_flow r
@@ -443,7 +441,7 @@ let smoke () =
         (Net.Flow_stats.packets_lost st))
     protos;
   let topo = Net.Topology.chain [ rev_cfg () ] in
-  let r = Net.Runner.create_topo ~seed:11 ~kernel:!Exp_common.kernel topo in
+  let r = Net.Runner.create_topo ~seed:11 topo in
   let audit = Net.Runner.attach_audit r in
   let probe =
     Net.Runner.add_flow r

@@ -2,17 +2,13 @@
    per-experiment index).
 
    Usage:  dune exec bench/main.exe --
-             [--fast|--full] [--jobs N] [--kernel heap|wheel] [ids...]
+             [--fast|--full] [--jobs N] [ids...]
    ids: fig2 fig3 fig4 fig5 fig6 fig8 fig9 fig11 fig12 fig14
         appendix theory ablation micro faults topology all (default: all)
 
    --jobs N fans independent trials/protocol runs across N domains;
    results are bit-identical to --jobs 1 (every trial owns its seeded
    RNG and par_map preserves ordering).
-
-   --kernel wheel runs every scenario on the timing-wheel event kernel
-   (A/B against the default heap kernel; same events, same order, same
-   results — see lib/eventsim/sim.mli).
 
    --trace FILE / --metrics FILE export the observability bus and a
    metrics snapshot from experiments that support per-run tracing
@@ -71,7 +67,6 @@ let usage () =
     \  --trace FILE   export the trace bus (JSONL, or CSV if FILE ends\n\
     \                 in .csv) from trace-capable experiments\n\
     \  --metrics FILE export a metrics-registry snapshot (JSON)\n\
-    \  --kernel K     event-kernel backend: heap (default) or wheel\n\
     \  --trials N     override the scale-derived trial count (1..64)\n\
     \  --shards N     shard count for intra-trial sharded experiments\n\
     \                 (scale; byte-identical for any N, default 4)\n\
@@ -87,14 +82,6 @@ let usage () =
     \                 (KIND: crash | stall | audit; repeatable)\n\
     \  --scenarios DIR  scenario corpus for the matrix experiment\n\
     \                 (default: scenarios)\n"
-
-let parse_kernel s =
-  match s with
-  | "heap" -> Proteus_eventsim.Sim.Heap_kernel
-  | "wheel" -> Proteus_eventsim.Sim.Wheel_kernel
-  | _ ->
-      Printf.eprintf "--kernel expects 'heap' or 'wheel', got %S\n" s;
-      exit 1
 
 let parse_jobs s =
   match int_of_string_opt s with
@@ -180,9 +167,6 @@ let () =
     | "--metrics" :: f :: rest ->
         Exp_common.metrics_file := Some f;
         parse acc rest
-    | "--kernel" :: k :: rest ->
-        Exp_common.kernel := parse_kernel k;
-        parse acc rest
     | "--trials" :: n :: rest ->
         Exp_common.trials_override := Some (parse_trials n);
         parse acc rest
@@ -210,11 +194,11 @@ let () =
     | "--scenarios" :: d :: rest ->
         Exp_matrix.dir := d;
         parse acc rest
-    | [ ("--trace" | "--metrics" | "--kernel" | "--trials" | "--shards"
+    | [ ("--trace" | "--metrics" | "--trials" | "--shards"
         | "--retries" | "--wall-budget" | "--stall-budget" | "--event-budget"
         | "--inject" | "--scenarios") ] ->
         Printf.eprintf
-          "--trace/--metrics/--kernel/--trials/--shards/--retries/\
+          "--trace/--metrics/--trials/--shards/--retries/\
            --wall-budget/--stall-budget/--event-budget/--inject expect an \
            argument\n";
         exit 1
@@ -231,9 +215,6 @@ let () =
       ->
         Exp_common.metrics_file :=
           Some (String.sub a 10 (String.length a - 10));
-        parse acc rest
-    | a :: rest when String.length a > 9 && String.sub a 0 9 = "--kernel=" ->
-        Exp_common.kernel := parse_kernel (String.sub a 9 (String.length a - 9));
         parse acc rest
     | a :: rest when String.length a > 9 && String.sub a 0 9 = "--trials=" ->
         Exp_common.trials_override :=

@@ -1,5 +1,5 @@
-(* Event kernel with a free-list event pool and pluggable scheduling
-   backends.
+(* Event kernel: a free-list event pool over a timing wheel, a binary
+   heap and per-source lanes.
 
    Every scheduled event occupies a pooled cell: a reusable callback
    [int -> unit] plus an unboxed [int] argument, both held in parallel
@@ -15,18 +15,18 @@
    global sequence number assigned at scheduling time. The run loop
    picks the source (heap / wheel / lane) with the lexicographically
    smallest [(time, seq)], so equal-time events fire in scheduling
-   order no matter where they live, and the heap-only configuration
-   fires in exactly the order the single-heap kernel did.
+   order no matter where they live: the firing order is that of one
+   sorted queue keyed by [(time, seq)].
 
-   Backends. The SoA binary {!Heap} is always present and is the only
-   home of cancellable events and thunks. Under [Wheel_kernel], the
-   [at_fn] fast path routes near-future events into a hierarchical
-   timing {!Wheel} (O(1) instead of O(log n)), and callers with
-   per-source FIFO event streams (e.g. one per network link) can push
-   into {e lanes}: SoA ring buffers consumed directly by the run loop,
-   skipping the cell pool entirely. A lane push whose time would break
-   the lane's monotonicity falls back to the wheel/heap, so lanes are
-   an optimisation, never a semantic constraint. *)
+   Stores. The [at_fn] fast path routes near-future events into a
+   hierarchical timing {!Wheel} (O(1) instead of O(log n)). The SoA
+   binary {!Heap} holds everything else: events beyond the wheel
+   horizon, thunks and cancellables. Callers with per-source FIFO event
+   streams (e.g. one per network link) can push into {e lanes}: SoA
+   ring buffers consumed directly by the run loop, skipping the cell
+   pool entirely. A lane push whose time would break the lane's
+   monotonicity falls back to the wheel/heap, so lanes are an
+   optimisation, never a semantic constraint. *)
 
 let noop_fn (_ : int) = ()
 let noop_thunk () = ()
@@ -36,7 +36,7 @@ let st_free = '\000'
 let st_live = '\001'
 let st_cancelled = '\002'
 
-type kernel = Heap_kernel | Wheel_kernel
+type kernel = Wheel_kernel
 
 (* Supervision guard: budgets checked inside the run loop, plus the
    channel a monitor domain uses to interrupt a run it has decided is
@@ -90,7 +90,6 @@ type t = {
      this (mixed) record would box on every store; a float array does
      not. *)
   fl : float array;
-  use_wheel : bool;
   wheel : Wheel.t;
   wheel_horizon : float;
   queue : int Heap.t; (* payload = event cell id *)
@@ -122,19 +121,13 @@ type t = {
 
 type cancel = { sim : t; id : int; gen : int }
 
-let create ?(kernel = Heap_kernel) () =
-  let use_wheel = kernel = Wheel_kernel in
-  (* The heap-only kernel still carries a (tiny, inert) wheel so the
-     record needs no option and the counters read as zero. *)
-  let wheel =
-    if use_wheel then Wheel.create () else Wheel.create ~slots:2 ()
-  in
+let create () =
+  let wheel = Wheel.create () in
   let t =
     {
       fl = Array.make 2 0.0;
-      use_wheel;
       wheel;
-      wheel_horizon = (if use_wheel then Wheel.horizon wheel else 0.0);
+      wheel_horizon = Wheel.horizon wheel;
       queue = Heap.create ();
       lanes = [||];
       n_lanes = 0;
@@ -162,7 +155,6 @@ let create ?(kernel = Heap_kernel) () =
   t.trampoline <- (fun id -> t.thunks.(id) ());
   t
 
-let kernel t = if t.use_wheel then Wheel_kernel else Heap_kernel
 let[@inline] now t = t.fl.(0)
 
 let[@inline] reserve_seq t =
@@ -234,11 +226,11 @@ let note_scheduled t =
   t.n_queued <- q;
   if q > t.max_queued then t.max_queued <- q
 
-(* Route a live cell to the wheel (near future, wheel kernel only) or
-   the heap. The global [seq] is the heap's tie-break order, so heap
-   pops under any kernel reproduce the single-heap kernel exactly. *)
+(* Route a live cell to the wheel (within its horizon) or the heap.
+   Both order by the global [seq] on equal times, so where a cell lands
+   never changes when it fires. *)
 let schedule_cell t ~time ~seq id =
-  if t.use_wheel && time -. t.fl.(0) < t.wheel_horizon then
+  if time -. t.fl.(0) < t.wheel_horizon then
     Wheel.insert t.wheel ~time ~seq ~id
   else Heap.push_ord t.queue ~time ~order:seq id
 
@@ -432,7 +424,7 @@ let run ?until t =
       t.sc_seq <- Heap.top_order t.queue;
       t.sc_src <- 0
     end;
-    if t.use_wheel && not (Wheel.is_empty t.wheel) then begin
+    if not (Wheel.is_empty t.wheel) then begin
       Wheel.prepare t.wheel;
       let wt = Wheel.head_time t.wheel in
       if
@@ -497,30 +489,15 @@ let run ?until t =
     end
   done
 
-let next_event_time t =
-  let fl = t.fl in
-  fl.(1) <- (if Heap.is_empty t.queue then infinity else Heap.top_time t.queue);
-  if t.use_wheel && not (Wheel.is_empty t.wheel) then begin
-    let wt = Wheel.next_time t.wheel in
-    if wt < fl.(1) then fl.(1) <- wt
-  end;
-  for i = 0 to t.n_lanes - 1 do
-    let l = Array.unsafe_get t.lanes i in
-    if l.len > 0 && Array.unsafe_get l.lt l.head < fl.(1) then
-      fl.(1) <- Array.unsafe_get l.lt l.head
-  done;
-  fl.(1)
-
-(* Allocation-free [next_event_time t <= now]: pending fire times are
-   never in the past (insertion clamps to now, and the run loop fires in
-   order), so every comparison is against the current instant. Reuses
-   the [sc_src] scratch so the lane scan needs no ref cell. *)
+(* Is any event (heap, wheel or lane) due at the current instant?
+   Pending fire times are never in the past (insertion clamps to now,
+   and the run loop fires in order), so every comparison is against the
+   current instant. Reuses the [sc_src] scratch so the lane scan needs
+   no ref cell. *)
 let next_is_now t =
   let now = t.fl.(0) in
   ((not (Heap.is_empty t.queue)) && Heap.top_time t.queue <= now)
-  || (t.use_wheel
-     && (not (Wheel.is_empty t.wheel))
-     && Wheel.next_time t.wheel <= now)
+  || ((not (Wheel.is_empty t.wheel)) && Wheel.next_time t.wheel <= now)
   ||
   begin
     t.sc_src <- 0;

@@ -10,20 +10,21 @@
     reusable [int -> unit] callback plus an unboxed [int] argument);
     the schedule stores only cell ids. Scheduling through {!at_fn} with
     a long-lived callback is therefore allocation free in steady state —
-    this is the hot path used by the packet-level scenario runner. *)
+    this is the hot path used by the packet-level scenario runner.
+
+    There is one kernel. {!at_fn} events within the timing wheel's
+    horizon (about 65 s ahead) go into a hierarchical {!Wheel} (O(1)
+    insert/extract); events beyond it, thunks ({!at}) and cancellables
+    sit in a binary {!Heap}; {!lane}s hold per-source FIFO streams. The
+    run loop merges all three by [(time, seq)], so the firing order is
+    that of a single queue sorted by time with scheduling-order ties. *)
 
 type t
 
-(** Scheduling backend for the {!at_fn} fast path.
-
-    [Heap_kernel] (the default) keeps every event in the SoA binary
-    heap — bit-compatible with the historical single-heap kernel.
-    [Wheel_kernel] routes near-future [at_fn] events into a hierarchical
-    timing wheel (O(1) insert/extract) and enables {!lane} scheduling;
-    far-future events, thunks and cancellables stay on the heap. Both
-    kernels fire the same schedule in the same order — the wheel kernel
-    is a performance choice, not a semantic one. *)
-type kernel = Heap_kernel | Wheel_kernel
+(** The only event-kernel backend. Kept as a type so callers that still
+    pass [~kernel:Wheel_kernel] (e.g. to [Runner.create]) compile; there
+    is nothing to choose. *)
+type kernel = Wheel_kernel
 
 (** {2 Supervision}
 
@@ -73,10 +74,9 @@ val set_guard : t -> guard -> unit
 
 val guard : t -> guard
 
-val create : ?kernel:kernel -> unit -> t
-(** Fresh simulation with the clock at 0. *)
-
-val kernel : t -> kernel
+val create : unit -> t
+(** Fresh simulation with the clock at 0. Cheap: the wheel's slot
+    arrays are small enough to be minor-heap allocations. *)
 
 val now : t -> float
 (** Current virtual time in seconds. *)
@@ -136,17 +136,12 @@ val lane_push :
 (** Schedule [fn arg] at [time] (clamped to [now]) on the lane, with a
     sequence number from {!reserve_seq}. *)
 
-val next_event_time : t -> float
-(** Fire time of the earliest scheduled event across every source
-    (heap, wheel, lanes), or [infinity] when nothing is pending. Lets
-    handlers detect "nothing else happens at the current instant" and
-    run follow-up work inline instead of scheduling a zero-delay
-    event. *)
-
 val next_is_now : t -> bool
-(** [next_is_now t] is [next_event_time t <= now t], without boxing the
-    intermediate float — the per-ACK fast-path test on the runner's hot
-    path. *)
+(** Whether any scheduled event (heap, wheel or lane) fires at {!now}.
+    Lets handlers detect "nothing else happens at the current instant"
+    and run follow-up work inline instead of scheduling a zero-delay
+    event — the per-ACK fast-path test on the runner's hot path.
+    Allocation free. *)
 
 type cancel
 (** Handle for a cancellable event. *)
@@ -159,7 +154,7 @@ val cancel : cancel -> unit
     half the queued events are dead the queue is compacted in place, so
     cancel-heavy workloads (timer wheels, retransmission timers) do not
     retain dead entries until their nominal fire time. Cancellable
-    events always live on the heap, under either kernel. *)
+    events always live on the heap. *)
 
 val run : ?until:float -> t -> unit
 (** Drain the event queue, advancing the clock. With [?until], stop
@@ -182,7 +177,9 @@ val queued : t -> int
     pressure. *)
 
 val events_scheduled : t -> int
-(** Events ever scheduled (including later-cancelled ones). *)
+(** Events ever scheduled (including later-cancelled ones), lane pushes
+    included. Work a caller runs inline instead of scheduling (the
+    runner's post-ACK poll when nothing else is due) is not counted. *)
 
 val events_fired : t -> int
 (** Live events dispatched (excludes cancelled reclaims). *)
@@ -191,10 +188,11 @@ val max_queued : t -> int
 (** High-water mark of the event queue length. *)
 
 val wheel_ticks : t -> int
-(** Timing-wheel cursor advances. 0 under [Heap_kernel]. *)
+(** Timing-wheel cursor advances. *)
 
 val wheel_cascades : t -> int
-(** Non-empty level-1 wheel slot refills. 0 under [Heap_kernel]. *)
+(** Non-empty level-1 wheel slot refills (events scheduled more than
+    one level-0 span, 256 ms, ahead). *)
 
 val wheel_max_occupancy : t -> int
-(** High-water mark of wheel occupancy. 0 under [Heap_kernel]. *)
+(** High-water mark of wheel occupancy. *)

@@ -20,8 +20,8 @@ type t
 
 val create : ?tick:float -> ?slots:int -> unit -> t
 (** [tick] (default 1e-3 s) is the slot granularity, [slots] (default
-    512) the per-level slot count. @raise Invalid_argument when [tick
-    <= 0] or [slots < 2]. *)
+    256, a horizon of about 65 s) the per-level slot count.
+    @raise Invalid_argument when [tick <= 0] or [slots < 2]. *)
 
 val horizon : t -> float
 (** Relative-time span (seconds) the two levels cover without
@@ -41,9 +41,6 @@ val is_empty : t -> bool
 val next_time : t -> float
 (** Fire time of the earliest entry, or [infinity] when empty. May
     advance the cursor to find it. *)
-
-val next_seq : t -> int
-(** Sequence number of the earliest entry, or [max_int] when empty. *)
 
 val prepare : t -> unit
 (** Advance the cursor until the due batch is non-empty (no-op when it

@@ -9,7 +9,7 @@ let burst_cap = 64
 
 (* Per-flow in-flight packet state lives in a structure-of-arrays ring:
    transmitting a packet fills a recycled slot and schedules one of the
-   reusable handlers (ack / loss / hop) through [Sim.at_fn] with the
+   reusable handlers (ack / loss / hop) on its link's lane with the
    slot index as argument, so steady-state transmission allocates
    nothing — the closure-per-packet pattern is gone. Slots are
    free-listed rather than FIFO because ACK-path noise can reorder
@@ -59,8 +59,7 @@ type t = {
   links : Link.t array;
   fluid_present : bool; (* at least one link carries a fluid aggregate *)
   classic : bool; (* dumbbell: links.(0) is the legacy full-duplex link *)
-  batch : bool; (* wheel kernel: per-link lanes + inline polls *)
-  lanes : Sim.lane array; (* one per link; empty unless [batch] *)
+  lanes : Sim.lane array; (* one per link, indexed by link id *)
   root_rng : Rng.t;
   trace : Trace.t;
   (* Reusable scratch for [Link.transmit_into] outcomes. *)
@@ -77,11 +76,9 @@ type t = {
   mutable audit : Audit.t option;
 }
 
-let create_topo ?(seed = 42) ?(trace = Trace.disabled)
-    ?(kernel = Sim.Heap_kernel) topo =
+let create_topo ?(seed = 42) ?(trace = Trace.disabled) ?kernel:_ topo =
   let root_rng = Rng.create ~seed in
-  let sim = Sim.create ~kernel () in
-  let batch = kernel = Sim.Wheel_kernel in
+  let sim = Sim.create () in
   (* Links are instantiated in id order with one RNG split each; for a
      dumbbell this is exactly the historical single split, preserving
      seeded runs bit-for-bit. Explicit loop: [Array.init]'s evaluation
@@ -93,16 +90,10 @@ let create_topo ?(seed = 42) ?(trace = Trace.disabled)
     links.(i) <- Link.create ~trace (Topology.link_config topo i) ~rng:(Rng.split root_rng)
   done;
   (* Lane ids coincide with link ids (explicit creation order). *)
-  let lanes =
-    if not batch then [||]
-    else begin
-      let a = Array.make n (Sim.lane sim) in
-      for i = 1 to n - 1 do
-        a.(i) <- Sim.lane sim
-      done;
-      a
-    end
-  in
+  let lanes = Array.make n (Sim.lane sim) in
+  for i = 1 to n - 1 do
+    lanes.(i) <- Sim.lane sim
+  done;
   (* Fluid background aggregates attach after all link RNG splits, so a
      topology with fluid classes draws the same link/flow RNG streams
      as the identical topology without them (the fluid integrator is
@@ -120,7 +111,6 @@ let create_topo ?(seed = 42) ?(trace = Trace.disabled)
     links;
     fluid_present = !fluid_present;
     classic = Topology.is_classic topo;
-    batch;
     lanes;
     root_rng;
     trace;
@@ -224,17 +214,14 @@ let release_slot f idx =
   f.ring_free_len <- f.ring_free_len + 1
 
 (* Schedule a packet-path event (ACK delivery, loss notification, hop
-   arrival) produced by [link]. Under the wheel kernel these ride the
-   link's lane — per-link delivery times are (nearly) nondecreasing, so
-   the FIFO fast path almost always applies and non-monotone stragglers
-   (reordering noise, loss notifications) fall back to the wheel/heap
-   inside [Sim.lane_push], keeping the global (time, seq) order exact
-   either way. *)
+   arrival) produced by [link] on the link's lane — per-link delivery
+   times are (nearly) nondecreasing, so the FIFO fast path almost always
+   applies and non-monotone stragglers (reordering noise, loss
+   notifications) fall back to the wheel/heap inside [Sim.lane_push],
+   keeping the global (time, seq) order exact either way. *)
 let[@inline] sched_link t ~link ~time ~fn ~arg =
-  if t.batch then
-    Sim.lane_push t.sim t.lanes.(link) ~time ~seq:(Sim.reserve_seq t.sim) ~fn
-      ~arg
-  else Sim.at_fn t.sim ~time ~fn ~arg
+  Sim.lane_push t.sim t.lanes.(link) ~time ~seq:(Sim.reserve_seq t.sim) ~fn
+    ~arg
 
 (* ---------- multi-hop forward progression ----------
 
@@ -397,13 +384,13 @@ and transmit t f budget =
 and kick t f =
   f.blocked <- false;
   if sending_allowed t f then begin
-    (* Wheel kernel: when no other event is due at this instant, a
-       zero-delay poll event would fire next with nothing in between —
-       run the poll body inline instead (the pending poll at time [now]
-       would carry a larger sequence number than anything queued, so
-       firing it here preserves the exact event order while skipping a
-       kernel round-trip per ACK). *)
-    if t.batch && (not f.poll_pending) && not (Sim.next_is_now t.sim) then
+    (* When no other event is due at this instant, a zero-delay poll
+       event would fire next with nothing in between — run the poll
+       body inline instead (the pending poll at time [now] would carry
+       a larger sequence number than anything queued, so firing it here
+       preserves the exact event order while skipping a kernel
+       round-trip per ACK). *)
+    if (not f.poll_pending) && not (Sim.next_is_now t.sim) then
       poll t f
     else schedule_poll t f ~time:(Sim.now t.sim)
   end

@@ -43,14 +43,14 @@ val create :
     control flow, so seeded runs are bit-identical with tracing on or
     off.
 
-    [kernel] selects the event-kernel backend (default
-    [Sim.Heap_kernel], bit-identical to the historical runner). Under
-    [Sim.Wheel_kernel] the runner schedules packet-path events through
-    per-link lanes and a hierarchical timing wheel and runs post-ACK
-    polls inline when no other event is due — the same events fire in
-    the same order at the same times, substantially faster; only the
-    kernel's internal bookkeeping (and thus counters like
-    [events_scheduled]) differs. *)
+    Packet-path events (ACK deliveries, loss notifications, hop
+    arrivals) ride one {!Proteus_eventsim.Sim.lane} per link, and a
+    post-ACK poll runs inline when no other event is due at that
+    instant instead of being scheduled. Neither changes what fires or
+    when; both show in the kernel counters (see {!snapshot_metrics}).
+
+    [kernel] is accepted for source compatibility and ignored: the
+    kernel has one backend, [Sim.Wheel_kernel]. *)
 
 val create_topo :
   ?seed:int ->
@@ -60,8 +60,8 @@ val create_topo :
   t
 (** Fresh scenario over a {!Topology}. Links are instantiated in id
     order, each with its own stream split from the seed, so a
-    [Topology.dumbbell] reproduces {!create} bit-for-bit. [kernel] as
-    in {!create}. *)
+    [Topology.dumbbell] reproduces {!create} bit-for-bit. [kernel] is
+    ignored, as in {!create}. *)
 
 val sim : t -> Proteus_eventsim.Sim.t
 
@@ -136,9 +136,11 @@ val audit : t -> Audit.t option
 
 val snapshot_metrics : t -> Proteus_obs.Metrics.t -> unit
 (** Populate a metrics registry with an end-of-run snapshot: event-kernel
-    counters ([sim.*]), trace-bus counters ([trace.*]) when tracing is
-    enabled, the current backlog of the classic link
-    ([link.backlog-bytes]) or of every topology link
+    counters ([sim.*]; [sim.events-scheduled] counts lane pushes but not
+    the post-ACK polls run inline, and the [sim.wheel-*] counters read
+    the timing wheel that carries every flow's polls), trace-bus
+    counters ([trace.*]) when tracing is enabled, the current backlog
+    of the classic link ([link.backlog-bytes]) or of every topology link
     ([link.<id>.backlog-bytes]), and per-flow packet counters, goodput
     gauges and an RTT histogram ([flow.<label>.*]). Counters are bumped
     by the totals at call time, so call once per registry (an

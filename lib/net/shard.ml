@@ -118,7 +118,7 @@ type t = {
   mutable now : float;
 }
 
-let create ?(seed = 42) ?kernel ?(shards = 1) ?(epoch = 0.25) ?(audit = true)
+let create ?(seed = 42) ?(shards = 1) ?(epoch = 0.25) ?(audit = true)
     topo specs =
   if shards < 1 then
     invalid_arg (Printf.sprintf "Shard.create: shards must be >= 1, got %d" shards);
@@ -136,7 +136,7 @@ let create ?(seed = 42) ?kernel ?(shards = 1) ?(epoch = 0.25) ?(audit = true)
     Array.map (fun s -> link_shard.((spec_links topo s).(0))) specs_a
   in
   let mk_shard index =
-    let r = Runner.create_topo ~seed ?kernel topo in
+    let r = Runner.create_topo ~seed topo in
     Sim.set_seq_partition (Runner.sim r) ~index ~count:n_shards;
     let a = if audit then Some (Runner.attach_audit r) else None in
     { sh_runner = r; sh_audit = a }

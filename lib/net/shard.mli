@@ -58,7 +58,6 @@ type t
 
 val create :
   ?seed:int ->
-  ?kernel:Proteus_eventsim.Sim.kernel ->
   ?shards:int ->
   ?epoch:float ->
   ?audit:bool ->
@@ -68,7 +67,7 @@ val create :
 (** Plan and instantiate a sharded trial: components are assigned
     round-robin to [min shards components] shards (default [shards]
     1 — plain sequential execution through the same code path), each
-    shard gets a full [Runner.create_topo ~seed ?kernel] plus an
+    shard gets a full [Runner.create_topo ~seed] plus an
     auditor when [audit] (default true), and every spec lands in the
     shard owning its component. [epoch] (default 0.25 s) is the barrier
     window for {!run}. Raises [Invalid_argument] on [shards < 1], a

@@ -44,16 +44,13 @@ let code_version () =
           | Some sha -> sha
           | None -> "unknown"))
 
-let to_string ~run ?seed ?scenario ?kernel ?(params = []) ?(metrics = [])
+let to_string ~run ?seed ?scenario ?(params = []) ?(metrics = [])
     ?registry () =
   let buf = Buffer.create 512 in
   Buffer.add_string buf "{\n  \"schema\": \"pcc-proteus-manifest/1\",\n";
   Printf.bprintf buf "  \"run\": \"%s\",\n" (Export.json_escape run);
   Printf.bprintf buf "  \"code_version\": \"%s\",\n"
     (Export.json_escape (code_version ()));
-  (match kernel with
-  | Some k -> Printf.bprintf buf "  \"kernel\": \"%s\",\n" (Export.json_escape k)
-  | None -> ());
   (match seed with
   | Some s -> Printf.bprintf buf "  \"seed\": %d,\n" s
   | None -> Buffer.add_string buf "  \"seed\": null,\n");
@@ -88,10 +85,10 @@ let to_string ~run ?seed ?scenario ?kernel ?(params = []) ?(metrics = [])
   Buffer.add_string buf "\n}\n";
   Buffer.contents buf
 
-let write ~path ~run ?seed ?scenario ?kernel ?params ?metrics ?registry () =
+let write ~path ~run ?seed ?scenario ?params ?metrics ?registry () =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
       output_string oc
-        (to_string ~run ?seed ?scenario ?kernel ?params ?metrics ?registry ()))
+        (to_string ~run ?seed ?scenario ?params ?metrics ?registry ()))

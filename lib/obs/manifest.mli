@@ -20,24 +20,20 @@ val to_string :
   run:string ->
   ?seed:int ->
   ?scenario:string ->
-  ?kernel:string ->
   ?params:(string * string) list ->
   ?metrics:(string * float) list ->
   ?registry:Metrics.t ->
   unit ->
   string
-(** Render a manifest (schema [pcc-proteus-manifest/1]). [kernel] names
-    the event-kernel backend the run used ([heap] / [wheel]), emitted
-    as a top-level field when given. [params] are free-form
-    configuration strings; [metrics] are headline numbers; [registry]
-    embeds a full metrics document under ["registry"]. *)
+(** Render a manifest (schema [pcc-proteus-manifest/1]). [params] are
+    free-form configuration strings; [metrics] are headline numbers;
+    [registry] embeds a full metrics document under ["registry"]. *)
 
 val write :
   path:string ->
   run:string ->
   ?seed:int ->
   ?scenario:string ->
-  ?kernel:string ->
   ?params:(string * string) list ->
   ?metrics:(string * float) list ->
   ?registry:Metrics.t ->

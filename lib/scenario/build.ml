@@ -3,7 +3,7 @@
    packet-level simulator. Everything here reuses the constructors the
    hand-written bench experiments call — a spec-driven run of a
    scenario is bit-identical to its hand-written twin given the same
-   seed and kernel (test_scenario pins this with golden digests). *)
+   seed (test_scenario pins this with golden digests). *)
 
 module Net = Proteus_net
 module Topology = Net.Topology

@@ -3,7 +3,10 @@
     Specs are compiled through the same {!Proteus_net.Topology} /
     {!Proteus_net.Runner} constructors the hand-written bench
     experiments use, so a spec-driven run is bit-identical to its
-    hand-written twin given the same seed and kernel. *)
+    hand-written twin given the same seed.
+
+    The optional [kernel] arguments are accepted for source
+    compatibility and ignored (see {!Proteus_net.Runner.create}). *)
 
 val topology : Spec.t -> Proteus_net.Topology.t
 (** The spec's topology with fluid aggregate classes attached. Raises

@@ -5,9 +5,9 @@
    volatile reset, loss-trigger edges, interval triggers, NaN-window
    safety; (2) golden digest parity: cubic-dp and ledbat-dp must be
    byte-identical to their monolithic twins on an impaired dumbbell and
-   a 3-hop chain, under both kernels, sequentially and across a
-   4-domain pool; (3) a QCheck property fuzzing random well-typed fold
-   programs through an audited run — the auditor's conservation laws
+   a 3-hop chain, sequentially and across a 4-domain pool; (3) a QCheck
+   property fuzzing random well-typed fold programs through an audited
+   run — the auditor's conservation laws
    must hold and the adapter must never emit a NaN next-send time. *)
 
 module Net = Proteus_net
@@ -15,7 +15,6 @@ module Link = Net.Link
 module Topology = Net.Topology
 module Sender = Net.Sender
 module Rng = Proteus_stats.Rng
-module Sim = Proteus_eventsim.Sim
 module Dp = Proteus.Datapath
 module Pool = Proteus_parallel.Pool
 
@@ -243,10 +242,8 @@ let impaired_cfg () =
       ]
     ~bandwidth_mbps:20.0 ~rtt_ms:30.0 ~buffer_bytes:150_000 ()
 
-let run_dumbbell ~kernel ~seed factory =
-  let r =
-    Net.Runner.create_topo ~seed ~kernel (Topology.dumbbell (impaired_cfg ()))
-  in
+let run_dumbbell ~seed factory =
+  let r = Net.Runner.create_topo ~seed (Topology.dumbbell (impaired_cfg ())) in
   let a = Net.Runner.add_flow r ~label:"dut" ~factory in
   let b =
     Net.Runner.add_flow r ~start:1.0 ~label:"peer"
@@ -264,9 +261,9 @@ let chain_links () =
     Link.config ~bandwidth_mbps:25.0 ~rtt_ms:10.0 ~buffer_bytes:120_000 ();
   ]
 
-let run_chain ~kernel ~seed factory =
+let run_chain ~seed factory =
   let topo = Topology.chain (chain_links ()) in
-  let r = Net.Runner.create_topo ~seed ~kernel topo in
+  let r = Net.Runner.create_topo ~seed topo in
   let route = Topology.chain_route topo in
   let a = Net.Runner.add_flow r ~route ~label:"dut" ~factory in
   let b =
@@ -278,12 +275,7 @@ let run_chain ~kernel ~seed factory =
   flow_digest a ^ " | " ^ flow_digest b
 
 let check_parity ~what run mono dp =
-  List.iter
-    (fun (kname, kernel) ->
-      Alcotest.(check string)
-        (Printf.sprintf "%s (%s kernel)" what kname)
-        (run ~kernel ~seed:11 mono) (run ~kernel ~seed:11 dp))
-    [ ("heap", Sim.Heap_kernel); ("wheel", Sim.Wheel_kernel) ]
+  Alcotest.(check string) what (run ~seed:11 mono) (run ~seed:11 dp)
 
 let test_cubic_parity_dumbbell () =
   check_parity ~what:"cubic-dp == cubic on dumbbell" run_dumbbell
@@ -325,9 +317,9 @@ let test_interval_reports_behavior_neutral () =
 let test_jobs4_determinism () =
   let seeds = [ 3; 11; 42; 97 ] in
   let run seed =
-    run_dumbbell ~kernel:Sim.Wheel_kernel ~seed (Proteus_cc.Cubic_dp.factory ())
+    run_dumbbell ~seed (Proteus_cc.Cubic_dp.factory ())
     ^ " || "
-    ^ run_chain ~kernel:Sim.Heap_kernel ~seed (Proteus_cc.Ledbat_dp.factory ())
+    ^ run_chain ~seed (Proteus_cc.Ledbat_dp.factory ())
   in
   let sequential = List.map run seeds in
   let pool = Pool.create ~jobs:4 in

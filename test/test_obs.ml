@@ -204,6 +204,24 @@ let test_sim_counters () =
   Alcotest.(check int) "callbacks ran" 5 !fired;
   Alcotest.(check bool) "high-water mark" true (Sim.max_queued sim >= 5)
 
+(* A default runner schedules its packet path through the timing wheel,
+   so the wheel counters it snapshots are live, not zero. *)
+let test_runner_wheel_counters () =
+  let cfg =
+    Net.Link.config ~bandwidth_mbps:20.0 ~rtt_ms:30.0 ~buffer_bytes:150_000 ()
+  in
+  let r = Net.Runner.create ~seed:3 cfg in
+  ignore
+    (Net.Runner.add_flow r ~label:"a" ~factory:(Proteus_cc.Cubic.factory ()));
+  Net.Runner.run r ~until:1.0;
+  let reg = Metrics.create () in
+  Net.Runner.snapshot_metrics r reg;
+  let ticks = Metrics.counter_value (Metrics.counter reg "sim.wheel-ticks") in
+  Alcotest.(check bool) "wheel ticks > 0" true (ticks > 0);
+  Alcotest.(check int) "snapshot = kernel counter"
+    (Sim.wheel_ticks (Net.Runner.sim r))
+    ticks
+
 let suite =
   [
     Alcotest.test_case "disabled no-op" `Quick test_disabled_noop;
@@ -215,4 +233,6 @@ let suite =
     Alcotest.test_case "manifest deterministic" `Quick
       test_manifest_deterministic;
     Alcotest.test_case "sim counters" `Quick test_sim_counters;
+    Alcotest.test_case "runner wheel counters" `Quick
+      test_runner_wheel_counters;
   ]

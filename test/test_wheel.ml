@@ -1,10 +1,9 @@
-(* Wheel-kernel equivalence tests: the hierarchical timing wheel plus
-   lane/batch machinery must be observationally identical to the
-   heap-only kernel. Covers the wheel structure directly (ordering,
-   far-future clamping, counters), kernel-level fire-order equivalence
-   for random schedules (including behind-cursor re-entry and
-   cancel-heavy workloads), and full network runs whose flow digests
-   must match heap vs wheel on the dumbbell and a 3-hop chain. *)
+(* Event-kernel ordering tests. Covers the timing wheel directly
+   (ordering, far-future clamping, counters), the kernel's firing order
+   on random schedules against a naive (time, seq) oracle (wheel, heap
+   and lanes mixed, behind-cursor re-entry, cancellations, sharded
+   sequence numbers), and full network runs whose flow digests are
+   pinned to golden values on the dumbbell and a 3-hop chain. *)
 
 open Proteus_eventsim
 module Net = Proteus_net
@@ -67,81 +66,175 @@ let prop_wheel_sorted_extraction =
       in
       popped = expected && Wheel.count w = 0)
 
-(* ---------- kernel fire-order equivalence ---------- *)
+(* ---------- reference replay ---------- *)
 
-(* Replay one random schedule on a kernel and log the firing order.
-   Events are scheduled through [at_fn] (the wheel-routed fast path);
-   every third event, when it fires, schedules a same-instant follow-up
-   (the inline-poll / behind-cursor pattern) and every fifth schedules a
-   far-future one, so ordering is stressed both behind the cursor and
-   across the wheel/heap routing boundary. *)
-let replay ~kernel times =
-  let sim = Sim.create ~kernel () in
-  let log = ref [] in
-  let rec fire i =
-    log := i :: !log;
-    if i >= 0 then begin
-      if i mod 3 = 0 then
-        Sim.at_fn sim ~time:(Sim.now sim) ~fn:fire ~arg:(-i - 1);
-      if i mod 5 = 0 then
-        Sim.at_fn sim ~time:(Sim.now sim +. 123.0) ~fn:fire ~arg:(-i - 1001)
-    end
+(* One random schedule, replayed on the kernel and on a naive oracle
+   that keeps pending events in a list and always fires the least
+   [(time, seq)]. Both sit behind the same interface, so the driver
+   below issues the identical call sequence to each. *)
+type kind = Fn | Thunk | Cancellable | Lane of int
+
+type backend = {
+  now : unit -> float;
+  sched : kind -> float -> int -> unit; (* schedule label at time *)
+  cancel : int -> unit; (* by label; no-op once fired or cancelled *)
+  run : float -> unit; (* Sim.run ~until *)
+}
+
+let sim_backend sim fire =
+  let lanes = [| Sim.lane sim; Sim.lane sim |] in
+  let handles = Hashtbl.create 16 in
+  let fn i = !fire i in
+  {
+    now = (fun () -> Sim.now sim);
+    sched =
+      (fun kind time i ->
+        match kind with
+        | Fn -> Sim.at_fn sim ~time ~fn ~arg:i
+        | Thunk -> Sim.at sim ~time (fun () -> fn i)
+        | Cancellable ->
+            Hashtbl.replace handles i
+              (Sim.at_cancellable sim ~time (fun () -> fn i))
+        | Lane l ->
+            Sim.lane_push sim lanes.(l) ~time ~seq:(Sim.reserve_seq sim) ~fn
+              ~arg:i);
+    cancel = (fun i -> Option.iter Sim.cancel (Hashtbl.find_opt handles i));
+    run = (fun until -> Sim.run ~until sim);
+  }
+
+let oracle_backend fire =
+  let clock = ref 0.0 and seq = ref 0 and pending = ref [] in
+  let rec run until =
+    match List.sort compare !pending with
+    | [] -> if until > !clock && Float.is_finite until then clock := until
+    | (time, _, _) :: _ when time > until -> clock := until
+    | (time, _, i) :: rest ->
+        pending := rest;
+        clock := time;
+        !fire i;
+        run until
   in
-  List.iteri (fun i t -> Sim.at_fn sim ~time:t ~fn:fire ~arg:i) times;
-  Sim.run sim;
-  (List.rev !log, Sim.pending sim, Sim.queued sim)
+  {
+    now = (fun () -> !clock);
+    sched =
+      (fun _ time i ->
+        pending := (Float.max time !clock, !seq, i) :: !pending;
+        incr seq);
+    cancel =
+      (fun i -> pending := List.filter (fun (_, _, j) -> j <> i) !pending);
+    run;
+  }
 
-let prop_kernels_fire_identically =
-  QCheck.Test.make ~name:"wheel kernel fires in heap-kernel order"
+(* Event [i] of the initial schedule reacts when it fires: a zero-delay
+   follow-up lands behind the wheel cursor, [now + 100] lies beyond the
+   wheel horizon (heap fallback), a lane push at a short offset breaks
+   the lane's monotonicity, a thunk in the past is clamped to [now], and
+   some events cancel a later cancellable (a no-op once it fired).
+   Follow-ups (labels >= 1000) do not react, so every schedule ends. The
+   final clock is not compared: the kernel also advances it to cancelled
+   events it reclaims at their fire time. *)
+let replay ops mk ~until =
+  let ops = Array.of_list ops in
+  let cancellable i = i < Array.length ops && fst ops.(i) = Cancellable in
+  let log = ref [] and fire = ref ignore in
+  let b = mk fire in
+  (fire :=
+     fun i ->
+       log := i :: !log;
+       if i < 1000 then begin
+         let now = b.now () and j = 1000 + (10 * i) in
+         if i mod 3 = 0 then b.sched Fn now j;
+         if i mod 5 = 0 then b.sched Fn (now +. 100.0) (j + 1);
+         if i mod 4 = 1 then begin
+           b.sched (Lane (i land 1))
+             (now +. (0.005 *. float_of_int (i mod 7)))
+             (j + 2);
+           b.sched Thunk (now -. 1.0) (j + 3)
+         end;
+         if i mod 6 = 2 && cancellable (i + 1) then b.cancel (i + 1)
+       end);
+  Array.iteri (fun i (kind, time) -> b.sched kind time i) ops;
+  Array.iteri (fun i _ -> if i land 1 = 0 && cancellable i then b.cancel i) ops;
+  b.run until;
+  let mid = b.now () in
+  b.run infinity;
+  (List.rev !log, mid)
+
+let gen_time =
+  QCheck.Gen.(
+    frequency
+      [
+        (* coarse grid: equal-time ties are frequent *)
+        (6, map (fun k -> float_of_int k *. 0.01) (int_range 0 300));
+        (* straddles the ~65 s wheel horizon *)
+        (1, map (fun k -> 60.0 +. (float_of_int k *. 0.5)) (int_range 0 280));
+      ])
+
+let gen_op =
+  QCheck.Gen.(
+    pair (oneofl [ Fn; Thunk; Cancellable; Lane 0; Lane 1 ]) gen_time)
+
+let print_kind = function
+  | Fn -> "Fn"
+  | Thunk -> "Thunk"
+  | Cancellable -> "Cancellable"
+  | Lane l -> Printf.sprintf "Lane %d" l
+
+(* Run one schedule on the kernel (with [set_seq_partition] shard
+   [index] of [count]) and on the oracle: the firing logs must match,
+   including the clock at the mid-run [~until], and nothing may be left
+   behind in either of the kernel's stores (wheel and heap). *)
+let matches_oracle (ops, (index, count), until) =
+  let sim = Sim.create () in
+  Sim.set_seq_partition sim ~index ~count;
+  replay ops (sim_backend sim) ~until = replay ops oracle_backend ~until
+  && Sim.pending sim = 0
+  && Sim.queued sim = 0
+
+let arb_schedule ~max_ops gen_op =
+  QCheck.(
+    make
+      ~print:
+        Print.(
+          triple (list (pair print_kind string_of_float)) (pair int int)
+            string_of_float)
+      Gen.(
+        triple
+          (list_size (int_range 0 max_ops) gen_op)
+          (* shard [index] of [count] *)
+          ( int_range 1 3 >>= fun c ->
+            map (fun i -> (i, c)) (int_range 0 (c - 1)) )
+          (map (fun k -> float_of_int k *. 0.05) (int_range 0 80))))
+
+(* The oracle's (time, seq) order is the order the former heap-only
+   kernel fired in, which this property has always pinned. *)
+let prop_oracle_order =
+  QCheck.Test.make
+    ~name:"wheel kernel fires in heap-kernel order: (time, seq) oracle"
+    ~count:300
+    (arb_schedule ~max_ops:150 gen_op)
+    matches_oracle
+
+(* Cancel-heavy schedules: mostly cancellables, half of them cancelled
+   before the run and more from inside it. Cancelled cells must be
+   reclaimed (by compaction or at their fire time) from both stores. *)
+let prop_cancel_heavy =
+  QCheck.Test.make ~name:"cancel-heavy runs drain both kernel stores"
     ~count:150
-    QCheck.(
-      list_of_size
-        Gen.(int_range 0 120)
-        (* Coarse grid so equal-time ties are frequent. *)
-        (make ~print:string_of_float
-           Gen.(map (fun k -> float_of_int k *. 0.01) (int_range 0 300))))
-    (fun times ->
-      let oh, ph, qh = replay ~kernel:Sim.Heap_kernel times in
-      let ow, pw, qw = replay ~kernel:Sim.Wheel_kernel times in
-      oh = ow && ph = 0 && pw = 0 && qh = 0 && qw = 0)
+    (arb_schedule ~max_ops:80
+       QCheck.Gen.(
+         pair
+           (frequency [ (4, return Cancellable); (1, return Fn) ])
+           gen_time))
+    matches_oracle
 
-(* Cancel-heavy workload: interleave pooled-cell events with
-   cancellables, cancel a pseudo-random subset before running, and check
-   survivors fire identically on both kernels with nothing leaked —
-   [pending]/[queued] must both drain to zero (cancelled cells are
-   reclaimed by compaction or at their fire time). *)
-let replay_cancelling ~kernel times =
-  let sim = Sim.create ~kernel () in
-  let log = ref [] in
-  let cancels =
-    List.filteri (fun i _ -> i mod 3 <> 0) times
-    |> List.mapi (fun i t ->
-           Sim.at_cancellable sim ~time:t (fun () -> log := (1000 + i) :: !log))
-  in
-  List.iteri
-    (fun i t -> Sim.at_fn sim ~time:t ~fn:(fun a -> log := a :: !log) ~arg:i)
-    times;
-  List.iteri (fun i c -> if i land 1 = 0 then Sim.cancel c) cancels;
-  Sim.run sim;
-  (List.rev !log, Sim.pending sim, Sim.queued sim)
-
-let prop_cancel_no_leaks =
-  QCheck.Test.make ~name:"cancel-heavy runs drain both kernels" ~count:150
-    QCheck.(
-      list_of_size
-        Gen.(int_range 0 80)
-        (make ~print:string_of_float
-           Gen.(map (fun k -> float_of_int k *. 0.02) (int_range 0 200))))
-    (fun times ->
-      let oh, ph, qh = replay_cancelling ~kernel:Sim.Heap_kernel times in
-      let ow, pw, qw = replay_cancelling ~kernel:Sim.Wheel_kernel times in
-      oh = ow && ph = 0 && pw = 0 && qh = 0 && qw = 0)
-
-(* ---------- golden flow-digest parity ---------- *)
+(* ---------- golden flow digests ---------- *)
 
 (* Structural digest of a finished run: packet counters plus a hash of
-   every RTT sample and the final clock. Any divergence in event order
-   between kernels shows up here (RTT series are order-sensitive). *)
+   every RTT sample and the final clock. Any change in event order
+   shows up here (RTT series are order-sensitive). The pinned values
+   were recorded when the simulator still had a heap-only kernel mode,
+   which produced the same digests. *)
 let digest r fs =
   let h = ref 0 in
   let add x = h := (!h * 1000003) lxor Hashtbl.hash x in
@@ -158,14 +251,14 @@ let digest r fs =
   add (Sim.now (Net.Runner.sim r));
   !h
 
-let dumbbell_digest ~kernel ~noise ~loss =
+let dumbbell_digest ~noise ~loss =
   let cfg =
     Net.Link.config ~bandwidth_mbps:50.0 ~rtt_ms:30.0 ~buffer_bytes:375_000
       ?noise:(if noise then Some Net.Noise.default_wifi else None)
       ?loss_rate:(if loss then Some 0.01 else None)
       ()
   in
-  let r = Net.Runner.create ~seed:7 ~kernel cfg in
+  let r = Net.Runner.create ~seed:7 cfg in
   let a =
     Net.Runner.add_flow r ~label:"a" ~factory:(Proteus_cc.Cubic.factory ())
   in
@@ -177,20 +270,24 @@ let dumbbell_digest ~kernel ~noise ~loss =
 
 let test_dumbbell_parity () =
   List.iter
-    (fun (noise, loss) ->
-      let dh = dumbbell_digest ~kernel:Sim.Heap_kernel ~noise ~loss in
-      let dw = dumbbell_digest ~kernel:Sim.Wheel_kernel ~noise ~loss in
+    (fun (noise, loss, golden) ->
       Alcotest.(check int)
         (Printf.sprintf "dumbbell noise=%b loss=%b" noise loss)
-        dh dw)
-    [ (false, false); (true, false); (false, true); (true, true) ]
+        golden
+        (dumbbell_digest ~noise ~loss))
+    [
+      (false, false, -3490298800360828550);
+      (true, false, 4506623660541073620);
+      (false, true, 4029971567352045953);
+      (true, true, 2714606542223403441);
+    ]
 
-let chain_digest ~kernel =
+let chain_digest () =
   let mk bw =
     Net.Link.config ~bandwidth_mbps:bw ~rtt_ms:20.0 ~buffer_bytes:150_000 ()
   in
   let topo = Topology.chain [ mk 20.0; mk 12.0; mk 30.0 ] in
-  let r = Net.Runner.create_topo ~seed:23 ~kernel topo in
+  let r = Net.Runner.create_topo ~seed:23 topo in
   let e2e =
     Net.Runner.add_flow r ~route:(Topology.chain_route topo) ~label:"e2e"
       ~factory:(Proteus.Presets.proteus_s ())
@@ -206,10 +303,7 @@ let chain_digest ~kernel =
   digest r (e2e :: cross)
 
 let test_chain_parity () =
-  Alcotest.(check int)
-    "3-hop chain digest"
-    (chain_digest ~kernel:Sim.Heap_kernel)
-    (chain_digest ~kernel:Sim.Wheel_kernel)
+  Alcotest.(check int) "3-hop chain digest" 880802862608330761 (chain_digest ())
 
 let suite =
   [
@@ -219,8 +313,8 @@ let suite =
     Alcotest.test_case "wheel: behind-cursor merge" `Quick
       test_wheel_behind_cursor;
     QCheck_alcotest.to_alcotest prop_wheel_sorted_extraction;
-    QCheck_alcotest.to_alcotest prop_kernels_fire_identically;
-    QCheck_alcotest.to_alcotest prop_cancel_no_leaks;
+    QCheck_alcotest.to_alcotest prop_oracle_order;
+    QCheck_alcotest.to_alcotest prop_cancel_heavy;
     Alcotest.test_case "digest parity: dumbbell" `Slow test_dumbbell_parity;
     Alcotest.test_case "digest parity: 3-hop chain" `Slow test_chain_parity;
   ]
