@@ -186,29 +186,26 @@ let sup_map cfg ~run_id ~seed_of ~encode ~decode f keys =
 
 type proto = { name : string; make : unit -> Net.Sender.factory }
 
-let cubic = { name = "cubic"; make = (fun () -> Proteus_cc.Cubic.factory ()) }
-let bbr = { name = "bbr"; make = (fun () -> Proteus_cc.Bbr.factory ()) }
-let copa = { name = "copa"; make = (fun () -> Proteus_cc.Copa.factory ()) }
-let vivace = { name = "vivace"; make = (fun () -> Proteus.Presets.vivace ()) }
-
-let proteus_p =
-  { name = "proteus-p"; make = (fun () -> Proteus.Presets.proteus_p ()) }
-
-let proteus_s =
-  { name = "proteus-s"; make = (fun () -> Proteus.Presets.proteus_s ()) }
-
-let ledbat_100 =
-  { name = "ledbat-100"; make = (fun () -> Proteus_cc.Ledbat.factory ()) }
-
-let ledbat_25 =
+(* Every lineup entry is a name in the scenario language's registry. *)
+let proto name =
   {
-    name = "ledbat-25";
+    name;
     make =
-      (fun () -> Proteus_cc.Ledbat.factory ~params:Proteus_cc.Ledbat.draft_25ms ());
+      (fun () ->
+        match Proteus_scenario.Protocols.factory name with
+        | Ok f -> f
+        | Error e -> invalid_arg e);
   }
 
-let bbr_s =
-  { name = "bbr-s"; make = (fun () -> Proteus_cc.Bbr.scavenger_factory ()) }
+let cubic = proto "cubic"
+let bbr = proto "bbr"
+let copa = proto "copa"
+let vivace = proto "vivace"
+let proteus_p = proto "proteus-p"
+let proteus_s = proto "proteus-s"
+let ledbat_100 = proto "ledbat-100"
+let ledbat_25 = proto "ledbat-25"
+let bbr_s = proto "bbr-s"
 
 (* Fig. 3/4/5 single-protocol lineup (paper order). *)
 let lineup = [ proteus_s; ledbat_100; cubic; bbr; proteus_p; copa; vivace ]

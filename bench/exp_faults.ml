@@ -458,7 +458,8 @@ let smoke () =
               ~header:(not !header_written) oc trace;
             header_written := true
           end
-          else Proteus_obs.Export.write_trace_jsonl ~run:p.name oc trace
+          else Proteus_obs.Export.write_trace_jsonl ~run:p.name oc trace;
+          Proteus_obs.Export.warn_dropped ~label:(path ^ " run " ^ p.name) trace
       | None -> ());
       (match registry with
       | Some (_, reg) -> Net.Runner.snapshot_metrics r reg

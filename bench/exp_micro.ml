@@ -105,32 +105,20 @@ let utility_test =
 let two_flow_name = "1 sim-second, 2 flows @50Mbps"
 let many_flow_name = "1 sim-second, 64 flows @500Mbps"
 
-(* The 2-flow shape with CUBIC swapped for its fold-program twin: the
-   delta against the plain 2-flow micro is the datapath adapter's
-   overhead (budgeted at <= 5%; the CI tolerance key on the headline
-   guards the committed ratio). *)
-let two_flow_dp_name = "1 sim-second, 2 flows @50Mbps (cubic-dp)"
-
-let two_flow_shape ~cubic name =
-  Test.make ~name
+let two_flow_test =
+  Test.make ~name:two_flow_name
     (Staged.stage (fun () ->
          let cfg =
            Net.Link.config ~bandwidth_mbps:50.0 ~rtt_ms:30.0
              ~buffer_bytes:375_000 ()
          in
          let r = Net.Runner.create cfg in
-         ignore (Net.Runner.add_flow r ~label:"a" ~factory:(cubic ()));
+         ignore
+           (Net.Runner.add_flow r ~label:"a"
+              ~factory:(Proteus_cc.Cubic.factory ()));
          ignore (Net.Runner.add_flow r ~label:"b"
                    ~factory:(Proteus.Presets.proteus_s ()));
          Net.Runner.run r ~until:1.0))
-
-let two_flow_test =
-  two_flow_shape ~cubic:(fun () -> Proteus_cc.Cubic.factory ()) two_flow_name
-
-let two_flow_dp_test =
-  two_flow_shape
-    ~cubic:(fun () -> Proteus_cc.Cubic_dp.factory ())
-    two_flow_dp_name
 
 let many_flow_test =
   Test.make ~name:many_flow_name
@@ -153,7 +141,7 @@ let tests =
   Test.make_grouped ~name:"pcc-proteus"
     [
       heap_test; sim_kernel_test; link_test; mi_test; utility_test;
-      two_flow_test; two_flow_dp_test; many_flow_test;
+      two_flow_test; many_flow_test;
     ]
 
 let estimate tbl name =
@@ -200,7 +188,6 @@ let headline_pairs rows =
   in
   [
     ("two_flow", sim_secs two_flow_name);
-    ("two_flow_dp", sim_secs two_flow_dp_name);
     ("many_flow", sim_secs many_flow_name);
   ]
 

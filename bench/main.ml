@@ -49,7 +49,6 @@ let experiments : (string * (unit -> unit)) list =
     ("scale", Exp_scale.run);
     ("scale-smoke", Exp_scale.smoke);
     ("matrix", Exp_matrix.run);
-    ("dp-parity", Exp_dp_parity.run);
   ]
 
 let appendix_ids =
@@ -239,7 +238,7 @@ let () =
               (fun (id, _) ->
                 if
                   id = "faults-smoke" || id = "topology-smoke"
-                  || id = "scale-smoke" || id = "matrix" || id = "dp-parity"
+                  || id = "scale-smoke" || id = "matrix"
                 then None
                 else Some id)
               experiments

@@ -185,7 +185,8 @@ let run_scenario ~path ~seed:seed_opt ~series ~trace_file ~metrics_file
   | Some path ->
       Obs.Export.trace_to_file ~path trace;
       Printf.printf "\n(wrote %s: %d events, %d dropped by wraparound)\n" path
-        (Obs.Trace.length trace) (Obs.Trace.dropped trace)
+        (Obs.Trace.length trace) (Obs.Trace.dropped trace);
+      Obs.Export.warn_dropped ~label:path trace
   | None -> ());
   let registry =
     match (metrics_file, manifest_file) with
@@ -386,7 +387,8 @@ let run bw rtt buffer_kb loss noise duration seed_opt series topology
       | Some path ->
           Obs.Export.trace_to_file ~path trace;
           Printf.printf "\n(wrote %s: %d events, %d dropped by wraparound)\n"
-            path (Obs.Trace.length trace) (Obs.Trace.dropped trace)
+            path (Obs.Trace.length trace) (Obs.Trace.dropped trace);
+          Obs.Export.warn_dropped ~label:path trace
       | None -> ());
       let registry =
         match (metrics_file, manifest_file) with

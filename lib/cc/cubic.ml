@@ -1,117 +1,108 @@
-module Sender = Proteus_net.Sender
+(* CUBIC as a datapath fold program + control handler. The per-ACK
+   window growth (slow start, cubic epoch) is the fold; the
+   multiplicative decrease lives in the control handler, reached
+   through an On_loss report. test_datapath pins its flow digests as
+   golden strings. *)
+
+module Dp = Proteus.Datapath
 
 let beta = 0.7
 let c = 0.4
 let initial_cwnd = 10.0
 let min_cwnd = 2.0
 
-(* All-float record: gets the flat (unboxed-field) representation, so
-   the per-ACK updates store in place without boxing. [inflight] is a
-   packet count held as an integral float; [epoch_start] uses NaN for
-   "no epoch in progress". *)
-type t = {
-  mutable cwnd : float; (* packets *)
-  mutable ssthresh : float;
-  mutable inflight : float; (* packets *)
-  mutable w_max : float;
-  mutable epoch_start : float; (* NaN = none *)
-  mutable k : float;
-  mutable srtt : float;
-  mutable last_reduction : float;
-}
+(* Register layout. *)
+let r_cwnd = 0
+let r_ssthresh = 1
+let r_w_max = 2
+let r_epoch = 3 (* NaN = no epoch in progress *)
+let r_k = 4
+let r_srtt = 5
+let r_last_red = 6
 
-let create (_ : Sender.env) =
-  {
-    cwnd = initial_cwnd;
-    ssthresh = infinity;
-    inflight = 0.0;
-    w_max = 0.0;
-    epoch_start = Float.nan;
-    k = 0.0;
-    srtt = 0.1;
-    last_reduction = neg_infinity;
-  }
+let register_names =
+  [ "cwnd"; "ssthresh"; "w_max"; "epoch_start"; "k"; "srtt"; "last_reduction" ]
 
-let name _ = "cubic"
-let cwnd_packets t = t.cwnd
+let i_rtt = Dp.signal_index Dp.Rtt_sample
+let i_now = Dp.signal_index Dp.Now
 
-let next_send t ~now =
-  if t.inflight < t.cwnd then now else infinity
-
-let on_sent t ~now:_ ~seq:_ ~size:_ = t.inflight <- t.inflight +. 1.0
-
-let[@inline] update_srtt t rtt =
-  t.srtt <- (0.875 *. t.srtt) +. (0.125 *. rtt)
-
-(* W_cubic(t) = C (t - K)^3 + W_max, with the TCP-friendly lower bound. *)
-let[@inline] cubic_target t ~elapsed =
-  let w_cubic = (c *. ((elapsed -. t.k) ** 3.0)) +. t.w_max in
-  let w_est =
-    (t.w_max *. beta)
-    +. (3.0 *. (1.0 -. beta) /. (1.0 +. beta) *. (elapsed /. t.srtt))
-  in
-  Float.max w_cubic w_est
-
-let[@inline] on_ack_impl t ~now ~rtt =
-  t.inflight <- Float.max 0.0 (t.inflight -. 1.0);
-  update_srtt t rtt;
-  if t.cwnd < t.ssthresh then t.cwnd <- t.cwnd +. 1.0
+(* The adapter owns inflight: it decrements it before this fold runs. *)
+let on_ack regs sigs =
+  regs.(r_srtt) <- (0.875 *. regs.(r_srtt)) +. (0.125 *. sigs.(i_rtt));
+  if regs.(r_cwnd) < regs.(r_ssthresh) then
+    regs.(r_cwnd) <- regs.(r_cwnd) +. 1.0
   else begin
+    let now = sigs.(i_now) in
     let epoch =
-      if not (Float.is_nan t.epoch_start) then t.epoch_start
+      if not (Float.is_nan regs.(r_epoch)) then regs.(r_epoch)
       else begin
-        t.epoch_start <- now;
-        if t.w_max <= t.cwnd then begin
-          t.w_max <- t.cwnd;
-          t.k <- 0.0
+        regs.(r_epoch) <- now;
+        if regs.(r_w_max) <= regs.(r_cwnd) then begin
+          regs.(r_w_max) <- regs.(r_cwnd);
+          regs.(r_k) <- 0.0
         end
-        else t.k <- Float.cbrt (t.w_max *. (1.0 -. beta) /. c);
+        else regs.(r_k) <- Float.cbrt (regs.(r_w_max) *. (1.0 -. beta) /. c);
         now
       end
     in
-    let target = cubic_target t ~elapsed:(now -. epoch +. t.srtt) in
-    if target > t.cwnd then t.cwnd <- t.cwnd +. ((target -. t.cwnd) /. t.cwnd)
-    else t.cwnd <- t.cwnd +. (0.01 /. t.cwnd)
+    (* W_cubic(t) = C (t - K)^3 + W_max, with the TCP-friendly lower
+       bound. *)
+    let elapsed = now -. epoch +. regs.(r_srtt) in
+    let w_cubic = (c *. ((elapsed -. regs.(r_k)) ** 3.0)) +. regs.(r_w_max) in
+    let w_est =
+      (regs.(r_w_max) *. beta)
+      +. (3.0 *. (1.0 -. beta) /. (1.0 +. beta) *. (elapsed /. regs.(r_srtt)))
+    in
+    let target = Float.max w_cubic w_est in
+    if target > regs.(r_cwnd) then
+      regs.(r_cwnd) <- regs.(r_cwnd) +. ((target -. regs.(r_cwnd)) /. regs.(r_cwnd))
+    else regs.(r_cwnd) <- regs.(r_cwnd) +. (0.01 /. regs.(r_cwnd))
   end
 
-let on_ack t ~now ~seq:_ ~send_time:_ ~size:_ ~rtt = on_ack_impl t ~now ~rtt
+let on_loss _regs _sigs = ()
 
-let[@inline] on_loss_impl t ~now =
-  t.inflight <- Float.max 0.0 (t.inflight -. 1.0);
-  (* One multiplicative decrease per RTT: later losses of the same
-     window event are absorbed. *)
-  if now -. t.last_reduction > t.srtt then begin
-    t.last_reduction <- now;
-    (* Fast convergence: release bandwidth faster when W_max shrinks. *)
-    if t.cwnd < t.w_max then t.w_max <- t.cwnd *. (2.0 -. beta) /. 2.0
-    else t.w_max <- t.cwnd;
-    t.cwnd <- Float.max min_cwnd (t.cwnd *. beta);
-    t.ssthresh <- Float.max min_cwnd t.cwnd;
-    t.epoch_start <- Float.nan
-  end
+(* Register records are immutable and the adapter copies their initial
+   values into each flow's own register file, so every flow shares one
+   declaration array. *)
+let registers =
+  Array.of_list
+    (List.map2 Dp.reg register_names
+       [ initial_cwnd; infinity; 0.0; Float.nan; 0.0; 0.1; neg_infinity ])
 
-let on_loss t ~now ~seq:_ ~send_time:_ ~size:_ = on_loss_impl t ~now
+let program (_ : Proteus_net.Sender.env) =
+  {
+    Dp.p_name = "cubic";
+    p_regs = registers;
+    p_cwnd = r_cwnd;
+    p_on_ack = on_ack;
+    p_on_loss = on_loss;
+    p_triggers = [| Dp.On_loss |];
+  }
 
-(* Native Sender.S_meta instance: the hot entry points read/write the
-   caller's scratch array directly (see Sender.S_meta for the layout),
-   so per-packet cubic calls box no floats. *)
-let factory () : Proteus_net.Sender.factory =
- fun env -> Sender.pack_meta (module struct
-   type nonrec t = t
+(* One multiplicative decrease per srtt (later losses of the same
+   window event are absorbed), fast convergence, epoch reset. Interval
+   and predicate reports are observability-only for CUBIC, so
+   scenario-level (interval T) overrides stay behaviour-neutral. *)
+let handler (rep : Dp.report) (act : Dp.actions) =
+  match rep.Dp.rp_cause with
+  | Dp.Loss_event ->
+      let regs = rep.Dp.rp_regs in
+      let now = rep.Dp.rp_time in
+      if now -. regs.(r_last_red) > regs.(r_srtt) then begin
+        regs.(r_last_red) <- now;
+        (* Fast convergence: release bandwidth faster when W_max
+           shrinks. *)
+        if regs.(r_cwnd) < regs.(r_w_max) then
+          regs.(r_w_max) <- regs.(r_cwnd) *. (2.0 -. beta) /. 2.0
+        else regs.(r_w_max) <- regs.(r_cwnd);
+        regs.(r_cwnd) <- Float.max min_cwnd (regs.(r_cwnd) *. beta);
+        regs.(r_ssthresh) <- Float.max min_cwnd regs.(r_cwnd);
+        regs.(r_epoch) <- Float.nan;
+        act.Dp.a_cwnd <- regs.(r_cwnd)
+      end
+  | Dp.Interval | Dp.Predicate -> ()
 
-   let name = name
-   let next_send = next_send
-   let on_sent = on_sent
-   let on_ack = on_ack
-   let on_loss = on_loss
-
-   let next_send_m t ~meta =
-     meta.(3) <- (if t.inflight < t.cwnd then meta.(0) else infinity)
-
-   let on_sent_m t ~meta:_ ~seq:_ ~size:_ = t.inflight <- t.inflight +. 1.0
-
-   let on_ack_m t ~meta ~seq:_ ~size:_ =
-     on_ack_impl t ~now:meta.(0) ~rtt:meta.(2)
-
-   let on_loss_m t ~meta ~seq:_ ~size:_ = on_loss_impl t ~now:meta.(0)
- end) (create env)
+let factory ?interval ?consts () : Proteus_net.Sender.factory =
+  Dp.to_factory
+    ~program:(fun env -> Dp.with_overrides ?interval ?consts (program env))
+    ~handler

@@ -1,15 +1,32 @@
 (** TCP CUBIC (RFC 8312): loss-based, cubic window growth with fast
     convergence and a TCP-friendly region. Window-limited transmission
-    (ack-clocked); reacts to at most one loss event per RTT. *)
+    (ack-clocked); reacts to at most one loss event per RTT.
 
-type t
+    Written as a datapath fold program plus control handler
+    ({!Proteus.Datapath}): the per-ACK growth is the fold; the
+    multiplicative decrease runs in the handler behind an [On_loss]
+    report. *)
 
-val create : Proteus_net.Sender.env -> t
+val register_names : string list
+(** Names accepted by scenario [(const REG V)] overrides, in register
+    order: cwnd, ssthresh, w_max, epoch_start, k, srtt,
+    last_reduction. *)
 
-val factory : unit -> Proteus_net.Sender.factory
-(** One fresh CUBIC instance per flow. *)
+val program : Proteus_net.Sender.env -> Proteus.Datapath.program
+(** The fold program. Flows share its register declarations (read
+    them, never mutate them); all per-flow state lives in the
+    adapter's register file. Its sender name is ["cubic"]. *)
 
-include Proteus_net.Sender.S with type t := t
+val handler : Proteus.Datapath.handler
+(** The loss-reaction control handler. *)
 
-val cwnd_packets : t -> float
-(** Current congestion window, for tests. *)
+val factory :
+  ?interval:float ->
+  ?consts:(string * float) list ->
+  unit ->
+  Proteus_net.Sender.factory
+(** One fresh CUBIC instance per flow. [interval] appends an [Every]
+    report trigger (observability-only — the handler ignores interval
+    reports); [consts] overrides initial register values by name.
+    Raises [Invalid_argument] on unknown names — validate with
+    {!register_names} first when the values come from user input. *)

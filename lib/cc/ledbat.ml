@@ -1,4 +1,12 @@
-module Sender = Proteus_net.Sender
+(* LEDBAT as a datapath fold program + control handler. The rolling
+   delay filters — RFC 6817's one-minute base-delay buckets and the
+   4-sample current filter — are fixed register banks (newest at index
+   0, a shift rotates a new entry in, live counts bound the minimum
+   folds); the loss halving runs in the control handler behind an
+   On_loss report. *)
+
+module Dp = Proteus.Datapath
+module Units = Proteus_net.Units
 
 type params = { target_ms : float; gain : float }
 
@@ -8,96 +16,118 @@ let min_cwnd = 2.0
 let base_history = 10 (* one-minute buckets, RFC 6817 *)
 let current_filter = 4 (* current delay = min of last 4 samples *)
 
-type t = {
-  mtu : int;
-  target : float;
-  gain : float;
-  mutable cwnd : float; (* packets *)
-  mutable inflight : int;
-  (* Rolling minima of delay per one-minute bucket. *)
-  mutable base_buckets : float list;
-  mutable bucket_started : float;
-  mutable recent : float list; (* last [current_filter] delay samples *)
-  mutable srtt : float;
-  mutable last_reduction : float;
-}
+(* Register layout. *)
+let r_cwnd = 0
+let r_srtt = 1
+let r_last_red = 2
+let r_bucket_started = 3
+let r_nbase = 4 (* live bucket count, integral float *)
+let r_base0 = 5 (* base0..base9: newest bucket first *)
+let r_nrecent = 15 (* live current-filter count *)
+let r_recent0 = 16 (* recent0..recent3: newest sample first *)
+let r_target = 20 (* const: queueing target, seconds *)
+let r_gain = 21 (* const *)
+let r_mtu = 22 (* const: packet size, bytes (from env) *)
 
-let create ?(params = default) (env : Sender.env) =
-  {
-    mtu = env.mtu;
-    target = Proteus_net.Units.ms params.target_ms;
-    gain = params.gain;
-    cwnd = min_cwnd;
-    inflight = 0;
-    base_buckets = [ infinity ];
-    bucket_started = 0.0;
-    recent = [];
-    srtt = 0.1;
-    last_reduction = neg_infinity;
-  }
+let register_names =
+  [ "cwnd"; "srtt"; "last_reduction"; "bucket_started"; "nbase" ]
+  @ List.init base_history (Printf.sprintf "base%d")
+  @ [ "nrecent" ]
+  @ List.init current_filter (Printf.sprintf "recent%d")
+  @ [ "target"; "gain"; "mtu" ]
 
-let name t =
-  Printf.sprintf "ledbat-%g" (Proteus_net.Units.sec_to_ms t.target)
-let cwnd_packets t = t.cwnd
-let base_delay t = List.fold_left Float.min infinity t.base_buckets
+let i_rtt = Dp.signal_index Dp.Rtt_sample
+let i_now = Dp.signal_index Dp.Now
+let i_bytes = Dp.signal_index Dp.Bytes_acked
 
-let next_send t ~now =
-  if float_of_int t.inflight < t.cwnd then now else infinity
+(* Minimum over the live entries of a newest-first bank, seeded with
+   [infinity]. *)
+let[@inline] bank_min regs ~first ~live =
+  let m = ref infinity in
+  for i = 0 to int_of_float regs.(live) - 1 do
+    m := Float.min !m regs.(first + i)
+  done;
+  !m
 
-let on_sent t ~now:_ ~seq:_ ~size:_ = t.inflight <- t.inflight + 1
+let base_delay regs = bank_min regs ~first:r_base0 ~live:r_nbase
 
-let update_base t ~now delay =
-  if now -. t.bucket_started >= 60.0 then begin
-    t.bucket_started <- now;
-    t.base_buckets <- delay :: t.base_buckets;
-    if List.length t.base_buckets > base_history then
-      t.base_buckets <-
-        List.filteri (fun i _ -> i < base_history) t.base_buckets
+(* The adapter owns inflight: it decrements it before this fold runs. *)
+let on_ack regs sigs =
+  let rtt = sigs.(i_rtt) in
+  let now = sigs.(i_now) in
+  regs.(r_srtt) <- (0.875 *. regs.(r_srtt)) +. (0.125 *. rtt);
+  (* RFC 6817 uses one-way delay; the reverse path is uncongested in
+     the simulator, so the RTT carries exactly the forward queueing
+     delay. Rotate a fresh one-minute bucket in, or fold the sample
+     into the current (newest) bucket. *)
+  if now -. regs.(r_bucket_started) >= 60.0 then begin
+    regs.(r_bucket_started) <- now;
+    for i = base_history - 1 downto 1 do
+      regs.(r_base0 + i) <- regs.(r_base0 + i - 1)
+    done;
+    regs.(r_base0) <- rtt;
+    if regs.(r_nbase) < float_of_int base_history then
+      regs.(r_nbase) <- regs.(r_nbase) +. 1.0
   end
-  else
-    match t.base_buckets with
-    | cur :: rest -> t.base_buckets <- Float.min cur delay :: rest
-    | [] -> t.base_buckets <- [ delay ]
-
-let current_delay t = List.fold_left Float.min infinity t.recent
-
-let on_ack t ~now ~seq:_ ~send_time:_ ~size ~rtt =
-  t.inflight <- max 0 (t.inflight - 1);
-  t.srtt <- (0.875 *. t.srtt) +. (0.125 *. rtt);
-  (* RFC 6817 uses one-way delay; the reverse path is uncongested in the
-     simulator, so the RTT carries exactly the forward queueing delay. *)
-  update_base t ~now rtt;
-  t.recent <- rtt :: (if List.length t.recent >= current_filter then
-                        List.filteri (fun i _ -> i < current_filter - 1) t.recent
-                      else t.recent);
-  let queuing = Float.max 0.0 (current_delay t -. base_delay t) in
-  let off_target = (t.target -. queuing) /. t.target in
-  let bytes = float_of_int size in
+  else regs.(r_base0) <- Float.min regs.(r_base0) rtt;
+  (* Current filter: the newest [current_filter] samples. *)
+  for i = current_filter - 1 downto 1 do
+    regs.(r_recent0 + i) <- regs.(r_recent0 + i - 1)
+  done;
+  regs.(r_recent0) <- rtt;
+  if regs.(r_nrecent) < float_of_int current_filter then
+    regs.(r_nrecent) <- regs.(r_nrecent) +. 1.0;
+  let base = bank_min regs ~first:r_base0 ~live:r_nbase in
+  let cur = bank_min regs ~first:r_recent0 ~live:r_nrecent in
+  let queuing = Float.max 0.0 (cur -. base) in
+  let off_target = (regs.(r_target) -. queuing) /. regs.(r_target) in
+  let bytes = sigs.(i_bytes) in
   let increment =
-    t.gain *. off_target *. bytes /. (t.cwnd *. float_of_int t.mtu)
+    regs.(r_gain) *. off_target *. bytes /. (regs.(r_cwnd) *. regs.(r_mtu))
   in
   (* RFC: allowed_increase caps ramp-up to one packet per RTT per cwnd
      of acked data; the proportional controller above already respects
      that for gain <= 1. Decrease is clamped so one bad sample cannot
      collapse the window. *)
   let increment = Float.max increment (-1.0) in
-  t.cwnd <- Float.max min_cwnd (t.cwnd +. increment)
+  regs.(r_cwnd) <- Float.max min_cwnd (regs.(r_cwnd) +. increment)
 
-let on_loss t ~now ~seq:_ ~send_time:_ ~size:_ =
-  t.inflight <- max 0 (t.inflight - 1);
-  if now -. t.last_reduction > t.srtt then begin
-    t.last_reduction <- now;
-    t.cwnd <- Float.max min_cwnd (t.cwnd /. 2.0)
-  end
+let on_loss _regs _sigs = ()
 
-let factory ?params () : Proteus_net.Sender.factory =
- fun env ->
-  Sender.pack (module struct
-    type nonrec t = t
+(* Initial values in [register_names] order: one live base bucket
+   (empty, so infinity), no current-filter samples yet. *)
+let program ?(params = default) (env : Proteus_net.Sender.env) =
+  let target = Units.ms params.target_ms in
+  let inits =
+    [ min_cwnd; 0.1; neg_infinity; 0.0; 1.0 ]
+    @ (infinity :: List.init (base_history - 1) (fun _ -> 0.0))
+    @ [ 0.0 ]
+    @ List.init current_filter (fun _ -> 0.0)
+    @ [ target; params.gain; float_of_int env.mtu ]
+  in
+  {
+    Dp.p_name = Printf.sprintf "ledbat-%g" (Units.sec_to_ms target);
+    p_regs = Array.of_list (List.map2 Dp.reg register_names inits);
+    p_cwnd = r_cwnd;
+    p_on_ack = on_ack;
+    p_on_loss = on_loss;
+    p_triggers = [| Dp.On_loss |];
+  }
 
-    let name = name
-    let next_send = next_send
-    let on_sent = on_sent
-    let on_ack = on_ack
-    let on_loss = on_loss
-  end) (create ?params env)
+let handler (rep : Dp.report) (act : Dp.actions) =
+  match rep.Dp.rp_cause with
+  | Dp.Loss_event ->
+      let regs = rep.Dp.rp_regs in
+      let now = rep.Dp.rp_time in
+      if now -. regs.(r_last_red) > regs.(r_srtt) then begin
+        regs.(r_last_red) <- now;
+        regs.(r_cwnd) <- Float.max min_cwnd (regs.(r_cwnd) /. 2.0);
+        act.Dp.a_cwnd <- regs.(r_cwnd)
+      end
+  | Dp.Interval | Dp.Predicate -> ()
+
+let factory ?params ?interval ?consts () : Proteus_net.Sender.factory =
+  Dp.to_factory
+    ~program:(fun env ->
+      Dp.with_overrides ?interval ?consts (program ?params env))
+    ~handler

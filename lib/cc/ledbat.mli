@@ -7,7 +7,12 @@
     both). Window grows/shrinks proportionally to the off-target
     fraction, halves on loss. The latecomer advantage emerges from the
     base-delay estimate: a flow joining a standing queue mistakes the
-    inflated delay for the base. *)
+    inflated delay for the base.
+
+    Written as a datapath fold program plus control handler
+    ({!Proteus.Datapath}): the RFC's delay filters are fixed register
+    banks folded per ACK; the loss halving runs in the handler behind
+    an [On_loss] report. *)
 
 type params = {
   target_ms : float;  (** Extra queueing-delay target. *)
@@ -20,13 +25,31 @@ val default : params
 val draft_25ms : params
 (** The 25 ms first-draft target (paper Appendix B). *)
 
-type t
+val register_names : string list
+(** Names accepted by scenario [(const REG V)] overrides. Notable:
+    ["target"] (seconds — [(const target 0.025)] reproduces
+    [ledbat-25]), ["gain"], ["mtu"]. *)
 
-val create : ?params:params -> Proteus_net.Sender.env -> t
-val factory : ?params:params -> unit -> Proteus_net.Sender.factory
+val program :
+  ?params:params -> Proteus_net.Sender.env -> Proteus.Datapath.program
+(** The fold program, fresh per flow. Its sender name carries the
+    [params] target: ["ledbat-100"], ["ledbat-25"]. *)
 
-include Proteus_net.Sender.S with type t := t
+val handler : Proteus.Datapath.handler
+(** The loss-halving control handler (at most once per srtt). *)
 
-val cwnd_packets : t -> float
-val base_delay : t -> float
-(** Current base-delay estimate (seconds), for tests. *)
+val base_delay : float array -> float
+(** Base-delay estimate (seconds) held in a register file of
+    {!program}: the minimum over the live one-minute buckets. *)
+
+val factory :
+  ?params:params ->
+  ?interval:float ->
+  ?consts:(string * float) list ->
+  unit ->
+  Proteus_net.Sender.factory
+(** One fresh LEDBAT instance per flow. [interval] appends an [Every]
+    report trigger (observability-only); [consts] overrides initial
+    register values by name. Raises [Invalid_argument] on unknown
+    names — validate with {!register_names} first when the values come
+    from user input. *)

@@ -115,9 +115,6 @@ type t = {
   mutable next_mi_id : int;
   mutable next_result_id : int;
   mutable completed_mis : int;
-  mutable observer :
-    (now:float -> Mi.metrics -> utility:float -> rate_mbps:float -> unit)
-    option;
 }
 
 let min_rate t = Units.mbps_to_bytes_per_sec t.config.min_rate_mbps
@@ -151,7 +148,6 @@ let create (config : config) (env : Sender.env) =
     next_mi_id = 0;
     next_result_id = 0;
     completed_mis = 0;
-    observer = None;
   }
 
 let name t = "proteus:" ^ Utility.name t.utility
@@ -169,7 +165,6 @@ let set_utility t u =
 let utility_name t = Utility.name t.utility
 let rate_mbps t = Units.bytes_per_sec_to_mbps t.fl.(0)
 let mi_count t = t.completed_mis
-let set_mi_observer t f = t.observer <- f
 
 (* ---------- planning ---------- *)
 
@@ -339,11 +334,6 @@ let handle_result t tag (m : Mi.metrics) =
       Utility.eval ~trace:t.trace ~now:t.fl.(5) t.utility m
     else Utility.eval t.utility m
   in
-  (match t.observer with
-  | Some f ->
-      f ~now:t.fl.(5) m ~utility:u
-        ~rate_mbps:(Units.bytes_per_sec_to_mbps t.fl.(0))
-  | None -> ());
   let rate_trialled = Units.mbps_to_bytes_per_sec m.Mi.target_rate_mbps in
   (match (t.phase, tag) with
   | Starting, Start -> handle_start_result t ~rate_trialled ~u

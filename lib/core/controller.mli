@@ -71,12 +71,3 @@ val rate_mbps : t -> float
 
 val mi_count : t -> int
 (** Completed MIs so far (tests/debug). *)
-
-val set_mi_observer :
-  t ->
-  (now:float -> Mi.metrics -> utility:float -> rate_mbps:float -> unit) option ->
-  unit
-(** Install (or clear) a hook invoked on every completed monitor
-    interval with its noise-adjusted metrics, the utility the current
-    function assigned, and the controller's base rate — for tracing,
-    debugging and research instrumentation. *)

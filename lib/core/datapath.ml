@@ -147,15 +147,21 @@ let validate_program p =
     err "program %s: cwnd register %d out of range (have %d)" p.p_name p.p_cwnd
       n
   else begin
-    let seen = Hashtbl.create 8 in
+    (* Register files are small: a pairwise scan, lengths first, costs
+       less than hashing on the per-flow creation path. *)
+    let regs = p.p_regs in
     let dup = ref None in
-    Array.iter
-      (fun r ->
-        if r.r_name = "" then dup := Some (err "program %s: empty register name" p.p_name)
-        else if Hashtbl.mem seen r.r_name then
-          dup := Some (err "program %s: duplicate register %S" p.p_name r.r_name)
-        else Hashtbl.add seen r.r_name ())
-      p.p_regs;
+    Array.iteri
+      (fun i r ->
+        let name = r.r_name in
+        if String.length name = 0 then
+          dup := Some (err "program %s: empty register name" p.p_name);
+        for j = 0 to i - 1 do
+          let other = regs.(j).r_name in
+          if String.length other = String.length name && String.equal other name
+          then dup := Some (err "program %s: duplicate register %S" p.p_name name)
+        done)
+      regs;
     match !dup with
     | Some e -> e
     | None ->
@@ -228,13 +234,6 @@ type actions = { mutable a_cwnd : float; mutable a_rate_pps : float }
 
 type handler = report -> actions -> unit
 
-module type CONTROL = sig
-  type t
-
-  val create : Proteus_net.Sender.env -> program -> t
-  val on_report : t -> report -> actions -> unit
-end
-
 (* ---------- the adapter ---------- *)
 
 (* Adapter scalars live in [fl] (a float array, so mutation is an
@@ -249,6 +248,7 @@ let af_first = 5 (* time of first transmission; NaN = none yet *)
 
 type st = {
   prog : program;
+  ack_trig : bool; (* some trigger (Every/When) can fire on an ACK *)
   h : handler;
   regs : float array;
   sigs : float array;
@@ -368,7 +368,11 @@ let[@inline] sent_impl st ~meta ~size =
     Array.unsafe_set fl af_pace
       (Float.max meta.(0) (Array.unsafe_get fl af_pace) +. (1.0 /. r))
 
-(* Rate and inflight signals: prefer the runner-supplied slots when the
+(* The per-event signal refills below store unchecked: [sigs] has
+   [num_signals] slots (make_st) and every ix_* is a constant below
+   that.
+
+   Rate and inflight signals: prefer the runner-supplied slots when the
    caller's meta array carries them (see Sender.S_meta, slots 4 and 5);
    the boxed path and any 4-slot caller fall back to the adapter-side
    estimates. *)
@@ -376,49 +380,51 @@ let[@inline] fill_rates st ~meta ~now =
   let fl = st.fl and sigs = st.sigs in
   let elapsed = now -. Array.unsafe_get fl af_first in
   if elapsed > 0.0 then begin
-    (* One division, two multiplies: these are adapter-side estimates,
-       not parity-bearing state (the ported twins never read them). *)
+    (* One division, two multiplies: these are adapter-side estimates
+       (CUBIC and LEDBAT never read them). *)
     let inv = 1.0 /. elapsed in
-    sigs.(ix_rate_out) <- Array.unsafe_get fl af_sent *. inv;
+    Array.unsafe_set sigs ix_rate_out (Array.unsafe_get fl af_sent *. inv);
     let delivered =
       if Array.length meta > 5 then meta.(5) else Array.unsafe_get fl af_acked
     in
-    sigs.(ix_rate_in) <- delivered *. inv
+    Array.unsafe_set sigs ix_rate_in (delivered *. inv)
   end
   else begin
-    sigs.(ix_rate_out) <- 0.0;
-    sigs.(ix_rate_in) <- 0.0
+    Array.unsafe_set sigs ix_rate_out 0.0;
+    Array.unsafe_set sigs ix_rate_in 0.0
   end;
-  sigs.(ix_inflight) <-
+  Array.unsafe_set sigs ix_inflight
     (if Array.length meta > 4 then meta.(4) else Array.unsafe_get fl af_inflight);
-  sigs.(ix_now) <- now
+  Array.unsafe_set sigs ix_now now
 
 let ack_impl st ~meta ~seq ~size =
   let fl = st.fl and sigs = st.sigs in
-  (* Decrement before the fold, exactly like the monolithic
-     controllers' on_ack. *)
+  (* Decrement before the fold, like a window controller's on_ack. *)
   Array.unsafe_set fl af_inflight
     (Float.max 0.0 (Array.unsafe_get fl af_inflight -. 1.0));
   let szf = float_of_int size in
   Array.unsafe_set fl af_acked (Array.unsafe_get fl af_acked +. szf);
-  sigs.(ix_bytes_acked) <- szf;
-  sigs.(ix_bytes_misordered) <- (if seq < st.last_seq then szf else 0.0);
+  Array.unsafe_set sigs ix_bytes_acked szf;
+  Array.unsafe_set sigs ix_bytes_misordered
+    (if seq < st.last_seq then szf else 0.0);
   if seq > st.last_seq then st.last_seq <- seq;
-  sigs.(ix_lost) <- 0.0;
+  Array.unsafe_set sigs ix_lost 0.0;
   let rtt = meta.(2) in
-  sigs.(ix_rtt) <- rtt;
-  sigs.(ix_rtt_us) <- rtt *. 1e6;
+  Array.unsafe_set sigs ix_rtt rtt;
+  Array.unsafe_set sigs ix_rtt_us (rtt *. 1e6);
   fill_rates st ~meta ~now:meta.(0);
   st.prog.p_on_ack st.regs sigs;
-  check_triggers st ~loss:false
+  (* Only Every and When triggers can fire on an ACK; a program whose
+     triggers are all On_loss skips the scan. *)
+  if st.ack_trig then check_triggers st ~loss:false
 
 let loss_impl st ~meta ~size:_ =
   let fl = st.fl and sigs = st.sigs in
   Array.unsafe_set fl af_inflight
     (Float.max 0.0 (Array.unsafe_get fl af_inflight -. 1.0));
-  sigs.(ix_bytes_acked) <- 0.0;
-  sigs.(ix_bytes_misordered) <- 0.0;
-  sigs.(ix_lost) <- 1.0;
+  Array.unsafe_set sigs ix_bytes_acked 0.0;
+  Array.unsafe_set sigs ix_bytes_misordered 0.0;
+  Array.unsafe_set sigs ix_lost 1.0;
   (* rtt slots keep the previous ACK's sample (stale; documented). *)
   fill_rates st ~meta ~now:meta.(0);
   st.prog.p_on_loss st.regs sigs;
@@ -435,6 +441,10 @@ let make_st (env : Sender.env) prog h =
   done;
   {
     prog;
+    ack_trig =
+      Array.exists
+        (function Every _ | When _ -> true | On_loss -> false)
+        prog.p_triggers;
     h;
     regs;
     sigs = Array.make num_signals 0.0;
@@ -480,17 +490,4 @@ module M = struct
 end
 
 let to_factory ~program ~handler : Sender.factory =
- fun env ->
-  let prog = program env in
-  let h = handler env prog in
-  Sender.pack_meta (module M) (make_st env prog h)
-
-module To_sender (C : CONTROL) = struct
-  let lower program : Sender.factory =
-   fun env ->
-    let prog = program env in
-    let c = C.create env prog in
-    Sender.pack_meta
-      (module M)
-      (make_st env prog (fun rep act -> C.on_report c rep act))
-end
+ fun env -> Sender.pack_meta (module M) (make_st env (program env) handler)

@@ -10,9 +10,8 @@
       and installs a new congestion window / pacing rate through
       {!actions}.
 
-    {!To_sender} (and its dynamic twin {!to_factory}) lowers any
-    (program, handler) pair onto the packet simulator's
-    {!Proteus_net.Sender.S} interface — both the boxed entry points and
+    {!to_factory} lowers any (program, handler) pair onto the packet
+    simulator's {!Proteus_net.Sender.S} interface — both the boxed entry points and
     the unboxed [_m] meta protocol — so a fold program plugs into every
     topology, bench and scenario exactly like a hand-written
     controller.
@@ -21,7 +20,10 @@
     registers and signals live in preallocated float arrays (unboxed
     stores), adapter scalars (inflight, pacing clock, byte counters)
     live in one more float array, and folds are closures invoked with
-    the two arrays — no float crosses a call boundary. Only delivering
+    the two arrays — no float crosses a call boundary. Triggers are
+    only scanned on an ACK when the program has one that can fire
+    there ([Every] or [When]); an [On_loss]-only program pays nothing
+    for them per ACK. Only delivering
     a report (rare: loss events, interval expiries) may box a handful
     of floats; the {!report} and {!actions} records themselves are
     created once per flow and reused. *)
@@ -33,8 +35,8 @@
     addition: [Rtt_sample] carries the RTT in {e seconds exactly as the
     runner measured it}, because the microsecond round trip
     [rtt *. 1e6 *. 1e-6] does not round-trip in floating point and
-    ports that need bit-parity with monolithic controllers must fold
-    over the original value. [Rtt_sample_us] is the CCP-compatible
+    folds that must match a seconds-based controller bit for bit
+    (CUBIC and LEDBAT do) fold over the original value. [Rtt_sample_us] is the CCP-compatible
     derived view. *)
 
 type signal =
@@ -185,26 +187,13 @@ type actions = {
 type handler = report -> actions -> unit
 (** A control handler: runs synchronously when a trigger fires. *)
 
-(** The control side as a module: per-flow state built from the
-    sender's environment and the (override-applied) program. *)
-module type CONTROL = sig
-  type t
-
-  val create : Proteus_net.Sender.env -> program -> t
-  val on_report : t -> report -> actions -> unit
-end
-
 val to_factory :
   program:(Proteus_net.Sender.env -> program) ->
-  handler:(Proteus_net.Sender.env -> program -> handler) ->
+  handler:handler ->
   Proteus_net.Sender.factory
-(** Dynamic lowering: closure-based handlers (the fuzzing harness'
-    entry point). Raises [Failure] at flow-creation time if the
-    program fails {!validate_program}. *)
-
-(** The adapter functor: lower a program source and a {!CONTROL}
-    module onto {!Proteus_net.Sender.S} + the unboxed meta protocol. *)
-module To_sender (C : CONTROL) : sig
-  val lower :
-    (Proteus_net.Sender.env -> program) -> Proteus_net.Sender.factory
-end
+(** Lower a program source and a control handler onto
+    {!Proteus_net.Sender.S} and the unboxed meta protocol. The program
+    is built once per flow from the sender's environment; the handler
+    keeps per-flow state in the live register file it is handed
+    ([rp_regs]). Raises [Failure] at flow-creation time if the program
+    fails {!validate_program}. *)

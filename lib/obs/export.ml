@@ -65,6 +65,15 @@ let trace_to_file ?run ~path trace =
     ~finally:(fun () -> close_out oc)
     (fun () -> write_trace ?run oc ~path trace)
 
+let warn_dropped ~label trace =
+  let dropped = Trace.dropped trace in
+  if dropped > 0 then
+    Printf.eprintf
+      "warning: %s: %d of %d trace events dropped by ring wraparound \
+       (capacity %d); the export holds only the newest %d\n%!"
+      label dropped (Trace.total_emitted trace) (Trace.capacity trace)
+      (Trace.length trace)
+
 (* ---------- metrics ---------- *)
 
 let buf_welford buf w =

@@ -34,6 +34,11 @@ val write_trace : ?run:string -> out_channel -> path:string -> Trace.t -> unit
 (** As {!trace_to_file} on an already-open channel ([path] only picks
     the format). *)
 
+val warn_dropped : label:string -> Trace.t -> unit
+(** Print a warning naming [label] on stderr when the bus overwrote
+    events ({!Trace.dropped} > 0), so an export of it silently missing
+    its oldest events cannot pass unnoticed. Prints nothing otherwise. *)
+
 (** {1 Metrics} *)
 
 val metrics_to_string : Metrics.t -> string

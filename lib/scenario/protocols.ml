@@ -18,25 +18,22 @@ let known =
     "proteus-s";
   ]
 
-(* Datapath (fold-program) protocols additionally accept
-   (datapath NAME (interval T) (const REG V) ...) override forms. *)
-
-let datapath_known name =
-  match String.lowercase_ascii name with
-  | "cubic-dp" | "ledbat-dp" -> true
-  | _ -> false
+(* CUBIC and LEDBAT are fold programs. Their datapath names, cubic-dp
+   and ledbat-dp, resolve to the same factories as cubic and ledbat;
+   only those two names take the (datapath NAME (interval T)
+   (const REG V) ...) override form. *)
 
 let datapath_registers name =
   match String.lowercase_ascii name with
-  | "cubic-dp" -> Proteus_cc.Cubic_dp.register_names
-  | "ledbat-dp" -> Proteus_cc.Ledbat_dp.register_names
+  | "cubic-dp" -> Proteus_cc.Cubic.register_names
+  | "ledbat-dp" -> Proteus_cc.Ledbat.register_names
   | _ -> []
 
 let datapath_factory ?interval ?(consts = []) name :
     (Proteus_net.Sender.factory, string) result =
   match String.lowercase_ascii name with
-  | "cubic-dp" -> Ok (Proteus_cc.Cubic_dp.factory ?interval ~consts ())
-  | "ledbat-dp" -> Ok (Proteus_cc.Ledbat_dp.factory ?interval ~consts ())
+  | "cubic-dp" -> Ok (Proteus_cc.Cubic.factory ?interval ~consts ())
+  | "ledbat-dp" -> Ok (Proteus_cc.Ledbat.factory ?interval ~consts ())
   | name ->
       Error
         (Printf.sprintf
@@ -64,13 +61,11 @@ let validate name =
 
 let factory name : (Proteus_net.Sender.factory, string) result =
   match String.lowercase_ascii name with
-  | "cubic" -> Ok (Proteus_cc.Cubic.factory ())
-  | "cubic-dp" -> Ok (Proteus_cc.Cubic_dp.factory ())
-  | "ledbat-dp" -> Ok (Proteus_cc.Ledbat_dp.factory ())
+  | "cubic" | "cubic-dp" -> Ok (Proteus_cc.Cubic.factory ())
   | "bbr" -> Ok (Proteus_cc.Bbr.factory ())
   | "bbr-s" -> Ok (Proteus_cc.Bbr.scavenger_factory ())
   | "copa" -> Ok (Proteus_cc.Copa.factory ())
-  | "ledbat" | "ledbat-100" -> Ok (Proteus_cc.Ledbat.factory ())
+  | "ledbat" | "ledbat-100" | "ledbat-dp" -> Ok (Proteus_cc.Ledbat.factory ())
   | "ledbat-25" ->
       Ok (Proteus_cc.Ledbat.factory ~params:Proteus_cc.Ledbat.draft_25ms ())
   | "vivace" -> Ok (Proteus.Presets.vivace ())

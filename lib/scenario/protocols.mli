@@ -13,14 +13,11 @@ val validate : string -> (unit, string) result
 val factory : string -> (Proteus_net.Sender.factory, string) result
 (** Fresh sender factory for the named protocol. *)
 
-val datapath_known : string -> bool
-(** Whether the name denotes a datapath (fold-program) protocol —
-    i.e. may appear in the scenario language's
-    [(cc (datapath NAME ...))] form with trigger/register overrides. *)
-
 val datapath_registers : string -> string list
 (** Register names the datapath protocol accepts in [(const REG V)]
-    overrides; [[]] for non-datapath names. *)
+    overrides; [[]] for a name that is not a datapath protocol, i.e.
+    may not appear in the scenario language's [(cc (datapath NAME
+    ...))] form. *)
 
 val datapath_factory :
   ?interval:float ->

@@ -656,7 +656,8 @@ let validate_exn t =
       (match f.dp with
       | None -> ()
       | Some d ->
-          if not (Protocols.datapath_known f.cc) then
+          let regs = Protocols.datapath_registers f.cc in
+          if regs = [] then
             bad "flow %s: (datapath ...) needs a datapath protocol, %S is not \
                  one"
               f.label f.cc;
@@ -664,7 +665,6 @@ let validate_exn t =
           | Some t when (not (Float.is_finite t)) || t <= 0.0 ->
               bad "flow %s: datapath interval must be positive" f.label
           | _ -> ());
-          let regs = Protocols.datapath_registers f.cc in
           List.iter
             (fun (r, v) ->
               if not (List.mem r regs) then

@@ -11,51 +11,89 @@ let check_float ?(eps = 1e-9) msg expected actual =
   if Float.abs (expected -. actual) > eps then
     Alcotest.failf "%s: expected %.12g, got %.12g" msg expected actual
 
-(* ---------- CUBIC unit ---------- *)
+(* ---------- CUBIC / LEDBAT unit ----------
+
+   Both are datapath fold programs. These tests drive a program's ACK
+   fold and its loss handler on a register file the way the adapter
+   does: the fold, then the handler on a loss report, then the
+   handler's window install. *)
+
+module Dp = Proteus.Datapath
+
+type fold_sender = {
+  prog : Dp.program;
+  handler : Dp.handler;
+  regs : float array;
+  sigs : float array;
+}
+
+let load prog handler =
+  {
+    prog;
+    handler;
+    regs = Array.map (fun r -> r.Dp.r_init) prog.Dp.p_regs;
+    sigs = Array.make Dp.num_signals 0.0;
+  }
+
+let cubic () = load (Cc.Cubic.program (env ())) Cc.Cubic.handler
+let ledbat ?params () = load (Cc.Ledbat.program ?params (env ())) Cc.Ledbat.handler
+let cwnd s = s.regs.(s.prog.Dp.p_cwnd)
+let set_sig s signal v = s.sigs.(Dp.signal_index signal) <- v
+
+let ack s ~now ~rtt =
+  set_sig s Dp.Now now;
+  set_sig s Dp.Rtt_sample rtt;
+  set_sig s Dp.Bytes_acked 1500.0;
+  s.prog.Dp.p_on_ack s.regs s.sigs
+
+let loss s ~now =
+  set_sig s Dp.Now now;
+  set_sig s Dp.Bytes_acked 0.0;
+  s.prog.Dp.p_on_loss s.regs s.sigs;
+  let act = { Dp.a_cwnd = Float.nan; a_rate_pps = Float.nan } in
+  s.handler
+    { Dp.rp_time = now; rp_cause = Dp.Loss_event; rp_seq = 0; rp_regs = s.regs }
+    act;
+  if not (Float.is_nan act.Dp.a_cwnd) then
+    s.regs.(s.prog.Dp.p_cwnd) <- act.Dp.a_cwnd
 
 let test_cubic_slow_start_growth () =
-  let c = Cc.Cubic.create (env ()) in
-  let w0 = Cc.Cubic.cwnd_packets c in
-  for seq = 0 to 9 do
-    Cc.Cubic.on_sent c ~now:0.0 ~seq ~size:1500;
-    Cc.Cubic.on_ack c ~now:0.05 ~seq ~send_time:0.0 ~size:1500 ~rtt:0.05
+  let c = cubic () in
+  let w0 = cwnd c in
+  for _ = 0 to 9 do
+    ack c ~now:0.05 ~rtt:0.05
   done;
-  check_float "ss +1 per ack" (w0 +. 10.0) (Cc.Cubic.cwnd_packets c)
+  check_float "ss +1 per ack" (w0 +. 10.0) (cwnd c)
 
 let test_cubic_loss_halves_ish () =
-  let c = Cc.Cubic.create (env ()) in
-  for seq = 0 to 19 do
-    Cc.Cubic.on_sent c ~now:0.0 ~seq ~size:1500;
-    Cc.Cubic.on_ack c ~now:0.05 ~seq ~send_time:0.0 ~size:1500 ~rtt:0.05
+  let c = cubic () in
+  for _ = 0 to 19 do
+    ack c ~now:0.05 ~rtt:0.05
   done;
-  let before = Cc.Cubic.cwnd_packets c in
-  Cc.Cubic.on_sent c ~now:0.1 ~seq:20 ~size:1500;
-  Cc.Cubic.on_loss c ~now:0.1 ~seq:20 ~send_time:0.1 ~size:1500;
-  check_float ~eps:1e-6 "beta reduction" (before *. 0.7)
-    (Cc.Cubic.cwnd_packets c)
+  let before = cwnd c in
+  loss c ~now:0.1;
+  check_float ~eps:1e-6 "beta reduction" (before *. 0.7) (cwnd c)
 
 let test_cubic_one_reduction_per_rtt () =
-  let c = Cc.Cubic.create (env ()) in
-  for seq = 0 to 19 do
-    Cc.Cubic.on_sent c ~now:0.0 ~seq ~size:1500;
-    Cc.Cubic.on_ack c ~now:0.05 ~seq ~send_time:0.0 ~size:1500 ~rtt:0.05
+  let c = cubic () in
+  for _ = 0 to 19 do
+    ack c ~now:0.05 ~rtt:0.05
   done;
-  let before = Cc.Cubic.cwnd_packets c in
+  let before = cwnd c in
   (* Burst of losses within one RTT: only one decrease. *)
-  for seq = 20 to 25 do
-    Cc.Cubic.on_sent c ~now:0.1 ~seq ~size:1500;
-    Cc.Cubic.on_loss c ~now:0.1001 ~seq ~send_time:0.1 ~size:1500
+  for _ = 20 to 25 do
+    loss c ~now:0.1001
   done;
-  check_float ~eps:1e-6 "single halving" (before *. 0.7)
-    (Cc.Cubic.cwnd_packets c)
+  check_float ~eps:1e-6 "single halving" (before *. 0.7) (cwnd c)
 
+(* Window blocking is the adapter's job: drive the lowered sender. *)
 let test_cubic_blocks_at_window () =
-  let c = Cc.Cubic.create (env ()) in
+  let c = Cc.Cubic.factory () (env ()) in
   let sent = ref 0 in
   let rec send seq =
-    let time = Cc.Cubic.next_send c ~now:0.0 in
+    let time = Sender.next_send c ~now:0.0 in
     if time <= 0.0 then begin
-      Cc.Cubic.on_sent c ~now:0.0 ~seq ~size:1500;
+      Sender.on_sent c ~now:0.0 ~seq ~size:1500;
       incr sent;
       if seq < 100 then send (seq + 1)
     end
@@ -64,79 +102,59 @@ let test_cubic_blocks_at_window () =
   send 0;
   Alcotest.(check int) "initial window" 10 !sent
 
-(* ---------- LEDBAT unit ---------- *)
-
 let test_ledbat_ramps_below_target () =
-  let l = Cc.Ledbat.create (env ()) in
-  let w0 = Cc.Ledbat.cwnd_packets l in
+  let l = ledbat () in
+  let w0 = cwnd l in
   (* Constant low RTT: queuing delay 0, off_target 1, cwnd grows. *)
   for seq = 0 to 49 do
-    Cc.Ledbat.on_sent l ~now:(float_of_int seq *. 0.01) ~seq ~size:1500;
-    Cc.Ledbat.on_ack l
-      ~now:((float_of_int seq *. 0.01) +. 0.02)
-      ~seq ~send_time:0.0 ~size:1500 ~rtt:0.02
+    ack l ~now:((float_of_int seq *. 0.01) +. 0.02) ~rtt:0.02
   done;
-  if Cc.Ledbat.cwnd_packets l <= w0 then Alcotest.fail "no ramp below target"
+  if cwnd l <= w0 then Alcotest.fail "no ramp below target"
 
 let test_ledbat_backs_off_above_target () =
-  let l = Cc.Ledbat.create (env ()) in
+  let l = ledbat () in
   (* Establish base delay of 20 ms, then ram delay up to 200 ms: above
      the 100 ms target, the window must shrink. *)
   for seq = 0 to 19 do
-    Cc.Ledbat.on_sent l ~now:(float_of_int seq *. 0.01) ~seq ~size:1500;
-    Cc.Ledbat.on_ack l
-      ~now:((float_of_int seq *. 0.01) +. 0.02)
-      ~seq ~send_time:0.0 ~size:1500 ~rtt:0.02
+    ack l ~now:((float_of_int seq *. 0.01) +. 0.02) ~rtt:0.02
   done;
-  let peak = Cc.Ledbat.cwnd_packets l in
+  let peak = cwnd l in
   for seq = 20 to 59 do
-    Cc.Ledbat.on_sent l ~now:(float_of_int seq *. 0.01) ~seq ~size:1500;
-    Cc.Ledbat.on_ack l
-      ~now:((float_of_int seq *. 0.01) +. 0.2)
-      ~seq ~send_time:0.0 ~size:1500 ~rtt:0.2
+    ack l ~now:((float_of_int seq *. 0.01) +. 0.2) ~rtt:0.2
   done;
-  if Cc.Ledbat.cwnd_packets l >= peak then
-    Alcotest.failf "no backoff above target: %.2f >= %.2f"
-      (Cc.Ledbat.cwnd_packets l) peak
+  if cwnd l >= peak then
+    Alcotest.failf "no backoff above target: %.2f >= %.2f" (cwnd l) peak
 
 let test_ledbat_base_delay_tracks_min () =
-  let l = Cc.Ledbat.create (env ()) in
-  Cc.Ledbat.on_sent l ~now:0.0 ~seq:0 ~size:1500;
-  Cc.Ledbat.on_ack l ~now:0.1 ~seq:0 ~send_time:0.0 ~size:1500 ~rtt:0.1;
-  check_float "base = first" 0.1 (Cc.Ledbat.base_delay l);
-  Cc.Ledbat.on_sent l ~now:0.2 ~seq:1 ~size:1500;
-  Cc.Ledbat.on_ack l ~now:0.23 ~seq:1 ~send_time:0.2 ~size:1500 ~rtt:0.03;
-  check_float "base tracks min" 0.03 (Cc.Ledbat.base_delay l)
+  let l = ledbat () in
+  ack l ~now:0.1 ~rtt:0.1;
+  check_float "base = first" 0.1 (Cc.Ledbat.base_delay l.regs);
+  ack l ~now:0.23 ~rtt:0.03;
+  check_float "base tracks min" 0.03 (Cc.Ledbat.base_delay l.regs)
 
 let test_ledbat_latecomer_sees_inflated_base () =
   (* A sender that never observes the empty queue keeps an inflated
      base-delay estimate — the root of the latecomer advantage. *)
-  let l = Cc.Ledbat.create (env ()) in
+  let l = ledbat () in
   for seq = 0 to 9 do
-    Cc.Ledbat.on_sent l ~now:(float_of_int seq) ~seq ~size:1500;
-    Cc.Ledbat.on_ack l ~now:(float_of_int seq +. 0.13) ~seq ~send_time:0.0
-      ~size:1500 ~rtt:0.13
+    ack l ~now:(float_of_int seq +. 0.13) ~rtt:0.13
   done;
-  check_float "inflated base" 0.13 (Cc.Ledbat.base_delay l)
+  check_float "inflated base" 0.13 (Cc.Ledbat.base_delay l.regs)
 
 let test_ledbat_loss_halves () =
-  let l = Cc.Ledbat.create (env ()) in
+  let l = ledbat () in
   for seq = 0 to 49 do
-    Cc.Ledbat.on_sent l ~now:(float_of_int seq *. 0.01) ~seq ~size:1500;
-    Cc.Ledbat.on_ack l
-      ~now:((float_of_int seq *. 0.01) +. 0.02)
-      ~seq ~send_time:0.0 ~size:1500 ~rtt:0.02
+    ack l ~now:((float_of_int seq *. 0.01) +. 0.02) ~rtt:0.02
   done;
-  let before = Cc.Ledbat.cwnd_packets l in
-  Cc.Ledbat.on_sent l ~now:1.0 ~seq:50 ~size:1500;
-  Cc.Ledbat.on_loss l ~now:1.0 ~seq:50 ~send_time:1.0 ~size:1500;
-  check_float ~eps:1e-6 "halved" (before /. 2.0) (Cc.Ledbat.cwnd_packets l)
+  let before = cwnd l in
+  loss l ~now:1.0;
+  check_float ~eps:1e-6 "halved" (before /. 2.0) (cwnd l)
 
 let test_ledbat_name_carries_target () =
-  let l100 = Cc.Ledbat.create (env ()) in
-  let l25 = Cc.Ledbat.create ~params:Cc.Ledbat.draft_25ms (env ()) in
-  Alcotest.(check string) "100ms" "ledbat-100" (Cc.Ledbat.name l100);
-  Alcotest.(check string) "25ms" "ledbat-25" (Cc.Ledbat.name l25)
+  let name ?params () = Sender.name (Cc.Ledbat.factory ?params () (env ())) in
+  Alcotest.(check string) "100ms" "ledbat-100" (name ());
+  Alcotest.(check string) "25ms" "ledbat-25"
+    (name ~params:Cc.Ledbat.draft_25ms ())
 
 (* ---------- BBR unit ---------- *)
 
@@ -337,63 +355,47 @@ let test_blaster_fixed_rate () =
 let test_ledbat_off_target_proportional () =
   (* With queuing delay at exactly half the target, the per-ack gain is
      half the max ramp (GAIN * off_target * bytes / cwnd). *)
-  let l = Cc.Ledbat.create (env ()) in
+  let l = ledbat () in
   (* Base delay 20 ms. *)
-  Cc.Ledbat.on_sent l ~now:0.0 ~seq:0 ~size:1500;
-  Cc.Ledbat.on_ack l ~now:0.02 ~seq:0 ~send_time:0.0 ~size:1500 ~rtt:0.02;
+  ack l ~now:0.02 ~rtt:0.02;
   (* Queuing 50 ms = half the 100 ms target. The RFC's current-delay
      filter takes the min of the last 4 samples, so burn three 70 ms
      samples in first. *)
   for seq = 1 to 3 do
-    Cc.Ledbat.on_sent l ~now:(0.1 *. float_of_int seq) ~seq ~size:1500;
-    Cc.Ledbat.on_ack l
-      ~now:((0.1 *. float_of_int seq) +. 0.07)
-      ~seq ~send_time:(0.1 *. float_of_int seq) ~size:1500 ~rtt:0.07
+    ack l ~now:((0.1 *. float_of_int seq) +. 0.07) ~rtt:0.07
   done;
-  let w0 = Cc.Ledbat.cwnd_packets l in
-  Cc.Ledbat.on_sent l ~now:0.5 ~seq:4 ~size:1500;
-  Cc.Ledbat.on_ack l ~now:0.57 ~seq:4 ~send_time:0.5 ~size:1500 ~rtt:0.07;
-  let gain = Cc.Ledbat.cwnd_packets l -. w0 in
+  let w0 = cwnd l in
+  ack l ~now:0.57 ~rtt:0.07;
+  let gain = cwnd l -. w0 in
   check_float ~eps:1e-9 "half ramp" (0.5 /. w0) gain
 
 let test_ledbat_decrease_clamped () =
   (* A wildly inflated delay may shrink the window by at most one
      packet per ack (the RFC's decrease clamp). *)
-  let l = Cc.Ledbat.create (env ()) in
+  let l = ledbat () in
   for seq = 0 to 29 do
-    Cc.Ledbat.on_sent l ~now:(float_of_int seq *. 0.01) ~seq ~size:1500;
-    Cc.Ledbat.on_ack l
-      ~now:((float_of_int seq *. 0.01) +. 0.02)
-      ~seq ~send_time:0.0 ~size:1500 ~rtt:0.02
+    ack l ~now:((float_of_int seq *. 0.01) +. 0.02) ~rtt:0.02
   done;
-  let before = Cc.Ledbat.cwnd_packets l in
-  Cc.Ledbat.on_sent l ~now:1.0 ~seq:99 ~size:1500;
-  Cc.Ledbat.on_ack l ~now:3.0 ~seq:99 ~send_time:1.0 ~size:1500 ~rtt:2.0;
-  if before -. Cc.Ledbat.cwnd_packets l > 1.0 +. 1e-9 then
-    Alcotest.failf "decrease %f exceeds one packet"
-      (before -. Cc.Ledbat.cwnd_packets l)
+  let before = cwnd l in
+  ack l ~now:3.0 ~rtt:2.0;
+  if before -. cwnd l > 1.0 +. 1e-9 then
+    Alcotest.failf "decrease %f exceeds one packet" (before -. cwnd l)
 
 let test_ledbat_25_yields_earlier_than_100 () =
   (* At 60 ms of queueing, LEDBAT-25 is over target (shrinks) while
      LEDBAT-100 is under target (grows). *)
   let drive l =
     for seq = 0 to 9 do
-      Cc.Ledbat.on_sent l ~now:(float_of_int seq *. 0.01) ~seq ~size:1500;
-      Cc.Ledbat.on_ack l
-        ~now:((float_of_int seq *. 0.01) +. 0.02)
-        ~seq ~send_time:0.0 ~size:1500 ~rtt:0.02
+      ack l ~now:((float_of_int seq *. 0.01) +. 0.02) ~rtt:0.02
     done;
-    let w = Cc.Ledbat.cwnd_packets l in
+    let w = cwnd l in
     for seq = 10 to 19 do
-      Cc.Ledbat.on_sent l ~now:(float_of_int seq *. 0.01) ~seq ~size:1500;
-      Cc.Ledbat.on_ack l
-        ~now:((float_of_int seq *. 0.01) +. 0.08)
-        ~seq ~send_time:0.0 ~size:1500 ~rtt:0.08
+      ack l ~now:((float_of_int seq *. 0.01) +. 0.08) ~rtt:0.08
     done;
-    Cc.Ledbat.cwnd_packets l -. w
+    cwnd l -. w
   in
-  let d100 = drive (Cc.Ledbat.create (env ())) in
-  let d25 = drive (Cc.Ledbat.create ~params:Cc.Ledbat.draft_25ms (env ())) in
+  let d100 = drive (ledbat ()) in
+  let d25 = drive (ledbat ~params:Cc.Ledbat.draft_25ms ()) in
   if d25 >= 0.0 then Alcotest.failf "ledbat-25 should shrink, grew %f" d25;
   if d100 <= 0.0 then Alcotest.failf "ledbat-100 should grow, shrank %f" d100
 

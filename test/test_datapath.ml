@@ -3,9 +3,10 @@
    Three layers: (1) fold semantics units driven through the adapter's
    boxed Sender interface — register init, update/report ordering,
    volatile reset, loss-trigger edges, interval triggers, NaN-window
-   safety; (2) golden digest parity: cubic-dp and ledbat-dp must be
-   byte-identical to their monolithic twins on an impaired dumbbell and
-   a 3-hop chain, sequentially and across a 4-domain pool; (3) a QCheck
+   safety; (2) golden digests: CUBIC and LEDBAT must reproduce the flow
+   digests recorded from their retired monolithic implementations on an
+   impaired dumbbell, a 3-hop chain and the smoke shapes, sequentially
+   and across a 4-domain pool; (3) a QCheck
    property fuzzing random well-typed fold programs through an audited
    run — the auditor's conservation laws
    must hold and the adapter must never emit a NaN next-send time. *)
@@ -35,7 +36,7 @@ let prog ?(name = "test-dp") ?(regs = [| Dp.reg "cwnd" 2.0 |]) ?(cwnd = 0)
   }
 
 let lower ?(handler = fun _ _ -> ()) p =
-  Dp.to_factory ~program:(fun _ -> p) ~handler:(fun _ _ -> handler) (mk_env ())
+  Dp.to_factory ~program:(fun _ -> p) ~handler (mk_env ())
 
 let ack s ~now ?(size = 1500) ?(rtt = 0.05) seq =
   Sender.on_ack s ~now ~seq ~send_time:(now -. rtt) ~size ~rtt
@@ -62,7 +63,9 @@ let test_register_init () =
 let test_update_report_reset_ordering () =
   (* A volatile byte counter behind a predicate trigger: the fold runs
      first, the predicate sees the updated register, the report carries
-     it, and only after delivery does the volatile reset wipe it. *)
+     it, and only after delivery does the volatile reset wipe it. The
+     On_loss trigger beside it must not stop ACKs from evaluating the
+     predicate (On_loss-only programs skip that scan). *)
   let seen = ref [] in
   let handler (rep : Dp.report) (_ : Dp.actions) =
     seen := (rep.Dp.rp_cause, rep.Dp.rp_regs.(1), rep.Dp.rp_seq) :: !seen
@@ -72,7 +75,7 @@ let test_update_report_reset_ordering () =
       ~regs:[| Dp.reg "cwnd" 100.0; Dp.reg ~volatile:true "acked" 0.0 |]
       ~on_ack:(fun regs sigs ->
         regs.(1) <- regs.(1) +. sigs.(Dp.signal_index Dp.Bytes_acked))
-      ~triggers:[| Dp.When (Dp.Gt, Dp.Reg 1, Dp.Const 5000.0) |]
+      ~triggers:[| Dp.On_loss; Dp.When (Dp.Gt, Dp.Reg 1, Dp.Const 5000.0) |]
       ()
   in
   let s = lower ~handler p in
@@ -230,7 +233,7 @@ let flow_digest f =
 
 (* Loss, reordering, duplication, an outage and bandwidth steps: every
    sender event path (ack / dup-ack / loss) feeds the folds. *)
-let impaired_cfg () =
+let impaired_cfg ?(step_at = 4.0) () =
   Link.config ~reorder_prob:0.05 ~dup_prob:0.02
     ~loss:
       (Link.Gilbert_elliott
@@ -238,20 +241,24 @@ let impaired_cfg () =
     ~schedule:
       [
         (2.0, Link.Down { duration = 1.0; flush = false });
-        (4.0, Link.Set_bandwidth 5.0);
+        (step_at, Link.Set_bandwidth 5.0);
       ]
     ~bandwidth_mbps:20.0 ~rtt_ms:30.0 ~buffer_bytes:150_000 ()
 
-let run_dumbbell ~seed factory =
-  let r = Net.Runner.create_topo ~seed (Topology.dumbbell (impaired_cfg ())) in
-  let a = Net.Runner.add_flow r ~label:"dut" ~factory in
+(* The flow under test plus a CUBIC peer joining at 1 s, audited. *)
+let run_with_peer ~seed ?route topo factory =
+  let r = Net.Runner.create_topo ~seed topo in
+  let a = Net.Runner.add_flow r ?route ~label:"dut" ~factory in
   let b =
-    Net.Runner.add_flow r ~start:1.0 ~label:"peer"
+    Net.Runner.add_flow r ?route ~start:1.0 ~label:"peer"
       ~factory:(Proteus_cc.Cubic.factory ())
   in
   ignore (Net.Runner.attach_audit r);
   Net.Runner.run r ~until:8.0;
   flow_digest a ^ " | " ^ flow_digest b
+
+let run_dumbbell ~seed factory =
+  run_with_peer ~seed (Topology.dumbbell (impaired_cfg ())) factory
 
 let chain_links () =
   [
@@ -263,63 +270,196 @@ let chain_links () =
 
 let run_chain ~seed factory =
   let topo = Topology.chain (chain_links ()) in
-  let r = Net.Runner.create_topo ~seed topo in
-  let route = Topology.chain_route topo in
-  let a = Net.Runner.add_flow r ~route ~label:"dut" ~factory in
-  let b =
-    Net.Runner.add_flow r ~route ~start:1.0 ~label:"peer"
-      ~factory:(Proteus_cc.Cubic.factory ())
-  in
-  ignore (Net.Runner.attach_audit r);
-  Net.Runner.run r ~until:8.0;
-  flow_digest a ^ " | " ^ flow_digest b
+  run_with_peer ~seed ~route:(Topology.chain_route topo) topo factory
 
-let check_parity ~what run mono dp =
-  Alcotest.(check string) what (run ~seed:11 mono) (run ~seed:11 dp)
+(* Flow digests recorded from the retired monolithic CUBIC and LEDBAT
+   controllers, which the fold programs matched byte for byte. They
+   must keep reproducing them exactly. The "SHAPE/PROTO" entries are
+   the smoke shapes below. *)
+let golden =
+  [
+    ( "cubic dumbbell",
+      "dut sent=3240 acked=3061 lost=149 dup=68 bytes=4591500 \
+       rtt_n=3061 rtt_sum=153.80627424776685 first=0.030599999999999999 \
+       last=7.9800650659416075 done=- | peer sent=2057 acked=1973 \
+       lost=69 dup=24 bytes=2959500 rtt_n=1973 \
+       rtt_sum=107.53620872110325 first=1.0310650659421525 \
+       last=7.9992650659416054 done=-" );
+    ( "cubic chain",
+      "dut sent=3300 acked=3109 lost=175 dup=0 bytes=4663500 rtt_n=3109 \
+       rtt_sum=160.34555359999842 first=0.041930133333333335 \
+       last=7.9737829333332275 done=- | peer sent=1748 acked=1716 \
+       lost=25 dup=0 bytes=2574000 rtt_n=1716 \
+       rtt_sum=72.314567466665039 first=1.0423712000000001 \
+       last=7.9907130666665518 done=-" );
+    ( "ledbat dumbbell",
+      "dut sent=3140 acked=2991 lost=118 dup=54 bytes=4486500 \
+       rtt_n=2991 rtt_sum=162.59353679503937 first=0.030599999999999999 \
+       last=7.9975999999995091 done=- | peer sent=1589 acked=1491 \
+       lost=75 dup=30 bytes=2236500 rtt_n=1491 \
+       rtt_sum=91.647063847980888 first=1.0306 last=7.9375999999995157 \
+       done=-" );
+    ( "ledbat chain",
+      "dut sent=2663 acked=2620 lost=26 dup=0 bytes=3930000 rtt_n=2620 \
+       rtt_sum=114.90102239999911 first=0.041930133333333335 \
+       last=7.9999898666665397 done=- | peer sent=2374 acked=2297 \
+       lost=66 dup=0 bytes=3445500 rtt_n=2297 \
+       rtt_sum=117.62221386666292 first=1.0419301333333326 \
+       last=7.9759898666665316 done=-" );
+    ( "ledbat-25 dumbbell",
+      "dut sent=2815 acked=2678 lost=121 dup=53 bytes=4017000 \
+       rtt_n=2678 rtt_sum=121.9184363750077 first=0.030599999999999999 \
+       last=7.9977861613856822 done=- | peer sent=1826 acked=1729 \
+       lost=68 dup=30 bytes=2593500 rtt_n=1729 \
+       rtt_sum=101.92724698190695 first=1.0308000000000019 \
+       last=7.9857861613856835 done=-" );
+    ( "outage/cubic",
+      "a sent=3375 acked=3029 lost=346 dup=0 bytes=4543500 rtt_n=3029 \
+       rtt_sum=222.63379999999486 first=0.030599999999999999 \
+       last=4.0615999999999435 done=- | b sent=247 acked=224 lost=23 \
+       dup=0 bytes=336000 rtt_n=224 rtt_sum=15.803799999999056 \
+       first=0.5897999999999981 last=4.0201999999999245 done=-" );
+    ( "outage/ledbat",
+      "a sent=1619 acked=1573 lost=46 dup=0 bytes=2359500 rtt_n=1573 \
+       rtt_sum=55.963399999996852 first=0.030599999999999999 \
+       last=4.0387999999999229 done=- | b sent=793 acked=763 lost=30 \
+       dup=0 bytes=1144500 rtt_n=763 rtt_sum=27.189199999998067 \
+       first=0.53099999999999992 last=4.022599999999918 done=-" );
+    ( "outage/ledbat-25",
+      "a sent=1572 acked=1528 lost=44 dup=0 bytes=2292000 rtt_n=1528 \
+       rtt_sum=51.902399999996476 first=0.030599999999999999 \
+       last=4.0375999999999248 done=- | b sent=811 acked=784 lost=27 \
+       dup=0 bytes=1176000 rtt_n=784 rtt_sum=29.112999999997996 \
+       first=0.53100000000000003 last=4.0261999999999203 done=-" );
+    ( "chaos/cubic",
+      "a sent=2064 acked=1953 lost=111 dup=46 bytes=2929500 rtt_n=1953 \
+       rtt_sum=77.765062331100154 first=0.030599999999999999 \
+       last=4.0409999999999515 done=- | b sent=1601 acked=1541 lost=60 \
+       dup=23 bytes=2311500 rtt_n=1541 rtt_sum=69.49318893684017 \
+       first=0.53060000000000007 last=4.0169999999999515 done=-" );
+    ( "chaos/ledbat",
+      "a sent=1918 acked=1815 lost=103 dup=42 bytes=2722500 rtt_n=1815 \
+       rtt_sum=64.053951832999019 first=0.030599999999999999 \
+       last=4.0428321530707878 done=- | b sent=905 acked=863 lost=42 \
+       dup=16 bytes=1294500 rtt_n=863 rtt_sum=32.739721519214235 \
+       first=0.53120000000000012 last=4.0764321530707841 done=-" );
+    ( "chaos/ledbat-25",
+      "a sent=1812 acked=1713 lost=99 dup=41 bytes=2569500 rtt_n=1713 \
+       rtt_sum=58.588087067333277 first=0.030599999999999999 \
+       last=4.041481200880086 done=- | b sent=827 acked=791 lost=36 \
+       dup=12 bytes=1186500 rtt_n=791 rtt_sum=29.61061589919721 \
+       first=0.53106975710950477 last=4.0510812008800849 done=-" );
+    ( "chain3/cubic",
+      "a sent=1886 acked=1716 lost=170 dup=0 bytes=2574000 rtt_n=1716 \
+       rtt_sum=102.20694506666955 first=0.041930133333333335 \
+       last=4.024620266666612 done=- | b sent=763 acked=745 lost=18 \
+       dup=0 bytes=1117500 rtt_n=745 rtt_sum=32.562734399999037 \
+       first=0.60072053333333375 last=4.037620266666611 done=-" );
+    ( "chain3/ledbat",
+      "a sent=1306 acked=1291 lost=15 dup=0 bytes=1936500 rtt_n=1291 \
+       rtt_sum=55.076785066665963 first=0.041930133333333335 \
+       last=4.0416709333332754 done=- | b sent=853 acked=838 lost=15 \
+       dup=0 bytes=1257000 rtt_n=838 rtt_sum=35.520490133332295 \
+       first=0.5419301333333334 last=4.0312709333332748 done=-" );
+    ( "chain3/ledbat-25",
+      "a sent=1276 acked=1262 lost=14 dup=0 bytes=1893000 rtt_n=1262 \
+       rtt_sum=53.804011199999366 first=0.041930133333333335 \
+       last=4.0412709333332755 done=- | b sent=832 acked=816 lost=16 \
+       dup=0 bytes=1224000 rtt_n=816 rtt_sum=34.569497066665654 \
+       first=0.5419301333333334 last=4.0372709333332741 done=-" );
+  ]
+
+let check_golden ~what digest key =
+  Alcotest.(check string) what (List.assoc key golden) digest
 
 let test_cubic_parity_dumbbell () =
-  check_parity ~what:"cubic-dp == cubic on dumbbell" run_dumbbell
-    (Proteus_cc.Cubic.factory ())
-    (Proteus_cc.Cubic_dp.factory ())
+  check_golden ~what:"cubic on dumbbell"
+    (run_dumbbell ~seed:11 (Proteus_cc.Cubic.factory ()))
+    "cubic dumbbell"
 
 let test_cubic_parity_chain () =
-  check_parity ~what:"cubic-dp == cubic on 3-hop chain" run_chain
-    (Proteus_cc.Cubic.factory ())
-    (Proteus_cc.Cubic_dp.factory ())
+  check_golden ~what:"cubic on 3-hop chain"
+    (run_chain ~seed:11 (Proteus_cc.Cubic.factory ()))
+    "cubic chain"
 
 let test_ledbat_parity_dumbbell () =
-  check_parity ~what:"ledbat-dp == ledbat on dumbbell" run_dumbbell
-    (Proteus_cc.Ledbat.factory ())
-    (Proteus_cc.Ledbat_dp.factory ())
+  check_golden ~what:"ledbat on dumbbell"
+    (run_dumbbell ~seed:11 (Proteus_cc.Ledbat.factory ()))
+    "ledbat dumbbell"
 
 let test_ledbat_parity_chain () =
-  check_parity ~what:"ledbat-dp == ledbat on 3-hop chain" run_chain
-    (Proteus_cc.Ledbat.factory ())
-    (Proteus_cc.Ledbat_dp.factory ())
+  check_golden ~what:"ledbat on 3-hop chain"
+    (run_chain ~seed:11 (Proteus_cc.Ledbat.factory ()))
+    "ledbat chain"
 
 let test_ledbat25_const_override_parity () =
   (* (const target 0.025) from a scenario reproduces ledbat-25. *)
-  check_parity ~what:"ledbat-dp const target == ledbat-25" run_dumbbell
-    (Proteus_cc.Ledbat.factory ~params:Proteus_cc.Ledbat.draft_25ms ())
-    (Proteus_cc.Ledbat_dp.factory
-       ~consts:[ ("target", Net.Units.ms 25.0) ]
-       ())
+  check_golden ~what:"ledbat-25"
+    (run_dumbbell ~seed:11
+       (Proteus_cc.Ledbat.factory ~params:Proteus_cc.Ledbat.draft_25ms ()))
+    "ledbat-25 dumbbell";
+  check_golden ~what:"ledbat const target"
+    (run_dumbbell ~seed:11
+       (Proteus_cc.Ledbat.factory ~consts:[ ("target", Net.Units.ms 25.0) ] ()))
+    "ledbat-25 dumbbell"
 
 let test_interval_reports_behavior_neutral () =
   (* An (interval T) override adds trace-visible reports but must not
      perturb the packet schedule. *)
-  check_parity ~what:"cubic-dp with interval reports == cubic" run_dumbbell
-    (Proteus_cc.Cubic.factory ())
-    (Proteus_cc.Cubic_dp.factory ~interval:0.5 ())
+  check_golden ~what:"cubic with interval reports"
+    (run_dumbbell ~seed:11 (Proteus_cc.Cubic.factory ~interval:0.5 ()))
+    "cubic dumbbell"
+
+(* Smoke shapes: a 2 s hard outage, the impaired dumbbell with an
+   earlier bandwidth step, and the 3-hop chain. Two flows of the
+   protocol under test stop a second before the horizon so the auditor
+   can assert full conservation at the end. *)
+let outage_cfg () =
+  Link.config
+    ~schedule:[ (1.5, Link.Down { duration = 2.0; flush = false }) ]
+    ~bandwidth_mbps:20.0 ~rtt_ms:30.0 ~buffer_bytes:150_000 ()
+
+let run_smoke ~topo ~route factory =
+  let r = Net.Runner.create_topo ~seed:11 topo in
+  let a = Net.Runner.add_flow r ~stop:4.0 ?route ~label:"a" ~factory in
+  let b =
+    Net.Runner.add_flow r ~start:0.5 ~stop:4.0 ?route ~label:"b" ~factory
+  in
+  let audit = Net.Runner.attach_audit r in
+  Net.Runner.run r ~until:5.5;
+  Net.Audit.assert_quiesced audit;
+  flow_digest a ^ " | " ^ flow_digest b
+
+let test_smoke_goldens () =
+  let chain = Topology.chain (chain_links ()) in
+  let shapes =
+    [
+      ("outage", Topology.dumbbell (outage_cfg ()), None);
+      ("chaos", Topology.dumbbell (impaired_cfg ~step_at:3.5 ()), None);
+      ("chain3", chain, Some (Topology.chain_route chain));
+    ]
+  in
+  List.iter
+    (fun (sid, topo, route) ->
+      List.iter
+        (fun proto ->
+          let key = sid ^ "/" ^ proto in
+          let factory =
+            Result.get_ok (Proteus_scenario.Protocols.factory proto)
+          in
+          Alcotest.(check string) key (List.assoc key golden)
+            (run_smoke ~topo ~route factory))
+        [ "cubic"; "ledbat"; "ledbat-25" ])
+    shapes
 
 (* Determinism across a domain pool: the same four seeded parity runs
    fanned over 4 domains must reproduce the sequential digests. *)
 let test_jobs4_determinism () =
   let seeds = [ 3; 11; 42; 97 ] in
   let run seed =
-    run_dumbbell ~seed (Proteus_cc.Cubic_dp.factory ())
+    run_dumbbell ~seed (Proteus_cc.Cubic.factory ())
     ^ " || "
-    ^ run_chain ~seed (Proteus_cc.Ledbat_dp.factory ())
+    ^ run_chain ~seed (Proteus_cc.Ledbat.factory ())
   in
   let sequential = List.map run seeds in
   let pool = Pool.create ~jobs:4 in
@@ -331,12 +471,12 @@ let test_jobs4_determinism () =
         "jobs=4 reproduces sequential digests" sequential pooled)
 
 (* The adapter's per-ACK discipline: driving the unboxed meta protocol
-   through a real cubic-dp instance must not allocate (no closures, no
+   through a real CUBIC instance must not allocate (no closures, no
    float boxing — all fold state lives in float arrays). Reports only
    fire on loss here, so 10k ACKs with zero allocation is the
    contract; any per-ACK box would show up as >= 20k minor words. *)
 let test_ack_path_allocation_free () =
-  let s = Proteus_cc.Cubic_dp.factory () (mk_env ()) in
+  let s = Proteus_cc.Cubic.factory () (mk_env ()) in
   let meta = Array.make 6 0.0 in
   let drive n =
     for i = 1 to n do
@@ -469,9 +609,7 @@ let prop_random_program_audited (p, seed, install_rate) =
   | Ok () -> ()
   | Error e -> QCheck.Test.fail_reportf "generator built invalid program: %s" e);
   let factory =
-    Dp.to_factory
-      ~program:(fun _ -> p)
-      ~handler:(fun _ _ -> handler_of ~install_rate)
+    Dp.to_factory ~program:(fun _ -> p) ~handler:(handler_of ~install_rate)
   in
   (* Audited impaired dumbbell: Audit.Violation fails the property. *)
   let cfg =
@@ -526,6 +664,7 @@ let suite =
     ("golden parity: ledbat dumbbell", `Quick, test_ledbat_parity_dumbbell);
     ("golden parity: ledbat 3-hop chain", `Quick, test_ledbat_parity_chain);
     ("golden parity: ledbat-25 via const override", `Quick, test_ledbat25_const_override_parity);
+    ("golden parity: smoke shapes", `Quick, test_smoke_goldens);
     ("interval reports are behavior-neutral", `Quick, test_interval_reports_behavior_neutral);
     ("determinism across a 4-domain pool", `Quick, test_jobs4_determinism);
     ("ACK hot path is allocation-free", `Quick, test_ack_path_allocation_free);

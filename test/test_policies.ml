@@ -142,37 +142,47 @@ let test_proportional_name () =
 
 (* ---------- MI observer ---------- *)
 
-let test_observer_sees_completed_mis () =
+module Trace = Proteus_obs.Trace
+
+(* A Proteus-P flow alone on a 20 Mbps / 30 ms link for 10 s, its
+   controller publishing on a private trace bus (which must not have
+   dropped anything). Returns the bus and the controller. *)
+let traced_proteus_run () =
   let cfg = Controller.default_config ~utility:(Utility.proteus_p ()) in
   let factory, get = Presets.with_handle cfg in
+  let bus = Trace.create () in
+  let factory env = factory { env with Net.Sender.trace = bus } in
   let link =
     Net.Link.config ~bandwidth_mbps:20.0 ~rtt_ms:30.0
       ~buffer_bytes:(Net.Units.kb 150.0) ()
   in
   let r = Net.Runner.create link in
   let _flow = Net.Runner.add_flow r ~label:"obs" ~factory in
-  let seen = ref 0 in
-  let last_now = ref 0.0 in
-  Controller.set_mi_observer
-    (Option.get (get ()))
-    (Some
-       (fun ~now m ~utility:_ ~rate_mbps ->
-         incr seen;
-         if now < !last_now then Alcotest.fail "observer times not monotone";
-         last_now := now;
-         if m.Mi.duration <= 0.0 then Alcotest.fail "bad MI duration";
-         if rate_mbps <= 0.0 then Alcotest.fail "bad rate"));
   Net.Runner.run r ~until:10.0;
-  let c = Option.get (get ()) in
-  if !seen = 0 then Alcotest.fail "observer never fired";
-  if !seen > Controller.mi_count c then
-    Alcotest.failf "observer fired %d > %d completed MIs" !seen
-      (Controller.mi_count c);
-  (* Clearing stops the callbacks. *)
-  Controller.set_mi_observer c None;
-  let before = !seen in
-  Net.Runner.run r ~until:12.0;
-  Alcotest.(check int) "cleared" before !seen
+  Alcotest.(check int) "no trace drops" 0 (Trace.dropped bus);
+  (bus, Option.get (get ()))
+
+(* Completed MIs as the controller publishes them on its trace bus:
+   Mi_boundary ([a] = duration) when an MI closes, Rate_decision
+   ([b] = base rate, Mbps) when its result is consumed. *)
+let test_observer_sees_completed_mis () =
+  let bus, c = traced_proteus_run () in
+  let decisions = ref 0 in
+  let last_now = ref 0.0 in
+  Trace.iter bus ~f:(fun e ->
+      if e.time < !last_now then Alcotest.fail "event times not monotone";
+      last_now := e.time;
+      match e.kind with
+      | Trace.Mi_boundary ->
+          if e.a <= 0.0 then Alcotest.fail "bad MI duration"
+      | Trace.Rate_decision ->
+          incr decisions;
+          if e.b <= 0.0 then Alcotest.fail "bad rate"
+      | _ -> ());
+  if !decisions = 0 then Alcotest.fail "no MI decisions traced";
+  if !decisions > Controller.mi_count c then
+    Alcotest.failf "%d decisions > %d completed MIs" !decisions
+      (Controller.mi_count c)
 
 let suite =
   [
