@@ -395,9 +395,14 @@ let run () =
    e2e flow and the per-hop crosses stop at t=4 and the final second
    drains every in-flight packet, so full per-hop conservation can be
    asserted. Also checks per-hop loss attribution sums to each flow's
-   total. A reverse-path leg exercises reverse routes under audit. *)
+   total. A reverse-path leg exercises reverse routes under audit, and
+   an impaired-reverse-hop leg runs ACK noise, reordering, duplication
+   and an RTT cut on every reverse hop of a two-hop chain, shared by the
+   end-to-end flow's ACKs and the crosses', with the trace bus on. *)
 let smoke () =
-  Exp_common.header "Topology smoke: 3-hop parking lot + rev-path, auditor on";
+  Exp_common.header
+    "Topology smoke: 3-hop parking lot + rev-path + impaired reverse hops, \
+     auditor on";
   List.iter
     (fun (p : Exp_common.proto) ->
       let topo =
@@ -460,4 +465,41 @@ let smoke () =
   Printf.printf "rev-path     ok  (probe %d acked, congestor %d acked)\n"
     (Net.Flow_stats.packets_acked (Net.Runner.stats probe))
     (Net.Flow_stats.packets_acked (Net.Runner.stats congestor));
+  let knobs =
+    Link.config ~noise:Net.Noise.default_wifi ~reorder_prob:0.02 ~dup_prob:0.02
+      ~schedule:[ (2.0, Link.Set_rtt 10.0) ]
+      ~bandwidth_mbps:hop_bw ~rtt_ms:30.0 ~buffer_bytes:150_000 ()
+  in
+  let topo = Net.Topology.chain ~rev:[ knobs; knobs ] [ hop_cfg (); hop_cfg () ] in
+  let trace = Proteus_obs.Trace.create ~capacity:(1 lsl 18) () in
+  let r = Net.Runner.create_topo ~seed:11 ~trace topo in
+  let audit = Net.Runner.attach_audit r in
+  let e2e =
+    Net.Runner.add_flow r ~stop:4.0 ~label:"e2e"
+      ~factory:(Exp_common.proteus_s.Exp_common.make ())
+  in
+  let crosses =
+    List.init 2 (fun hop ->
+        Net.Runner.add_flow r
+          ~route:(Net.Topology.hop_route topo ~hop)
+          ~stop:4.0
+          ~label:(Printf.sprintf "cross%d" hop)
+          ~factory:(Exp_common.cubic.Exp_common.make ()))
+  in
+  Net.Runner.run r ~until:5.0;
+  Net.Audit.assert_quiesced audit;
+  if Proteus_obs.Trace.dropped trace > 0 then
+    failwith
+      (Printf.sprintf "rev-knobs: %d trace events dropped"
+         (Proteus_obs.Trace.dropped trace));
+  let dups =
+    List.fold_left
+      (fun acc f ->
+        acc + Net.Flow_stats.packets_dup_acked (Net.Runner.stats f))
+      0 (e2e :: crosses)
+  in
+  Printf.printf "rev-knobs    ok  (%d hop events audited, e2e %d acked, %d dup acks)\n"
+    (Net.Audit.hop_events_checked audit)
+    (Net.Flow_stats.packets_acked (Net.Runner.stats e2e))
+    dups;
   Printf.printf "topology-smoke: all %d protocols clean\n" (List.length protos)

@@ -83,17 +83,14 @@ let parse_noise = function
       | None -> Error "bad gaussian sigma")
   | s -> Error (Printf.sprintf "unknown noise model %S" s)
 
-(* "dumbbell" keeps the classic single-link runner (byte-identical to
-   the pre-topology CLI); "chainN" builds an N-hop chain whose per-hop
-   propagation delays split --rtt evenly, so the end-to-end base RTT is
-   unchanged. *)
-type topo_spec = Dumbbell | Chain of int
-
+(* The number of hops of a chain: "dumbbell" is the one-hop chain, and
+   "chainN" builds an N-hop chain whose per-hop propagation delays split
+   --rtt evenly, so the end-to-end base RTT is unchanged. *)
 let parse_topology = function
-  | "dumbbell" -> Ok Dumbbell
+  | "dumbbell" -> Ok 1
   | s when String.length s > 5 && String.sub s 0 5 = "chain" -> (
       match int_of_string_opt (String.sub s 5 (String.length s - 5)) with
-      | Some n when n >= 1 -> Ok (Chain n)
+      | Some n when n >= 1 -> Ok n
       | _ -> Error (Printf.sprintf "bad chain length in %S" s))
   | s -> Error (Printf.sprintf "unknown topology %S (want dumbbell or chainN)" s)
 
@@ -255,7 +252,7 @@ let run bw rtt buffer_kb loss noise duration seed_opt series topology
   | Error e, _, _ | _, Error e, _ | _, _, Error e ->
       prerr_endline ("proteus-sim: " ^ e);
       exit 1
-  | Ok flows, Ok noise_spec, Ok topo_spec ->
+  | Ok flows, Ok noise_spec, Ok hops ->
       if flows = [] then begin
         prerr_endline "proteus-sim: no flows given (try: proteus-sim cubic)";
         exit 1
@@ -271,41 +268,30 @@ let run bw rtt buffer_kb loss noise duration seed_opt series topology
         | Some _ -> Obs.Trace.create ()
         | None -> Obs.Trace.disabled
       in
-      let topo, runner =
-        match topo_spec with
-        | Dumbbell -> (None, Net.Runner.create ~seed ~trace (cfg ~rtt_ms:rtt))
-        | Chain n ->
-            let t =
-              Net.Topology.chain
-                (List.init n (fun _ -> cfg ~rtt_ms:(rtt /. float_of_int n)))
-            in
-            (Some t, Net.Runner.create_topo ~seed ~trace t)
+      let topo =
+        Net.Topology.chain
+          (List.init hops (fun _ -> cfg ~rtt_ms:(rtt /. float_of_int hops)))
       in
+      let runner = Net.Runner.create_topo ~seed ~trace topo in
       let route_for spec =
-        match (topo, spec.route) with
-        | None, Forward -> None
-        | None, (Hop _ | Reverse) ->
-            prerr_endline
-              "proteus-sim: %HOP/%rev flow routes need --topology chainN";
-            exit 1
-        | Some t, Forward -> Some (Net.Topology.chain_route t)
-        | Some t, Hop h ->
-            let n = Net.Topology.chain_hops t in
-            if h >= n then begin
+        match spec.route with
+        | Forward -> None
+        | Hop h ->
+            if h >= hops then begin
               prerr_endline
                 (Printf.sprintf
-                   "proteus-sim: hop %d out of range (chain has %d hops)" h n);
+                   "proteus-sim: hop %d out of range (chain has %d hops)" h
+                   hops);
               exit 1
             end;
-            Some (Net.Topology.hop_route t ~hop:h)
-        | Some t, Reverse ->
+            Some (Net.Topology.hop_route topo ~hop:h)
+        | Reverse ->
             (* Data retraces the reverse links; its ACKs ride the other
                flows' forward links. *)
-            let n = Net.Topology.chain_hops t in
             Some
-              (Net.Topology.route t
-                 ~fwd:(List.init n (fun i -> (2 * n) - 1 - i))
-                 ~rev:(List.init n (fun i -> i)))
+              (Net.Topology.route topo
+                 ~fwd:(List.init hops (fun i -> (2 * hops) - 1 - i))
+                 ~rev:(List.init hops (fun i -> i)))
       in
       let handles =
         List.mapi
@@ -467,8 +453,8 @@ let topology =
   Arg.(
     value & opt string "dumbbell"
     & info [ "topology" ] ~docv:"TOPO"
-        ~doc:"Network topology: dumbbell (single shared link) or chainN \
-              (N-hop chain; flows default to the end-to-end route, \
+        ~doc:"Network topology: dumbbell (single shared link, the same as \
+              chain1) or chainN (N-hop chain; flows default to the end-to-end route, \
               $(b,PROTO%HOP) pins one to a single hop and $(b,PROTO%rev) \
               runs it in the reverse direction).")
 

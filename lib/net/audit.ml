@@ -40,7 +40,7 @@ type t = {
   mutable checked : int;
   mutable last_global_time : float;
   obs : Trace.t;
-  (* Per-link hop occupancy counters (multi-hop topologies), indexed by
+  (* Per-link hop occupancy counters, indexed by
      link id and grown on demand. Hop events are cross-checks layered
      under the flow-level conservation law; they deliberately do not
      touch [checked] or the event ring. *)
@@ -226,7 +226,7 @@ let on_loss t ~flow ~seq ~size ~now =
   fs.lost <- fs.lost + 1;
   check_accounting t fs
 
-(* ---------- per-hop occupancy (multi-hop topologies) ---------- *)
+(* ---------- per-hop occupancy ---------- *)
 
 let ensure_link t link =
   if link < 0 then fail t "hop event for negative link id %d" link;

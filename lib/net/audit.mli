@@ -48,10 +48,11 @@ val on_loss : t -> flow:int -> seq:int -> size:int -> now:float -> unit
 val observe_backlog : t -> backlog:float -> now:float -> unit
 (** Check a sampled link backlog (finite, non-negative). *)
 
-(** {2 Per-hop occupancy (multi-hop topologies)}
+(** {2 Per-hop occupancy}
 
     The {!Runner} feeds one [on_hop_enter] per packet admitted to a hop
-    queue, one [on_hop_exit] when it reaches the far end, and one
+    queue, one [on_hop_exit] when it reaches the far end (for the last
+    forward hop: when its ACK fires), and one
     [on_hop_drop] when the hop refuses it (outage, random loss, tail
     drop). The auditor checks the clock stays monotone, that no hop
     reports more exits than entries, and — at {!assert_quiesced} — that

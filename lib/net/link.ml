@@ -115,10 +115,6 @@ let average_loss = function
         let pi_bad = p_good_bad /. denom in
         ((1.0 -. pi_bad) *. loss_good) +. (pi_bad *. loss_bad)
 
-type outcome =
-  | Delivered of { ack_time : float; rtt : float; dup_ack_time : float }
-  | Dropped of { notify_time : float }
-
 type t = {
   mutable capacity : float;  (* bytes per second *)
   (* Capacity left for the packet tier: [capacity] minus the fluid
@@ -133,11 +129,13 @@ type t = {
   mutable ge_bad : bool;  (* Gilbert–Elliott chain state *)
   rng : Rng.t;
   noise : Noise.t;
+  noisy : bool;  (* [noise] is not [Noise.None_] *)
   (* Unboxed float scratch: fl.(0) is [free_at] (the instant the server
-     finishes everything admitted so far), fl.(1) the FIFO ACK clamp
-     [last_nominal]. Mutable float fields in this mixed record would box
-     on every store — one store of each per packet — so they live in a
-     float array instead. *)
+     finishes everything admitted so far), fl.(1) the last forward
+     arrival at the far end, fl.(2) the last nominal ACK delivery and
+     fl.(3) the last instant an ACK reached the hop (the FIFO clamps of
+     the two directions). Mutable float fields in this mixed
+     record would box on every store, so they live in a float array. *)
   fl : float array;
   (* Impairment schedule, sorted by time; entries at index < [sched_idx]
      have been applied. *)
@@ -176,7 +174,8 @@ let create ?(trace = Trace.disabled) cfg ~rng =
     ge_bad = false;
     rng = Rng.split rng;
     noise = Noise.create cfg.noise ~rng:(Rng.split rng);
-    fl = [| 0.0; neg_infinity |];
+    noisy = cfg.noise <> Noise.None_;
+    fl = [| 0.0; neg_infinity; neg_infinity; neg_infinity |];
     sched_time = Array.of_list (List.map fst sorted);
     sched_imp = Array.of_list (List.map snd sorted);
     sched_idx = 0;
@@ -300,7 +299,9 @@ let[@inline] draw_fluid_loss t =
 
 let capacity_bytes_per_sec t = t.capacity
 let base_rtt t = 2.0 *. t.prop_one_way
-let one_way_delay t = t.prop_one_way
+let one_way_delay t ~now =
+  sync t ~now;
+  t.prop_one_way
 
 let is_down t ~now =
   sync t ~now;
@@ -316,14 +317,6 @@ let queue_delay t ~now =
   sync t ~now;
   Float.max 0.0 (t.fl.(0) -. now)
 
-(* A sender learns of a loss when a later packet's ACK reveals the
-   sequence gap — approximately one current RTT after the drop. During
-   an outage [free_at] already sits at the window end, so the
-   notification lands after the link is back up. *)
-let loss_notify_time t ~now =
-  let wait = t.fl.(0) -. now in
-  now +. (if wait > 0.0 then wait else 0.0) +. (2.0 *. t.prop_one_way)
-
 let draw_loss t =
   match t.loss with
   | Iid p -> Rng.bernoulli t.rng ~p
@@ -333,22 +326,14 @@ let draw_loss t =
          else Rng.bernoulli t.rng ~p:p_good_bad);
       Rng.bernoulli t.rng ~p:(if t.ge_bad then loss_bad else loss_good)
 
-(* ---------- multi-hop primitives ----------
-   [forward] is the one-way analogue of [transmit]: same admission
-   sequence (outage refusal, loss draw, tail drop, outage lookahead)
-   but the outcome is an arrival time at the far end of the hop — no
-   ACK machinery, no noise/reorder/dup, no FIFO ACK clamp. Those knobs
-   remain dumbbell-only; a multi-hop route models the reverse direction
-   with explicit reverse-hop links instead. *)
+(* ---------- packet path ---------- *)
 
-type fwd_outcome = Fwd_arrival of float | Fwd_dropped
-
-(* Outage-window lookahead shared by [forward] and [transmit]: advance
-   [dep0] past every drain window it crosses, or detect a flush window
-   (which discards the queue, this packet included). Updates [fl.(0)]
-   ([free_at]) — even a flushed packet occupies the queue until the
-   flush — and returns NaN for "flushed". The fast path (no future
-   window crossed, i.e. every benign link) allocates nothing. *)
+(* Outage-window lookahead of [forward]: advance [dep0] past every
+   drain window it crosses, or detect a flush window (which discards
+   the queue, this packet included). Updates [fl.(0)] ([free_at]) —
+   even a flushed packet occupies the queue until the flush — and
+   returns NaN for "flushed". The fast path (no future window crossed,
+   i.e. every benign link) allocates nothing. *)
 let[@inline] lookahead t ~now dep0 =
   if t.out_idx >= Array.length t.out_start || dep0 <= t.out_start.(t.out_idx)
   then begin
@@ -374,109 +359,91 @@ let[@inline] lookahead t ~now dep0 =
     if !flushed then Float.nan else !departure
   end
 
-let forward t ~now ~size =
+(* Admission: outage refusal, loss draw, fluid loss, tail drop, outage
+   lookahead. The wire is FIFO: arrivals are clamped to be
+   nondecreasing, so an RTT cut mid-run cannot land a later packet
+   before an earlier one. *)
+let forward t ~now ~size ~out =
   sync t ~now;
   if
     t.out_idx < Array.length t.out_start
     && t.out_start.(t.out_idx) <= now
     && now < t.out_end.(t.out_idx)
-  then Fwd_dropped
-  else if draw_loss t then Fwd_dropped
-  else if draw_fluid_loss t then Fwd_dropped
+  then false
+  else if draw_loss t then false
+  else if draw_fluid_loss t then false
   else begin
     let sizef = float_of_int size in
     let free_at = t.fl.(0) in
     let wait = free_at -. now in
     if ((if wait > 0.0 then wait else 0.0) *. t.cap_eff) +. sizef > packet_buffer t
-    then Fwd_dropped
+    then false
     else begin
       let start = if now >= free_at then now else free_at in
       let departure = lookahead t ~now (start +. (sizef /. t.cap_eff)) in
-      if Float.is_nan departure then Fwd_dropped
-      else Fwd_arrival (departure +. t.prop_one_way)
-    end
-  end
-
-(* ACKs crossing a reverse-route hop wait behind whatever data backlog
-   the hop carries at computation time, pay their own serialization
-   time, and ride one propagation delay — but never queue-build, drop,
-   or mutate the link ([free_at] is read, not written). The schedule is
-   synced at simulated-now only: [at] may lie in the future, and
-   syncing to it would apply impairments early. Because [free_at] is
-   nondecreasing over successive calls, ACK order is preserved. *)
-let ack_transit t ~now ~at =
-  sync t ~now;
-  (if at >= t.fl.(0) then at else t.fl.(0))
-  +. (float_of_int Units.ack_bytes /. t.cap_eff)
-  +. t.prop_one_way
-
-(* Allocation-free variant of [transmit] for the per-packet hot path:
-   the outcome is written into the caller's reusable scratch [out]
-   instead of a fresh variant. Returns [true] (delivered: out.(0) =
-   ack_time, out.(1) = rtt, out.(2) = dup_ack_time or NaN) or [false]
-   (dropped: out.(0) = notify_time). Identical admission sequence and
-   RNG draws to [transmit], which is now a wrapper. *)
-let transmit_into t ~now ~size ~out =
-  sync t ~now;
-  if
-    t.out_idx < Array.length t.out_start
-    && t.out_start.(t.out_idx) <= now
-    && now < t.out_end.(t.out_idx)
-  then begin
-    (* Link is down: admission refused. *)
-    out.(0) <- loss_notify_time t ~now;
-    false
-  end
-  else if draw_loss t then begin
-    out.(0) <- loss_notify_time t ~now;
-    false
-  end
-  else if draw_fluid_loss t then begin
-    out.(0) <- loss_notify_time t ~now;
-    false
-  end
-  else begin
-    let sizef = float_of_int size in
-    let free_at = t.fl.(0) in
-    let wait = free_at -. now in
-    if ((if wait > 0.0 then wait else 0.0) *. t.cap_eff) +. sizef > packet_buffer t
-    then begin
-      out.(0) <- loss_notify_time t ~now;
-      false
-    end
-    else begin
-      let start = if now >= free_at then now else free_at in
-      let departure = lookahead t ~now (start +. (sizef /. t.cap_eff)) in
-      if Float.is_nan departure then begin
-        (* Flushed: the packet occupied the queue until the discard. *)
-        out.(0) <- loss_notify_time t ~now;
-        false
-      end
+      if Float.is_nan departure then false
       else begin
-        let base = departure +. (2.0 *. t.prop_one_way) in
-        let nominal_ack = if base >= t.fl.(1) then base else t.fl.(1) in
-        t.fl.(1) <- nominal_ack;
-        let ack_time =
-          Noise.ack_delivery_time t.noise ~now ~nominal:nominal_ack
-        in
-        let ack_time =
-          if Rng.bernoulli t.rng ~p:t.reorder_prob then
-            ack_time +. Rng.uniform t.rng ~lo:0.0 ~hi:t.reorder_extra
-          else ack_time
-        in
-        out.(0) <- ack_time;
-        out.(1) <- ack_time -. now;
-        out.(2) <-
-          (if Rng.bernoulli t.rng ~p:t.dup_prob then
-             ack_time +. (sizef /. t.cap_eff)
-           else Float.nan);
+        let arrival = departure +. t.prop_one_way in
+        let arrival = if arrival >= t.fl.(1) then arrival else t.fl.(1) in
+        t.fl.(1) <- arrival;
+        out.(0) <- arrival;
         true
       end
     end
   end
 
-let transmit t ~now ~size =
-  let out = [| 0.0; 0.0; 0.0 |] in
-  if transmit_into t ~now ~size ~out then
-    Delivered { ack_time = out.(0); rtt = out.(1); dup_ack_time = out.(2) }
-  else Dropped { notify_time = out.(0) }
+(* An ACK pays the data backlog the hop carries at computation time
+   (its queueing delay as of [now], assumed to persist until the ACK
+   arrives), its own serialization and one propagation delay, but never
+   queue-builds, drops, or moves [free_at]. The schedule is synced at
+   simulated-now only: [at] may lie in the future, and syncing to it
+   would apply impairments early.
+
+   FIFO clamp: an ACK that reaches the hop no earlier than the last one
+   computed here is not delivered before it, so neither an RTT cut nor a
+   shrinking backlog can reorder a stream. An ACK that reaches the hop
+   earlier than one already computed (several ACK streams with
+   different upstream paths share the hop, or an upstream hop added
+   noise) is not held behind it — except on a noisy hop, whose noise
+   model keeps ACK-compression state and needs its input nondecreasing
+   in call order.
+
+   Then the hop's own knobs: noise, a reordering delay, and a duplicate
+   that trails the ACK by one MTU serialization at the hop's rate (the
+   spacing a duplicated data packet would give it). A duplicate from an
+   upstream hop keeps its lag. *)
+let ack_transit t ~now ~ack =
+  sync t ~now;
+  let fl = t.fl in
+  let at = ack.(0) in
+  let lag = ack.(1) -. at in
+  let wait = fl.(0) -. now in
+  let ser = float_of_int Units.ack_bytes /. t.cap_eff in
+  let nominal =
+    at +. (if wait > 0.0 then wait else 0.0) +. ser +. t.prop_one_way
+  in
+  let nominal =
+    if at >= fl.(3) || t.noisy then begin
+      if at > fl.(3) then fl.(3) <- at;
+      if nominal >= fl.(2) then begin
+        fl.(2) <- nominal;
+        nominal
+      end
+      else fl.(2)
+    end
+    else nominal
+  in
+  let time =
+    if t.noisy then Noise.ack_delivery_time t.noise ~nominal else nominal
+  in
+  let time =
+    if Rng.bernoulli t.rng ~p:t.reorder_prob then
+      time +. Rng.uniform t.rng ~lo:0.0 ~hi:t.reorder_extra
+    else time
+  in
+  ack.(0) <- time;
+  ack.(1) <-
+    (if not (Float.is_nan lag) then time +. lag
+     else if Rng.bernoulli t.rng ~p:t.dup_prob then
+       time +. (float_of_int Units.mtu /. t.cap_eff)
+     else Float.nan)

@@ -1,14 +1,16 @@
-(** The shared bottleneck.
+(** One directed link: a hop of a {!Topology}.
 
     A single FIFO tail-drop queue served at a fixed rate, modelled as a
     virtual queue: the backlog at time [t] is [(free_at - t) * capacity]
     bytes, where [free_at] is when the server would go idle. A packet
-    admitted at [t] departs at [max t free_at + size/capacity] and is
-    delivered one propagation delay later; the ACK returns after another
-    propagation delay plus noise. Packets are dropped on admission when
-    the backlog would exceed the buffer (tail drop) or by random loss.
+    admitted at [t] ({!forward}) departs at [max t free_at + size/capacity]
+    and reaches the far end one propagation delay later. Packets are
+    dropped on admission when the backlog would exceed the buffer (tail
+    drop) or by random loss. ACKs cross a link through {!ack_transit}:
+    they wait behind its data backlog, pay [Units.ack_bytes] of
+    serialization and one propagation delay, and are never dropped.
 
-    {b Dynamic impairments.} A link may carry a {!impairment} schedule:
+    {b Dynamic impairments.} A link may carry an {!impairment} schedule:
     piecewise bandwidth/RTT/buffer/loss changes and hard outage windows,
     applied lazily as simulated time passes. Rate changes preserve the
     queued byte count (the unserved backlog is re-served at the new
@@ -16,17 +18,20 @@
     the window are refused, and packets already queued either wait for
     the server to come back ([flush = false], the queue drains afterward)
     or are discarded ([flush = true], the queue is flushed). Loss can be
-    iid or bursty (two-state Gilbert–Elliott chain), and independent
-    reordering/duplication knobs perturb the ACK stream. All randomness
+    iid or bursty (two-state Gilbert–Elliott chain). All randomness
     flows through the seeded RNG supplied at {!create}, so runs remain
     deterministic.
 
-    The ACK path is FIFO: nominal ACK times are clamped to be
+    {b ACK knobs.} The [noise], [reorder_*] and [dup_prob] fields act on
+    the ACKs crossing the link: a dumbbell's reverse link (which mirrors
+    the forward configuration) carries them for its flows, and any
+    reverse hop of a longer route applies its own. Both directions are
+    FIFO: forward arrivals and nominal ACK times are clamped to be
     nondecreasing, so an RTT reduction mid-run cannot deliver a later
-    packet's ACK before an earlier one (and cannot violate the
-    {!Noise.ack_delivery_time} precondition). The optional reordering
-    knob adds post-noise delay to randomly chosen ACKs, which is the
-    one sanctioned source of out-of-order ACK delivery. *)
+    packet (or its ACK) before an earlier one, and cannot violate the
+    {!Noise.ack_delivery_time} precondition. The reordering knob adds
+    post-noise delay to randomly chosen ACKs, which is the one
+    sanctioned source of out-of-order ACK delivery. *)
 
 type loss_model =
   | Iid of float  (** Independent per-packet loss probability. *)
@@ -58,12 +63,13 @@ type config = {
   buffer_bytes : int;  (** Bottleneck queue capacity. *)
   loss_rate : float;  (** iid random-loss probability, 0 by default. *)
   loss : loss_model option;  (** Supersedes [loss_rate] when set. *)
-  noise : Noise.spec;
+  noise : Noise.spec;  (** Delay noise on ACKs crossing this link. *)
   schedule : (float * impairment) list;
       (** (absolute time, impairment) pairs; need not be pre-sorted. *)
-  reorder_prob : float;  (** Per-ACK probability of extra delay. *)
+  reorder_prob : float;
+      (** Per-ACK probability of extra delay on this link. *)
   reorder_extra_ms : float;  (** Max extra delay of a reordered ACK. *)
-  dup_prob : float;  (** Per-packet probability of a duplicate ACK. *)
+  dup_prob : float;  (** Per-ACK probability of a duplicate on this link. *)
 }
 
 val config :
@@ -89,15 +95,6 @@ val average_loss : loss_model -> float
 (** Long-run average loss probability of the model (for calibrating a
     bursty model against an iid baseline). *)
 
-type outcome =
-  | Delivered of { ack_time : float; rtt : float; dup_ack_time : float }
-      (** ACK reaches the sender at [ack_time]; [rtt] is the full
-          round-trip experienced. [dup_ack_time] is NaN unless the
-          duplication knob fired, in which case a duplicate ACK for the
-          same packet arrives at that (later) time. *)
-  | Dropped of { notify_time : float }
-      (** Packet was lost; the sender learns at [notify_time]. *)
-
 type t
 
 val create : ?trace:Proteus_obs.Trace.t -> config -> rng:Proteus_stats.Rng.t -> t
@@ -113,8 +110,9 @@ val capacity_bytes_per_sec : t -> float
 val base_rtt : t -> float
 (** Current base RTT (reflects schedule entries applied so far). *)
 
-val one_way_delay : t -> float
-(** Current one-way propagation delay ([base_rtt / 2]). *)
+val one_way_delay : t -> now:float -> float
+(** One-way propagation delay at [now] ([base_rtt / 2] after applying
+    schedule entries due by [now]). *)
 
 val is_down : t -> now:float -> bool
 (** Whether [now] falls inside an outage window. *)
@@ -125,45 +123,32 @@ val backlog_bytes : t -> now:float -> float
 val queue_delay : t -> now:float -> float
 (** Time a packet admitted now would wait before starting service. *)
 
-val transmit : t -> now:float -> size:int -> outcome
-(** Offer a packet to the link at time [now]. Calls must be made in
-    nondecreasing [now] order (simulated time). *)
+val forward : t -> now:float -> size:int -> out:float array -> bool
+(** Offer a packet to the link at time [now] (nondecreasing across
+    calls). [true]: admitted, and [out.(0)] is the time it reaches the
+    far end. [false]: dropped (outage, random loss, fluid shedding, tail
+    drop or flush); [out] is untouched. Allocates nothing. *)
 
-val transmit_into : t -> now:float -> size:int -> out:float array -> bool
-(** Allocation-free {!transmit} for per-packet hot paths: the outcome
-    lands in the caller's reusable scratch [out] (length >= 3) instead
-    of a fresh {!outcome}. [true]: delivered — [out.(0)] is the ACK
-    arrival time, [out.(1)] the RTT sample, [out.(2)] the duplicate-ACK
-    time or NaN when no duplicate was drawn. [false]: dropped —
-    [out.(0)] is the loss-notification time. Identical admission
-    sequence and RNG draws to {!transmit}. *)
+val ack_transit : t -> now:float -> ack:float array -> unit
+(** Carry one ACK across the link. On entry [ack.(0)] is the time the
+    ACK reaches the link ([>= now], possibly in the future) and
+    [ack.(1)] the time of a duplicate riding along, or NaN; on return
+    both hold the corresponding times at the far end. The ACK pays the
+    link's queueing delay as of [now] (its data backlog is assumed to
+    persist until the ACK arrives), [Units.ack_bytes] of serialization
+    and one propagation delay, then the link's ACK knobs apply in
+    order: the FIFO clamp, noise, the reordering delay, and — when no
+    duplicate rides along yet — the duplication draw (a duplicate
+    trails the ACK by one [Units.mtu] serialization at the link's rate,
+    the spacing a duplicated data packet gives it; an upstream duplicate
+    keeps its lag). ACKs are never dropped and never queue-build. [now]
+    must be simulated-now — the impairment schedule is synced to it,
+    not to the ACK's time.
 
-(** {2 Multi-hop primitives}
-
-    When a link serves as one hop of a {!Topology} route it is driven
-    through [forward]/[ack_transit] instead of [transmit]: the same
-    admission machinery (outage refusal, random loss, tail drop, outage
-    lookahead) applies per hop, but delivery is one-way and the reverse
-    direction is modelled by explicit reverse-route links. The
-    noise/reorder/dup knobs are dumbbell-only and ignored on these
-    paths. *)
-
-type fwd_outcome =
-  | Fwd_arrival of float
-      (** Packet reaches the far end of the hop at this time. *)
-  | Fwd_dropped  (** Lost on this hop (outage, random loss or tail drop). *)
-
-val forward : t -> now:float -> size:int -> fwd_outcome
-(** One-way analogue of {!transmit}: offer a packet to this hop at time
-    [now] (nondecreasing across calls). *)
-
-val ack_transit : t -> now:float -> at:float -> float
-(** Delivery time at the far end for an ACK that reaches this hop at
-    [at] ([>= now], possibly in the future). The ACK waits behind the
-    hop's data backlog as of [now], pays [Units.ack_bytes] of
-    serialization and one propagation delay; ACKs are never dropped and
-    never queue-build. [now] must be simulated-now — the impairment
-    schedule is synced to it, not to [at]. *)
+    The clamp holds an ACK behind the last one computed on this link
+    only if it reaches the link no earlier than that one, or if the
+    link is noisy: ACK streams with different upstream paths that share
+    a reverse link are not serialized against each other. *)
 
 (** {2 Fluid background tier}
 

@@ -36,9 +36,9 @@ type t = {
   spec : spec;
   rng : Rng.t;
   (* Unboxed float state: fl.(0) is the gate-open instant, fl.(1) the
-     last nominal delivery time (mutable float fields in a mixed record
-     would box on every store, and [None_] still stores fl.(1) once per
-     ACK). *)
+     last nominal delivery time, which backs the nondecreasing-input
+     check (mutable float fields in a mixed record would box on every
+     store). *)
   fl : float array;
 }
 
@@ -50,7 +50,7 @@ let jitter rng ~sigma =
   if sigma <= 0.0 then 0.0
   else Float.abs (Rng.gaussian rng ~mu:0.0 ~sigma)
 
-let ack_delivery_time_slow t ~nominal =
+let ack_delivery_time t ~nominal =
   (* The gate state ([gate_until]) assumes ACKs are presented in send
      order; a decreasing [nominal] would silently produce out-of-order
      delivery times, so reject it loudly instead (small slack for
@@ -92,15 +92,3 @@ let ack_delivery_time_slow t ~nominal =
           nominal +. Rng.uniform t.rng ~lo:(Units.ms 2.0) ~hi:(Units.ms gate_max_ms);
       if !d < t.fl.(0) then d := t.fl.(0);
       !d
-
-(* Inline fast path for the benign common case (no noise model, nominal
-   times nondecreasing): one unboxed compare + store, no call, no float
-   boxing at the [transmit] call site. Everything else — jitter models,
-   and the slack window where [nominal] dips below the last value —
-   takes the out-of-line slow path with identical semantics. *)
-let[@inline] ack_delivery_time t ~now:_ ~nominal =
-  match t.spec with
-  | None_ when nominal >= t.fl.(1) ->
-      t.fl.(1) <- nominal;
-      nominal
-  | _ -> ack_delivery_time_slow t ~nominal

@@ -43,8 +43,8 @@ type t
 
 val create : spec -> rng:Proteus_stats.Rng.t -> t
 
-val ack_delivery_time : t -> now:float -> nominal:float -> float
-(** [ack_delivery_time t ~now ~nominal] maps the noise-free ACK arrival
+val ack_delivery_time : t -> nominal:float -> float
+(** [ack_delivery_time t ~nominal] maps the noise-free ACK arrival
     time [nominal] to the actual delivery time ([>= nominal]). Calls
     must be made in nondecreasing [nominal] order (the simulator's ACK
     stream): the gate state assumes it, so a decreasing [nominal]

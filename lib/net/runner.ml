@@ -20,9 +20,7 @@ type flow = {
   id : int; (* dense index; doubles as the auditor's flow id *)
   sender : Sender.packed;
   stats : Flow_stats.t;
-  (* Static route: link ids traversed forward / retraced by ACKs. The
-     classic dumbbell is [fwd = [|0|]], [rev = [||]] — the reverse path
-     is implicit in [Link.transmit]. *)
+  (* Static route: link ids traversed forward / retraced by ACKs. *)
   route_fwd : int array;
   route_rev : int array;
   mutable next_seq : int;
@@ -58,12 +56,13 @@ type t = {
   sim : Sim.t;
   links : Link.t array;
   fluid_present : bool; (* at least one link carries a fluid aggregate *)
-  classic : bool; (* dumbbell: links.(0) is the legacy full-duplex link *)
+  default_route : Topology.route option; (* for flows that name none *)
   lanes : Sim.lane array; (* one per link, indexed by link id *)
   root_rng : Rng.t;
   trace : Trace.t;
-  (* Reusable scratch for [Link.transmit_into] outcomes. *)
-  link_out : float array;
+  (* Reusable scratch for [Link.forward] / [Link.ack_transit]: 0 = the
+     packet's (then its ACK's) time, 1 = a duplicate ACK's time. *)
+  pkt : float array;
   (* Reusable scratch for the [Sender] unboxed call protocol (see
      [Sender.S_meta]): 0 = now, 1 = send_time, 2 = rtt, 3 = next-send
      result, 4 = in-flight packets, 5 = delivered bytes (the two
@@ -79,10 +78,9 @@ type t = {
 let create_topo ?(seed = 42) ?(trace = Trace.disabled) ?kernel:_ topo =
   let root_rng = Rng.create ~seed in
   let sim = Sim.create () in
-  (* Links are instantiated in id order with one RNG split each; for a
-     dumbbell this is exactly the historical single split, preserving
-     seeded runs bit-for-bit. Explicit loop: [Array.init]'s evaluation
-     order is unspecified and the splits are order-sensitive. *)
+  (* Links are instantiated in id order with one RNG split each.
+     Explicit loop: [Array.init]'s evaluation order is unspecified and
+     the splits are order-sensitive. *)
   let n = Topology.num_links topo in
   let first = Link.create ~trace (Topology.link_config topo 0) ~rng:(Rng.split root_rng) in
   let links = Array.make n first in
@@ -110,11 +108,11 @@ let create_topo ?(seed = 42) ?(trace = Trace.disabled) ?kernel:_ topo =
     sim;
     links;
     fluid_present = !fluid_present;
-    classic = Topology.is_classic topo;
+    default_route = Topology.default_route topo;
     lanes;
     root_rng;
     trace;
-    link_out = Array.make 3 0.0;
+    pkt = Array.make 2 0.0;
     meta = Array.make 6 0.0;
     flows = [];
     next_id = 0;
@@ -147,11 +145,6 @@ let attach_audit ?trace t =
 let audit t = t.audit
 
 let sim t = t.sim
-
-let link t =
-  if not t.classic then
-    invalid_arg "Runner.link: multi-hop topology (use Runner.link_at)";
-  t.links.(0)
 
 let link_at t i = t.links.(i)
 let num_links t = Array.length t.links
@@ -223,79 +216,92 @@ let[@inline] sched_link t ~link ~time ~fn ~arg =
   Sim.lane_push t.sim t.lanes.(link) ~time ~seq:(Sim.reserve_seq t.sim) ~fn
     ~arg
 
-(* ---------- multi-hop forward progression ----------
+(* ---------- packet path ----------
 
-   A packet on an [n]-hop route generates one hop event per hop: it is
-   admitted to hop [k]'s queue ([Link.forward]) and, on arrival at the
-   far end, [hop_fn] fires to admit it to hop [k+1] at the arrival
-   time. A drop can happen at any hop (outage, random loss, tail drop);
-   the loss notification then accumulates the residual queue wait at
-   the dropping hop plus the propagation of the remaining forward hops
-   and the whole reverse route — the gap is revealed by a later
-   packet's ACK. When the last hop delivers, the ACK retraces the
-   reverse route eagerly: at delivery time each reverse hop contributes
-   its current data backlog, the ACK's own serialization and one
-   propagation delay ([Link.ack_transit]); ACKs are never dropped.
-   [free_at] is nondecreasing, so per-flow ACK order is preserved. *)
+   A packet is admitted to hop [k]'s queue ([Link.forward]); unless [k]
+   is the last forward hop, [hop_fn] fires at the far end to admit it to
+   hop [k+1]. A drop can happen at any hop (outage, random loss, tail
+   drop); the loss notification then accumulates the residual queue
+   wait at the dropping hop plus the propagation of the remaining
+   forward hops and the whole reverse route — the gap is revealed by a
+   later packet's ACK.
 
-let admit_hop t f idx =
-  let now = Sim.now t.sim in
+   Eager ACK rule: the ACK time is fixed when the packet is admitted to
+   its last forward hop. The ACK retraces the reverse route at that
+   instant, each reverse hop contributing its current data backlog, the
+   ACK's serialization, one propagation delay and its own ACK knobs
+   ([Link.ack_transit]). A one-hop route therefore costs one lane event
+   per packet (plus one per duplicate ACK). *)
+
+(* The packet reaches the receiver at [t.pkt.(0)]: walk the reverse
+   route now and schedule the ACK (and any duplicate). ACK times are
+   clamped by the last reverse link, so its lane is the natural home;
+   routes without reverse links deliver at the last forward hop's
+   arrival time, on that hop's lane. *)
+let[@inline] ack_route t f idx ~now =
+  let pkt = t.pkt in
+  pkt.(1) <- Float.nan;
+  let rev = f.route_rev in
+  for j = 0 to Array.length rev - 1 do
+    Link.ack_transit t.links.(rev.(j)) ~now ~ack:pkt
+  done;
+  let send = Array.unsafe_get f.ring_send idx in
+  Array.unsafe_set f.ring_rtt idx (pkt.(0) -. send);
+  let lane =
+    if Array.length rev > 0 then rev.(Array.length rev - 1)
+    else f.route_fwd.(Array.length f.route_fwd - 1)
+  in
+  sched_link t ~link:lane ~time:pkt.(0) ~fn:f.ack_fn ~arg:idx;
+  let dup_time = pkt.(1) in
+  if not (Float.is_nan dup_time) then begin
+    (* A second slot carries the same packet identity so the duplicate
+       fires through its own reusable handler. *)
+    let didx = acquire_slot f in
+    Array.unsafe_set f.ring_seq didx (Array.unsafe_get f.ring_seq idx);
+    Array.unsafe_set f.ring_send didx send;
+    Array.unsafe_set f.ring_size didx (Array.unsafe_get f.ring_size idx);
+    Array.unsafe_set f.ring_rtt didx (dup_time -. send);
+    sched_link t ~link:lane ~time:dup_time ~fn:f.dup_fn ~arg:didx
+  end
+
+let admit_hop t f idx ~now =
   let k = f.ring_hop.(idx) in
   let link_id = f.route_fwd.(k) in
   let link = t.links.(link_id) in
-  let size = f.ring_size.(idx) in
   if Trace.enabled t.trace then
     Trace.emit t.trace ~time:now ~kind:Trace.Queue_sample ~flow:f.id ~seq:0
       ~a:(Link.backlog_bytes link ~now)
       ~b:(float_of_int link_id) ~note:"";
-  match Link.forward link ~now ~size with
-  | Link.Fwd_arrival at ->
-      (match t.audit with
-      | Some a -> Audit.on_hop_enter a ~link:link_id ~now
-      | None -> ());
-      sched_link t ~link:link_id ~time:at ~fn:f.hop_fn ~arg:idx
-  | Link.Fwd_dropped ->
-      (match t.audit with
-      | Some a -> Audit.on_hop_drop a ~link:link_id ~now
-      | None -> ());
-      let notify = ref (now +. Link.queue_delay link ~now) in
-      for j = k to Array.length f.route_fwd - 1 do
-        notify := !notify +. Link.one_way_delay t.links.(f.route_fwd.(j))
-      done;
-      for j = 0 to Array.length f.route_rev - 1 do
-        notify := !notify +. Link.one_way_delay t.links.(f.route_rev.(j))
-      done;
-      sched_link t ~link:link_id ~time:!notify ~fn:f.loss_fn ~arg:idx
-
-let deliver_multi t f idx =
-  (* The packet just reached the receiver; walk the reverse route. *)
-  let now = Sim.now t.sim in
-  let ack = ref now in
-  for j = 0 to Array.length f.route_rev - 1 do
-    ack := Link.ack_transit t.links.(f.route_rev.(j)) ~now ~at:!ack
-  done;
-  Array.unsafe_set f.ring_rtt idx (!ack -. Array.unsafe_get f.ring_send idx);
-  (* ACK times on a reverse path are clamped by the last reverse link's
-     [free_at] (nondecreasing), so that link's lane is the natural home;
-     routes without reverse links deliver at [now], which is trivially
-     monotone on the final forward link's lane. *)
-  let lk =
-    if Array.length f.route_rev > 0 then
-      f.route_rev.(Array.length f.route_rev - 1)
-    else f.route_fwd.(Array.length f.route_fwd - 1)
-  in
-  sched_link t ~link:lk ~time:!ack ~fn:f.ack_fn ~arg:idx
+  if Link.forward link ~now ~size:f.ring_size.(idx) ~out:t.pkt then begin
+    (match t.audit with
+    | Some a -> Audit.on_hop_enter a ~link:link_id ~now
+    | None -> ());
+    if k + 1 < Array.length f.route_fwd then
+      sched_link t ~link:link_id ~time:t.pkt.(0) ~fn:f.hop_fn ~arg:idx
+    else ack_route t f idx ~now
+  end
+  else begin
+    (match t.audit with
+    | Some a -> Audit.on_hop_drop a ~link:link_id ~now
+    | None -> ());
+    let notify = ref (now +. Link.queue_delay link ~now) in
+    for j = k to Array.length f.route_fwd - 1 do
+      notify := !notify +. Link.one_way_delay t.links.(f.route_fwd.(j)) ~now
+    done;
+    for j = 0 to Array.length f.route_rev - 1 do
+      notify := !notify +. Link.one_way_delay t.links.(f.route_rev.(j)) ~now
+    done;
+    sched_link t ~link:link_id ~time:!notify ~fn:f.loss_fn ~arg:idx
+  end
 
 let on_hop_event t f idx =
+  let now = Sim.now t.sim in
   let k = Array.unsafe_get f.ring_hop idx in
   (match t.audit with
-  | Some a -> Audit.on_hop_exit a ~link:(f.route_fwd.(k)) ~now:(Sim.now t.sim)
+  | Some a -> Audit.on_hop_exit a ~link:f.route_fwd.(k) ~now
   | None -> ());
-  if k + 1 < Array.length f.route_fwd then begin
-    Array.unsafe_set f.ring_hop idx (k + 1);
-    admit_hop t f idx
-  end
-  else deliver_multi t f idx
+  Array.unsafe_set f.ring_hop idx (k + 1);
+  admit_hop t f idx ~now
 
 let rec schedule_poll t f ~time =
   if not f.poll_pending then begin
@@ -327,18 +333,11 @@ and transmit t f budget =
   Flow_stats.record_sent f.stats ~now ~size;
   t.meta.(0) <- now;
   Sender.on_sent_m f.sender ~meta:t.meta ~seq ~size;
-  if Trace.enabled t.trace then begin
+  if Trace.enabled t.trace then
     Trace.emit t.trace ~time:now ~kind:Trace.Send ~flow:f.id ~seq
       ~a:(float_of_int size)
       ~b:(float_of_int f.route_fwd.(0))
       ~note:"";
-    (* On a multi-hop route the per-hop [Queue_sample] is emitted at
-       each hop admission instead. *)
-    if t.classic then
-      Trace.emit t.trace ~time:now ~kind:Trace.Queue_sample ~flow:f.id ~seq:0
-        ~a:(Link.backlog_bytes t.links.(0) ~now)
-        ~b:0.0 ~note:""
-  end;
   (match t.audit with
   | Some a -> Audit.on_sent a ~flow:f.id ~seq ~size ~now
   | None -> ());
@@ -346,30 +345,8 @@ and transmit t f budget =
   Array.unsafe_set f.ring_seq idx seq;
   Array.unsafe_set f.ring_send idx now;
   Array.unsafe_set f.ring_size idx size;
-  (if t.classic then begin
-     let out = t.link_out in
-     if Link.transmit_into t.links.(0) ~now ~size ~out then begin
-       Array.unsafe_set f.ring_rtt idx out.(1);
-       sched_link t ~link:0 ~time:out.(0) ~fn:f.ack_fn ~arg:idx;
-       let dup_ack_time = out.(2) in
-       if not (Float.is_nan dup_ack_time) then begin
-         (* Duplicate ACK: a second slot carries the same packet
-            identity so the dup fires through its own reusable handler
-            after the primary ACK. *)
-         let didx = acquire_slot f in
-         Array.unsafe_set f.ring_seq didx seq;
-         Array.unsafe_set f.ring_send didx now;
-         Array.unsafe_set f.ring_size didx size;
-         Array.unsafe_set f.ring_rtt didx (dup_ack_time -. now);
-         sched_link t ~link:0 ~time:dup_ack_time ~fn:f.dup_fn ~arg:didx
-       end
-     end
-     else sched_link t ~link:0 ~time:out.(0) ~fn:f.loss_fn ~arg:idx
-   end
-   else begin
-     Array.unsafe_set f.ring_hop idx 0;
-     admit_hop t f idx
-   end);
+  Array.unsafe_set f.ring_hop idx 0;
+  admit_hop t f idx ~now;
   (match t.audit with
   | Some a ->
       Audit.observe_backlog a
@@ -406,6 +383,10 @@ and handle_ack t f ~seq ~size =
       ~b:(float_of_int size) ~note:"";
   (match t.audit with
   | Some a ->
+      (* The packet left its last forward hop before its ACK fired. *)
+      Audit.on_hop_exit a
+        ~link:f.route_fwd.(Array.length f.route_fwd - 1)
+        ~now;
       Audit.on_ack a ~flow:f.id ~seq ~size ~now;
       Audit.observe_backlog a
         ~backlog:(Link.backlog_bytes t.links.(f.route_fwd.(0)) ~now)
@@ -504,13 +485,8 @@ let on_dup_ack_event t f idx =
 let add_flow ?(start = 0.0) ?stop ?size_bytes ?on_complete ?on_ack_bytes ?route
     t ~label ~factory =
   let route_fwd, route_rev =
-    match (t.classic, route) with
-    | true, None -> ([| 0 |], [||])
-    | true, Some _ ->
-        invalid_arg
-          "Runner.add_flow: dumbbell flows take the implicit route (drop \
-           ~route or build the topology with Topology.make/chain)"
-    | false, Some r ->
+    match (route, t.default_route) with
+    | Some r, _ | None, Some r ->
         let fwd = Topology.route_fwd r and rev = Topology.route_rev r in
         let n = Array.length t.links in
         Array.iter
@@ -523,9 +499,10 @@ let add_flow ?(start = 0.0) ?stop ?size_bytes ?on_complete ?on_ack_bytes ?route
                    id n))
           (Array.append fwd rev);
         (fwd, rev)
-    | false, None ->
+    | None, None ->
         invalid_arg
-          "Runner.add_flow: a multi-hop topology needs an explicit ~route"
+          "Runner.add_flow: a topology built by Topology.make needs an \
+           explicit ~route"
   in
   let env =
     {
@@ -612,17 +589,12 @@ let snapshot_metrics t reg =
       (Metrics.counter reg "trace.emitted");
     Metrics.incr ~by:(Trace.dropped t.trace) (Metrics.counter reg "trace.dropped")
   end;
-  if t.classic then
-    Metrics.set
-      (Metrics.gauge reg "link.backlog-bytes")
-      (Link.backlog_bytes t.links.(0) ~now)
-  else
-    Array.iteri
-      (fun i l ->
-        Metrics.set
-          (Metrics.gauge reg (Printf.sprintf "link.%d.backlog-bytes" i))
-          (Link.backlog_bytes l ~now))
-      t.links;
+  Array.iteri
+    (fun i l ->
+      Metrics.set
+        (Metrics.gauge reg (Printf.sprintf "link.%d.backlog-bytes" i))
+        (Link.backlog_bytes l ~now))
+    t.links;
   if t.fluid_present then begin
     sync_fluid t;
     Array.iteri

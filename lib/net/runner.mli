@@ -8,20 +8,15 @@
     flow completes when every byte is acknowledged), time-bounded, and
     may be added while the simulation is running (workload generators).
 
-    Two instantiation paths:
-
-    - {!create} (or {!create_topo} over a {!Topology.dumbbell}) is the
-      classic single-bottleneck scenario: every flow crosses the one
-      full-duplex link, whose ACK noise / reordering / duplication
-      knobs apply. Seeded classic runs are bit-identical to the
-      historical single-link runner.
-    - {!create_topo} over a multi-hop topology routes each flow along
-      its {!Topology.route}: packets queue (and can be tail-dropped,
-      randomly lost, or refused during an outage) at {e every} forward
-      hop, and ACKs retrace the reverse route, accumulating
-      serialization and propagation delay behind each reverse hop's
-      data backlog. ACKs are never dropped; the dumbbell-only
-      noise/reorder/dup knobs are ignored on multi-hop routes. *)
+    Every flow follows a {!Topology.route}: packets queue (and can be
+    tail-dropped, randomly lost, or refused during an outage) at each
+    forward hop, and ACKs retrace the reverse route, accumulating
+    serialization and propagation delay behind each reverse hop's data
+    backlog plus that hop's ACK knobs (noise, reordering, duplication;
+    see {!Link.ack_transit}). ACKs are never dropped. A packet's ACK
+    time is fixed when it is admitted to its last forward hop, so a
+    one-hop route (a {!Topology.dumbbell}) costs one kernel event per
+    packet. *)
 
 type t
 type flow
@@ -32,7 +27,7 @@ val create :
   ?kernel:Proteus_eventsim.Sim.kernel ->
   Link.config ->
   t
-(** Fresh classic scenario over a single bottleneck link — shorthand for
+(** Fresh scenario over a single bottleneck link — shorthand for
     [create_topo (Topology.dumbbell cfg)]. The seed (default 42)
     determines all randomness: link loss, noise, sender probing order,
     workload arrivals. [trace] (default disabled) is the observability
@@ -59,15 +54,10 @@ val create_topo :
   Topology.t ->
   t
 (** Fresh scenario over a {!Topology}. Links are instantiated in id
-    order, each with its own stream split from the seed, so a
-    [Topology.dumbbell] reproduces {!create} bit-for-bit. [kernel] is
+    order, each with its own stream split from the seed. [kernel] is
     ignored, as in {!create}. *)
 
 val sim : t -> Proteus_eventsim.Sim.t
-
-val link : t -> Link.t
-(** The bottleneck of a classic (dumbbell) scenario. Raises
-    [Invalid_argument] on a multi-hop topology — use {!link_at}. *)
 
 val link_at : t -> int -> Link.t
 (** The instantiated link with the given topology id. *)
@@ -101,10 +91,11 @@ val add_flow :
     optional finite transfer size. [on_ack_bytes] fires on every
     acknowledged packet (application byte delivery, e.g. a video
     player); [on_complete] fires when a finite flow has every byte
-    acknowledged. [route] is required on a multi-hop topology and must
-    be omitted on a classic dumbbell (whose flows take the implicit
-    single-link route); raises [Invalid_argument] otherwise, or when
-    the route references a link id outside the runner's topology. *)
+    acknowledged. [route] defaults to {!Topology.chain_route} on a chain
+    (and so on a dumbbell) and is required on a topology built by
+    {!Topology.make}; raises [Invalid_argument] when it is missing
+    there, or when the route references a link id outside the runner's
+    topology. *)
 
 val stats : flow -> Flow_stats.t
 val label : flow -> string
@@ -120,8 +111,9 @@ val resume : t -> flow -> unit
 val attach_audit : ?trace:int -> t -> Audit.t
 (** Install a runtime invariant {!Audit} fed every subsequent
     packet-level event (sends, ACKs, duplicate ACKs, losses, backlog
-    samples — plus per-hop enter/exit/drop events on multi-hop
-    topologies, checked for per-hop conservation at quiesce). Must be
+    samples — plus per-hop enter/exit/drop events, checked for per-hop
+    conservation at quiesce; a packet exits its last forward hop when
+    its ACK fires). Must be
     attached before any packet is in flight — the auditor treats
     deliveries of packets it never saw sent as conservation violations.
     Links carrying fluid classes are registered for fluid byte
@@ -140,8 +132,8 @@ val snapshot_metrics : t -> Proteus_obs.Metrics.t -> unit
     the post-ACK polls run inline, and the [sim.wheel-*] counters read
     the timing wheel that carries every flow's polls), trace-bus
     counters ([trace.*]) when tracing is enabled, the current backlog
-    of the classic link ([link.backlog-bytes]) or of every topology link
-    ([link.<id>.backlog-bytes]), and per-flow packet counters, goodput
+    of every link ([link.<id>.backlog-bytes]; links 0 and 1 on a
+    dumbbell), and per-flow packet counters, goodput
     gauges and an RTT histogram ([flow.<label>.*]). Counters are bumped
     by the totals at call time, so call once per registry (an
     end-of-run snapshot, not an incremental feed). *)

@@ -28,7 +28,7 @@ type env = {
           {!Proteus_obs.Trace.disabled}; senders must guard emission
           with {!Proteus_obs.Trace.enabled}. *)
   hops : int;
-      (** Forward-path hop count of the flow's route (1 on the classic
+      (** Forward-path hop count of the flow's route (1 on a
           dumbbell). Informational: lets a controller scale priors such
           as initial RTT estimates to the path length. *)
 }

@@ -48,20 +48,16 @@ let spec ?(start = 0.0) ?stop ?size_bytes ?route ~label factory =
 let spec_label s = s.sp_label
 
 (* Link ids touched by a spec (the union of its forward and reverse
-   paths); the implicit classic route is link 0. *)
+   paths). *)
 let spec_links topo s =
-  match (Topology.is_classic topo, s.sp_route) with
-  | true, None -> [| 0 |]
-  | true, Some _ ->
+  match (s.sp_route, Topology.default_route topo) with
+  | Some r, _ | None, Some r ->
+      Array.append (Topology.route_fwd r) (Topology.route_rev r)
+  | None, None ->
       invalid_arg
         (Printf.sprintf
-           "Shard: flow %s carries an explicit route on a classic dumbbell"
-           s.sp_label)
-  | false, Some r -> Array.append (Topology.route_fwd r) (Topology.route_rev r)
-  | false, None ->
-      invalid_arg
-        (Printf.sprintf
-           "Shard: flow %s needs an explicit route on a multi-hop topology"
+           "Shard: flow %s needs an explicit route on a topology built by \
+            Topology.make"
            s.sp_label)
 
 (* Union-find over link ids; two links share a component iff some flow

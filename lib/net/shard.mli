@@ -40,10 +40,10 @@ val spec :
   label:string ->
   Sender.factory ->
   spec
-(** Mirror of [Runner.add_flow]'s arguments (see {!Runner}). [route] is
-    required on a multi-hop topology and must be omitted on a classic
-    dumbbell; violations raise [Invalid_argument] at {!create} /
-    {!components} time. *)
+(** Mirror of [Runner.add_flow]'s arguments (see {!Runner}). [route]
+    defaults to {!Topology.default_route} and is required on a topology
+    built by {!Topology.make}; a missing one raises [Invalid_argument]
+    at {!create} / {!components} time. *)
 
 val spec_label : spec -> string
 

@@ -6,14 +6,12 @@ type fluid_spec = { f_share : float option; f_classes : Aggregate.cls list }
 
 type t = {
   links : Link.config array;
-  classic : bool;
   chain_hops : int; (* > 0 iff built by [chain] *)
   fluid : fluid_spec option array; (* indexed by link id *)
 }
 
 let num_links t = Array.length t.links
 let link_config t i = t.links.(i)
-let is_classic t = t.classic
 let chain_hops t = t.chain_hops
 
 let no_fluid n : fluid_spec option array = Array.make n None
@@ -23,13 +21,9 @@ let make = function
   | links ->
       {
         links = Array.of_list links;
-        classic = false;
         chain_hops = 0;
         fluid = no_fluid (List.length links);
       }
-
-let dumbbell cfg =
-  { links = [| cfg |]; classic = true; chain_hops = 0; fluid = no_fluid 1 }
 
 let chain ?rev fwd =
   let n = List.length fwd in
@@ -42,10 +36,11 @@ let chain ?rev fwd =
          (List.length rev) n);
   {
     links = Array.of_list (fwd @ rev);
-    classic = false;
     chain_hops = n;
     fluid = no_fluid (2 * n);
   }
+
+let dumbbell cfg = chain [ cfg ]
 
 let with_fluid ?buffer_share t ~link classes =
   if link < 0 || link >= num_links t then
@@ -107,6 +102,8 @@ let chain_route t =
        comes first. Reverse link of forward hop [j] has id [n + j]. *)
     rev = Array.init n (fun i -> n + (n - 1 - i));
   }
+
+let default_route t = if t.chain_hops > 0 then Some (chain_route t) else None
 
 let hop_route t ~hop =
   if t.chain_hops = 0 then

@@ -9,18 +9,13 @@
     its ACKs retrace (accumulating serialization and propagation delay
     behind each reverse hop's data backlog, but never dropping).
 
-    Two constructors carry special meaning:
-
-    - {!dumbbell} is the classic single-bottleneck scenario. It marks
-      the topology so the {!Runner} drives it through the legacy
-      full-duplex link path — seeded dumbbell runs are bit-identical to
-      the historical single-link API, including the ACK noise /
-      reordering / duplication knobs, which are dumbbell-only.
-    - {!chain} is a linear chain of [n] forward hops plus [n] mirrored
-      reverse links (ids [n..2n-1]), the substrate for parking-lot and
-      reverse-path-congestion experiments: {!chain_route} is the
-      end-to-end route, {!hop_route} the single-hop route of
-      cross-traffic entering and leaving at hop boundaries. *)
+    {!chain} builds a linear chain of [n] forward hops plus [n]
+    mirrored reverse links (ids [n..2n-1]), the substrate for
+    parking-lot and reverse-path-congestion experiments:
+    {!chain_route} is the end-to-end route (the one a flow takes when it
+    names none), {!hop_route} the single-hop route of cross-traffic
+    entering and leaving at hop boundaries. {!dumbbell} is the one-hop
+    chain. *)
 
 type t
 (** Immutable topology specification; instantiated by the {!Runner}. *)
@@ -29,8 +24,9 @@ type route
 (** A flow's static path through a topology. *)
 
 val dumbbell : Link.config -> t
-(** The classic scenario: one full-duplex bottleneck link. Flows of a
-    dumbbell take the implicit route (no [route] argument). *)
+(** The single-bottleneck scenario: [chain [cfg]], i.e. forward link 0
+    and its mirrored reverse link 1, which carries the configuration's
+    ACK knobs for every flow's ACKs. *)
 
 val chain : ?rev:Link.config list -> Link.config list -> t
 (** [chain fwd] builds a linear chain whose forward hops are [fwd]
@@ -73,6 +69,10 @@ val chain_route : t -> route
     the reverse links in retracing order ([2n-1..n]). Raises
     [Invalid_argument] if the topology was not built by {!chain}. *)
 
+val default_route : t -> route option
+(** The route a flow takes when it names none: {!chain_route} on a
+    {!chain} (or {!dumbbell}), [None] on a topology built by {!make}. *)
+
 val hop_route : t -> hop:int -> route
 (** Single-hop route of cross traffic crossing only hop [hop] of a
     {!chain} (forward link [hop], reverse link [n + hop]). Raises
@@ -80,8 +80,6 @@ val hop_route : t -> hop:int -> route
 
 val num_links : t -> int
 val link_config : t -> int -> Link.config
-val is_classic : t -> bool
-(** Whether the topology was built by {!dumbbell}. *)
 
 val chain_hops : t -> int
 (** Number of forward hops if built by {!chain}, 0 otherwise. *)

@@ -22,12 +22,12 @@
 type kind =
   | Send
       (** Packet handed to the network. [seq], [a]=size bytes,
-          [b]=link id of the first hop of the flow's route (0 on the
-          classic dumbbell). *)
+          [b]=link id of the first hop of the flow's route (0 on a
+          dumbbell). *)
   | Ack  (** Packet acknowledged. [seq], [a]=rtt s, [b]=size bytes. *)
   | Loss
       (** Loss notification. [seq], [a]=size bytes, [b]=id of the link
-          the packet was lost on (0 on the classic dumbbell). *)
+          the packet was lost on (0 on a dumbbell). *)
   | Dup_ack  (** Duplicate ACK delivered. [seq]. *)
   | Mi_boundary
       (** Monitor interval closed. [seq]=MI id, [a]=duration s,
@@ -46,8 +46,8 @@ type kind =
           ...). *)
   | Queue_sample
       (** Link backlog sample at packet admission. [a]=backlog bytes,
-          [b]=sampled link's id (0 on the classic dumbbell; one sample
-          per hop admission on multi-hop routes). *)
+          [b]=sampled link's id (one sample per forward-hop
+          admission; link 0 on a dumbbell). *)
   | Audit_violation  (** Invariant violation; [note] is the message. *)
 
 type t

@@ -35,8 +35,8 @@ let topology (t : Spec.t) =
 
 let route_for topo (t : Spec.t) (r : Spec.route) =
   match (t.topology, r) with
-  | Spec.Dumbbell _, Spec.E2e -> None
-  | Spec.Dumbbell _, _ -> fail "dumbbell flows must take the implicit route"
+  | Spec.Dumbbell _, (Spec.Hop _ | Spec.Rev) ->
+      fail "dumbbell flows must take the end-to-end route"
   | _, Spec.E2e -> Some (Topology.chain_route topo)
   | _, Spec.Hop h -> Some (Topology.hop_route topo ~hop:h)
   | _, Spec.Rev ->

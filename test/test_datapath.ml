@@ -273,18 +273,20 @@ let run_chain ~seed factory =
   run_with_peer ~seed ~route:(Topology.chain_route topo) topo factory
 
 (* Flow digests recorded from the retired monolithic CUBIC and LEDBAT
-   controllers, which the fold programs matched byte for byte. They
-   must keep reproducing them exactly. The "SHAPE/PROTO" entries are
-   the smoke shapes below. *)
+   controllers, which the fold programs matched byte for byte; the
+   dumbbell entries (and the outage/chaos smoke shapes) were recorded
+   again when the dumbbell became a one-hop chain. They must keep
+   reproducing them exactly. The "SHAPE/PROTO" entries are the smoke
+   shapes below. *)
 let golden =
   [
     ( "cubic dumbbell",
-      "dut sent=3240 acked=3061 lost=149 dup=68 bytes=4591500 \
-       rtt_n=3061 rtt_sum=153.80627424776685 first=0.030599999999999999 \
-       last=7.9800650659416075 done=- | peer sent=2057 acked=1973 \
-       lost=69 dup=24 bytes=2959500 rtt_n=1973 \
-       rtt_sum=107.53620872110325 first=1.0310650659421525 \
-       last=7.9992650659416054 done=-" );
+      "dut sent=3530 acked=3373 lost=114 dup=69 bytes=5059500 \
+       rtt_n=3373 rtt_sum=196.02911652676687 \
+       first=0.030615999999999997 last=7.9997055349537582 done=- | \
+       peer sent=1399 acked=1308 lost=66 dup=29 bytes=1962000 \
+       rtt_n=1308 rtt_sum=90.852609737045086 first=1.0306159999999998 \
+       last=7.9661055349537619 done=-" );
     ( "cubic chain",
       "dut sent=3300 acked=3109 lost=175 dup=0 bytes=4663500 rtt_n=3109 \
        rtt_sum=160.34555359999842 first=0.041930133333333335 \
@@ -293,12 +295,12 @@ let golden =
        rtt_sum=72.314567466665039 first=1.0423712000000001 \
        last=7.9907130666665518 done=-" );
     ( "ledbat dumbbell",
-      "dut sent=3140 acked=2991 lost=118 dup=54 bytes=4486500 \
-       rtt_n=2991 rtt_sum=162.59353679503937 first=0.030599999999999999 \
-       last=7.9975999999995091 done=- | peer sent=1589 acked=1491 \
-       lost=75 dup=30 bytes=2236500 rtt_n=1491 \
-       rtt_sum=91.647063847980888 first=1.0306 last=7.9375999999995157 \
-       done=-" );
+      "dut sent=1988 acked=1876 lost=88 dup=39 bytes=2814000 \
+       rtt_n=1876 rtt_sum=115.06951427415972 \
+       first=0.030615999999999997 last=7.9982565000172041 done=- | \
+       peer sent=2803 acked=2620 lost=141 dup=57 bytes=3930000 \
+       rtt_n=2620 rtt_sum=192.23322502101342 first=1.0306159999999998 \
+       last=7.9526565000172091 done=-" );
     ( "ledbat chain",
       "dut sent=2663 acked=2620 lost=26 dup=0 bytes=3930000 rtt_n=2620 \
        rtt_sum=114.90102239999911 first=0.041930133333333335 \
@@ -307,48 +309,48 @@ let golden =
        rtt_sum=117.62221386666292 first=1.0419301333333326 \
        last=7.9759898666665316 done=-" );
     ( "ledbat-25 dumbbell",
-      "dut sent=2815 acked=2678 lost=121 dup=53 bytes=4017000 \
-       rtt_n=2678 rtt_sum=121.9184363750077 first=0.030599999999999999 \
-       last=7.9977861613856822 done=- | peer sent=1826 acked=1729 \
-       lost=68 dup=30 bytes=2593500 rtt_n=1729 \
-       rtt_sum=101.92724698190695 first=1.0308000000000019 \
-       last=7.9857861613856835 done=-" );
+      "dut sent=2414 acked=2302 lost=74 dup=51 bytes=3453000 \
+       rtt_n=2302 rtt_sum=149.01055712215231 \
+       first=0.030615999999999997 last=7.9416522794982312 done=- | \
+       peer sent=2394 acked=2209 lost=154 dup=45 bytes=3313500 \
+       rtt_n=2209 rtt_sum=156.40164177368314 first=1.0306159999999998 \
+       last=7.9992522794982248 done=-" );
     ( "outage/cubic",
-      "a sent=3375 acked=3029 lost=346 dup=0 bytes=4543500 rtt_n=3029 \
-       rtt_sum=222.63379999999486 first=0.030599999999999999 \
-       last=4.0615999999999435 done=- | b sent=247 acked=224 lost=23 \
-       dup=0 bytes=336000 rtt_n=224 rtt_sum=15.803799999999056 \
-       first=0.5897999999999981 last=4.0201999999999245 done=-" );
+      "a sent=3388 acked=3045 lost=343 dup=0 bytes=4567500 rtt_n=3045 \
+       rtt_sum=222.67819999999088 first=0.030615999999999997 \
+       last=4.0616639999999427 done=- | b sent=231 acked=208 lost=23 \
+       dup=0 bytes=312000 rtt_n=208 rtt_sum=14.630655999999099 \
+       first=0.65406400000000287 last=4.0292639999999231 done=-" );
     ( "outage/ledbat",
-      "a sent=1619 acked=1573 lost=46 dup=0 bytes=2359500 rtt_n=1573 \
-       rtt_sum=55.963399999996852 first=0.030599999999999999 \
-       last=4.0387999999999229 done=- | b sent=793 acked=763 lost=30 \
-       dup=0 bytes=1144500 rtt_n=763 rtt_sum=27.189199999998067 \
-       first=0.53099999999999992 last=4.022599999999918 done=-" );
+      "a sent=1617 acked=1571 lost=46 dup=0 bytes=2356500 rtt_n=1571 \
+       rtt_sum=55.933807999997427 first=0.030615999999999997 \
+       last=4.0388399999999258 done=- | b sent=794 acked=764 lost=30 \
+       dup=0 bytes=1146000 rtt_n=764 rtt_sum=27.240399999998047 \
+       first=0.53127200000000019 last=4.0220399999999215 done=-" );
     ( "outage/ledbat-25",
-      "a sent=1572 acked=1528 lost=44 dup=0 bytes=2292000 rtt_n=1528 \
-       rtt_sum=51.902399999996476 first=0.030599999999999999 \
-       last=4.0375999999999248 done=- | b sent=811 acked=784 lost=27 \
-       dup=0 bytes=1176000 rtt_n=784 rtt_sum=29.112999999997996 \
-       first=0.53100000000000003 last=4.0261999999999203 done=-" );
+      "a sent=1573 acked=1529 lost=44 dup=0 bytes=2293500 rtt_n=1529 \
+       rtt_sum=51.944447999997081 first=0.030615999999999997 \
+       last=4.0376559999999291 done=- | b sent=809 acked=782 lost=27 \
+       dup=0 bytes=1173000 rtt_n=782 rtt_sum=29.088207999998279 \
+       first=0.53127200000000019 last=4.0256559999999251 done=-" );
     ( "chaos/cubic",
-      "a sent=2064 acked=1953 lost=111 dup=46 bytes=2929500 rtt_n=1953 \
-       rtt_sum=77.765062331100154 first=0.030599999999999999 \
-       last=4.0409999999999515 done=- | b sent=1601 acked=1541 lost=60 \
-       dup=23 bytes=2311500 rtt_n=1541 rtt_sum=69.49318893684017 \
-       first=0.53060000000000007 last=4.0169999999999515 done=-" );
+      "a sent=2362 acked=2249 lost=113 dup=44 bytes=3373500 rtt_n=2249 \
+       rtt_sum=76.880907420003169 first=0.030615999999999997 \
+       last=4.062345773253293 done=- | b sent=823 acked=784 lost=39 \
+       dup=14 bytes=1176000 rtt_n=784 rtt_sum=27.666775120203479 \
+       first=0.53178681221681445 last=4.0647457732532928 done=-" );
     ( "chaos/ledbat",
-      "a sent=1918 acked=1815 lost=103 dup=42 bytes=2722500 rtt_n=1815 \
-       rtt_sum=64.053951832999019 first=0.030599999999999999 \
-       last=4.0428321530707878 done=- | b sent=905 acked=863 lost=42 \
-       dup=16 bytes=1294500 rtt_n=863 rtt_sum=32.739721519214235 \
-       first=0.53120000000000012 last=4.0764321530707841 done=-" );
+      "a sent=1571 acked=1489 lost=82 dup=26 bytes=2233500 rtt_n=1489 \
+       rtt_sum=54.044247735937411 first=0.030615999999999997 \
+       last=4.0704931100233672 done=- | b sent=986 acked=932 lost=54 \
+       dup=18 bytes=1398000 rtt_n=932 rtt_sum=32.294135357840254 \
+       first=0.53127200000000019 last=4.0320931100233715 done=-" );
     ( "chaos/ledbat-25",
-      "a sent=1812 acked=1713 lost=99 dup=41 bytes=2569500 rtt_n=1713 \
-       rtt_sum=58.588087067333277 first=0.030599999999999999 \
-       last=4.041481200880086 done=- | b sent=827 acked=791 lost=36 \
-       dup=12 bytes=1186500 rtt_n=791 rtt_sum=29.61061589919721 \
-       first=0.53106975710950477 last=4.0510812008800849 done=-" );
+      "a sent=1388 acked=1310 lost=78 dup=25 bytes=1965000 rtt_n=1310 \
+       rtt_sum=43.846866721115958 first=0.030615999999999997 \
+       last=4.0377958058640706 done=- | b sent=1165 acked=1108 lost=57 \
+       dup=19 bytes=1662000 rtt_n=1108 rtt_sum=39.797332159960682 \
+       first=0.53127200000000019 last=4.0545958058640688 done=-" );
     ( "chain3/cubic",
       "a sent=1886 acked=1716 lost=170 dup=0 bytes=2574000 rtt_n=1716 \
        rtt_sum=102.20694506666955 first=0.041930133333333335 \

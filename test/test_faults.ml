@@ -88,12 +88,12 @@ let test_schedule_validation () =
 
 let test_noise_nondecreasing_precondition () =
   let n = Noise.create Noise.default_wifi ~rng:(Rng.create ~seed:2) in
-  ignore (Noise.ack_delivery_time n ~now:0.0 ~nominal:10.0);
+  ignore (Noise.ack_delivery_time n ~nominal:10.0);
   expect_invalid "decreasing nominal" (fun () ->
-      Noise.ack_delivery_time n ~now:0.0 ~nominal:5.0);
+      Noise.ack_delivery_time n ~nominal:5.0);
   (* Equal and slightly-larger nominals stay legal. *)
-  ignore (Noise.ack_delivery_time n ~now:0.0 ~nominal:10.0);
-  ignore (Noise.ack_delivery_time n ~now:0.0 ~nominal:10.001)
+  ignore (Noise.ack_delivery_time n ~nominal:10.0);
+  ignore (Noise.ack_delivery_time n ~nominal:10.001)
 
 (* ---------- Gilbert–Elliott loss ---------- *)
 
@@ -108,7 +108,7 @@ let test_ge_average_loss_formula () =
 
 let test_ge_empirical_loss_and_bursts () =
   let link =
-    Link.create
+    Round_trip.create
       (base ~loss:ge ~buffer:1_000_000_000 ())
       ~rng:(Rng.create ~seed:7)
   in
@@ -118,12 +118,12 @@ let test_ge_empirical_loss_and_bursts () =
   let in_burst = ref false in
   for i = 0 to n - 1 do
     (* Spaced sends: the queue never overflows, so every drop is GE. *)
-    match Link.transmit link ~now:(float_of_int i) ~size:1500 with
-    | Link.Dropped _ ->
+    match Round_trip.send link ~now:(float_of_int i) ~size:1500 with
+    | Round_trip.Dropped ->
         incr drops;
         if not !in_burst then incr bursts;
         in_burst := true
-    | Link.Delivered _ -> in_burst := false
+    | Round_trip.Delivered _ -> in_burst := false
   done;
   let rate = float_of_int !drops /. float_of_int n in
   let expected = Link.average_loss ge in
@@ -140,72 +140,110 @@ let test_outage_window () =
   let cfg =
     base ~schedule:[ (1.0, Link.Down { duration = 2.0; flush = false }) ] ()
   in
-  let link = Link.create cfg ~rng:(Rng.create ~seed:3) in
-  Alcotest.(check bool) "up before" false (Link.is_down link ~now:0.5);
-  (match Link.transmit link ~now:0.5 ~size:1500 with
-  | Link.Delivered _ -> ()
-  | Link.Dropped _ -> Alcotest.fail "dropped before outage");
-  Alcotest.(check bool) "down inside" true (Link.is_down link ~now:1.5);
-  (match Link.transmit link ~now:1.5 ~size:1500 with
-  | Link.Dropped { notify_time } ->
-      (* The sender learns only after the link is back up. *)
-      if notify_time < 3.0 then
-        Alcotest.failf "outage drop notified at %.3f, before window end"
-          notify_time
-  | Link.Delivered _ -> Alcotest.fail "delivered during outage");
-  Alcotest.(check bool) "up after" false (Link.is_down link ~now:3.5);
-  match Link.transmit link ~now:3.5 ~size:1500 with
-  | Link.Delivered _ -> ()
-  | Link.Dropped _ -> Alcotest.fail "dropped after outage"
+  let link = Round_trip.create cfg ~rng:(Rng.create ~seed:3) in
+  Alcotest.(check bool) "up before" false (Link.is_down link.fwd ~now:0.5);
+  (match Round_trip.send link ~now:0.5 ~size:1500 with
+  | Round_trip.Delivered _ -> ()
+  | Round_trip.Dropped -> Alcotest.fail "dropped before outage");
+  Alcotest.(check bool) "down inside" true (Link.is_down link.fwd ~now:1.5);
+  (match Round_trip.send link ~now:1.5 ~size:1500 with
+  | Round_trip.Dropped -> ()
+  | Round_trip.Delivered _ -> Alcotest.fail "delivered during outage");
+  Alcotest.(check bool) "up after" false (Link.is_down link.fwd ~now:3.5);
+  (match Round_trip.send link ~now:3.5 ~size:1500 with
+  | Round_trip.Delivered _ -> ()
+  | Round_trip.Dropped -> Alcotest.fail "dropped after outage");
+  (* Through the runner, with the buffer overfilled (20 Mbps into 10):
+     a packet refused inside the window is notified only after the link
+     is back up, one RTT after the window end at the earliest. *)
+  let losses =
+    Round_trip.losses cfg ~stop:4.0
+      ~factory:(Proteus_cc.Blaster.factory ~rate_mbps:20.0)
+      ~until:5.0
+  in
+  let in_window =
+    List.filter (fun (send, _) -> send >= 1.0 && send < 3.0) losses
+  in
+  if List.length in_window < 100 then
+    Alcotest.failf "only %d losses sent inside the outage" (List.length in_window);
+  List.iter
+    (fun (send, notify) ->
+      if notify < 3.0 +. 0.02 -. 1e-9 then
+        Alcotest.failf "drop sent at %.4f notified at %.4f, before window end"
+          send notify)
+    in_window
+
+(* A mirrored RTT step (both directions of the dumbbell, 20 -> 60 ms)
+   while every packet drops: nothing crosses the reverse link, yet a
+   drop after the step is notified after the new RTT, not a mix of old
+   and new propagation delays. *)
+let test_loss_notify_after_rtt_step () =
+  let cfg =
+    base ~loss_rate:1.0 ~schedule:[ (0.5, Link.Set_rtt 60.0) ] ()
+  in
+  let losses =
+    Round_trip.losses cfg ~stop:1.0
+      ~factory:(Proteus_cc.Blaster.factory ~rate_mbps:1.0)
+      ~until:2.0
+  in
+  let before = List.filter (fun (send, _) -> send < 0.5) losses in
+  let after = List.filter (fun (send, _) -> send >= 0.5) losses in
+  if before = [] || after = [] then Alcotest.fail "expected losses on both sides";
+  List.iter
+    (fun (send, notify) -> check_float "old RTT" 0.02 (notify -. send))
+    before;
+  List.iter
+    (fun (send, notify) -> check_float "new RTT" 0.06 (notify -. send))
+    after
 
 let test_outage_drain_shifts_departures () =
   (* A packet queued before a drain outage departs after the window. *)
   let cfg =
     base ~schedule:[ (0.001, Link.Down { duration = 1.0; flush = false }) ] ()
   in
-  let link = Link.create cfg ~rng:(Rng.create ~seed:4) in
+  let link = Round_trip.create cfg ~rng:(Rng.create ~seed:4) in
   (* 1500 B at 10 Mbps serializes in 1.2 ms, crossing the window start
      at 1 ms: the outage inserts a full 1 s pause. *)
-  match Link.transmit link ~now:0.0 ~size:1500 with
-  | Link.Delivered { ack_time; _ } ->
+  match Round_trip.send link ~now:0.0 ~size:1500 with
+  | Round_trip.Delivered { ack_time; _ } ->
       if ack_time < 1.0 then
         Alcotest.failf "queued packet delivered at %.4f, inside outage"
           ack_time
-  | Link.Dropped _ -> Alcotest.fail "drain outage must not drop the queue"
+  | Round_trip.Dropped -> Alcotest.fail "drain outage must not drop the queue"
 
 let test_outage_flush_discards_queue () =
   (* Same shape but [flush = true]: the queued packet is discarded. *)
   let cfg =
     base ~schedule:[ (0.001, Link.Down { duration = 1.0; flush = true }) ] ()
   in
-  let link = Link.create cfg ~rng:(Rng.create ~seed:4) in
-  match Link.transmit link ~now:0.0 ~size:1500 with
-  | Link.Dropped _ -> ()
-  | Link.Delivered _ -> Alcotest.fail "flush outage must drop the queue"
+  let link = Round_trip.create cfg ~rng:(Rng.create ~seed:4) in
+  match Round_trip.send link ~now:0.0 ~size:1500 with
+  | Round_trip.Dropped -> ()
+  | Round_trip.Delivered _ -> Alcotest.fail "flush outage must drop the queue"
 
 let test_bandwidth_step () =
   let cfg = base ~schedule:[ (1.0, Link.Set_bandwidth 20.0) ] () in
-  let link = Link.create cfg ~rng:(Rng.create ~seed:5) in
-  (match Link.transmit link ~now:0.0 ~size:1500 with
-  | Link.Delivered { rtt; _ } ->
-      check_float "10 Mbps serialization" 0.0212 rtt
-  | Link.Dropped _ -> Alcotest.fail "drop");
-  (match Link.transmit link ~now:2.0 ~size:1500 with
-  | Link.Delivered { rtt; _ } ->
-      check_float "20 Mbps serialization" 0.0206 rtt
-  | Link.Dropped _ -> Alcotest.fail "drop");
-  check_float "capacity updated" 2_500_000.0 (Link.capacity_bytes_per_sec link)
+  let link = Round_trip.create cfg ~rng:(Rng.create ~seed:5) in
+  (match Round_trip.send link ~now:0.0 ~size:1500 with
+  | Round_trip.Delivered { rtt; _ } ->
+      check_float "10 Mbps serialization" (0.0212 +. Round_trip.ack_ser 10.0) rtt
+  | Round_trip.Dropped -> Alcotest.fail "drop");
+  (match Round_trip.send link ~now:2.0 ~size:1500 with
+  | Round_trip.Delivered { rtt; _ } ->
+      check_float "20 Mbps serialization" (0.0206 +. Round_trip.ack_ser 20.0) rtt
+  | Round_trip.Dropped -> Alcotest.fail "drop");
+  check_float "capacity updated" 2_500_000.0 (Link.capacity_bytes_per_sec link.fwd)
 
 let test_bandwidth_step_preserves_backlog () =
   (* 10 packets queued at 10 Mbps; the rate doubles mid-queue. The
      unserved bytes at the change instant are re-served at 20 Mbps. *)
   let cfg = base ~schedule:[ (0.005, Link.Set_bandwidth 20.0) ] () in
-  let link = Link.create cfg ~rng:(Rng.create ~seed:5) in
+  let link = Round_trip.create cfg ~rng:(Rng.create ~seed:5) in
   for _ = 1 to 10 do
-    ignore (Link.transmit link ~now:0.0 ~size:1500)
+    ignore (Round_trip.send link ~now:0.0 ~size:1500)
   done;
   (* free_at = 0.012; unserved at 0.005 is 8750 B -> 3.5 ms at 20 Mbps. *)
-  check_float ~eps:1e-9 "requeued delay" 0.0035 (Link.queue_delay link ~now:0.005)
+  check_float ~eps:1e-9 "requeued delay" 0.0035 (Link.queue_delay link.fwd ~now:0.005)
 
 let test_rtt_step_keeps_acks_ordered () =
   (* An RTT reduction mid-run must not violate the Noise precondition
@@ -214,25 +252,25 @@ let test_rtt_step_keeps_acks_ordered () =
     base ~noise:Noise.default_wifi ~rtt:40.0
       ~schedule:[ (1.0, Link.Set_rtt 10.0) ] ()
   in
-  let link = Link.create cfg ~rng:(Rng.create ~seed:6) in
+  let link = Round_trip.create cfg ~rng:(Rng.create ~seed:6) in
   let n = 500 in
   for i = 0 to n - 1 do
     let now = float_of_int i *. 0.005 in
-    match Link.transmit link ~now ~size:1500 with
-    | Link.Delivered { rtt; _ } ->
+    match Round_trip.send link ~now ~size:1500 with
+    | Round_trip.Delivered { rtt; _ } ->
         if rtt <= 0.0 then Alcotest.failf "nonpositive rtt %.6f" rtt
-    | Link.Dropped _ -> ()
+    | Round_trip.Dropped -> ()
   done;
-  check_float "rtt updated" 0.01 (Link.base_rtt link)
+  check_float "rtt updated" 0.01 (Link.base_rtt link.fwd)
 
 let test_reordering_knob () =
   let cfg = base ~reorder_prob:1.0 ~reorder_extra_ms:5.0 ~buffer:1_000_000 () in
-  let link = Link.create cfg ~rng:(Rng.create ~seed:8) in
+  let link = Round_trip.create cfg ~rng:(Rng.create ~seed:8) in
   let acks = ref [] in
   for _ = 1 to 50 do
-    match Link.transmit link ~now:0.0 ~size:1500 with
-    | Link.Delivered { ack_time; _ } -> acks := ack_time :: !acks
-    | Link.Dropped _ -> Alcotest.fail "drop"
+    match Round_trip.send link ~now:0.0 ~size:1500 with
+    | Round_trip.Delivered { ack_time; _ } -> acks := ack_time :: !acks
+    | Round_trip.Dropped -> Alcotest.fail "drop"
   done;
   let acks = Array.of_list (List.rev !acks) in
   let out_of_order = ref false in
@@ -243,19 +281,19 @@ let test_reordering_knob () =
 
 let test_duplication_knob () =
   let cfg = base ~dup_prob:1.0 () in
-  let link = Link.create cfg ~rng:(Rng.create ~seed:9) in
-  (match Link.transmit link ~now:0.0 ~size:1500 with
-  | Link.Delivered { ack_time; dup_ack_time; _ } ->
+  let link = Round_trip.create cfg ~rng:(Rng.create ~seed:9) in
+  (match Round_trip.send link ~now:0.0 ~size:1500 with
+  | Round_trip.Delivered { ack_time; dup_ack_time; _ } ->
       if Float.is_nan dup_ack_time then Alcotest.fail "no duplicate";
       if dup_ack_time <= ack_time then
         Alcotest.fail "duplicate must trail the primary ACK"
-  | Link.Dropped _ -> Alcotest.fail "drop");
+  | Round_trip.Dropped -> Alcotest.fail "drop");
   let cfg0 = base () in
-  let link0 = Link.create cfg0 ~rng:(Rng.create ~seed:9) in
-  match Link.transmit link0 ~now:0.0 ~size:1500 with
-  | Link.Delivered { dup_ack_time; _ } ->
+  let link0 = Round_trip.create cfg0 ~rng:(Rng.create ~seed:9) in
+  match Round_trip.send link0 ~now:0.0 ~size:1500 with
+  | Round_trip.Delivered { dup_ack_time; _ } ->
       Alcotest.(check bool) "no dup by default" true (Float.is_nan dup_ack_time)
-  | Link.Dropped _ -> Alcotest.fail "drop"
+  | Round_trip.Dropped -> Alcotest.fail "drop"
 
 (* ---------- auditor unit tests ---------- *)
 
@@ -395,6 +433,93 @@ let test_runner_dup_and_reorder_audited () =
   Alcotest.(check int) "conservation"
     (Flow_stats.packets_sent st)
     (Flow_stats.packets_acked st + Flow_stats.packets_lost st)
+
+(* ---------- ACK knobs on a reverse hop of a two-hop chain ---------- *)
+
+module Trace = Proteus_obs.Trace
+
+(* One paced 5 Mbps flow end to end over a two-hop 10 Mbps chain whose
+   first reverse hop (link 3, the reverse of hop 1) is [rev] and whose
+   second forward hop is [fwd] (clean by default). The pacer
+   never builds a queue, so with clean links every RTT is the same.
+   Returns the primary ACKs' sequence numbers in delivery order, the
+   number of duplicate ACKs, and the RTT samples. *)
+let rev_hop_run ?fwd rev =
+  let cfg = base ~buffer:150_000 () in
+  let topo =
+    Topology.chain ~rev:[ cfg; rev ] [ cfg; Option.value fwd ~default:cfg ]
+  in
+  let trace = Trace.create ~capacity:(1 lsl 16) () in
+  let r = Runner.create_topo ~seed:5 ~trace topo in
+  let audit = Runner.attach_audit r in
+  let f =
+    Runner.add_flow r ~stop:3.0 ~label:"paced"
+      ~factory:(Proteus_cc.Blaster.factory ~rate_mbps:5.0)
+  in
+  Runner.run r ~until:4.0;
+  Audit.assert_quiesced audit;
+  Alcotest.(check int) "no trace drops" 0 (Trace.dropped trace);
+  let acks = ref [] and dups = ref 0 in
+  Trace.iter trace ~f:(fun (e : Trace.event) ->
+      match e.kind with
+      | Trace.Ack -> acks := e.seq :: !acks
+      | Trace.Dup_ack -> incr dups
+      | _ -> ());
+  let rtts = Flow_stats.rtt_samples (Runner.stats f) ~t0:0.0 ~t1:infinity in
+  (Array.of_list (List.rev !acks), !dups, rtts)
+
+let out_of_order seqs =
+  let n = ref 0 in
+  for i = 1 to Array.length seqs - 1 do
+    if seqs.(i) < seqs.(i - 1) then incr n
+  done;
+  !n
+
+let spread a = Array.fold_left Float.max a.(0) a -. Array.fold_left Float.min a.(0) a
+
+let test_rev_hop_clean () =
+  let seqs, dups, rtts = rev_hop_run (base ()) in
+  Alcotest.(check bool) "delivered" true (Array.length seqs > 500);
+  Alcotest.(check int) "in order" 0 (out_of_order seqs);
+  Alcotest.(check int) "no duplicates" 0 dups;
+  check_float ~eps:1e-9 "constant RTT" 0.0 (spread rtts)
+
+let test_rev_hop_noise () =
+  let _, _, rtts =
+    rev_hop_run (base ~noise:(Noise.Gaussian { sigma_ms = 3.0 }) ())
+  in
+  if spread rtts < 0.005 then
+    Alcotest.failf "reverse-hop noise left the RTT spread at %.6f s"
+      (spread rtts)
+
+let test_rev_hop_reorder () =
+  let seqs, _, _ =
+    rev_hop_run (base ~reorder_prob:0.2 ~reorder_extra_ms:8.0 ())
+  in
+  if out_of_order seqs = 0 then
+    Alcotest.fail "reverse-hop reordering delivered every ACK in order"
+
+let test_rev_hop_dup () =
+  let _, dups, _ = rev_hop_run (base ~dup_prob:0.1 ()) in
+  if dups = 0 then Alcotest.fail "reverse-hop dup knob produced no Dup_ack"
+
+(* An RTT cut on the reverse hop (80 ms -> 10 ms one round trip) would
+   let ACKs computed after the cut overtake earlier ones; the FIFO clamp
+   keeps the flow's ACKs in order while the RTT still drops. The same
+   cut on the forward hop as well (a mirrored link, as on a dumbbell)
+   relies on the forward wire's clamp too. *)
+let test_rev_hop_rtt_cut () =
+  let cut = base ~rtt:80.0 ~schedule:[ (1.0, Link.Set_rtt 10.0) ] () in
+  List.iter
+    (fun (what, fwd) ->
+      let seqs, _, rtts = rev_hop_run ?fwd cut in
+      Alcotest.(check int) (what ^ ": in order across the cut") 0
+        (out_of_order seqs);
+      let last = rtts.(Array.length rtts - 1) in
+      if last >= rtts.(0) -. 0.03 then
+        Alcotest.failf "%s: RTT did not drop after the cut (%.4f -> %.4f)"
+          what rtts.(0) last)
+    [ ("reverse hop", None); ("both directions", Some cut) ]
 
 (* ---------- pause/resume x finite flows (satellite) ---------- *)
 
@@ -595,6 +720,7 @@ let suite =
     ("noise precondition", `Quick, test_noise_nondecreasing_precondition);
     ("GE average formula", `Quick, test_ge_average_loss_formula);
     ("GE empirical loss/bursts", `Quick, test_ge_empirical_loss_and_bursts);
+    ("loss notify after RTT step", `Quick, test_loss_notify_after_rtt_step);
     ("outage window", `Quick, test_outage_window);
     ("outage drain", `Quick, test_outage_drain_shifts_departures);
     ("outage flush", `Quick, test_outage_flush_discards_queue);
@@ -614,6 +740,11 @@ let suite =
     ("audit trace bounded", `Quick, test_audit_trace_ring_bounded);
     ("runner outage gap", `Quick, test_runner_outage_gap_and_recovery);
     ("runner dup/reorder audited", `Quick, test_runner_dup_and_reorder_audited);
+    ("reverse hop: no knobs, no ACK effects", `Quick, test_rev_hop_clean);
+    ("reverse hop: noise widens RTT spread", `Quick, test_rev_hop_noise);
+    ("reverse hop: reordering", `Quick, test_rev_hop_reorder);
+    ("reverse hop: duplication", `Quick, test_rev_hop_dup);
+    ("reverse hop: RTT cut keeps ACK order", `Quick, test_rev_hop_rtt_cut);
     ("pause with in-flight bytes", `Quick, test_pause_with_bytes_in_flight);
     ("resume after stop", `Quick, test_resume_after_stop_sends_nothing);
     ("completion fires once", `Quick, test_completion_once_under_loss_and_pauses);

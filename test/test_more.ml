@@ -60,7 +60,7 @@ let test_wifi_spike_bounded () =
   let n = Net.Noise.create Net.Noise.default_wifi ~rng:(Rng.create ~seed:5) in
   for i = 1 to 20_000 do
     let nominal = float_of_int i *. 0.005 in
-    let extra = Net.Noise.ack_delivery_time n ~now:0.0 ~nominal -. nominal in
+    let extra = Net.Noise.ack_delivery_time n ~nominal -. nominal in
     (* Spike cap 60 ms + gate 25 ms + jitter: anything much beyond is a
        bug. *)
     if extra > 0.1 then Alcotest.failf "wifi extra %.4f too large" extra
@@ -71,7 +71,7 @@ let test_gaussian_zero_sigma_identity () =
     Net.Noise.create (Net.Noise.Gaussian { sigma_ms = 0.0 })
       ~rng:(Rng.create ~seed:5)
   in
-  check_float "identity" 3.0 (Net.Noise.ack_delivery_time n ~now:0.0 ~nominal:3.0)
+  check_float "identity" 3.0 (Net.Noise.ack_delivery_time n ~nominal:3.0)
 
 (* ---------- Workload interarrivals ---------- *)
 

@@ -24,25 +24,29 @@ let test_units_roundtrip () =
 let mk_link ?loss_rate ?noise ?(bw = 10.0) ?(rtt = 20.0) ?(buffer = 100_000) () =
   let cfg = Link.config ?loss_rate ?noise ~bandwidth_mbps:bw ~rtt_ms:rtt
       ~buffer_bytes:buffer () in
-  Link.create cfg ~rng:(Rng.create ~seed:5)
+  Round_trip.create cfg ~rng:(Rng.create ~seed:5)
+
+(* Every ACK pays its own 40 B serialization on the reverse link. *)
+let ack_ser = Round_trip.ack_ser 10.0
 
 let test_link_idle_rtt () =
   let link = mk_link () in
   (* 1500 B at 10 Mbps = 1.2 ms serialization; plus 20 ms RTT. *)
-  match Link.transmit link ~now:0.0 ~size:1500 with
-  | Link.Delivered { rtt; _ } -> check_float ~eps:1e-9 "idle rtt" 0.0212 rtt
-  | Link.Dropped _ -> Alcotest.fail "dropped on idle link"
+  match Round_trip.send link ~now:0.0 ~size:1500 with
+  | Round_trip.Delivered { rtt; _ } ->
+      check_float ~eps:1e-9 "idle rtt" (0.0212 +. ack_ser) rtt
+  | Round_trip.Dropped -> Alcotest.fail "dropped on idle link"
 
 let test_link_queueing_delay_accumulates () =
   let link = mk_link () in
   let r1 =
-    match Link.transmit link ~now:0.0 ~size:1500 with
-    | Link.Delivered { rtt; _ } -> rtt
+    match Round_trip.send link ~now:0.0 ~size:1500 with
+    | Round_trip.Delivered { rtt; _ } -> rtt
     | _ -> Alcotest.fail "drop"
   in
   let r2 =
-    match Link.transmit link ~now:0.0 ~size:1500 with
-    | Link.Delivered { rtt; _ } -> rtt
+    match Round_trip.send link ~now:0.0 ~size:1500 with
+    | Round_trip.Delivered { rtt; _ } -> rtt
     | _ -> Alcotest.fail "drop"
   in
   check_float ~eps:1e-9 "second packet queues" (r1 +. 0.0012) r2
@@ -51,29 +55,34 @@ let test_link_tail_drop () =
   (* Buffer of 3000 B: two packets fit (the first is in service), the
      third pushes the backlog past the buffer. *)
   let link = mk_link ~buffer:3000 () in
-  let send () = Link.transmit link ~now:0.0 ~size:1500 in
-  (match send () with Link.Delivered _ -> () | _ -> Alcotest.fail "p1");
-  (match send () with Link.Delivered _ -> () | _ -> Alcotest.fail "p2");
+  let send () = Round_trip.send link ~now:0.0 ~size:1500 in
+  (match send () with Round_trip.Delivered _ -> () | _ -> Alcotest.fail "p1");
+  (match send () with Round_trip.Delivered _ -> () | _ -> Alcotest.fail "p2");
   match send () with
-  | Link.Dropped _ -> ()
-  | Link.Delivered _ -> Alcotest.fail "third packet should tail-drop"
+  | Round_trip.Dropped -> ()
+  | Round_trip.Delivered _ -> Alcotest.fail "third packet should tail-drop"
 
 let test_link_queue_drains () =
   let link = mk_link ~buffer:3000 () in
-  ignore (Link.transmit link ~now:0.0 ~size:1500);
-  ignore (Link.transmit link ~now:0.0 ~size:1500);
+  ignore (Round_trip.send link ~now:0.0 ~size:1500);
+  ignore (Round_trip.send link ~now:0.0 ~size:1500);
   (* After 2 serialization times the queue is empty again. *)
-  match Link.transmit link ~now:0.01 ~size:1500 with
-  | Link.Delivered { rtt; _ } -> check_float ~eps:1e-9 "drained" 0.0212 rtt
-  | Link.Dropped _ -> Alcotest.fail "dropped after drain"
+  match Round_trip.send link ~now:0.01 ~size:1500 with
+  | Round_trip.Delivered { rtt; _ } ->
+      check_float ~eps:1e-9 "drained" (0.0212 +. ack_ser) rtt
+  | Round_trip.Dropped -> Alcotest.fail "dropped after drain"
 
 let test_link_backlog_accounting () =
-  let link = mk_link () in
+  let rt = mk_link () in
+  let link = rt.Round_trip.fwd in
   check_float "empty backlog" 0.0 (Link.backlog_bytes link ~now:0.0);
-  ignore (Link.transmit link ~now:0.0 ~size:1500);
-  ignore (Link.transmit link ~now:0.0 ~size:1500);
+  ignore (Round_trip.send rt ~now:0.0 ~size:1500);
+  ignore (Round_trip.send rt ~now:0.0 ~size:1500);
   check_float ~eps:1.0 "backlog 3000" 3000.0 (Link.backlog_bytes link ~now:0.0);
-  check_float ~eps:1e-9 "queue delay" 0.0024 (Link.queue_delay link ~now:0.0)
+  check_float ~eps:1e-9 "queue delay" 0.0024 (Link.queue_delay link ~now:0.0);
+  (* ACKs never queue-build on the reverse link. *)
+  check_float "reverse backlog" 0.0
+    (Link.backlog_bytes rt.Round_trip.rev ~now:0.0)
 
 let test_link_random_loss_rate () =
   let link = mk_link ~loss_rate:0.3 ~buffer:100_000_000 () in
@@ -81,33 +90,44 @@ let test_link_random_loss_rate () =
   let n = 20_000 in
   for i = 0 to n - 1 do
     (* Space sends out so the queue never drops. *)
-    match Link.transmit link ~now:(float_of_int i) ~size:1500 with
-    | Link.Dropped _ -> incr drops
-    | Link.Delivered _ -> ()
+    match Round_trip.send link ~now:(float_of_int i) ~size:1500 with
+    | Round_trip.Dropped -> incr drops
+    | Round_trip.Delivered _ -> ()
   done;
   let rate = float_of_int !drops /. float_of_int n in
   if Float.abs (rate -. 0.3) > 0.02 then
     Alcotest.failf "loss rate %.3f far from 0.3" rate
 
 let test_link_loss_notification_after_rtt () =
-  let link = mk_link ~loss_rate:1.0 () in
-  match Link.transmit link ~now:1.0 ~size:1500 with
-  | Link.Dropped { notify_time } ->
-      if notify_time < 1.02 then
-        Alcotest.failf "loss notified too early: %f" notify_time
-  | Link.Delivered _ -> Alcotest.fail "should drop with p=1"
+  (* Through the runner: with p = 1 nothing is ever queued, so each
+     drop is notified exactly one RTT (20 ms) after its send. *)
+  let cfg =
+    Link.config ~loss_rate:1.0 ~bandwidth_mbps:10.0 ~rtt_ms:20.0
+      ~buffer_bytes:100_000 ()
+  in
+  let losses =
+    Round_trip.losses cfg ~stop:0.1
+      ~factory:(Proteus_cc.Blaster.factory ~rate_mbps:1.0)
+      ~until:1.0
+  in
+  Alcotest.(check bool) "every packet lost" true (List.length losses > 5);
+  List.iter
+    (fun (send, notify) ->
+      check_float ~eps:1e-12 "notified one RTT after send" 0.02
+        (notify -. send))
+    losses
 
 (* ---------- Noise ---------- *)
 
 let test_noise_none_identity () =
   let n = Noise.create Noise.None_ ~rng:(Rng.create ~seed:1) in
-  check_float "identity" 42.0 (Noise.ack_delivery_time n ~now:0.0 ~nominal:42.0)
+  check_float "identity" 42.0 (Noise.ack_delivery_time n ~nominal:42.0)
 
 let test_noise_delays_only () =
   let n = Noise.create Noise.default_wifi ~rng:(Rng.create ~seed:2) in
   for i = 1 to 1000 do
     let nominal = float_of_int i *. 0.01 in
-    let d = Noise.ack_delivery_time n ~now:0.0 ~nominal in
+    let d = Noise.ack_delivery_time n ~nominal in
     if d < nominal -. 1e-12 then Alcotest.fail "noise delivered early"
   done
 
@@ -118,7 +138,7 @@ let test_noise_gaussian_magnitude () =
   let extras =
     Array.init 2000 (fun i ->
         let nominal = float_of_int i in
-        Noise.ack_delivery_time n ~now:0.0 ~nominal -. nominal)
+        Noise.ack_delivery_time n ~nominal -. nominal)
   in
   let mean = Proteus_stats.Descriptive.mean extras in
   (* |N(0, 2ms)| has mean sigma*sqrt(2/pi) ~ 1.6 ms *)

@@ -48,7 +48,7 @@ let run_scenario ~trace () =
 
 let test_seeded_parity_on_off () =
   let off = run_scenario ~trace:Trace.disabled () in
-  let bus = Trace.create () in
+  let bus = Trace.create ~capacity:(1 lsl 18) () in
   let on = run_scenario ~trace:bus () in
   let s0, a0, l0, b0, d0 = off and s1, a1, l1, b1, d1 = on in
   Alcotest.(check int) "sent" s0 s1;
@@ -56,7 +56,8 @@ let test_seeded_parity_on_off () =
   Alcotest.(check int) "lost" l0 l1;
   Alcotest.(check (float 0.0)) "bytes" b0 b1;
   Alcotest.(check (list int)) "post-run rng draws" d0 d1;
-  Alcotest.(check bool) "traced something" true (Trace.total_emitted bus > 0)
+  Alcotest.(check bool) "traced something" true (Trace.total_emitted bus > 0);
+  Alcotest.(check int) "no trace drops" 0 (Trace.dropped bus)
 
 (* ---------- ring wraparound ---------- *)
 
@@ -153,6 +154,7 @@ let test_trace_export_shapes () =
   in
   let lines = String.split_on_char '\n' (String.trim jsonl) in
   Alcotest.(check int) "one line per event" 2 (List.length lines);
+  Alcotest.(check int) "no trace drops" 0 (Trace.dropped tr);
   let first = List.hd lines in
   let has needle s =
     let nl = String.length needle and sl = String.length s in
@@ -222,6 +224,29 @@ let test_runner_wheel_counters () =
     (Sim.wheel_ticks (Net.Runner.sim r))
     ticks
 
+(* One metrics name for every topology: a dumbbell exports the backlog
+   of its forward link 0 and reverse link 1. *)
+let test_dumbbell_metric_keys () =
+  let cfg =
+    Net.Link.config ~bandwidth_mbps:20.0 ~rtt_ms:30.0 ~buffer_bytes:150_000 ()
+  in
+  let r = Net.Runner.create ~seed:3 cfg in
+  ignore
+    (Net.Runner.add_flow r ~label:"a" ~factory:(Proteus_cc.Cubic.factory ()));
+  Net.Runner.run r ~until:0.5;
+  let reg = Metrics.create () in
+  Net.Runner.snapshot_metrics r reg;
+  let links =
+    List.rev
+      (Metrics.fold reg ~init:[] ~f:(fun acc e ->
+           let n = Metrics.entry_name e in
+           if String.length n > 5 && String.sub n 0 5 = "link." then n :: acc
+           else acc))
+  in
+  Alcotest.(check (list string)) "link keys"
+    [ "link.0.backlog-bytes"; "link.1.backlog-bytes" ]
+    links
+
 let suite =
   [
     Alcotest.test_case "disabled no-op" `Quick test_disabled_noop;
@@ -235,4 +260,5 @@ let suite =
     Alcotest.test_case "sim counters" `Quick test_sim_counters;
     Alcotest.test_case "runner wheel counters" `Quick
       test_runner_wheel_counters;
+    Alcotest.test_case "dumbbell metric keys" `Quick test_dumbbell_metric_keys;
   ]

@@ -57,13 +57,13 @@ let prop_link_fifo =
         Net.Link.config ~bandwidth_mbps:10.0 ~rtt_ms:20.0
           ~buffer_bytes:10_000_000 ()
       in
-      let link = Net.Link.create cfg ~rng:(Rng.create ~seed:1) in
+      let link = Round_trip.create cfg ~rng:(Rng.create ~seed:1) in
       let acks =
         List.filter_map
           (fun size ->
-            match Net.Link.transmit link ~now:0.0 ~size with
-            | Net.Link.Delivered { ack_time; _ } -> Some ack_time
-            | Net.Link.Dropped _ -> None)
+            match Round_trip.send link ~now:0.0 ~size with
+            | Round_trip.Delivered { ack_time; _ } -> Some ack_time
+            | Round_trip.Dropped -> None)
           sizes
       in
       let rec nondecreasing = function
@@ -80,15 +80,16 @@ let prop_link_rtt_at_least_base =
       let cfg =
         Net.Link.config ~bandwidth_mbps:bw ~rtt_ms ~buffer_bytes:1_000_000 ()
       in
-      let link = Net.Link.create cfg ~rng:(Rng.create ~seed:1) in
-      match Net.Link.transmit link ~now:0.0 ~size:1500 with
-      | Net.Link.Delivered { rtt; _ } ->
+      let link = Round_trip.create cfg ~rng:(Rng.create ~seed:1) in
+      match Round_trip.send link ~now:0.0 ~size:1500 with
+      | Round_trip.Delivered { rtt; _ } ->
           let expected =
             Net.Units.ms rtt_ms
             +. (1500.0 /. Net.Units.mbps_to_bytes_per_sec bw)
+            +. Round_trip.ack_ser bw
           in
           Float.abs (rtt -. expected) < 1e-9
-      | Net.Link.Dropped _ -> false)
+      | Round_trip.Dropped -> false)
 
 let prop_runner_conserves_packets =
   QCheck.Test.make ~name:"every sent packet is acked or lost exactly once"
@@ -127,7 +128,7 @@ let test_wifi_gate_orders_acks () =
   let violations = ref 0 in
   for i = 1 to 5000 do
     let nominal = float_of_int i *. 0.002 in
-    let d = Net.Noise.ack_delivery_time n ~now:0.0 ~nominal in
+    let d = Net.Noise.ack_delivery_time n ~nominal in
     (* Jitter can reorder slightly, but the gate may only delay. *)
     if d < nominal then incr violations;
     prev := d
@@ -145,7 +146,7 @@ let test_lte_quantizes_to_frames () =
            outage_max_ms = 0.0 })
       ~rng:(Rng.create ~seed:1)
   in
-  let d = Net.Noise.ack_delivery_time n ~now:0.0 ~nominal:0.00137 in
+  let d = Net.Noise.ack_delivery_time n ~nominal:0.00137 in
   if Float.abs (d -. 0.002) > 1e-9 then
     Alcotest.failf "not frame-aligned: %f" d
 
@@ -153,7 +154,7 @@ let test_lte_never_early_and_bounded () =
   let n = Net.Noise.create Net.Noise.default_lte ~rng:(Rng.create ~seed:2) in
   for i = 1 to 5000 do
     let nominal = float_of_int i *. 0.003 in
-    let d = Net.Noise.ack_delivery_time n ~now:0.0 ~nominal in
+    let d = Net.Noise.ack_delivery_time n ~nominal in
     if d < nominal then Alcotest.fail "lte delivered early";
     if d > nominal +. 0.06 then Alcotest.failf "lte delay too large: %f" (d -. nominal)
   done

@@ -203,11 +203,11 @@ let test_chains_parity () =
   Alcotest.(check int) "both components materialised" 2 (Shard.num_shards sh2)
 
 (* Golden pin: MD5 of the two-shard farm digest, recorded when the
-   simulator still had a heap-only kernel mode and reproduced by it. A
-   change here means events fire in a different order. *)
+   dumbbell became a one-hop chain. A change here means events fire in
+   a different order. *)
 let test_farm_golden () =
   let d, _ = run_digest ~shards:2 (farm 2) in
-  Alcotest.(check string) "farm digest MD5" "f6c6904430c605e2603b578c084065b0"
+  Alcotest.(check string) "farm digest MD5" "96136a438019ccdfb348b5a8c8e4078b"
     (Digest.to_hex (Digest.string d))
 
 let test_epoch_invariance () =

@@ -13,9 +13,10 @@ let test_blaster_completion_time () =
      empty link, 20 ms RTT.
 
      Packet i (0-based) departs the sender at i * 1.2 ms (pacing),
-     serializes in 0.12 ms, and its ACK arrives 20 ms later. The last
-     packet is sent at 10.8 ms, so completion = 10.8 + 0.12 + 20 =
-     30.92 ms. *)
+     serializes in 0.12 ms, and its ACK arrives 20 ms later, after its
+     own 40 B serialization on the reverse link (3.2 us). The last
+     packet is sent at 10.8 ms, so completion = 10.8 + 0.12 + 20 +
+     0.0032 = 30.9232 ms. *)
   let cfg =
     Net.Link.config ~bandwidth_mbps:100.0 ~rtt_ms:20.0 ~buffer_bytes:1_000_000
       ()
@@ -26,7 +27,7 @@ let test_blaster_completion_time () =
       ~factory:(Proteus_cc.Blaster.factory ~rate_mbps:10.0)
   in
   Net.Runner.run r ~until:1.0;
-  check_float ~eps:1e-9 "completion" 0.03092
+  check_float ~eps:1e-9 "completion" 0.0309232
     (Option.get (Net.Runner.completion_time f))
 
 let test_queueing_rtt_progression () =
@@ -36,15 +37,17 @@ let test_queueing_rtt_progression () =
     Net.Link.config ~bandwidth_mbps:10.0 ~rtt_ms:20.0 ~buffer_bytes:1_000_000
       ()
   in
-  let link = Net.Link.create cfg ~rng:(Proteus_stats.Rng.create ~seed:1) in
+  let link = Round_trip.create cfg ~rng:(Proteus_stats.Rng.create ~seed:1) in
+  (* Each ACK adds its own 40 B serialization on the reverse link. *)
+  let ack_ser = Round_trip.ack_ser 10.0 in
   for i = 0 to 9 do
-    match Net.Link.transmit link ~now:0.0 ~size:1500 with
-    | Net.Link.Delivered { rtt; _ } ->
+    match Round_trip.send link ~now:0.0 ~size:1500 with
+    | Round_trip.Delivered { rtt; _ } ->
         check_float ~eps:1e-12
           (Printf.sprintf "rtt of packet %d" i)
-          ((float_of_int (i + 1) *. 0.0012) +. 0.02)
+          ((float_of_int (i + 1) *. 0.0012) +. 0.02 +. ack_ser)
           rtt
-    | Net.Link.Dropped _ -> Alcotest.fail "no drop expected"
+    | Round_trip.Dropped -> Alcotest.fail "no drop expected"
   done
 
 let test_exact_drop_boundary () =
@@ -53,28 +56,32 @@ let test_exact_drop_boundary () =
   let cfg =
     Net.Link.config ~bandwidth_mbps:10.0 ~rtt_ms:20.0 ~buffer_bytes:4500 ()
   in
-  let link = Net.Link.create cfg ~rng:(Proteus_stats.Rng.create ~seed:1) in
+  let link = Round_trip.create cfg ~rng:(Proteus_stats.Rng.create ~seed:1) in
   let outcomes =
     List.init 4 (fun _ ->
-        match Net.Link.transmit link ~now:0.0 ~size:1500 with
-        | Net.Link.Delivered _ -> `D
-        | Net.Link.Dropped _ -> `X)
+        match Round_trip.send link ~now:0.0 ~size:1500 with
+        | Round_trip.Delivered _ -> `D
+        | Round_trip.Dropped -> `X)
   in
   Alcotest.(check bool) "3 in, 4th dropped" true (outcomes = [ `D; `D; `D; `X ])
 
 let test_loss_notification_timing () =
-  (* With the queue holding 2 packets (2.4 ms backlog) on a 20 ms RTT
-     link, a drop at t is notified at t + 2.4 ms + 20 ms. *)
+  (* Through the runner: three packets leave back to back (a 100 Gbps
+     pacer) onto a 10 Mbps / 20 ms link with a 3000 B buffer. Two fill
+     the queue (2.4 ms backlog), the third drops and is notified when
+     that backlog has drained plus one RTT: at 2.4 ms + 20 ms. *)
   let cfg =
     Net.Link.config ~bandwidth_mbps:10.0 ~rtt_ms:20.0 ~buffer_bytes:3000 ()
   in
-  let link = Net.Link.create cfg ~rng:(Proteus_stats.Rng.create ~seed:1) in
-  ignore (Net.Link.transmit link ~now:0.0 ~size:1500);
-  ignore (Net.Link.transmit link ~now:0.0 ~size:1500);
-  match Net.Link.transmit link ~now:0.0 ~size:1500 with
-  | Net.Link.Dropped { notify_time } ->
-      check_float ~eps:1e-12 "notify" (0.0024 +. 0.02) notify_time
-  | Net.Link.Delivered _ -> Alcotest.fail "expected drop"
+  match
+    Round_trip.losses cfg ~stop:3e-7
+      ~factory:(Proteus_cc.Blaster.factory ~rate_mbps:100_000.0)
+      ~until:1.0
+  with
+  | (send, notify) :: _ ->
+      if send >= 3e-7 then Alcotest.failf "first loss sent at %g" send;
+      check_float ~eps:1e-12 "notify" (0.0024 +. 0.02) notify
+  | [] -> Alcotest.fail "expected drop"
 
 let test_finite_flow_last_packet_size () =
   (* 3100 bytes = 1500 + 1500 + 100: three packets exactly. *)
