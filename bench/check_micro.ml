@@ -11,7 +11,11 @@
    entries:
 
      check_micro.exe BASELINE.json FRESH.json
-       [--threshold 0.25] [--tol key=frac]...
+       [--threshold 0.25] [--tol key=frac]... [--words ROW=MAX]...
+
+   [--words ROW=MAX] also gates allocation: the fresh run's
+   minor_words_per_run for the row named ROW (with or without its
+   "group/" prefix) must be at most MAX.
 
    The parser is deliberately minimal (no JSON dependency): it extracts
    the flat {"key": number} pairs inside the headline object the bench
@@ -54,15 +58,58 @@ let headline path =
              | None -> None)
          | _ -> None)
 
+(* [(name, minor words per run)] for every result row of a
+   BENCH_micro.json; [None] where the file says null. *)
+let word_rows path =
+  let row =
+    Str.regexp
+      {|"name": "\([^"]*\)".*"minor_words_per_run": \([-+.0-9eE]+\|null\)|}
+  in
+  String.split_on_char '\n' (read_file path)
+  |> List.filter_map (fun line ->
+         match Str.search_forward row line 0 with
+         | _ ->
+             Some
+               ( Str.matched_group 1 line,
+                 float_of_string_opt (Str.matched_group 2 line) )
+         | exception Not_found -> None)
+
+let row_matches ~row name =
+  name = row
+  ||
+  let suffix = "/" ^ row in
+  let n = String.length name and k = String.length suffix in
+  n >= k && String.sub name (n - k) k = suffix
+
+(* Every --words gate; true when all hold. *)
+let check_words path gates =
+  let rows = word_rows path in
+  List.fold_left
+    (fun ok (row, max_words) ->
+      match List.find_opt (fun (name, _) -> row_matches ~row name) rows with
+      | None ->
+          Printf.printf "  words %-30s MISSING from fresh run\n" row;
+          false
+      | Some (_, None) ->
+          Printf.printf "  words %-30s no reading in fresh run\n" row;
+          false
+      | Some (_, Some w) ->
+          let bad = w > max_words in
+          Printf.printf "  words %-30s %10.1f  (max %.1f)%s\n" row w max_words
+            (if bad then "  REGRESSION" else "");
+          ok && not bad)
+    true (List.rev gates)
+
 let usage () =
   prerr_endline
     "usage: check_micro BASELINE.json FRESH.json [--threshold 0.25] [--tol \
-     key=frac]...";
+     key=frac]... [--words ROW=MAX]...";
   exit 2
 
 let () =
   let threshold = ref 0.25 in
   let tols : (string * float) list ref = ref [] in
+  let words : (string * float) list ref = ref [] in
   let paths = ref [] in
   let rec parse = function
     | [] -> ()
@@ -89,7 +136,22 @@ let () =
         | None ->
             Printf.eprintf "check_micro: --tol expects key=frac, got %S\n" kv;
             exit 2)
-    | [ ("--threshold" | "--tol") ] -> usage ()
+    | "--words" :: kv :: rest -> (
+        match String.rindex_opt kv '=' with
+        | Some i -> (
+            let row = String.sub kv 0 i in
+            let max = String.sub kv (i + 1) (String.length kv - i - 1) in
+            match float_of_string_opt max with
+            | Some v when v >= 0.0 && row <> "" ->
+                words := (row, v) :: !words;
+                parse rest
+            | _ ->
+                Printf.eprintf "check_micro: bad --words bound in %S\n" kv;
+                exit 2)
+        | None ->
+            Printf.eprintf "check_micro: --words expects ROW=MAX, got %S\n" kv;
+            exit 2)
+    | [ ("--threshold" | "--tol" | "--words") ] -> usage ()
     | p :: rest ->
         paths := p :: !paths;
         parse rest
@@ -126,6 +188,10 @@ let () =
     baseline;
   if !failed then begin
     Printf.eprintf "check_micro: headline regressed beyond tolerance\n";
+    exit 1
+  end;
+  if not (check_words fresh_path !words) then begin
+    Printf.eprintf "check_micro: a row allocates more than its --words bound\n";
     exit 1
   end;
   Printf.printf "check_micro: headline within tolerance of baseline\n"

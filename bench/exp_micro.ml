@@ -4,10 +4,14 @@
    bottlenecks.
 
    Besides wall-clock (ns/run) this measures the minor-heap allocation
-   witness (words/run). Every micro is measured [rounds] times and the
+   witness (words/run). Every micro is timed [rounds] times and the
    best (minimum) estimate is reported together with its spread
    ((max - min) / min), so `BENCH_micro.json` deltas are trustworthy on
-   a noisy machine. The sim-second micros additionally roll up into a
+   a noisy machine. Words are counted with [Gc.minor_words] around
+   [word_runs] runs: bechamel's [minor_allocated] reads
+   [Gc.quick_stat], whose counter moves only at minor collections on
+   OCaml 5, so a micro that allocates less than a minor heap per
+   sample read 0. The sim-second micros additionally roll up into a
    `sim_seconds_per_wall_second` headline — the number ROADMAP item 3
    tracks. *)
 
@@ -17,42 +21,49 @@ module Heap = Proteus_eventsim.Heap
 module Sim = Proteus_eventsim.Sim
 
 let rounds = 9
+let word_runs = 50
+
+(* A micro is a name and one run of its body; the bodies keep their
+   state (heaps, links, auditors) across runs to measure the steady
+   state. *)
+type micro = { name : string; body : unit -> unit }
 
 (* The heap and slot are reused across runs to exercise the steady
-   state: push/pop through the SoA arrays + pop_into must not allocate. *)
-let heap_test =
+   state: push/pop through the SoA arrays + pop_into. Half the row's
+   words are the [~time] float boxed for each (not inlined) push. *)
+let heap_micro =
   let h : int Heap.t = Heap.create () in
   let slot = Heap.make_slot ~time:0.0 0 in
-  Test.make ~name:"heap push+pop x100"
-    (Staged.stage (fun () ->
-         for i = 0 to 99 do
-           Heap.push h ~time:(float_of_int (i * 7919 mod 100)) i
-         done;
-         for _ = 0 to 99 do
-           ignore (Heap.pop_into h slot)
-         done))
+  { name = "heap push+pop x100";
+    body = (fun () ->
+      for i = 0 to 99 do
+        Heap.push h ~time:(float_of_int (i * 7919 mod 100)) i
+      done;
+      for _ = 0 to 99 do
+        ignore (Heap.pop_into h slot)
+      done) }
 
 (* Steady-state event kernel: schedule 100 events through the pooled
    at_fn fast path and drain them. The sim is reused, so every event
    recycles a free-list cell. *)
-let sim_kernel_test =
+let sim_kernel_micro =
   let sim = Sim.create () in
   let sink = ref 0 in
   let bump i = sink := !sink + i in
-  Test.make ~name:"sim at_fn schedule+fire x100"
-    (Staged.stage (fun () ->
-         let base = Sim.now sim in
-         for i = 0 to 99 do
-           Sim.at_fn sim
-             ~time:(base +. (float_of_int (i * 7919 mod 100) *. 1e-6))
-             ~fn:bump ~arg:i
-         done;
-         Sim.run sim))
+  { name = "sim at_fn schedule+fire x100";
+    body = (fun () ->
+      let base = Sim.now sim in
+      for i = 0 to 99 do
+        Sim.at_fn sim
+          ~time:(base +. (float_of_int (i * 7919 mod 100) *. 1e-6))
+          ~fn:bump ~arg:i
+      done;
+      Sim.run sim) }
 
 (* A dumbbell's per-packet link work: admission to the forward link,
    then the ACK across the reverse link. The links persist across runs,
    so the clock keeps advancing (1 ms per packet: no queue builds). *)
-let link_test =
+let link_micro =
   let cfg =
     Net.Link.config ~bandwidth_mbps:100.0 ~rtt_ms:30.0 ~buffer_bytes:375_000 ()
   in
@@ -60,31 +71,58 @@ let link_test =
   let fwd = Net.Link.create cfg ~rng in
   let rev = Net.Link.create cfg ~rng in
   let pkt = [| 0.0; 0.0 |] and clock = [| 0.0 |] in
-  Test.make ~name:"link forward+ack x100"
-    (Staged.stage (fun () ->
-         for _ = 0 to 99 do
-           let now = clock.(0) +. 0.001 in
-           clock.(0) <- now;
-           if Net.Link.forward fwd ~now ~size:1500 ~out:pkt then begin
-             pkt.(1) <- Float.nan;
-             Net.Link.ack_transit rev ~now ~ack:pkt
-           end
-         done))
+  { name = "link forward+ack x100";
+    body = (fun () ->
+      for _ = 0 to 99 do
+        let now = clock.(0) +. 0.001 in
+        clock.(0) <- now;
+        if Net.Link.forward fwd ~now ~size:1500 ~out:pkt then begin
+          pkt.(1) <- Float.nan;
+          Net.Link.ack_transit rev ~now ~ack:pkt
+        end
+      done) }
 
-let mi_test =
-  Test.make ~name:"MI metrics (50 samples)"
-    (Staged.stage (fun () ->
-         let mi = Proteus.Mi.create ~id:0 ~target_rate:125_000.0 ~start_time:0.0 in
-         for i = 0 to 49 do
-           Proteus.Mi.record_sent mi ~size:1500;
-           Proteus.Mi.record_ack mi
-             ~send_time:(float_of_int i *. 0.001)
-             ~rtt:(Some (0.03 +. (0.0001 *. float_of_int (i mod 7))))
-         done;
-         Proteus.Mi.close mi ~end_time:0.05;
-         ignore (Proteus.Mi.metrics mi)))
+(* The auditor's per-packet work as the runner feeds it: send, enter and
+   leave one hop, ACK, and a backlog observation after the send and
+   after the ACK. A 32-packet window stays in flight, so the in-flight
+   set probes and deletes in its steady state (no growth). *)
+let audit_micro =
+  let window = 32 in
+  let a = Net.Audit.create () in
+  let flow = Net.Audit.register_flow a ~label:"micro" in
+  for seq = 0 to window - 1 do
+    Net.Audit.on_sent a ~flow ~seq ~size:1500 ~now:0.0
+  done;
+  let next = ref window and clock = [| 0.0 |] in
+  { name = "audit packet x100";
+    body = (fun () ->
+      for _ = 0 to 99 do
+        let now = clock.(0) +. 0.001 in
+        clock.(0) <- now;
+        let seq = !next in
+        next := seq + 1;
+        Net.Audit.on_sent a ~flow ~seq ~size:1500 ~now;
+        Net.Audit.observe_backlog a ~backlog:1500.0 ~now;
+        Net.Audit.on_hop_enter a ~link:0 ~now;
+        Net.Audit.on_hop_exit a ~link:0 ~now;
+        Net.Audit.on_ack a ~flow ~seq:(seq - window) ~size:1500 ~now;
+        Net.Audit.observe_backlog a ~backlog:0.0 ~now
+      done) }
 
-let utility_test =
+let mi_micro =
+  { name = "MI metrics (50 samples)";
+    body = (fun () ->
+      let mi = Proteus.Mi.create ~id:0 ~target_rate:125_000.0 ~start_time:0.0 in
+      for i = 0 to 49 do
+        Proteus.Mi.record_sent mi ~size:1500;
+        Proteus.Mi.record_ack mi
+          ~send_time:(float_of_int i *. 0.001)
+          ~rtt:(Some (0.03 +. (0.0001 *. float_of_int (i mod 7))))
+      done;
+      Proteus.Mi.close mi ~end_time:0.05;
+      ignore (Proteus.Mi.metrics mi)) }
+
+let utility_micro =
   let u = Proteus.Utility.proteus_s () in
   let m =
     {
@@ -99,11 +137,11 @@ let utility_test =
       duration = 0.05;
     }
   in
-  Test.make ~name:"utility eval x100"
-    (Staged.stage (fun () ->
-         for _ = 0 to 99 do
-           ignore (Proteus.Utility.eval u m)
-         done))
+  { name = "utility eval x100";
+    body = (fun () ->
+      for _ = 0 to 99 do
+        ignore (Proteus.Utility.eval u m)
+      done) }
 
 (* ---------- sim-second micros (the headline) ----------
 
@@ -116,44 +154,62 @@ let utility_test =
 let two_flow_name = "1 sim-second, 2 flows @50Mbps"
 let many_flow_name = "1 sim-second, 64 flows @500Mbps"
 
-let two_flow_test =
-  Test.make ~name:two_flow_name
-    (Staged.stage (fun () ->
-         let cfg =
-           Net.Link.config ~bandwidth_mbps:50.0 ~rtt_ms:30.0
-             ~buffer_bytes:375_000 ()
-         in
-         let r = Net.Runner.create cfg in
-         ignore
-           (Net.Runner.add_flow r ~label:"a"
-              ~factory:(Proteus_cc.Cubic.factory ()));
-         ignore (Net.Runner.add_flow r ~label:"b"
-                   ~factory:(Proteus.Presets.proteus_s ()));
-         Net.Runner.run r ~until:1.0))
+let two_flow_micro =
+  { name = two_flow_name;
+    body = (fun () ->
+      let cfg =
+        Net.Link.config ~bandwidth_mbps:50.0 ~rtt_ms:30.0
+          ~buffer_bytes:375_000 ()
+      in
+      let r = Net.Runner.create cfg in
+      ignore
+        (Net.Runner.add_flow r ~label:"a"
+           ~factory:(Proteus_cc.Cubic.factory ()));
+      ignore (Net.Runner.add_flow r ~label:"b"
+                ~factory:(Proteus.Presets.proteus_s ()));
+      Net.Runner.run r ~until:1.0) }
 
-let many_flow_test =
-  Test.make ~name:many_flow_name
-    (Staged.stage (fun () ->
-         let cfg =
-           Net.Link.config ~bandwidth_mbps:500.0 ~rtt_ms:30.0
-             ~buffer_bytes:1_875_000 ()
-         in
-         let r = Net.Runner.create cfg in
-         for i = 0 to 63 do
-           let factory =
-             if i land 1 = 0 then Proteus_cc.Cubic.factory ()
-             else Proteus.Presets.proteus_s ()
-           in
-           ignore (Net.Runner.add_flow r ~label:(Printf.sprintf "f%d" i) ~factory)
-         done;
-         Net.Runner.run r ~until:1.0))
+let many_flow_micro =
+  { name = many_flow_name;
+    body = (fun () ->
+      let cfg =
+        Net.Link.config ~bandwidth_mbps:500.0 ~rtt_ms:30.0
+          ~buffer_bytes:1_875_000 ()
+      in
+      let r = Net.Runner.create cfg in
+      for i = 0 to 63 do
+        let factory =
+          if i land 1 = 0 then Proteus_cc.Cubic.factory ()
+          else Proteus.Presets.proteus_s ()
+        in
+        ignore (Net.Runner.add_flow r ~label:(Printf.sprintf "f%d" i) ~factory)
+      done;
+      Net.Runner.run r ~until:1.0) }
+
+let micros =
+  [
+    heap_micro; sim_kernel_micro; link_micro; audit_micro; mi_micro; utility_micro;
+    two_flow_micro; many_flow_micro;
+  ]
+
+(* bechamel prefixes grouped test names with the group name *)
+let group = "pcc-proteus"
+let row_name m = group ^ "/" ^ m.name
 
 let tests =
-  Test.make_grouped ~name:"pcc-proteus"
-    [
-      heap_test; sim_kernel_test; link_test; mi_test; utility_test;
-      two_flow_test; many_flow_test;
-    ]
+  Test.make_grouped ~name:group
+    (List.map (fun m -> Test.make ~name:m.name (Staged.stage m.body)) micros)
+
+(* Minor words per run: one warm-up run, then [word_runs] runs between
+   two [Gc.minor_words] reads, which count every word this domain has
+   allocated so far. *)
+let minor_words m =
+  m.body ();
+  let before = Gc.minor_words () in
+  for _ = 1 to word_runs do
+    m.body ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int word_runs
 
 let estimate tbl name =
   match Hashtbl.find_opt tbl name with
@@ -181,7 +237,7 @@ let json_num = function
   | _ -> "null"
 
 (* One measured row: best-of-[rounds] time, its relative spread across
-   rounds, and the best-of-[rounds] allocation estimate. *)
+   rounds, and the minor words per run. *)
 type row = {
   name : string;
   ns : float option;
@@ -191,8 +247,7 @@ type row = {
 
 let headline_pairs rows =
   let sim_secs name =
-    (* bechamel prefixes grouped test names with the group name *)
-    let name = "pcc-proteus/" ^ name in
+    let name = group ^ "/" ^ name in
     match List.find_opt (fun r -> r.name = name) rows with
     | Some { ns = Some ns; _ } when ns > 0.0 -> Some (1e9 /. ns)
     | _ -> None
@@ -238,12 +293,12 @@ let run () =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
-  let instances = Toolkit.Instance.[ monotonic_clock; minor_allocated ] in
+  let instances = Toolkit.Instance.[ monotonic_clock ] in
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true ()
   in
-  (* [rounds] independent measurement passes; each yields one OLS
-     estimate per (test, instance). *)
+  (* [rounds] independent timing passes; each yields one OLS estimate
+     per test. *)
   let passes =
     List.init rounds (fun _ ->
         let raw = Benchmark.all cfg instances tests in
@@ -251,13 +306,11 @@ let run () =
           List.map (fun instance -> Analyze.all ols instance raw) instances
         in
         let merged = Analyze.merge ols instances results in
-        ( Hashtbl.find merged (Measure.label Toolkit.Instance.monotonic_clock),
-          Hashtbl.find merged (Measure.label Toolkit.Instance.minor_allocated) ))
+        Hashtbl.find merged (Measure.label Toolkit.Instance.monotonic_clock))
   in
-  let clock0 = fst (List.hd passes) in
-  let names =
-    Hashtbl.fold (fun name _ acc -> name :: acc) clock0 []
-    |> List.sort_uniq compare
+  let by_name =
+    List.sort (fun (a, _) (b, _) -> compare a b)
+      (List.map (fun (m : micro) -> (row_name m, m)) micros)
   in
   let best xs =
     match List.filter_map Fun.id xs with
@@ -274,20 +327,15 @@ let run () =
   in
   let rows =
     List.map
-      (fun name ->
-        let ns_by_round =
-          List.map (fun (clock, _) -> estimate clock name) passes
-        in
-        let words_by_round =
-          List.map (fun (_, allocs) -> estimate allocs name) passes
-        in
+      (fun (name, m) ->
+        let ns_by_round = List.map (fun clock -> estimate clock name) passes in
         {
           name;
           ns = best ns_by_round;
           ns_spread = spread ns_by_round;
-          words = best words_by_round;
+          words = Some (minor_words m);
         })
-      names
+      by_name
   in
   Printf.printf "%-44s %14s %9s %18s\n" "benchmark" "ns/run (best)" "spread"
     "minor-words/run";

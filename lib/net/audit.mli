@@ -12,7 +12,9 @@
       finite and ≥ 0 at every observed event;
     - {b monotone ACK delivery} — per flow, ACK/loss events arrive in
       nondecreasing simulated time (and the global clock never runs
-      backwards);
+      backwards). Every event time must be finite: a NaN or infinite
+      time raises (a NaN kept as the clock would make every later
+      comparison false and switch the check off);
     - {b in-flight accounting} — per flow,
       [sent = acked + lost + outstanding] with all terms ≥ 0, and the
       outstanding {e set} always matches the counters.
@@ -20,9 +22,24 @@
     On violation the auditor raises {!Violation} whose message embeds a
     bounded ring-buffer trace of the last [trace] events (oldest
     first), enough to replay the failure deterministically from the
-    scenario seed. The auditor allocates only when registering flows
-    and when a packet enters/leaves the outstanding set; the trace ring
-    is preallocated. *)
+    scenario seed.
+
+    {b Cost.} A packet costs the auditor about what its counters cost.
+    Each flow's outstanding set is an int table of its own (open
+    addressing, multiplicative hash, linear probing, backward-shift
+    deletion), and the clocks and the trace ring are flat arrays, so an
+    event makes no allocation and no C call. Memory grows only when a
+    flow or link is registered and when a flow's in-flight window
+    doubles past its table. The event hooks are inlined into the
+    caller (in builds without [-opaque]), so a caller's unboxed [now]
+    is not boxed; the failure paths run out of line.
+
+    {b Backlog reads.} The {!Runner} reads [Link.backlog_bytes] for
+    {!observe_backlog} after every send, ACK and loss. On a link
+    carrying fluid background that read syncs the link, and a sync
+    moves where the fluid integration splits, so the reads can change
+    the run. They therefore stay at exactly these instants, and
+    attaching an auditor may change a fluid run (DESIGN §5a). *)
 
 exception Violation of string
 

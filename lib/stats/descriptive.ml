@@ -11,19 +11,53 @@ let variance xs =
 
 let stddev xs = sqrt (variance xs)
 
+(* Hoare selection (Wirth's variant) in [Float.compare] order: permutes
+   [a] so that [a.(k)] holds the k-th smallest element, with nothing
+   larger before it and nothing smaller after it. *)
+let select a k =
+  let l = ref 0 and r = ref (Array.length a - 1) in
+  while !l < !r do
+    let pivot = a.(!l + ((!r - !l) / 2)) in
+    let i = ref !l and j = ref !r in
+    while !i <= !j do
+      while Float.compare a.(!i) pivot < 0 do incr i done;
+      while Float.compare pivot a.(!j) < 0 do decr j done;
+      if !i <= !j then begin
+        let x = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- x;
+        incr i;
+        decr j
+      end
+    done;
+    if !j < k then l := !i;
+    if k < !i then r := !j
+  done
+
+(* The two order statistics the interpolation reads, found on one copy:
+   select [lo], then the [hi] statistic is the minimum of the part after
+   it. [Float.compare] orders floats as the polymorphic [compare] does
+   (NaN first, -0.0 equal to 0.0), so this reads the same two values
+   sorting the copy would, up to which of two [compare]-equal samples
+   is read. *)
 let percentile xs ~p =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Descriptive.percentile: empty";
-  if p < 0.0 || p > 100.0 then invalid_arg "Descriptive.percentile: p";
-  let sorted = Array.copy xs in
-  Array.sort compare sorted;
-  if n = 1 then sorted.(0)
+  if Float.is_nan p || p < 0.0 || p > 100.0 then
+    invalid_arg "Descriptive.percentile: p";
+  if n = 1 then xs.(0)
   else begin
     let rank = p /. 100.0 *. float_of_int (n - 1) in
     let lo = int_of_float (Float.floor rank) in
     let hi = min (lo + 1) (n - 1) in
     let frac = rank -. float_of_int lo in
-    (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
+    let a = Array.copy xs in
+    select a lo;
+    let x_hi = ref a.(hi) in
+    for i = hi + 1 to n - 1 do
+      if Float.compare a.(i) !x_hi < 0 then x_hi := a.(i)
+    done;
+    (a.(lo) *. (1.0 -. frac)) +. (!x_hi *. frac)
   end
 
 let median xs = percentile xs ~p:50.0

@@ -11,7 +11,13 @@ val stddev : float array -> float
 
 val percentile : float array -> p:float -> float
 (** [percentile xs ~p] with [p] in [\[0,100\]], linear interpolation
-    between order statistics. Does not mutate [xs]. *)
+    between order statistics. Does not mutate [xs]. It selects the two
+    order statistics on one copy of [xs] (expected O(n), no sort) in
+    the order of [compare]: NaN below everything, [-0.0] equal to
+    [0.0]. Which of two [compare]-equal samples with different bits
+    ([-0.0]/[0.0], NaN payloads) is read is unspecified. Raises
+    [Invalid_argument] on an empty array or a [p] outside [\[0,100\]]
+    (NaN included). *)
 
 val median : float array -> float
 (** [percentile xs ~p:50.]. *)

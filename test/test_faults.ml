@@ -387,6 +387,202 @@ let test_audit_trace_ring_bounded () =
       Alcotest.(check bool) "oldest is seq 6" true has_seq6
   | [] -> Alcotest.fail "empty trace"
 
+(* A NaN event time used to poison the clocks: [Float.max] kept the NaN,
+   every later comparison was false, and reversals went unnoticed. *)
+let test_audit_rejects_non_finite_time () =
+  let a = Audit.create () in
+  let f = Audit.register_flow a ~label:"x" in
+  Audit.on_sent a ~flow:f ~seq:0 ~size:1500 ~now:5.0;
+  expect_violation "NaN send time" (fun () ->
+      Audit.on_sent a ~flow:f ~seq:1 ~size:1500 ~now:Float.nan);
+  expect_violation "reversal after a NaN send" (fun () ->
+      Audit.on_sent a ~flow:f ~seq:2 ~size:1500 ~now:0.5);
+  let a = Audit.create () in
+  let f = Audit.register_flow a ~label:"x" in
+  Audit.on_sent a ~flow:f ~seq:0 ~size:1500 ~now:0.0;
+  Audit.on_sent a ~flow:f ~seq:1 ~size:1500 ~now:0.0;
+  Audit.on_ack a ~flow:f ~seq:0 ~size:1500 ~now:5.0;
+  expect_violation "NaN ACK time" (fun () ->
+      Audit.on_ack a ~flow:f ~seq:1 ~size:1500 ~now:Float.nan);
+  expect_violation "ACK reversal after a NaN ACK" (fun () ->
+      Audit.on_ack a ~flow:f ~seq:1 ~size:1500 ~now:0.5);
+  List.iter
+    (fun now ->
+      let a = Audit.create () in
+      let f = Audit.register_flow a ~label:"x" in
+      expect_violation "non-finite send time" (fun () ->
+          Audit.on_sent a ~flow:f ~seq:0 ~size:1500 ~now);
+      expect_violation "non-finite hop time" (fun () ->
+          Audit.on_hop_enter a ~link:0 ~now))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  let a = Audit.create () in
+  Audit.on_hop_enter a ~link:0 ~now:5.0;
+  expect_violation "NaN hop exit" (fun () ->
+      Audit.on_hop_exit a ~link:0 ~now:Float.nan);
+  expect_violation "hop reversal after a NaN hop event" (fun () ->
+      Audit.on_hop_exit a ~link:0 ~now:0.5)
+
+(* ---------- auditor vs reference model ---------- *)
+
+type audit_op = Op_sent | Op_ack | Op_loss | Op_dup
+
+type audit_step = {
+  op : audit_op;
+  flow : int;
+  seq : int;
+  size : int;
+  now : float;
+}
+
+(* Feed one step to both; [Some (audit_ok, model_ok)] on a mismatch of
+   the decision or of the outstanding count. *)
+let audit_step a m s =
+  let run f = match f () with () -> true | exception _ -> false in
+  let ok_a =
+    run (fun () ->
+        match s.op with
+        | Op_sent -> Audit.on_sent a ~flow:s.flow ~seq:s.seq ~size:s.size ~now:s.now
+        | Op_ack -> Audit.on_ack a ~flow:s.flow ~seq:s.seq ~size:s.size ~now:s.now
+        | Op_loss -> Audit.on_loss a ~flow:s.flow ~seq:s.seq ~size:s.size ~now:s.now
+        | Op_dup -> Audit.on_dup_ack a ~flow:s.flow ~seq:s.seq ~now:s.now)
+  in
+  let ok_m =
+    run (fun () ->
+        match s.op with
+        | Op_sent -> Audit_model.on_sent m ~flow:s.flow ~seq:s.seq ~size:s.size ~now:s.now
+        | Op_ack -> Audit_model.on_ack m ~flow:s.flow ~seq:s.seq ~size:s.size ~now:s.now
+        | Op_loss -> Audit_model.on_loss m ~flow:s.flow ~seq:s.seq ~size:s.size ~now:s.now
+        | Op_dup -> Audit_model.on_dup_ack m ~flow:s.flow ~seq:s.seq ~now:s.now)
+  in
+  ok_a = ok_m && Audit.outstanding a = Audit_model.outstanding m
+
+let show_step s =
+  Printf.sprintf "%s flow=%d seq=%d size=%d now=%g"
+    (match s.op with
+    | Op_sent -> "sent"
+    | Op_ack -> "ack"
+    | Op_loss -> "loss"
+    | Op_dup -> "dup")
+    s.flow s.seq s.size s.now
+
+(* Run [steps] through a fresh auditor with two flows and the model;
+   also compare the quiesce decision at the end. *)
+let audit_agrees steps =
+  let a = Audit.create () in
+  ignore (Audit.register_flow a ~label:"f0");
+  ignore (Audit.register_flow a ~label:"f1");
+  let m = Audit_model.create ~flows:2 in
+  List.for_all (audit_step a m) steps
+  &&
+  let quiesced = match Audit.assert_quiesced a with () -> true | exception _ -> false in
+  quiesced = (Audit_model.outstanding m = 0)
+
+(* Hostile seqs: small values (heavy reuse, so resends after delivery
+   and double deliveries happen), values equal modulo every power-of-two
+   table size, negatives, and the extremes of int. *)
+let hostile_seq =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, int_range 0 20);
+        (2, map (fun k -> k lsl 12) (int_range (-4) 8));
+        ( 1,
+          oneofl
+            [ -1; -64; max_int; min_int; max_int - 64; min_int + 64; 1 lsl 40 ] );
+      ])
+
+let random_steps =
+  let open QCheck.Gen in
+  let step =
+    map
+      (fun (op, flow, seq, (size, dt)) -> (op, flow, seq, size, dt))
+      (quad
+         (frequency
+            [ (4, return Op_sent); (3, return Op_ack); (1, return Op_loss);
+              (1, return Op_dup) ])
+         (frequency [ (12, int_range 0 1); (1, return 2); (1, return (-1)) ])
+         hostile_seq
+         (pair
+            (frequency [ (12, return 1500); (1, oneofl [ 40; max_int ]) ])
+            (frequency
+               [ (8, float_range 0.0 0.01); (1, return 0.0); (1, return (-0.5)) ])))
+  in
+  map
+    (fun raw ->
+      let clock = ref 0.0 in
+      List.map
+        (fun (op, flow, seq, size, dt) ->
+          clock := !clock +. dt;
+          { op; flow; seq; size; now = !clock })
+        raw)
+    (list_size (int_range 1 300) step)
+
+let prop_audit_matches_model =
+  QCheck.Test.make ~name:"auditor agrees with the Hashtbl model" ~count:500
+    (QCheck.make
+       ~print:(fun steps -> String.concat "\n" (List.map show_step steps))
+       random_steps)
+    audit_agrees
+
+(* A 10k-deep window forces the in-flight table through several
+   doublings; seqs are strided (equal modulo the table sizes), may wrap
+   past [max_int] and include [min_int]. Every packet is then ACKed or
+   lost in random order with dup ACKs of delivered seqs interleaved, and
+   some delivered seqs are sent again and ACKed (a legal resend). *)
+let prop_audit_deep_window =
+  let gen =
+    QCheck.Gen.(
+      triple
+        (oneofl [ 1; -1; 64; 1024; -4096 ])
+        (oneofl [ 0; -3; max_int - 5000; min_int + 7 ])
+        (int_bound 1_000_000))
+  in
+  QCheck.Test.make ~name:"auditor agrees with the model on a 10k window"
+    ~count:8
+    (QCheck.make
+       ~print:(fun (stride, base, seed) ->
+         Printf.sprintf "stride=%d base=%d seed=%d" stride base seed)
+       gen)
+    (fun (stride, base, seed) ->
+      let n = 10_000 in
+      let rng = Random.State.make [| seed |] in
+      let seqs = Array.init n (fun i -> base + (i * stride)) in
+      let clock = ref 0.0 in
+      let step op flow seq =
+        clock := !clock +. 1e-6;
+        { op; flow; seq; size = 1500; now = !clock }
+      in
+      let sends = Array.to_list (Array.map (step Op_sent 0) seqs) in
+      let order = Array.copy seqs in
+      for i = n - 1 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let x = order.(i) in
+        order.(i) <- order.(j);
+        order.(j) <- x
+      done;
+      let delivered = ref [] in
+      let drains =
+        List.concat_map
+          (fun seq ->
+            if Random.State.int rng 5 = 0 then [ step Op_loss 0 seq ]
+            else begin
+              delivered := seq :: !delivered;
+              let ack = step Op_ack 0 seq in
+              if Random.State.int rng 4 = 0 then [ ack; step Op_dup 0 seq ]
+              else [ ack ]
+            end)
+          (Array.to_list order)
+      in
+      let resends =
+        List.concat_map
+          (fun seq ->
+            if Random.State.int rng 10 = 0 then
+              [ step Op_sent 0 seq; step Op_ack 0 seq ]
+            else [])
+          !delivered
+      in
+      audit_agrees (sends @ drains @ resends))
+
 (* ---------- runner integration ---------- *)
 
 let standard_cfg ?loss_rate ?schedule ?reorder_prob ?dup_prob () =
@@ -738,6 +934,9 @@ let suite =
     ("audit quiesce leak", `Quick, test_audit_detects_leak_at_quiesce);
     ("audit dup semantics", `Quick, test_audit_dup_requires_prior_delivery);
     ("audit trace bounded", `Quick, test_audit_trace_ring_bounded);
+    ("audit non-finite time", `Quick, test_audit_rejects_non_finite_time);
+    QCheck_alcotest.to_alcotest prop_audit_matches_model;
+    QCheck_alcotest.to_alcotest prop_audit_deep_window;
     ("runner outage gap", `Quick, test_runner_outage_gap_and_recovery);
     ("runner dup/reorder audited", `Quick, test_runner_dup_and_reorder_audited);
     ("reverse hop: no knobs, no ACK effects", `Quick, test_rev_hop_clean);

@@ -226,6 +226,61 @@ let prop_percentile_within_range =
       let p = Descriptive.percentile arr ~p:73.0 in
       p >= lo -. 1e-9 && p <= hi +. 1e-9)
 
+(* The sort-based percentile, kept verbatim as the oracle for the
+   selection-based one. *)
+let percentile_by_sort xs ~p =
+  let n = Array.length xs in
+  if n = 0 then invalid_arg "Descriptive.percentile: empty";
+  if p < 0.0 || p > 100.0 then invalid_arg "Descriptive.percentile: p";
+  let sorted = Array.copy xs in
+  Array.sort compare sorted;
+  if n = 1 then sorted.(0)
+  else begin
+    let rank = p /. 100.0 *. float_of_int (n - 1) in
+    let lo = int_of_float (Float.floor rank) in
+    let hi = min (lo + 1) (n - 1) in
+    let frac = rank -. float_of_int lo in
+    (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
+  end
+
+(* Samples drawn from a small pool (many ties) plus ±inf and NaN, with
+   lengths down to 1 and 2; p at both ends or anywhere in between.
+   Zeros are all [0.0]: which of [-0.0]/[0.0] a tie yields is
+   unspecified for both implementations. *)
+let percentile_case =
+  let open QCheck.Gen in
+  let sample =
+    frequency
+      [
+        (6, map float_of_int (int_range 0 6));
+        (3, float_bound_exclusive 100.0);
+        (1, oneofl [ Float.infinity; Float.neg_infinity; Float.nan; -3.5 ]);
+      ]
+  in
+  let len = frequency [ (1, return 1); (1, return 2); (4, int_range 3 60) ] in
+  let p =
+    frequency
+      [ (1, return 0.0); (1, return 100.0); (4, float_range 0.0 100.0) ]
+  in
+  pair (array_size len sample) p
+
+let prop_percentile_matches_sort =
+  QCheck.Test.make ~name:"percentile equals the sort oracle bit for bit"
+    ~count:2000
+    (QCheck.make
+       ~print:(fun (xs, p) ->
+         Printf.sprintf "p=%h xs=[%s]" p
+           (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") xs))))
+       percentile_case)
+    (fun (xs, p) ->
+      let before = Array.copy xs in
+      let got = Descriptive.percentile xs ~p in
+      Int64.equal (Int64.bits_of_float got)
+        (Int64.bits_of_float (percentile_by_sort xs ~p))
+      && Array.for_all2
+           (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+           before xs)
+
 let prop_jain_bounds =
   QCheck.Test.make ~name:"jain index within [1/n, 1]" ~count:200
     QCheck.(list_of_size Gen.(int_range 1 30) (float_bound_exclusive 100.0))
@@ -324,6 +379,7 @@ let suite =
   @ qcheck
       [
         prop_percentile_within_range;
+        prop_percentile_matches_sort;
         prop_jain_bounds;
         prop_welford_matches;
         prop_winfilter_matches_naive;
