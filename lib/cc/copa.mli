@@ -20,3 +20,6 @@ val factory : ?params:params -> unit -> Proteus_net.Sender.factory
 include Proteus_net.Sender.S with type t := t
 
 val cwnd_packets : t -> float
+
+val srtt : t -> float
+(** Smoothed RTT in seconds, for tests. *)

@@ -11,3 +11,6 @@ val factory : unit -> Proteus_net.Sender.factory
 include Proteus_net.Sender.S with type t := t
 
 val cwnd_packets : t -> float
+
+val srtt : t -> float
+(** Smoothed RTT in seconds, for tests. *)
