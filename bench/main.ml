@@ -2,9 +2,10 @@
    per-experiment index).
 
    Usage:  dune exec bench/main.exe --
-             [--fast|--full] [--jobs N] [ids...]
+             [--fast|--full] [--jobs N] [OPTION]... [ids...]
    ids: fig2 fig3 fig4 fig5 fig6 fig8 fig9 fig11 fig12 fig14
-        appendix theory ablation micro faults topology all (default: all)
+        appendix theory ablation micro faults topology all (default: all);
+   --help lists every id and option (parsed with Cmdliner).
 
    --jobs N fans independent trials/protocol runs across N domains;
    results are bit-identical to --jobs 1 (every trial owns its seeded
@@ -54,177 +55,130 @@ let experiments : (string * (unit -> unit)) list =
 let appendix_ids =
   [ "figB-buffers"; "figB-loss"; "figB-fairness"; "figB-yield"; "figB-wifi" ]
 
-let usage () =
-  Printf.printf "usage: main.exe [--fast|--full] [--jobs N] [ids...]\nids:\n";
-  List.iter (fun (id, _) -> Printf.printf "  %s\n" id) experiments;
-  Printf.printf "  appendix (= %s)\n  all (default)\n"
-    (String.concat " " appendix_ids);
-  Printf.printf
-    "options:\n\
-    \  --jobs N       run independent trials/protocols on N domains\n\
-    \                 (N=0 picks the recommended domain count)\n\
-    \  --trace FILE   export the trace bus (JSONL, or CSV if FILE ends\n\
-    \                 in .csv) from trace-capable experiments\n\
-    \  --metrics FILE export a metrics-registry snapshot (JSON)\n\
-    \  --trials N     override the scale-derived trial count (1..64)\n\
-    \  --shards N     shard count for intra-trial sharded experiments\n\
-    \                 (scale; byte-identical for any N, default 4)\n\
-    \  --retries N    retry failed sweep runs up to N times with\n\
-    \                 escalating wall/stall budgets (default 0)\n\
-    \  --resume       skip sweep runs already journaled in\n\
-    \                 JOURNAL_<id>.jsonl (after a crash or kill)\n\
-    \  --wall-budget S    per-run wall-clock budget (seconds)\n\
-    \  --stall-budget S   poison a run when sim-time stops advancing\n\
-    \                     for S wall seconds (livelock detector)\n\
-    \  --event-budget N   per-sim fired-event budget\n\
-    \  --inject KIND:RUN_ID  inject a fault into a sweep run\n\
-    \                 (KIND: crash | stall | audit; repeatable)\n\
-    \  --scenarios DIR  scenario corpus for the matrix experiment\n\
-    \                 (default: scenarios)\n"
+open Cmdliner
 
-let parse_jobs s =
-  match int_of_string_opt s with
-  | Some 0 -> Proteus_parallel.Pool.default_jobs ()
-  | Some n when n > 0 -> n
-  | _ ->
-      Printf.eprintf "--jobs expects a non-negative integer, got %S\n" s;
-      exit 1
+(* Converters carry the validation ranges: a value that does not parse
+   or falls outside its range is a command-line error (exit 1). *)
+let checked of_string pp ~what ok =
+  Arg.conv
+    ( (fun s ->
+        match of_string s with
+        | Some v when ok v -> Ok v
+        | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" what s))),
+      pp )
+
+let int_in = checked int_of_string_opt Format.pp_print_int
+let non_negative = int_in ~what:"a non-negative integer" (fun n -> n >= 0)
+let positive = int_in ~what:"a positive integer" (fun n -> n > 0)
+
+let seconds =
+  checked float_of_string_opt Format.pp_print_float
+    ~what:"a positive number of seconds" (fun x -> x > 0.0)
+
+let parse_inject s =
+  match String.index_opt s ':' with
+  | None -> None
+  | Some i -> (
+      let rid = String.sub s (i + 1) (String.length s - i - 1) in
+      match Proteus_harness.Sweep.inject_of_string (String.sub s 0 i) with
+      | Some inj when rid <> "" -> Some (rid, inj)
+      | _ -> None)
+
+let injection =
+  checked parse_inject
+    (fun ppf (rid, _) -> Format.pp_print_string ppf rid)
+    ~what:"KIND:RUN_ID with KIND one of crash|stall|audit"
+    (fun _ -> true)
+
+let scale =
+  Arg.(
+    value
+    & vflag_all [ Exp_common.Default ]
+        [
+          (Exp_common.Fast, info [ "fast" ] ~doc:"Reduced scale.");
+          (Exp_common.Full, info [ "full" ] ~doc:"Full scale.");
+        ])
+
+let jobs =
+  Arg.(
+    value & opt non_negative 1
+    & info [ "jobs" ] ~docv:"N"
+        ~doc:
+          "Run independent trials/protocols on $(docv) domains (0 picks the \
+           recommended domain count); results are bit-identical to 1.")
+
+(* An option whose value lands in one of the experiments' settings. *)
+let setting r arg = Term.(const (fun v -> r := v) $ arg)
+
+let opt_setting r arg_conv default name ~docv doc =
+  setting r Arg.(value & opt arg_conv default & info [ name ] ~docv ~doc)
 
 (* The sweeps' [Rng.split_at] key spaces reserve 64 slots per trial
    index, so an override past that would alias seeds across tasks. *)
-let parse_trials s =
-  match int_of_string_opt s with
-  | Some n when n >= 1 && n <= 64 -> n
-  | _ ->
-      Printf.eprintf "--trials expects an integer in 1..64, got %S\n" s;
-      exit 1
+let trial_count =
+  int_in ~what:"an integer in 1..64" (fun n -> n >= 1 && n <= 64)
 
-let parse_shards s =
-  match int_of_string_opt s with
-  | Some n when n >= 1 -> n
-  | _ ->
-      Printf.eprintf "--shards expects a positive integer, got %S\n" s;
-      exit 1
+let settings =
+  let open Exp_common in
+  [
+    opt_setting trace_file Arg.(some string) None "trace" ~docv:"FILE"
+      "Export the trace bus (JSONL, or CSV if $(docv) ends in .csv) from \
+       trace-capable experiments.";
+    opt_setting metrics_file Arg.(some string) None "metrics" ~docv:"FILE"
+      "Export a metrics-registry snapshot (JSON).";
+    opt_setting trials_override (Arg.some trial_count) None "trials" ~docv:"N"
+      "Override the scale-derived trial count (1..64).";
+    opt_setting shards positive !shards "shards" ~docv:"N"
+      "Shard count for intra-trial sharded experiments (scale; \
+       byte-identical for any $(docv)).";
+    opt_setting retries non_negative 0 "retries" ~docv:"N"
+      "Retry failed sweep runs up to $(docv) times with escalating \
+       wall/stall budgets.";
+    setting resume
+      Arg.(
+        value & flag
+        & info [ "resume" ]
+            ~doc:"Skip sweep runs already journaled in JOURNAL_<id>.jsonl.");
+    opt_setting wall_budget (Arg.some seconds) None "wall-budget" ~docv:"S"
+      "Per-run wall-clock budget.";
+    opt_setting stall_budget (Arg.some seconds) None "stall-budget" ~docv:"S"
+      "Poison a run when sim-time stops advancing for $(docv) wall seconds \
+       (livelock detector).";
+    opt_setting event_budget (Arg.some positive) None "event-budget"
+      ~docv:"N" "Per-sim fired-event budget.";
+    setting injections
+      Arg.(
+        value & opt_all injection []
+        & info [ "inject" ] ~docv:"KIND:RUN_ID"
+            ~doc:
+              "Inject a fault into a sweep run (KIND: crash | stall | audit; \
+               repeatable).");
+    opt_setting Exp_matrix.dir Arg.string !Exp_matrix.dir "scenarios"
+      ~docv:"DIR" "Scenario corpus for the matrix experiment.";
+  ]
+  |> List.fold_left (fun acc t -> Term.(const (fun () () -> ()) $ acc $ t))
+       (Term.const ())
 
-let parse_retries s =
-  match int_of_string_opt s with
-  | Some n when n >= 0 -> n
-  | _ ->
-      Printf.eprintf "--retries expects a non-negative integer, got %S\n" s;
-      exit 1
+let short_help = Arg.(value & flag & info [ "h" ] ~doc:"Same as $(b,--help).")
 
-let parse_budget_s flag s =
-  match float_of_string_opt s with
-  | Some x when x > 0.0 -> x
-  | _ ->
-      Printf.eprintf "%s expects a positive number of seconds, got %S\n" flag s;
-      exit 1
+let ids =
+  let names = List.map fst experiments @ [ "appendix"; "all" ] in
+  Arg.(
+    value
+    & pos_all (enum (List.map (fun n -> (n, n)) names)) []
+    & info [] ~docv:"ID"
+        ~doc:
+          (Printf.sprintf
+             "Experiments to run: $(docv) is one of %s; appendix runs %s; \
+              all (the default) runs every experiment except the smoke \
+              entries and the matrix."
+             (String.concat ", " (List.map fst experiments))
+             (String.concat " " appendix_ids)))
 
-let parse_event_budget s =
-  match int_of_string_opt s with
-  | Some n when n > 0 -> n
-  | _ ->
-      Printf.eprintf "--event-budget expects a positive integer, got %S\n" s;
-      exit 1
-
-let parse_inject s =
-  let fail () =
-    Printf.eprintf
-      "--inject expects KIND:RUN_ID with KIND one of crash|stall|audit, got \
-       %S\n"
-      s;
-    exit 1
-  in
-  match String.index_opt s ':' with
-  | None -> fail ()
-  | Some i -> (
-      let kind = String.sub s 0 i in
-      let rid = String.sub s (i + 1) (String.length s - i - 1) in
-      match Proteus_harness.Sweep.inject_of_string kind with
-      | Some inj when rid <> "" -> (rid, inj)
-      | _ -> fail ())
-
-let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let rec parse acc = function
-    | [] -> List.rev acc
-    | "--fast" :: rest ->
-        Exp_common.scale := Exp_common.Fast;
-        parse acc rest
-    | "--full" :: rest ->
-        Exp_common.scale := Exp_common.Full;
-        parse acc rest
-    | "--jobs" :: n :: rest ->
-        Exp_common.set_jobs (parse_jobs n);
-        parse acc rest
-    | [ "--jobs" ] ->
-        Printf.eprintf "--jobs expects an argument\n";
-        exit 1
-    | "--trace" :: f :: rest ->
-        Exp_common.trace_file := Some f;
-        parse acc rest
-    | "--metrics" :: f :: rest ->
-        Exp_common.metrics_file := Some f;
-        parse acc rest
-    | "--trials" :: n :: rest ->
-        Exp_common.trials_override := Some (parse_trials n);
-        parse acc rest
-    | "--shards" :: n :: rest ->
-        Exp_common.shards := parse_shards n;
-        parse acc rest
-    | "--resume" :: rest ->
-        Exp_common.resume := true;
-        parse acc rest
-    | "--retries" :: n :: rest ->
-        Exp_common.retries := parse_retries n;
-        parse acc rest
-    | "--wall-budget" :: s :: rest ->
-        Exp_common.wall_budget := Some (parse_budget_s "--wall-budget" s);
-        parse acc rest
-    | "--stall-budget" :: s :: rest ->
-        Exp_common.stall_budget := Some (parse_budget_s "--stall-budget" s);
-        parse acc rest
-    | "--event-budget" :: n :: rest ->
-        Exp_common.event_budget := Some (parse_event_budget n);
-        parse acc rest
-    | "--inject" :: s :: rest ->
-        Exp_common.injections := !Exp_common.injections @ [ parse_inject s ];
-        parse acc rest
-    | "--scenarios" :: d :: rest ->
-        Exp_matrix.dir := d;
-        parse acc rest
-    | [ ("--trace" | "--metrics" | "--trials" | "--shards"
-        | "--retries" | "--wall-budget" | "--stall-budget" | "--event-budget"
-        | "--inject" | "--scenarios") ] ->
-        Printf.eprintf
-          "--trace/--metrics/--trials/--shards/--retries/\
-           --wall-budget/--stall-budget/--event-budget/--inject expect an \
-           argument\n";
-        exit 1
-    | ("--help" | "-h") :: _ ->
-        usage ();
-        exit 0
-    | a :: rest when String.length a > 7 && String.sub a 0 7 = "--jobs=" ->
-        Exp_common.set_jobs (parse_jobs (String.sub a 7 (String.length a - 7)));
-        parse acc rest
-    | a :: rest when String.length a > 8 && String.sub a 0 8 = "--trace=" ->
-        Exp_common.trace_file := Some (String.sub a 8 (String.length a - 8));
-        parse acc rest
-    | a :: rest when String.length a > 10 && String.sub a 0 10 = "--metrics="
-      ->
-        Exp_common.metrics_file :=
-          Some (String.sub a 10 (String.length a - 10));
-        parse acc rest
-    | a :: rest when String.length a > 9 && String.sub a 0 9 = "--trials=" ->
-        Exp_common.trials_override :=
-          Some (parse_trials (String.sub a 9 (String.length a - 9)));
-        parse acc rest
-    | a :: rest when String.length a > 9 && String.sub a 0 9 = "--shards=" ->
-        Exp_common.shards := parse_shards (String.sub a 9 (String.length a - 9));
-        parse acc rest
-    | id :: rest -> parse (id :: acc) rest
-  in
-  let ids = parse [] args in
+let run scale_flags jobs ids =
+  Exp_common.scale := List.nth scale_flags (List.length scale_flags - 1);
+  Exp_common.set_jobs
+    (if jobs = 0 then Proteus_parallel.Pool.default_jobs () else jobs);
   let ids = if ids = [] then [ "all" ] else ids in
   let ids =
     List.concat_map
@@ -252,41 +206,50 @@ let () =
      via the degraded path below): fatal, exit 1. Without the handler
      OCaml's uncaught-exception exit code would be 2 and collide with
      "degraded". *)
-  (try
-     List.iter
-       (fun id ->
-         match List.assoc_opt id experiments with
-         | Some f ->
-             let t0 = Unix.gettimeofday () in
-             f ();
-             Printf.printf "[%s done in %.1f s]\n%!" id
-               (Unix.gettimeofday () -. t0)
-         | None ->
-             Printf.eprintf "unknown experiment %S\n" id;
-             usage ();
-             exit 1)
-       ids
-   with e ->
-     let bt = Printexc.get_backtrace () in
-     Printf.eprintf "bench: fatal: %s\n%s%!" (Printexc.to_string e) bt;
-     Exp_common.shutdown_pool ();
-     exit 1);
-  Printf.printf "\nTotal: %.1f s (scale: %s, jobs: %d)\n"
-    (Unix.gettimeofday () -. t_start)
-    (match !Exp_common.scale with
-    | Exp_common.Fast -> "fast"
-    | Exp_common.Default -> "default"
-    | Exp_common.Full -> "full")
-    !Exp_common.jobs;
-  Exp_common.shutdown_pool ();
-  match !Exp_common.degraded with
-  | [] -> ()
-  | ledger ->
+  match
+    List.iter
+      (fun id ->
+        let t0 = Unix.gettimeofday () in
+        List.assoc id experiments ();
+        Printf.printf "[%s done in %.1f s]\n%!" id (Unix.gettimeofday () -. t0))
+      ids
+  with
+  | exception e ->
+      let bt = Printexc.get_backtrace () in
+      Printf.eprintf "bench: fatal: %s\n%s%!" (Printexc.to_string e) bt;
+      Exp_common.shutdown_pool ();
+      1
+  | () ->
+      Printf.printf "\nTotal: %.1f s (scale: %s, jobs: %d)\n"
+        (Unix.gettimeofday () -. t_start)
+        (Exp_common.scale_name ()) !Exp_common.jobs;
+      Exp_common.shutdown_pool ();
       List.iter
         (fun (id, (s : Proteus_harness.Sweep.summary)) ->
           Printf.eprintf
             "bench: degraded: %s finished with %d failed run(s) (%d \
              quarantined, %d completed, %d resumed)\n"
             id s.failed s.quarantined s.completed s.resumed)
-        (List.rev ledger);
-      exit 2
+        (List.rev !Exp_common.degraded);
+      if !Exp_common.degraded = [] then 0 else 2
+
+let main help scale_flags jobs () ids =
+  if help then `Help (`Auto, None) else `Ok (run scale_flags jobs ids)
+
+(* Cmdliner's own error codes (124 command line, 125 internal) map to
+   1, so the documented codes are the only ones. *)
+let exits =
+  Cmd.Exit.
+    [
+      info 0 ~doc:"every run completed.";
+      info 1 ~doc:"fatal error, including a command-line error.";
+      info 2 ~doc:"degraded: some sweep runs failed but the sweep finished.";
+    ]
+
+let cmd =
+  Cmd.v
+    (Cmd.info "main.exe" ~exits ~doc:"PCC Proteus reproduction benchmarks")
+    Term.(ret (const main $ short_help $ scale $ jobs $ settings $ ids))
+
+let () =
+  match Cmd.eval' cmd with 0 -> exit 0 | 2 -> exit 2 | _ -> exit 1

@@ -106,7 +106,11 @@ let rtprop_estimate t =
 let bdp_bytes t = btlbw_estimate t *. rtprop_estimate t
 let is_probing_rtt t = t.state = Probe_rtt
 
-let cwnd_bytes t ~now =
+(* [now] is read unboxed from the call scratch; handing it to a helper
+   that is not inlined would box it again at every such call. So the
+   per-packet helpers below are [@inline], and the state machine reads
+   it from [meta] itself. *)
+let[@inline] cwnd_bytes t ~now =
   let in_min_inflight_probe =
     t.state = Probe_rtt || now < t.yield_until
   in
@@ -116,16 +120,18 @@ let cwnd_bytes t ~now =
       (t.cwnd_gain *. bdp_bytes t)
       (min_cwnd_packets *. float_of_int t.mtu)
 
-let pacing_rate t ~now =
+let[@inline] pacing_rate t ~now =
   let base = t.pacing_gain *. btlbw_estimate t in
   if t.state = Probe_rtt || now < t.yield_until then btlbw_estimate t
   else base
 
-let next_send t ~now =
-  if float_of_int t.inflight >= cwnd_bytes t ~now then infinity
-  else t.next_send_time
+let next_send_m t ~meta =
+  meta.(3) <-
+    (if float_of_int t.inflight >= cwnd_bytes t ~now:meta.(0) then infinity
+     else t.next_send_time)
 
-let on_sent t ~now ~seq ~size =
+let on_sent_m t ~meta ~seq ~size =
+  let now = meta.(0) in
   t.inflight <- t.inflight + size;
   Hashtbl.replace t.meta seq { delivered_at_send = t.delivered; sent_at = now };
   let rate = pacing_rate t ~now in
@@ -154,14 +160,15 @@ let enter_probe_bw t ~now =
   t.cycle_stamp <- now;
   t.pacing_gain <- probe_bw_gains.(t.cycle_index)
 
-let advance_cycle t ~now =
+let[@inline] advance_cycle t ~now =
   if now -. t.cycle_stamp >= rtprop_estimate t then begin
     t.cycle_index <- (t.cycle_index + 1) mod Array.length probe_bw_gains;
     t.cycle_stamp <- now;
     t.pacing_gain <- probe_bw_gains.(t.cycle_index)
   end
 
-let handle_state t ~now =
+let handle_state t ~meta =
+  let now = meta.(0) in
   (match t.state with
   | Startup ->
       check_full_pipe t;
@@ -197,7 +204,8 @@ let handle_state t ~now =
     t.probe_rtt_done_stamp <- None
   end
 
-let on_ack t ~now ~seq ~send_time:_ ~size ~rtt =
+let on_ack_m t ~meta ~seq ~size =
+  let now = meta.(0) and rtt = meta.(2) in
   t.inflight <- max 0 (t.inflight - size);
   t.delivered <- t.delivered +. float_of_int size;
   t.srtt <- (0.875 *. t.srtt) +. (0.125 *. rtt);
@@ -231,13 +239,13 @@ let on_ack t ~now ~seq ~send_time:_ ~size ~rtt =
           t.yield_until <- Float.max t.yield_until (now +. yield_hold)
       | _ -> ())
   | None -> ());
-  handle_state t ~now
+  handle_state t ~meta
 
-let on_loss t ~now ~seq ~send_time:_ ~size =
+let on_loss_m t ~meta ~seq ~size =
   t.inflight <- max 0 (t.inflight - size);
   Hashtbl.remove t.meta seq;
   (* BBR v1 largely ignores loss (no loss-based cwnd reduction). *)
-  handle_state t ~now
+  handle_state t ~meta
 
 let factory ?params () : Proteus_net.Sender.factory =
  fun env ->
@@ -245,10 +253,10 @@ let factory ?params () : Proteus_net.Sender.factory =
     type nonrec t = t
 
     let name = name
-    let next_send = next_send
-    let on_sent = on_sent
-    let on_ack = on_ack
-    let on_loss = on_loss
+    let next_send_m = next_send_m
+    let on_sent_m = on_sent_m
+    let on_ack_m = on_ack_m
+    let on_loss_m = on_loss_m
   end) (create ?params env)
 
 let scavenger_factory () = factory ~params:scavenger ()

@@ -473,84 +473,59 @@ let rec sm_store t seq mi tag =
 
 (* ---------- Sender.S ---------- *)
 
-let next_send t ~now =
-  ignore (ensure_current_mi t ~now);
-  t.fl.(4)
+(* The four calls read the scratch directly (0 = now, 1 = send_time,
+   2 = rtt, 3 = next-send result), so no float is boxed at the call
+   boundary. *)
+module Calls = struct
+  type nonrec t = t
 
-let on_sent t ~now ~seq ~size =
-  let mi, tag = ensure_current_mi t ~now in
-  Mi.record_sent mi ~size;
-  sm_store t seq mi tag;
-  t.fl.(4) <-
-    Float.max now t.fl.(4) +. (float_of_int size /. t.fl.(2))
+  let name = name
 
-let[@inline] on_ack_impl t ~now ~seq ~send_time ~rtt =
-  t.fl.(5) <- now;
-  t.fl.(3) <- (0.875 *. t.fl.(3)) +. (0.125 *. rtt);
-  let sample =
-    match t.ack_filter with
-    | Some f -> Ack_filter.filter_rtt f ~now ~rtt
-    | None -> rtt
-  in
-  close_if_expired t ~now;
-  let i = seq land (Array.length t.sm_seqs - 1) in
-  if t.sm_seqs.(i) = seq then begin
-    let mi = t.sm_mis.(i) and tag = t.sm_tags.(i) in
-    t.sm_seqs.(i) <- -1;
-    t.sm_mis.(i) <- t.sm_dummy;
-    Mi.record_ack_sample mi ~send_time ~rtt:sample;
-    check_complete t mi tag
-  end
+  let next_send_m t ~meta =
+    ignore (ensure_current_mi t ~now:meta.(0));
+    meta.(3) <- t.fl.(4)
 
-let on_ack t ~now ~seq ~send_time ~size:_ ~rtt =
-  on_ack_impl t ~now ~seq ~send_time ~rtt
+  let on_sent_m t ~meta ~seq ~size =
+    let now = meta.(0) in
+    let mi, tag = ensure_current_mi t ~now in
+    Mi.record_sent mi ~size;
+    sm_store t seq mi tag;
+    t.fl.(4) <- Float.max now t.fl.(4) +. (float_of_int size /. t.fl.(2))
 
-let[@inline] on_loss_impl t ~now ~seq =
-  t.fl.(5) <- now;
-  close_if_expired t ~now;
-  let i = seq land (Array.length t.sm_seqs - 1) in
-  if t.sm_seqs.(i) = seq then begin
-    let mi = t.sm_mis.(i) and tag = t.sm_tags.(i) in
-    t.sm_seqs.(i) <- -1;
-    t.sm_mis.(i) <- t.sm_dummy;
-    Mi.record_loss mi;
-    check_complete t mi tag
-  end
+  let on_ack_m t ~meta ~seq ~size:_ =
+    let now = meta.(0) and rtt = meta.(2) in
+    t.fl.(5) <- now;
+    t.fl.(3) <- (0.875 *. t.fl.(3)) +. (0.125 *. rtt);
+    let sample =
+      match t.ack_filter with
+      | Some f -> Ack_filter.filter_rtt f ~now ~rtt
+      | None -> rtt
+    in
+    close_if_expired t ~now;
+    let i = seq land (Array.length t.sm_seqs - 1) in
+    if t.sm_seqs.(i) = seq then begin
+      let mi = t.sm_mis.(i) and tag = t.sm_tags.(i) in
+      t.sm_seqs.(i) <- -1;
+      t.sm_mis.(i) <- t.sm_dummy;
+      Mi.record_ack_sample mi ~send_time:meta.(1) ~rtt:sample;
+      check_complete t mi tag
+    end
 
-let on_loss t ~now ~seq ~send_time:_ ~size:_ = on_loss_impl t ~now ~seq
+  let on_loss_m t ~meta ~seq ~size:_ =
+    let now = meta.(0) in
+    t.fl.(5) <- now;
+    close_if_expired t ~now;
+    let i = seq land (Array.length t.sm_seqs - 1) in
+    if t.sm_seqs.(i) = seq then begin
+      let mi = t.sm_mis.(i) and tag = t.sm_tags.(i) in
+      t.sm_seqs.(i) <- -1;
+      t.sm_mis.(i) <- t.sm_dummy;
+      Mi.record_loss mi;
+      check_complete t mi tag
+    end
+end
 
-(* Native Sender.S_meta entry points (scratch layout: 0 = now,
-   1 = send_time, 2 = rtt, 3 = next-send result). All four read [meta]
-   directly and share [@inline] bodies with the boxed entry points, so
-   no float is boxed at the call boundary on either protocol. *)
-let next_send_m t ~meta =
-  ignore (ensure_current_mi t ~now:meta.(0));
-  meta.(3) <- t.fl.(4)
-
-let on_sent_m t ~meta ~seq ~size =
-  let now = meta.(0) in
-  let mi, tag = ensure_current_mi t ~now in
-  Mi.record_sent mi ~size;
-  sm_store t seq mi tag;
-  t.fl.(4) <- Float.max now t.fl.(4) +. (float_of_int size /. t.fl.(2))
-
-let on_ack_m t ~meta ~seq ~size:_ =
-  on_ack_impl t ~now:meta.(0) ~seq ~send_time:meta.(1) ~rtt:meta.(2)
-
-let on_loss_m t ~meta ~seq ~size:_ = on_loss_impl t ~now:meta.(0) ~seq
+include (Calls : Sender.S with type t := t)
 
 let factory config : Proteus_net.Sender.factory =
- fun env ->
-  Sender.pack_meta (module struct
-    type nonrec t = t
-
-    let name = name
-    let next_send = next_send
-    let on_sent = on_sent
-    let on_ack = on_ack
-    let on_loss = on_loss
-    let next_send_m = next_send_m
-    let on_sent_m = on_sent_m
-    let on_ack_m = on_ack_m
-    let on_loss_m = on_loss_m
-  end) (create config env)
+ fun env -> Sender.pack (module Calls) (create config env)

@@ -59,7 +59,7 @@ type t
 val create : config -> Proteus_net.Sender.env -> t
 val factory : config -> Proteus_net.Sender.factory
 
-include Proteus_net.Sender.S_meta with type t := t
+include Proteus_net.Sender.S with type t := t
 
 val set_utility : t -> Utility.t -> unit
 (** Dynamic utility (re-)selection — "a simple API call" (§3). Applies

@@ -1,8 +1,8 @@
 (* CCP-style datapath/control split: congestion control as a fold
    program over per-ACK primitive signals plus an off-datapath control
    handler consuming reports. The adapter at the bottom lowers any
-   (program, handler) pair onto Sender.S and the unboxed meta protocol;
-   see datapath.mli for the cost discipline. *)
+   (program, handler) pair onto Sender.S; see datapath.mli for the cost
+   discipline. *)
 
 module Sender = Proteus_net.Sender
 module Trace = Proteus_obs.Trace
@@ -257,10 +257,6 @@ type st = {
   trace : Trace.t;
   fl : float array;
   trig_last : float array; (* per-trigger last fire time (Every) *)
-  sc : float array;
-      (* Scratch for the boxed entry points: length 4, so the shared
-         impls see "no runner-supplied signals" and fall back to the
-         adapter-side estimates. *)
   mutable last_seq : int;
   mutable rep_count : int;
 }
@@ -342,40 +338,14 @@ let check_triggers st ~loss =
     if st.rep_count <> before then after_reports st
   end
 
-(* The window check reads the cwnd register directly; a NaN window
-   compares false and blocks (never a NaN next-send time). Pacing only
-   engages once a handler installed a positive rate. *)
-let[@inline] next_send_impl st ~meta =
-  let fl = st.fl in
-  meta.(3) <-
-    (if Array.unsafe_get fl af_inflight < Array.unsafe_get st.regs st.prog.p_cwnd
-     then begin
-       let now = meta.(0) in
-       let p = Array.unsafe_get fl af_pace in
-       if p > now then p else now
-     end
-     else infinity)
-
-let[@inline] sent_impl st ~meta ~size =
-  let fl = st.fl in
-  Array.unsafe_set fl af_inflight (Array.unsafe_get fl af_inflight +. 1.0);
-  Array.unsafe_set fl af_sent
-    (Array.unsafe_get fl af_sent +. float_of_int size);
-  if Float.is_nan (Array.unsafe_get fl af_first) then
-    Array.unsafe_set fl af_first meta.(0);
-  let r = Array.unsafe_get fl af_rate in
-  if r > 0.0 then
-    Array.unsafe_set fl af_pace
-      (Float.max meta.(0) (Array.unsafe_get fl af_pace) +. (1.0 /. r))
-
 (* The per-event signal refills below store unchecked: [sigs] has
    [num_signals] slots (make_st) and every ix_* is a constant below
    that.
 
    Rate and inflight signals: prefer the runner-supplied slots when the
-   caller's meta array carries them (see Sender.S_meta, slots 4 and 5);
-   the boxed path and any 4-slot caller fall back to the adapter-side
-   estimates. *)
+   caller's meta array carries them (see Sender.S, slots 4 and 5); any
+   4-slot caller (the float-argument Sender calls) falls back to the
+   adapter-side estimates. *)
 let[@inline] fill_rates st ~meta ~now =
   let fl = st.fl and sigs = st.sigs in
   let elapsed = now -. Array.unsafe_get fl af_first in
@@ -397,38 +367,72 @@ let[@inline] fill_rates st ~meta ~now =
     (if Array.length meta > 4 then meta.(4) else Array.unsafe_get fl af_inflight);
   Array.unsafe_set sigs ix_now now
 
-let ack_impl st ~meta ~seq ~size =
-  let fl = st.fl and sigs = st.sigs in
-  (* Decrement before the fold, like a window controller's on_ack. *)
-  Array.unsafe_set fl af_inflight
-    (Float.max 0.0 (Array.unsafe_get fl af_inflight -. 1.0));
-  let szf = float_of_int size in
-  Array.unsafe_set fl af_acked (Array.unsafe_get fl af_acked +. szf);
-  Array.unsafe_set sigs ix_bytes_acked szf;
-  Array.unsafe_set sigs ix_bytes_misordered
-    (if seq < st.last_seq then szf else 0.0);
-  if seq > st.last_seq then st.last_seq <- seq;
-  Array.unsafe_set sigs ix_lost 0.0;
-  let rtt = meta.(2) in
-  Array.unsafe_set sigs ix_rtt rtt;
-  Array.unsafe_set sigs ix_rtt_us (rtt *. 1e6);
-  fill_rates st ~meta ~now:meta.(0);
-  st.prog.p_on_ack st.regs sigs;
-  (* Only Every and When triggers can fire on an ACK; a program whose
-     triggers are all On_loss skips the scan. *)
-  if st.ack_trig then check_triggers st ~loss:false
+module M = struct
+  type t = st
 
-let loss_impl st ~meta ~size:_ =
-  let fl = st.fl and sigs = st.sigs in
-  Array.unsafe_set fl af_inflight
-    (Float.max 0.0 (Array.unsafe_get fl af_inflight -. 1.0));
-  Array.unsafe_set sigs ix_bytes_acked 0.0;
-  Array.unsafe_set sigs ix_bytes_misordered 0.0;
-  Array.unsafe_set sigs ix_lost 1.0;
-  (* rtt slots keep the previous ACK's sample (stale; documented). *)
-  fill_rates st ~meta ~now:meta.(0);
-  st.prog.p_on_loss st.regs sigs;
-  check_triggers st ~loss:true
+  let name t = t.prog.p_name
+
+  (* The window check reads the cwnd register directly; a NaN window
+     compares false and blocks (never a NaN next-send time). Pacing only
+     engages once a handler installed a positive rate. *)
+  let next_send_m st ~meta =
+    let fl = st.fl in
+    meta.(3) <-
+      (if
+         Array.unsafe_get fl af_inflight
+         < Array.unsafe_get st.regs st.prog.p_cwnd
+       then begin
+         let now = meta.(0) in
+         let p = Array.unsafe_get fl af_pace in
+         if p > now then p else now
+       end
+       else infinity)
+
+  let on_sent_m st ~meta ~seq:_ ~size =
+    let fl = st.fl in
+    Array.unsafe_set fl af_inflight (Array.unsafe_get fl af_inflight +. 1.0);
+    Array.unsafe_set fl af_sent
+      (Array.unsafe_get fl af_sent +. float_of_int size);
+    if Float.is_nan (Array.unsafe_get fl af_first) then
+      Array.unsafe_set fl af_first meta.(0);
+    let r = Array.unsafe_get fl af_rate in
+    if r > 0.0 then
+      Array.unsafe_set fl af_pace
+        (Float.max meta.(0) (Array.unsafe_get fl af_pace) +. (1.0 /. r))
+
+  let on_ack_m st ~meta ~seq ~size =
+    let fl = st.fl and sigs = st.sigs in
+    (* Decrement before the fold, like a window controller's on_ack. *)
+    Array.unsafe_set fl af_inflight
+      (Float.max 0.0 (Array.unsafe_get fl af_inflight -. 1.0));
+    let szf = float_of_int size in
+    Array.unsafe_set fl af_acked (Array.unsafe_get fl af_acked +. szf);
+    Array.unsafe_set sigs ix_bytes_acked szf;
+    Array.unsafe_set sigs ix_bytes_misordered
+      (if seq < st.last_seq then szf else 0.0);
+    if seq > st.last_seq then st.last_seq <- seq;
+    Array.unsafe_set sigs ix_lost 0.0;
+    let rtt = meta.(2) in
+    Array.unsafe_set sigs ix_rtt rtt;
+    Array.unsafe_set sigs ix_rtt_us (rtt *. 1e6);
+    fill_rates st ~meta ~now:meta.(0);
+    st.prog.p_on_ack st.regs sigs;
+    (* Only Every and When triggers can fire on an ACK; a program whose
+       triggers are all On_loss skips the scan. *)
+    if st.ack_trig then check_triggers st ~loss:false
+
+  let on_loss_m st ~meta ~seq:_ ~size:_ =
+    let fl = st.fl and sigs = st.sigs in
+    Array.unsafe_set fl af_inflight
+      (Float.max 0.0 (Array.unsafe_get fl af_inflight -. 1.0));
+    Array.unsafe_set sigs ix_bytes_acked 0.0;
+    Array.unsafe_set sigs ix_bytes_misordered 0.0;
+    Array.unsafe_set sigs ix_lost 1.0;
+    (* rtt slots keep the previous ACK's sample (stale; documented). *)
+    fill_rates st ~meta ~now:meta.(0);
+    st.prog.p_on_loss st.regs sigs;
+    check_triggers st ~loss:true
+end
 
 let make_st (env : Sender.env) prog h =
   (match validate_program prog with
@@ -453,41 +457,9 @@ let make_st (env : Sender.env) prog h =
     trace = env.trace;
     fl = [| 0.0; neg_infinity; 0.0; 0.0; 0.0; Float.nan |];
     trig_last = Array.make (Array.length prog.p_triggers) 0.0;
-    sc = Array.make 4 0.0;
     last_seq = -1;
     rep_count = 0;
   }
 
-module M = struct
-  type t = st
-
-  let name t = t.prog.p_name
-
-  let next_send t ~now =
-    t.sc.(0) <- now;
-    next_send_impl t ~meta:t.sc;
-    t.sc.(3)
-
-  let on_sent t ~now ~seq:_ ~size =
-    t.sc.(0) <- now;
-    sent_impl t ~meta:t.sc ~size
-
-  let on_ack t ~now ~seq ~send_time ~size ~rtt =
-    t.sc.(0) <- now;
-    t.sc.(1) <- send_time;
-    t.sc.(2) <- rtt;
-    ack_impl t ~meta:t.sc ~seq ~size
-
-  let on_loss t ~now ~seq:_ ~send_time ~size =
-    t.sc.(0) <- now;
-    t.sc.(1) <- send_time;
-    loss_impl t ~meta:t.sc ~size
-
-  let next_send_m t ~meta = next_send_impl t ~meta
-  let on_sent_m t ~meta ~seq:_ ~size = sent_impl t ~meta ~size
-  let on_ack_m t ~meta ~seq ~size = ack_impl t ~meta ~seq ~size
-  let on_loss_m t ~meta ~seq:_ ~size = loss_impl t ~meta ~size
-end
-
 let to_factory ~program ~handler : Sender.factory =
- fun env -> Sender.pack_meta (module M) (make_st env (program env) handler)
+ fun env -> Sender.pack (module M) (make_st env (program env) handler)

@@ -11,10 +11,9 @@
       {!actions}.
 
     {!to_factory} lowers any (program, handler) pair onto the packet
-    simulator's {!Proteus_net.Sender.S} interface — both the boxed entry points and
-    the unboxed [_m] meta protocol — so a fold program plugs into every
-    topology, bench and scenario exactly like a hand-written
-    controller.
+    simulator's {!Proteus_net.Sender.S} interface — the unboxed [_m]
+    meta calls — so a fold program plugs into every topology, bench and
+    scenario exactly like a hand-written controller.
 
     {b Cost discipline.} The per-ACK path is allocation-free:
     registers and signals live in preallocated float arrays (unboxed
@@ -54,15 +53,15 @@ type signal =
           over the time since the first transmission. *)
   | Rate_incoming
       (** Delivery rate estimate, bytes/s: cumulative bytes delivered
-          over the time since the first transmission. Under the meta
-          protocol this uses the runner's receiver-side goodput
-          (duplicate ACK bytes excluded); on the boxed path it falls
-          back to the adapter's own ACK byte count (duplicates
+          over the time since the first transmission. When the runner
+          supplies it this is the receiver-side goodput (duplicate ACK
+          bytes excluded); through the float-argument [Sender] calls it
+          falls back to the adapter's own ACK byte count (duplicates
           included). *)
   | Inflight
-      (** Packets currently in flight. Under the meta protocol this is
-          the runner's authoritative ring occupancy; on the boxed path,
-          the adapter's own sent-minus-ACKed estimate. *)
+      (** Packets currently in flight. When the runner supplies it this
+          is its authoritative ring occupancy; through the float-argument
+          [Sender] calls, the adapter's own sent-minus-ACKed estimate. *)
   | Now  (** Simulated time of this event, seconds. *)
 
 val num_signals : int
@@ -192,7 +191,7 @@ val to_factory :
   handler:handler ->
   Proteus_net.Sender.factory
 (** Lower a program source and a control handler onto
-    {!Proteus_net.Sender.S} and the unboxed meta protocol. The program
+    {!Proteus_net.Sender.S}. The program
     is built once per flow from the sender's environment; the handler
     keeps per-flow state in the live register file it is handed
     ([rp_regs]). Raises [Failure] at flow-creation time if the program

@@ -56,20 +56,6 @@ let with_handle config =
       invalid_arg "Presets.with_handle: factory used for multiple flows";
     let c = Controller.create config env in
     handle := Some c;
-    Proteus_net.Sender.pack_meta
-      (module struct
-        type t = Controller.t
-
-        let name = Controller.name
-        let next_send = Controller.next_send
-        let on_sent = Controller.on_sent
-        let on_ack = Controller.on_ack
-        let on_loss = Controller.on_loss
-        let next_send_m = Controller.next_send_m
-        let on_sent_m = Controller.on_sent_m
-        let on_ack_m = Controller.on_ack_m
-        let on_loss_m = Controller.on_loss_m
-      end)
-      c
+    Proteus_net.Sender.pack (module Controller) c
   in
   (factory, fun () -> !handle)

@@ -63,10 +63,10 @@ type t = {
   (* Reusable scratch for [Link.forward] / [Link.ack_transit]: 0 = the
      packet's (then its ACK's) time, 1 = a duplicate ACK's time. *)
   pkt : float array;
-  (* Reusable scratch for the [Sender] unboxed call protocol (see
-     [Sender.S_meta]): 0 = now, 1 = send_time, 2 = rtt, 3 = next-send
-     result, 4 = in-flight packets, 5 = delivered bytes (the two
-     runner-supplied datapath signals). Safe to share across flows —
+  (* Reusable scratch for the [Sender] call protocol (see [Sender.S]):
+     0 = now, 1 = send_time, 2 = rtt, 3 = next-send result, 4 =
+     in-flight packets, 5 = delivered bytes (the two runner-supplied
+     datapath signals). Safe to share across flows —
      each event handler fills it before the sender call it guards, and
      sender calls don't nest. *)
   meta : float array;

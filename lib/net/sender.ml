@@ -8,15 +8,29 @@ type env = {
 let make_env ?(trace = Proteus_obs.Trace.disabled) ?(hops = 1) ~rng ~mtu () =
   if hops < 1 then invalid_arg "Sender.make_env: hops must be at least 1";
   { rng; mtu; trace; hops }
+
+(* One call protocol. Calls through a first-class module box every
+   float argument and result (no flambda), so every entry point carries
+   its floats in a caller-owned scratch array, [meta], read and written
+   unboxed. sender.mli documents the slot layout; slots 4 and 5 are
+   optional runner signals, absent from the 4-slot arrays the
+   float-argument calls below pass. *)
 module type S = sig
   type t
 
   val name : t -> string
+  val next_send_m : t -> meta:float array -> unit
+  val on_sent_m : t -> meta:float array -> seq:int -> size:int -> unit
+  val on_ack_m : t -> meta:float array -> seq:int -> size:int -> unit
+  val on_loss_m : t -> meta:float array -> seq:int -> size:int -> unit
+end
 
-  (* Earliest absolute time to transmit: <= now sends immediately, a
-     future time paces, infinity blocks until the next ACK/loss. A raw
-     float (rather than a variant) keeps the per-poll hot path
-     allocation-free. *)
+(* Exists only for perfbench's timing wrapper, which still declares the
+   float-argument calls beside the meta ones. Delete it (and
+   [pack_meta]) once that wrapper implements [S] alone. *)
+module type S_meta = sig
+  include S
+
   val next_send : t -> now:float -> float
   val on_sent : t -> now:float -> seq:int -> size:int -> unit
 
@@ -26,72 +40,16 @@ module type S = sig
   val on_loss : t -> now:float -> seq:int -> send_time:float -> size:int -> unit
 end
 
-(* Unboxed call protocol. Calls through a first-class module box every
-   float argument and result (no flambda), which on the per-packet hot
-   path is the dominant allocator: ~8 boxes per packet across
-   next_send/on_sent/on_ack. The [_m] entry points instead carry floats
-   in a caller-owned scratch array — [meta] — whose reads and writes
-   are unboxed float-array accesses:
-
-     meta.(0) = now        (input to every call)
-     meta.(1) = send_time  (input to on_ack_m / on_loss_m)
-     meta.(2) = rtt        (input to on_ack_m)
-     meta.(3) = next-send time (output of next_send_m)
-     meta.(4) = in-flight packets   (optional runner-supplied signal)
-     meta.(5) = delivered bytes     (optional runner-supplied signal)
-
-   Slots 4 and 5 exist only when the caller provides them (the Runner
-   does; test harnesses may pass 4-slot arrays) — senders that read
-   them must guard on [Array.length meta] and fall back to their own
-   estimates (see [Proteus.Datapath]).
-
-   Hot controllers implement the [_m] functions natively (reading the
-   scratch directly); everything else derives them from the boxed
-   functions via {!Meta_of} inside {!pack} and keeps exactly the old
-   behaviour and cost. *)
-module type S_meta = sig
-  include S
-
-  val next_send_m : t -> meta:float array -> unit
-  val on_sent_m : t -> meta:float array -> seq:int -> size:int -> unit
-  val on_ack_m : t -> meta:float array -> seq:int -> size:int -> unit
-  val on_loss_m : t -> meta:float array -> seq:int -> size:int -> unit
-end
-
-module Meta_of (M : S) = struct
-  let next_send_m t ~meta = meta.(3) <- M.next_send t ~now:meta.(0)
-  let on_sent_m t ~meta ~seq ~size = M.on_sent t ~now:meta.(0) ~seq ~size
-
-  let on_ack_m t ~meta ~seq ~size =
-    M.on_ack t ~now:meta.(0) ~seq ~send_time:meta.(1) ~size ~rtt:meta.(2)
-
-  let on_loss_m t ~meta ~seq ~size =
-    M.on_loss t ~now:meta.(0) ~seq ~send_time:meta.(1) ~size
-end
-
-type packed = Packed : (module S_meta with type t = 'a) * 'a -> packed
+type packed = Packed : (module S with type t = 'a) * 'a -> packed
 
 let pack (type a) (module M : S with type t = a) (v : a) =
-  Packed
-    ( (module struct
-        include M
-        include Meta_of (M)
-      end),
-      v )
-
-let pack_meta (type a) (module M : S_meta with type t = a) (v : a) =
   Packed ((module M), v)
 
+(* Only for perfbench's timing wrapper; see [S_meta]. *)
+let pack_meta (type a) (module M : S_meta with type t = a) (v : a) =
+  pack (module M) v
+
 let name (Packed ((module M), v)) = M.name v
-let next_send (Packed ((module M), v)) ~now = M.next_send v ~now
-let on_sent (Packed ((module M), v)) ~now ~seq ~size = M.on_sent v ~now ~seq ~size
-
-let on_ack (Packed ((module M), v)) ~now ~seq ~send_time ~size ~rtt =
-  M.on_ack v ~now ~seq ~send_time ~size ~rtt
-
-let on_loss (Packed ((module M), v)) ~now ~seq ~send_time ~size =
-  M.on_loss v ~now ~seq ~send_time ~size
-
 let[@inline] next_send_m (Packed ((module M), v)) ~meta = M.next_send_m v ~meta
 
 let[@inline] on_sent_m (Packed ((module M), v)) ~meta ~seq ~size =
@@ -102,5 +60,21 @@ let[@inline] on_ack_m (Packed ((module M), v)) ~meta ~seq ~size =
 
 let[@inline] on_loss_m (Packed ((module M), v)) ~meta ~seq ~size =
   M.on_loss_m v ~meta ~seq ~size
+
+(* Float-argument calls for tests and tools. Each fills a fresh 4-slot
+   scratch, so they are domain-safe and carry no runner signals. *)
+let next_send s ~now =
+  let meta = [| now; 0.0; 0.0; 0.0 |] in
+  next_send_m s ~meta;
+  meta.(3)
+
+let on_sent s ~now ~seq ~size =
+  on_sent_m s ~meta:[| now; 0.0; 0.0; 0.0 |] ~seq ~size
+
+let on_ack s ~now ~seq ~send_time ~size ~rtt =
+  on_ack_m s ~meta:[| now; send_time; rtt; 0.0 |] ~seq ~size
+
+let on_loss s ~now ~seq ~send_time ~size =
+  on_loss_m s ~meta:[| now; send_time; 0.0; 0.0 |] ~seq ~size
 
 type factory = env -> packed

@@ -17,18 +17,19 @@ let check_float ?(eps = 1e-9) msg expected actual =
 let drive ?(seconds = 30.0) ~rtt_of config =
   let env = Net.Sender.make_env ~rng:(Proteus_stats.Rng.create ~seed:5) ~mtu:1500 () in
   let c = Controller.create config env in
+  let sender = Net.Sender.pack (module Controller) c in
   let sim = Sim.create () in
   let seq = ref 0 in
   let rec pump () =
     let now = Sim.now sim in
-    let ts = Controller.next_send c ~now in
+    let ts = Net.Sender.next_send sender ~now in
     if ts <= now then begin
       let s = !seq in
       incr seq;
-      Controller.on_sent c ~now ~seq:s ~size:1500;
+      Net.Sender.on_sent sender ~now ~seq:s ~size:1500;
       let rtt = rtt_of now (Controller.rate_mbps c) in
       Sim.after sim ~delay:rtt (fun () ->
-          Controller.on_ack c ~now:(Sim.now sim) ~seq:s ~send_time:now
+          Net.Sender.on_ack sender ~now:(Sim.now sim) ~seq:s ~send_time:now
             ~size:1500 ~rtt);
       pump ()
     end
@@ -85,16 +86,17 @@ let test_pacing_follows_rate () =
   in
   let env = Net.Sender.make_env ~rng:(Proteus_stats.Rng.create ~seed:5) ~mtu:1500 () in
   let c = Controller.create cfg env in
+  let sender = Net.Sender.pack (module Controller) c in
   let sim = Sim.create () in
   let sent = ref 0 in
   let rec pump () =
     let now = Sim.now sim in
-    let ts = Controller.next_send c ~now in
+    let ts = Net.Sender.next_send sender ~now in
     if ts <= now then begin
       incr sent;
-      Controller.on_sent c ~now ~seq:!sent ~size:1500;
+      Net.Sender.on_sent sender ~now ~seq:!sent ~size:1500;
       Sim.after sim ~delay:0.03 (fun () ->
-          Controller.on_ack c ~now:(Sim.now sim) ~seq:!sent ~send_time:now
+          Net.Sender.on_ack sender ~now:(Sim.now sim) ~seq:!sent ~send_time:now
             ~size:1500 ~rtt:0.03);
       pump ()
     end

@@ -243,11 +243,12 @@ let test_controller_pacing_gap () =
       (Proteus.Controller.default_config ~utility:(Proteus.Utility.proteus_p ()))
       env
   in
+  let s = Net.Sender.pack (module Proteus.Controller) c in
   (* Initial rate 2 Mbps = 250 kB/s: one packet per 6 ms. *)
-  if Proteus.Controller.next_send c ~now:0.0 > 0.0 then
+  if Net.Sender.next_send s ~now:0.0 > 0.0 then
     Alcotest.fail "first packet immediate";
-  Proteus.Controller.on_sent c ~now:0.0 ~seq:0 ~size:1500;
-  let t = Proteus.Controller.next_send c ~now:0.0 in
+  Net.Sender.on_sent s ~now:0.0 ~seq:0 ~size:1500;
+  let t = Net.Sender.next_send s ~now:0.0 in
   if not (Float.is_finite t && t > 0.0) then
     Alcotest.fail "expected paced send";
   if Float.abs (t -. 0.006) > 1e-9 then
