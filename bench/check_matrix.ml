@@ -10,9 +10,10 @@
 
    lint mode:
      check_matrix.exe --lint DIR [--trials N]
-   Parse + validate every *.scn under DIR standalone: grid expansion,
-   spec validation of every combination, and corpus-wide instance-id
-   uniqueness. Exit 1 on the first invalid file. *)
+   Load every *.scn under DIR as the sweep does (Grid.load_dir: grid
+   expansion, spec validation of every combination, directory-wide
+   instance-id uniqueness), then compile each instance's topology.
+   Exit 1 on the first invalid file. *)
 
 module Scn = Proteus_scenario
 module Gate = Scn.Gate
@@ -29,48 +30,29 @@ let die fmt = Printf.ksprintf (fun m -> prerr_endline ("check_matrix: " ^ m); ex
 (* ---------- lint ---------- *)
 
 let lint dir ~trials =
-  let files =
-    match Sys.readdir dir with
-    | exception Sys_error e -> die "%s" e
-    | names ->
-        Array.to_list names
-        |> List.filter (fun n -> Filename.check_suffix n ".scn")
-        |> List.sort String.compare
-        |> List.map (Filename.concat dir)
+  let corpus =
+    match Scn.Grid.load_dir dir ~trials with
+    | Ok c -> c
+    | Error e -> die "%s" e
   in
-  if files = [] then die "no *.scn files under %s" dir;
-  let seen = Hashtbl.create 4096 in
-  let total = ref 0 in
   List.iter
-    (fun path ->
-      match Scn.Grid.load_file path with
-      | Error e -> die "%s" e
-      | Ok tmpl -> (
-          match Scn.Grid.expand tmpl ~trials with
-          | Error e -> die "%s" e
-          | Ok instances ->
-              List.iter
-                (fun (i : Scn.Grid.instance) ->
-                  (match Hashtbl.find_opt seen i.id with
-                  | Some other ->
-                      die "duplicate instance id %s (from %s and %s)" i.id
-                        other path
-                  | None -> Hashtbl.add seen i.id path);
-                  (* The spec must also survive compilation onto the
-                     net layer (topology + routes + protocols). *)
-                  match
-                    (try Ok (Scn.Build.topology i.spec) with
-                    | Invalid_argument m | Failure m -> Error m)
-                  with
-                  | Ok _ -> ()
-                  | Error m -> die "%s [%s]: %s" path i.id m)
-                instances;
-              total := !total + List.length instances;
-              Printf.printf "%-44s ok (%d instances)\n"
-                (Filename.basename path) (List.length instances)))
-    files;
+    (fun (path, instances) ->
+      (* The spec must also survive compilation onto the net layer
+         (topology + routes + protocols). *)
+      List.iter
+        (fun (i : Scn.Grid.instance) ->
+          match Scn.Build.topology i.spec with
+          | _ -> ()
+          | exception (Invalid_argument m | Failure m) ->
+              die "%s [%s]: %s" path i.id m)
+        instances;
+      Printf.printf "%-44s ok (%d instances)\n" (Filename.basename path)
+        (List.length instances))
+    corpus;
   Printf.printf "lint ok: %d files, %d instances at %d trial(s)\n"
-    (List.length files) !total trials;
+    (List.length corpus)
+    (List.fold_left (fun n (_, is) -> n + List.length is) 0 corpus)
+    trials;
   exit 0
 
 (* ---------- compare ---------- *)

@@ -16,9 +16,7 @@ let scale = ref Default
 let pick ~fast ~default ~full =
   match !scale with Fast -> fast | Default -> default | Full -> full
 
-(* `--trials N` overrides the scale-derived trial count (clamped to 64
-   by the CLI: the sweeps' [Rng.split_at] key spaces reserve 64 slots
-   per trial index). *)
+(* `--trials N` overrides the scale-derived trial count. *)
 let trials_override : int option ref = ref None
 
 let trials () =
@@ -62,7 +60,7 @@ module Harness = Proteus_harness
 
 (* `--resume` / `--retries` / `--wall-budget` / `--stall-budget` /
    `--event-budget` / `--inject KIND:RUN_ID`: the sweep experiments
-   (faults, topology, scale) run every simulation under the
+   (faults, topology, matrix, scale) run every simulation under the
    lib/harness supervisor. With no knobs set the supervisor is inert —
    byte-identical outputs — but a crashing, stalling or over-budget run
    degrades its own row instead of killing the whole sweep. *)
@@ -246,28 +244,6 @@ let single_run ?(seed = 1) ?loss_rate ?noise ?(bandwidth_mbps = 50.0)
 let avg_trials n f =
   let xs = par_map f (List.init n (fun i -> i + 1)) in
   D.mean (Array.of_list xs)
-
-(* Mean and normal-approximation 95% confidence half-width
-   (1.96 * s / sqrt n, with s the sample standard deviation). The
-   half-width is 0 for fewer than two samples — a single trial carries
-   no spread information. *)
-let mean_ci95 xs =
-  let n = Array.length xs in
-  if n = 0 then (0.0, 0.0)
-  else
-    let mean = D.mean xs in
-    if n < 2 then (mean, 0.0)
-    else begin
-      let nf = float_of_int n in
-      let sq = ref 0.0 in
-      Array.iter
-        (fun x ->
-          let d = x -. mean in
-          sq := !sq +. (d *. d))
-        xs;
-      let sample_var = !sq /. (nf -. 1.0) in
-      (mean, 1.96 *. sqrt sample_var /. sqrt nf)
-    end
 
 let single_avg ?loss_rate ?noise ?bandwidth_mbps ?rtt_ms ?buffer_bytes
     (p : proto) =

@@ -1,35 +1,23 @@
-(* The scenario evaluation matrix: every *.scn file under the corpus
-   directory expands (grid x trials) into concrete seeded instances,
-   fans out through the supervised sweep over the Domain pool, and the
-   per-trial metric values aggregate into mean / sd / 95% CI cells in
-   BENCH_matrix.json. bench/check_matrix.exe gates a candidate matrix
-   against a committed baseline with Welch-style tests instead of byte
-   equality (the cells are sample statistics; see lib/scenario/gate).
+(* The scenario sweep: every *.scn file under a corpus directory
+   expands (grid x trials) into concrete seeded instances, fans out
+   through the supervised sweep over the Domain pool, and the per-trial
+   metric values aggregate into mean / sd / 95% CI cells in
+   BENCH_<id>.json. Three bench ids run it: matrix (the --scenarios
+   corpus), faults (scenarios/faults) and topology (scenarios/topology).
+   bench/check_matrix.exe gates a candidate against a committed
+   baseline with Welch-style tests instead of byte equality (the cells
+   are sample statistics; see lib/scenario/gate).
 
    Determinism contract: instance ids are pure functions of (scenario
    name, grid bindings, trial index) and seeds derive from the id's
-   MD5, so the matrix is byte-identical across --jobs widths and
+   MD5, so the output is byte-identical across --jobs widths and
    unaffected by adding or removing sibling scenario files. *)
 
 module Scn = Proteus_scenario
 module Sweep = Proteus_harness.Sweep
 
-(* `--scenarios DIR` (default "scenarios"): the committed corpus. *)
+(* `--scenarios DIR` (default "scenarios"): the matrix corpus. *)
 let dir = ref "scenarios"
-
-let list_corpus d =
-  match Sys.readdir d with
-  | exception Sys_error e -> failwith (Printf.sprintf "matrix: %s" e)
-  | names ->
-      let files =
-        Array.to_list names
-        |> List.filter (fun n -> Filename.check_suffix n ".scn")
-        |> List.sort String.compare
-        |> List.map (Filename.concat d)
-      in
-      if files = [] then
-        failwith (Printf.sprintf "matrix: no *.scn files under %s" d);
-      files
 
 (* Corpus digest: MD5 over (basename, content-MD5) pairs in sorted
    order. Guards the journal against resuming into an edited corpus
@@ -45,29 +33,6 @@ let corpus_digest files =
     files;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let load_corpus files ~trials =
-  let seen = Hashtbl.create 4096 in
-  List.map
-    (fun path ->
-      match Scn.Grid.load_file path with
-      | Error e -> failwith e
-      | Ok tmpl -> (
-          match Scn.Grid.expand tmpl ~trials with
-          | Error e -> failwith e
-          | Ok instances ->
-              List.iter
-                (fun (i : Scn.Grid.instance) ->
-                  match Hashtbl.find_opt seen i.id with
-                  | Some other ->
-                      failwith
-                        (Printf.sprintf
-                           "matrix: duplicate instance id %s (from %s and %s)"
-                           i.id other path)
-                  | None -> Hashtbl.add seen i.id path)
-                instances;
-              (path, instances)))
-    files
-
 (* ---------- per-run task ---------- *)
 
 (* %h floats round-trip byte-exactly through the journal: a resumed
@@ -82,7 +47,7 @@ let decode_metrics s =
     List.map
       (fun kv ->
         match String.rindex_opt kv '=' with
-        | None -> failwith ("matrix: bad journal payload " ^ kv)
+        | None -> failwith ("sweep: bad journal payload " ^ kv)
         | Some i ->
             ( String.sub kv 0 i,
               float_of_string
@@ -163,8 +128,8 @@ let aggregate tasks rows =
 
 let json_num v = if Float.is_finite v then Printf.sprintf "%.6g" v else "0"
 
-let emit_json ~trials ~n_files ~n_instances ~digest cells failures =
-  let oc = open_out "BENCH_matrix.json" in
+let emit_json ~id ~trials ~n_files ~n_instances ~digest cells failures =
+  let oc = open_out ("BENCH_" ^ id ^ ".json") in
   output_string oc "{\n  \"schema\": \"pcc-proteus-bench-matrix/1\",\n";
   Printf.fprintf oc "  \"code_version\": \"%s\",\n"
     (Proteus_obs.Manifest.code_version ());
@@ -190,14 +155,16 @@ let emit_json ~trials ~n_files ~n_instances ~digest cells failures =
 
 (* ---------- entry point ---------- *)
 
-let run () =
-  Exp_common.run_experiment ~id:"matrix"
-    ~title:"Scenario evaluation matrix (declarative corpus sweep)"
-  @@ fun () ->
+let sweep ~id ~title corpus_dir =
+  Exp_common.run_experiment ~id ~title @@ fun () ->
   let trials = Exp_common.trials () in
-  let files = list_corpus !dir in
+  let corpus =
+    match Scn.Grid.load_dir corpus_dir ~trials with
+    | Ok c -> c
+    | Error e -> failwith (Printf.sprintf "%s: %s" id e)
+  in
+  let files = List.map fst corpus in
   let digest = corpus_digest files in
-  let corpus = load_corpus files ~trials in
   let tasks = List.concat_map snd corpus in
   let n_instances = List.length tasks in
   Printf.printf "corpus: %d scenario files -> %d instances (%d trials each)\n"
@@ -208,14 +175,9 @@ let run () =
         (List.length instances))
     corpus;
   let cfg =
-    Exp_common.sweep_config ~journal:"JOURNAL_matrix.jsonl"
-      ~params:
-        [
-          "matrix";
-          Exp_common.scale_name ();
-          string_of_int trials;
-          digest;
-        ]
+    Exp_common.sweep_config
+      ~journal:("JOURNAL_" ^ id ^ ".jsonl")
+      ~params:[ id; Exp_common.scale_name (); string_of_int trials; digest ]
   in
   let rows =
     Exp_common.sup_map cfg
@@ -225,16 +187,20 @@ let run () =
   in
   let failures = Exp_common.sweep_failures rows in
   let summary = Sweep.summarize ~retries:!Exp_common.retries rows in
-  Exp_common.note_failures "matrix" summary;
+  Exp_common.note_failures id summary;
   let cells = aggregate tasks rows in
-  emit_json ~trials ~n_files:(List.length files) ~n_instances ~digest cells
-    failures;
+  emit_json ~id ~trials ~n_files:(List.length files) ~n_instances ~digest
+    cells failures;
   Printf.printf
     "\n%d runs (%d completed, %d failed, %d resumed) -> %d result cells\n"
     n_instances summary.completed summary.failed summary.resumed
     (List.length cells);
-  Printf.printf "(wrote BENCH_matrix.json)\n";
+  Printf.printf "(wrote BENCH_%s.json)\n" id;
   ("scenario_files", string_of_int (List.length files))
   :: ("instances", string_of_int n_instances)
   :: ("corpus_digest", digest)
   :: Exp_common.outcome_params summary
+
+let run () =
+  sweep ~id:"matrix" ~title:"Scenario evaluation matrix (declarative corpus sweep)"
+    !dir

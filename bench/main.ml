@@ -4,7 +4,8 @@
    Usage:  dune exec bench/main.exe --
              [--fast|--full] [--jobs N] [OPTION]... [ids...]
    ids: fig2 fig3 fig4 fig5 fig6 fig8 fig9 fig11 fig12 fig14
-        appendix theory ablation micro faults topology all (default: all);
+        appendix theory ablation micro faults topology scale matrix
+        all (default: all);
    --help lists every id and option (parsed with Cmdliner).
 
    --jobs N fans independent trials/protocol runs across N domains;
@@ -15,7 +16,10 @@
    metrics snapshot from experiments that support per-run tracing
    (currently faults-smoke); tracing never changes results.
 
-   The sweep experiments (faults, topology, scale) run under the
+   faults, topology and matrix are one scenario sweep (Exp_matrix) over
+   scenarios/faults, scenarios/topology and the --scenarios corpus;
+   each writes BENCH_<id>.json, JOURNAL_<id>.jsonl and
+   MANIFEST_<id>.json. The sweeps (those three and scale) run under the
    lib/harness supervisor: --wall-budget/--stall-budget/--event-budget
    bound each run, --retries retries failed runs with escalating
    budgets, --resume skips runs already journaled in JOURNAL_<id>.jsonl,
@@ -43,9 +47,19 @@ let experiments : (string * (unit -> unit)) list =
     ("theory", Exp_theory.run);
     ("ablation", Exp_ablation.run);
     ("micro", Exp_micro.run);
-    ("faults", Exp_faults.run);
+    ( "faults",
+      fun () ->
+        Exp_matrix.sweep ~id:"faults"
+          ~title:
+            "Fault injection: outages, bandwidth steps, bursty loss (auditor \
+             on)"
+          "scenarios/faults" );
     ("faults-smoke", Exp_faults.smoke);
-    ("topology", Exp_topology.run);
+    ( "topology",
+      fun () ->
+        Exp_matrix.sweep ~id:"topology"
+          ~title:"Multi-hop topologies: parking lot and reverse-path congestion"
+          "scenarios/topology" );
     ("topology-smoke", Exp_topology.smoke);
     ("scale", Exp_scale.run);
     ("scale-smoke", Exp_scale.smoke);
@@ -113,11 +127,6 @@ let setting r arg = Term.(const (fun v -> r := v) $ arg)
 let opt_setting r arg_conv default name ~docv doc =
   setting r Arg.(value & opt arg_conv default & info [ name ] ~docv ~doc)
 
-(* The sweeps' [Rng.split_at] key spaces reserve 64 slots per trial
-   index, so an override past that would alias seeds across tasks. *)
-let trial_count =
-  int_in ~what:"an integer in 1..64" (fun n -> n >= 1 && n <= 64)
-
 let settings =
   let open Exp_common in
   [
@@ -126,8 +135,8 @@ let settings =
        trace-capable experiments.";
     opt_setting metrics_file Arg.(some string) None "metrics" ~docv:"FILE"
       "Export a metrics-registry snapshot (JSON).";
-    opt_setting trials_override (Arg.some trial_count) None "trials" ~docv:"N"
-      "Override the scale-derived trial count (1..64).";
+    opt_setting trials_override (Arg.some positive) None "trials" ~docv:"N"
+      "Override the scale-derived trial count.";
     opt_setting shards positive !shards "shards" ~docv:"N"
       "Shard count for intra-trial sharded experiments (scale; \
        byte-identical for any $(docv)).";

@@ -175,3 +175,39 @@ let expand t ~trials =
               go acc rest)
     in
     go [] (combos t)
+
+(* Every *.scn under [dir], in name order, each expanded; instance ids
+   must be unique across the directory. *)
+let load_dir dir ~trials =
+  match Sys.readdir dir with
+  | exception Sys_error e -> Error e
+  | names -> (
+      let files =
+        Array.to_list names
+        |> List.filter (fun n -> Filename.check_suffix n ".scn")
+        |> List.sort String.compare
+        |> List.map (Filename.concat dir)
+      in
+      let seen = Hashtbl.create 4096 in
+      let load path =
+        match load_file path with
+        | Error e -> raise (Bad e)
+        | Ok tmpl -> (
+            match expand tmpl ~trials with
+            | Error e -> raise (Bad e)
+            | Ok instances ->
+                List.iter
+                  (fun i ->
+                    match Hashtbl.find_opt seen i.id with
+                    | Some other ->
+                        bad "duplicate instance id %s (from %s and %s)" i.id
+                          other path
+                    | None -> Hashtbl.add seen i.id path)
+                  instances;
+                (path, instances))
+      in
+      if files = [] then Error (Printf.sprintf "no *.scn files under %s" dir)
+      else
+        match List.map load files with
+        | corpus -> Ok corpus
+        | exception Bad e -> Error e)

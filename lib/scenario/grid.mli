@@ -45,3 +45,10 @@ val expand : template -> trials:int -> (instance list, string) result
 
 val seed_of_id : string -> int
 (** Deterministic positive seed from an instance id (MD5-derived). *)
+
+val load_dir :
+  string -> trials:int -> ((string * instance list) list, string) result
+(** Load and expand every [*.scn] file directly under a directory, in
+    file-name order, paired with its path. Fails on a missing or empty
+    directory, the first file {!load_file} or {!expand} rejects, and
+    an instance id two files share. *)

@@ -41,13 +41,18 @@ type topology =
   | Chain of Link.config list
   | Parking_lot of { hops : int; link : Link.config; cross : string }
 
+type window = { w_from : float; w_to : float }
+
 type metric =
-  | Tput of string
-  | Mean_rtt of string
-  | P95_rtt of string
+  | Tput of string * window option
+  | Mean_rtt of string * window option
+  | P95_rtt of string * window option
   | Loss of string
-  | Total_tput
-  | Fairness
+  | Total_tput of window option
+  | Fairness of window option
+  | Total_loss
+  | Recovery of { pre : window; after : float }
+  | Harm of string
 
 type t = {
   name : string;
@@ -58,6 +63,9 @@ type t = {
   fluids : fluid list;
   metrics : metric list;
 }
+
+(* Width of the goodput bins windowed throughput and recovery read. *)
+let series_bin = 0.25
 
 (* ---------- small helpers ---------- *)
 
@@ -493,30 +501,95 @@ let print_fluid fl =
 
 (* ---------- metrics ---------- *)
 
+let parse_window ctx = function
+  | [ a; b ] -> { w_from = float_atom ctx a; w_to = float_atom ctx b }
+  | _ -> bad "%s: expected two times T0 T1" ctx
+
+let parse_opt_window ctx = function
+  | [] -> None
+  | [ Sexp.List (Sexp.Atom "window" :: ts) ] -> Some (parse_window ctx ts)
+  | f :: _ -> bad "%s: expected (window T0 T1), got %s" ctx (Sexp.to_string f)
+
 let parse_metric = function
-  | Sexp.List [ Sexp.Atom "tput"; l ] -> Tput (atom "tput" l)
-  | Sexp.List [ Sexp.Atom "mean-rtt"; l ] -> Mean_rtt (atom "mean-rtt" l)
-  | Sexp.List [ Sexp.Atom "p95-rtt"; l ] -> P95_rtt (atom "p95-rtt" l)
+  | Sexp.List (Sexp.Atom "tput" :: l :: w) ->
+      Tput (atom "tput" l, parse_opt_window "tput" w)
+  | Sexp.List (Sexp.Atom "mean-rtt" :: l :: w) ->
+      Mean_rtt (atom "mean-rtt" l, parse_opt_window "mean-rtt" w)
+  | Sexp.List (Sexp.Atom "p95-rtt" :: l :: w) ->
+      P95_rtt (atom "p95-rtt" l, parse_opt_window "p95-rtt" w)
   | Sexp.List [ Sexp.Atom "loss"; l ] -> Loss (atom "loss" l)
-  | Sexp.List [ Sexp.Atom "total-tput" ] | Sexp.Atom "total-tput" -> Total_tput
-  | Sexp.List [ Sexp.Atom "fairness" ] | Sexp.Atom "fairness" -> Fairness
+  | Sexp.List (Sexp.Atom "total-tput" :: w) ->
+      Total_tput (parse_opt_window "total-tput" w)
+  | Sexp.Atom "total-tput" -> Total_tput None
+  | Sexp.List (Sexp.Atom "fairness" :: w) ->
+      Fairness (parse_opt_window "fairness" w)
+  | Sexp.Atom "fairness" -> Fairness None
+  | Sexp.List [ Sexp.Atom "total-loss" ] | Sexp.Atom "total-loss" -> Total_loss
+  | Sexp.List
+      [
+        Sexp.Atom "recovery";
+        Sexp.List (Sexp.Atom "pre" :: pre);
+        Sexp.List [ Sexp.Atom "after"; t ];
+      ] ->
+      Recovery
+        { pre = parse_window "recovery pre" pre; after = float_atom "after" t }
+  | Sexp.List [ Sexp.Atom "harm"; l ] -> Harm (atom "harm" l)
   | f -> bad "metrics: unknown metric %s" (Sexp.to_string f)
 
-let print_metric = function
-  | Tput l -> Sexp.List [ Sexp.Atom "tput"; Sexp.Atom l ]
-  | Mean_rtt l -> Sexp.List [ Sexp.Atom "mean-rtt"; Sexp.Atom l ]
-  | P95_rtt l -> Sexp.List [ Sexp.Atom "p95-rtt"; Sexp.Atom l ]
-  | Loss l -> Sexp.List [ Sexp.Atom "loss"; Sexp.Atom l ]
-  | Total_tput -> Sexp.List [ Sexp.Atom "total-tput" ]
-  | Fairness -> Sexp.List [ Sexp.Atom "fairness" ]
+let window_sexp head w =
+  Sexp.List [ Sexp.Atom head; Sexp.Atom (fstr w.w_from); Sexp.Atom (fstr w.w_to) ]
+
+let print_metric m =
+  let form head args w =
+    Sexp.List
+      ((Sexp.Atom head :: args)
+      @ match w with Some w -> [ window_sexp "window" w ] | None -> [])
+  in
+  match m with
+  | Tput (l, w) -> form "tput" [ Sexp.Atom l ] w
+  | Mean_rtt (l, w) -> form "mean-rtt" [ Sexp.Atom l ] w
+  | P95_rtt (l, w) -> form "p95-rtt" [ Sexp.Atom l ] w
+  | Loss l -> form "loss" [ Sexp.Atom l ] None
+  | Total_tput w -> form "total-tput" [] w
+  | Fairness w -> form "fairness" [] w
+  | Total_loss -> form "total-loss" [] None
+  | Recovery { pre; after } ->
+      Sexp.List
+        [
+          Sexp.Atom "recovery";
+          window_sexp "pre" pre;
+          Sexp.List [ Sexp.Atom "after"; Sexp.Atom (fstr after) ];
+        ]
+  | Harm l -> form "harm" [ Sexp.Atom l ] None
+
+(* Unwindowed keys are the historical ones; a window appends
+   "@T0-T1". Keys never contain ',' or '=' (the journal separators). *)
+let window_key w = Printf.sprintf "%s-%s" (fstr w.w_from) (fstr w.w_to)
+
+let windowed key = function
+  | None -> key
+  | Some w -> key ^ "@" ^ window_key w
+
+let recovery_keys pre after =
+  let suffix = Printf.sprintf ":%s@%s" (window_key pre) (fstr after) in
+  ("recovery" ^ suffix, "recovered" ^ suffix)
 
 let metric_name = function
-  | Tput l -> "tput:" ^ l
-  | Mean_rtt l -> "mean-rtt:" ^ l
-  | P95_rtt l -> "p95-rtt:" ^ l
+  | Tput (l, w) -> windowed ("tput:" ^ l) w
+  | Mean_rtt (l, w) -> windowed ("mean-rtt:" ^ l) w
+  | P95_rtt (l, w) -> windowed ("p95-rtt:" ^ l) w
   | Loss l -> "loss:" ^ l
-  | Total_tput -> "total-tput"
-  | Fairness -> "fairness"
+  | Total_tput w -> windowed "total-tput" w
+  | Fairness w -> windowed "fairness" w
+  | Total_loss -> "total-loss"
+  | Recovery { pre; after } -> fst (recovery_keys pre after)
+  | Harm l -> "harm:" ^ l
+
+let metric_keys = function
+  | Recovery { pre; after } ->
+      let r, ok = recovery_keys pre after in
+      [ r; ok ]
+  | m -> [ metric_name m ]
 
 (* ---------- topology ---------- *)
 
@@ -602,8 +675,8 @@ let flow_labels t =
   | _ -> []
 
 let default_metrics t =
-  List.concat_map (fun f -> [ Tput f.label; Loss f.label ]) t.flows
-  @ [ Total_tput ]
+  List.concat_map (fun f -> [ Tput (f.label, None); Loss f.label ]) t.flows
+  @ [ Total_tput None ]
 
 let validate_exn t =
   if not (ident_ok t.name) then
@@ -723,13 +796,43 @@ let validate_exn t =
           with Invalid_argument m -> bad "class %s: %s" c.c_label m)
         fl.f_classes)
     t.fluids;
+  (* Windows sit on the 0.25 s goodput bins windowed throughput and
+     recovery read, inside the run. *)
+  let check_window m w =
+    let on_bin x = Float.is_integer (x /. series_bin) in
+    if
+      (not (Float.is_finite w.w_from && Float.is_finite w.w_to))
+      || w.w_from < 0.0 || w.w_to > t.duration || w.w_from >= w.w_to
+    then
+      bad "metrics: %s needs a window 0 <= T0 < T1 <= duration" (metric_name m);
+    if not (on_bin w.w_from && on_bin w.w_to) then
+      bad "metrics: %s window edges must be multiples of %s s" (metric_name m)
+        (fstr series_bin)
+  in
+  let check_label m l =
+    if not (List.mem l labels) then
+      bad "metrics: %s references unknown flow label %S" (metric_name m) l
+  in
   List.iter
     (fun m ->
       match m with
-      | Tput l | Mean_rtt l | P95_rtt l | Loss l ->
-          if not (List.mem l labels) then
-            bad "metrics: %s references unknown flow label %S" (metric_name m) l
-      | Total_tput | Fairness -> ())
+      | Tput (l, w) | Mean_rtt (l, w) | P95_rtt (l, w) ->
+          check_label m l;
+          Option.iter (check_window m) w
+      | Loss l -> check_label m l
+      | Total_tput w | Fairness w -> Option.iter (check_window m) w
+      | Total_loss -> ()
+      | Recovery { pre; after } ->
+          check_window m pre;
+          if (not (Float.is_finite after)) || after < 0.0 || after >= t.duration
+          then bad "metrics: %s: after must lie in [0, duration)" (metric_name m)
+      | Harm l ->
+          if not (List.exists (fun f -> f.label = l) t.flows) then
+            bad "metrics: %s references unknown flow label %S (harm removes \
+                 a declared flow)"
+              (metric_name m) l;
+          if List.length labels < 2 then
+            bad "metrics: %s needs another flow to harm" (metric_name m))
     t.metrics
 
 let validate t = match validate_exn t with () -> Ok () | exception Bad m -> Error m

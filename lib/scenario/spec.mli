@@ -31,9 +31,17 @@
             | (datapath NAME [(interval T)] [(const REG V)] ...)
     CLASS  := (class (label L) [(flows N)] [(responsiveness R)]
                (envelope (T RATE_MBPS) ...))
-    METRIC := (tput L) | (mean-rtt L) | (p95-rtt L) | (loss L)
-            | (total-tput) | (fairness)
-    v} *)
+    METRIC := (tput L [WINDOW]) | (mean-rtt L [WINDOW])
+            | (p95-rtt L [WINDOW]) | (loss L)
+            | (total-tput [WINDOW]) | (fairness [WINDOW]) | (total-loss)
+            | (recovery (pre T0 T1) (after T)) | (harm L)
+    WINDOW := (window T0 T1)
+    v}
+
+    A metric reads the measurement window [\[measure-from, duration)]
+    unless it carries a [WINDOW]. Windowed throughput ([tput],
+    [total-tput], [fairness]) is the mean of the 0.25 s goodput bins in
+    [\[T0, T1)], so window edges must be multiples of 0.25 s. *)
 
 type route = E2e | Hop of int | Rev
 
@@ -79,13 +87,26 @@ type topology =
       (** [hops] identical hops, one [cross] flow pinned per hop;
           declared flows default to the end-to-end route. *)
 
+type window = { w_from : float; w_to : float }
+(** [\[w_from, w_to)] in seconds, on 0.25 s bin edges. *)
+
 type metric =
-  | Tput of string
-  | Mean_rtt of string
-  | P95_rtt of string
+  | Tput of string * window option
+  | Mean_rtt of string * window option
+  | P95_rtt of string * window option
   | Loss of string
-  | Total_tput
-  | Fairness
+  | Total_tput of window option
+  | Fairness of window option
+  | Total_loss  (** lost / sent over every flow *)
+  | Recovery of { pre : window; after : float }
+      (** Seconds after [after] until the all-flow goodput, in 0.25 s
+          bins, first reaches 0.8 x its mean over [pre]; censored at
+          [duration - after] when it never does. Reports a second,
+          0/1 [recovered] key beside it. *)
+  | Harm of string
+      (** [max 0 (1 - mean_i (tput_i / base_i))] over the other flows,
+          where [base_i] comes from the same spec and seed run again
+          without the declared flow [L]. *)
 
 type t = {
   name : string;
@@ -97,9 +118,18 @@ type t = {
   metrics : metric list;
 }
 
+val series_bin : float
+(** Width in seconds of the goodput bins windowed throughput and
+    recovery read (0.25). *)
+
 val metric_name : metric -> string
 (** Stable key used in journal payloads and BENCH_matrix rows, e.g.
-    ["tput:a"], ["fairness"]. *)
+    ["tput:a"], ["fairness"], ["total-tput@3-8"], ["harm:e2e"],
+    ["recovery:3-8@10"]. *)
+
+val metric_keys : metric -> string list
+(** Every key a metric reports, in order: [metric_name], plus
+    ["recovered:T0-T1@T"] after a recovery. *)
 
 val flow_labels : t -> string list
 (** Labels of declared flows plus the implicit [crossN] parking-lot

@@ -168,6 +168,129 @@ let test_validation_errors () =
        (flows (flow (cc cubic))))|}
     "bandwidth"
 
+let test_metric_form_errors () =
+  let with_metrics ?(flows = "(flow (cc cubic) (label a)) (flow (cc bbr) (label b))") ms =
+    Printf.sprintf
+      {|(scenario (duration 6)
+         (topology (dumbbell (link (bw-mbps 10) (rtt-ms 30) (buffer-bytes 100000))))
+         (flows %s)
+         (metrics %s))|}
+      flows ms
+  in
+  expect_spec_error (with_metrics "(tput a (window 5 7))") "window";
+  expect_spec_error (with_metrics "(total-tput (window -1 2))") "window";
+  expect_spec_error (with_metrics "(fairness (window 3 3))") "window";
+  expect_spec_error (with_metrics "(mean-rtt a (window 4 2))") "window";
+  expect_spec_error (with_metrics "(tput a (window 1.1 2))") "multiples";
+  expect_spec_error
+    (with_metrics "(recovery (pre 4 2) (after 5))") "window";
+  expect_spec_error
+    (with_metrics "(recovery (pre 1 2) (after 6))") "after";
+  expect_spec_error (with_metrics "(harm ghost)") "ghost";
+  expect_spec_error
+    (with_metrics ~flows:"(flow (cc cubic) (label a))" "(harm a)")
+    "another flow";
+  (* windowed keys extend the unwindowed ones; the bare keys stay *)
+  let s =
+    parse_spec
+      (with_metrics
+         "(tput a) (tput a (window 1 2.5)) (fairness) (fairness (window 0 6)) \
+          (total-loss) (recovery (pre 1 2) (after 3)) (harm b)")
+  in
+  Alcotest.(check (list string))
+    "keys"
+    [
+      "tput:a"; "tput:a@1-2.5"; "fairness"; "fairness@0-6"; "total-loss";
+      "recovery:1-2@3"; "recovered:1-2@3"; "harm:b";
+    ]
+    (List.concat_map Spec.metric_keys s.Spec.metrics)
+
+(* A link that is down from 2 s to the end never recovers: the
+   recovery reads as censored at the end of the run, not as 0 s. *)
+let test_recovery_censored () =
+  let spec =
+    parse_spec
+      {|(scenario (duration 6)
+         (topology (dumbbell (link (bw-mbps 10) (rtt-ms 30) (buffer-bytes 100000)
+           (schedule (at 2 (down 4))))))
+         (flows (flow (cc cubic) (label a)))
+         (metrics (recovery (pre 1 2) (after 2))))|}
+  in
+  match Scn.Build.run_metrics ~seed:3 spec with
+  | [ ("recovery:1-2@2", s); ("recovered:1-2@2", ok) ] ->
+      Alcotest.(check (float 0.0)) "censored at the end" 4.0 s;
+      Alcotest.(check (float 0.0)) "not recovered" 0.0 ok
+  | ms ->
+      Alcotest.failf "unexpected metrics %s"
+        (String.concat " " (List.map fst ms))
+
+(* The recovery bar is 0.8 x the pre-fault goodput: a link cut to just
+   above 80% of its rate (16.1 of 20 Mbps) at 3 s recovers, one cut to
+   just below (15.9) never does. The scan starts at 4 s, once every ACK
+   left the bottleneck at the new rate: 0.25 s bins hold whole packets,
+   so the saturated bins sit within 0.05 Mbps of it. *)
+let test_recovery_threshold () =
+  let recovered bw =
+    let spec =
+      parse_spec
+        (Printf.sprintf
+           {|(scenario (duration 8)
+              (topology (dumbbell (link (bw-mbps 20) (rtt-ms 30) (buffer-bytes 150000)
+                (schedule (at 3 (set-bandwidth %s))))))
+              (flows (flow (cc cubic) (label a)))
+              (metrics (recovery (pre 1 3) (after 4))))|}
+           bw)
+    in
+    List.assoc "recovered:1-3@4" (Scn.Build.run_metrics ~seed:3 spec)
+  in
+  Alcotest.(check (float 0.0)) "16.1 Mbps recovers" 1.0 (recovered "16.1");
+  Alcotest.(check (float 0.0)) "15.9 Mbps never does" 0.0 (recovered "15.9")
+
+(* harm = max 0 (1 - mean_i (tput_i / base_i)) over the other flows,
+   with base_i = 0 reading as no harm. *)
+let test_harm_formula () =
+  let spec =
+    parse_spec
+      {|(scenario (duration 4) (measure-from 1)
+         (topology (dumbbell (link (bw-mbps 10) (rtt-ms 30) (buffer-bytes 100000))))
+         (flows (flow (cc cubic) (label a)) (flow (cc cubic) (label b))
+                (flow (cc copa) (label c)))
+         (metrics (harm a)))|}
+  in
+  let r, flows = Scn.Build.instantiate ~seed:3 spec in
+  Net.Runner.run r ~until:4.0;
+  let tput l =
+    Net.Flow_stats.throughput_mbps
+      (Net.Runner.stats (List.assoc l flows))
+      ~t0:1.0 ~t1:4.0
+  in
+  let harm base =
+    List.assoc "harm:a"
+      (Scn.Build.metric_values ~baselines:[ ("a", base) ] spec flows)
+  in
+  Alcotest.(check (float 0.0)) "halved and untouched" 0.25
+    (harm [ ("b", 2.0 *. tput "b"); ("c", tput "c") ]);
+  Alcotest.(check (float 0.0)) "gains clamp to 0" 0.0
+    (harm [ ("b", tput "b" /. 2.0); ("c", tput "c") ]);
+  Alcotest.(check (float 0.0)) "zero baseline reads as no harm" 0.0
+    (harm [ ("b", 0.0); ("c", tput "c") ])
+
+(* Every flow stops: the run must drain, and a run that cannot
+   (flows stopping at the horizon) fails the quiescence check. *)
+let test_stopped_spec_quiesces () =
+  let spec stop =
+    parse_spec
+      (Printf.sprintf
+         {|(scenario (duration 4)
+            (topology (dumbbell (link (bw-mbps 10) (rtt-ms 30) (buffer-bytes 100000))))
+            (flows (flow (cc cubic) (label a) (stop %s)) (flow (cc bbr) (label b) (stop %s))))|}
+         stop stop)
+  in
+  ignore (Scn.Build.run_metrics ~seed:3 (spec "3") : (string * float) list);
+  match Scn.Build.run_metrics ~seed:3 (spec "3.999") with
+  | _ -> Alcotest.fail "in-flight packets at the horizon passed quiescence"
+  | exception Net.Audit.Violation _ -> ()
+
 (* ---------- grid expansion ---------- *)
 
 let grid_text =
@@ -336,6 +459,81 @@ let test_run_metrics_deterministic () =
       if not (Float.is_finite v1) then Alcotest.failf "%s not finite" k1)
     m1 m2
 
+(* ---------- the ported fault and topology sweeps ---------- *)
+
+(* The committed sweep specs, as the bench expands them. [dune test]
+   runs from _build/default/test; a direct run, from the repo root. *)
+let scenarios_dir =
+  if Sys.file_exists "../scenarios/faults" then "../scenarios" else "scenarios"
+
+let sweep_instance dir name cc =
+  let path = Printf.sprintf "%s/%s/%s.scn" scenarios_dir dir name in
+  match Grid.load_file path with
+  | Error e -> Alcotest.failf "%s" e
+  | Ok tmpl -> (
+      match Grid.expand tmpl ~trials:1 with
+      | Error e -> Alcotest.failf "%s" e
+      | Ok insts -> (
+          let combo = "cc=" ^ cc in
+          match List.find_opt (fun (i : Grid.instance) -> i.combo = combo) insts with
+          | Some i -> i
+          | None -> Alcotest.failf "%s has no %s instance" path combo))
+
+(* Every pinned value of the hand-written runners, bit for bit. Each
+   old field maps onto the prefix of the one metric key replacing it. *)
+let check_pinned dir key_prefix (cells : Sweep_goldens.cell list) =
+  List.iter
+    (fun (c : Sweep_goldens.cell) ->
+      let i = sweep_instance dir c.scenario c.cc in
+      let ms = Scn.Build.run_metrics ~seed:i.seed i.spec in
+      let find prefix =
+        match
+          List.filter (fun (k, _) -> String.starts_with ~prefix k) ms
+        with
+        | [ kv ] -> kv
+        | kvs ->
+            Alcotest.failf "%s: %d keys start with %s" i.id (List.length kvs)
+              prefix
+      in
+      List.iter
+        (fun (field, golden) ->
+          let key, v = find (key_prefix field) in
+          if Int64.bits_of_float v <> Int64.bits_of_float golden then
+            Alcotest.failf "%s %s (was %s): %h <> pinned %h" i.id key field v
+              golden)
+        c.values;
+      if dir = "faults" then
+        Alcotest.(check (float 0.0))
+          (i.id ^ " recovered") 1.0
+          (snd (find "recovered:")))
+    cells
+
+let test_faults_pinned () =
+  check_pinned "faults"
+    (function
+      | "prefault_mbps" -> "total-tput@3-8"
+      | "postfault_mbps" -> "total-tput@13-18"
+      | "recovery_s" -> "recovery:"
+      | "fairness_jain" -> "fairness@13-18"
+      | "loss_frac" -> "total-loss"
+      | f -> Alcotest.failf "unmapped field %s" f)
+    Sweep_goldens.faults
+
+let test_topology_pinned () =
+  List.iter
+    (fun (scenario, flow) ->
+      check_pinned "topology"
+        (function
+          | "tput_mbps" -> "tput:" ^ flow
+          | "mean_rtt_ms" -> "mean-rtt:" ^ flow
+          | "loss_frac" -> "loss:" ^ flow
+          | "scavenger_harm" -> "harm:" ^ flow
+          | f -> Alcotest.failf "unmapped field %s" f)
+        (List.filter
+           (fun (c : Sweep_goldens.cell) -> c.scenario = scenario)
+           Sweep_goldens.topology))
+    [ ("parking-lot", "e2e"); ("rev-path", "probe") ]
+
 (* ---------- QCheck: generated valid specs run audit-clean ---------- *)
 
 let gen_spec =
@@ -389,7 +587,37 @@ let gen_spec =
       metrics = [];
     }
   in
-  return { spec with Spec.metrics = Spec.default_metrics spec }
+  (* Windows on 0.25 s bin edges inside [0, duration]. *)
+  let last_bin = int_of_float (duration /. Spec.series_bin) in
+  let gen_window =
+    int_range 0 (last_bin - 1) >>= fun k0 ->
+    int_range (k0 + 1) last_bin >>= fun k1 ->
+    return
+      {
+        Spec.w_from = float_of_int k0 *. Spec.series_bin;
+        w_to = float_of_int k1 *. Spec.series_bin;
+      }
+  in
+  let some_label = oneofl labels in
+  let gen_extra =
+    frequency
+      ([
+         (2, some_label >>= fun l -> gen_window >>= fun w -> return (Spec.Tput (l, Some w)));
+         (1, some_label >>= fun l -> gen_window >>= fun w -> return (Spec.Mean_rtt (l, Some w)));
+         (1, some_label >>= fun l -> gen_window >>= fun w -> return (Spec.P95_rtt (l, Some w)));
+         (1, gen_window >>= fun w -> return (Spec.Total_tput (Some w)));
+         (1, gen_window >>= fun w -> return (Spec.Fairness (Some w)));
+         (1, return Spec.Total_loss);
+         ( 2,
+           gen_window >>= fun pre ->
+           float_range 0.0 (duration -. 0.01) >>= fun after ->
+           return (Spec.Recovery { pre; after }) );
+       ]
+      @ if n_flows >= 2 then [ (2, some_label >>= fun l -> return (Spec.Harm l)) ]
+        else [])
+  in
+  list_size (int_range 0 3) gen_extra >>= fun extra ->
+  return { spec with Spec.metrics = Spec.default_metrics spec @ extra }
 
 let prop_generated_spec_runs =
   QCheck.Test.make ~name:"generated spec round-trips and runs audit-clean"
@@ -406,7 +634,7 @@ let prop_generated_spec_runs =
       | Error e -> QCheck.Test.fail_reportf "reparse: %s" e);
       (* audit attached by default: a conservation violation raises *)
       let ms = Scn.Build.run_metrics ~seed:3 spec in
-      List.length ms = List.length spec.Spec.metrics
+      List.map fst ms = List.concat_map Spec.metric_keys spec.Spec.metrics
       && List.for_all (fun (_, v) -> Float.is_finite v) ms)
 
 (* ---------- the statistical gate ---------- *)
@@ -601,6 +829,11 @@ let suite =
     ("spec round-trip", `Quick, test_spec_roundtrip);
     ("spec defaults", `Quick, test_spec_defaults);
     ("validation errors", `Quick, test_validation_errors);
+    ("metric-form validation errors", `Quick, test_metric_form_errors);
+    ("recovery never reached is censored", `Quick, test_recovery_censored);
+    ("all-stopped spec must quiesce", `Quick, test_stopped_spec_quiesces);
+    ("recovery bar is 0.8 of the pre window", `Quick, test_recovery_threshold);
+    ("harm formula", `Quick, test_harm_formula);
     ("grid expansion count", `Quick, test_grid_expansion_count);
     ("grid determinism", `Quick, test_grid_determinism);
     ("grid errors", `Quick, test_grid_errors);
@@ -613,5 +846,7 @@ let suite =
     ("gate parses bench rows", `Quick, test_gate_parse_bench);
     ("datapath cc form", `Quick, test_datapath_cc_form);
     ("protocol registry", `Quick, test_protocols_registry);
+    ("ported fault sweep: pinned cells", `Slow, test_faults_pinned);
+    ("ported topology sweep: pinned cells", `Slow, test_topology_pinned);
   ]
   @ qcheck [ prop_generated_spec_runs ]
