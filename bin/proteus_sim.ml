@@ -159,7 +159,11 @@ let run_scenario ~path ~seed:seed_opt ~series ~trace_file ~metrics_file
         | Some t -> Printf.sprintf "t=%.1fs" t
         | None -> if Net.Runner.is_complete flow then "yes" else "-"))
     flows;
-  let metric_vals = Scn.Build.metric_values spec flows in
+  let metric_vals =
+    Scn.Build.metric_values
+      ~baselines:(Scn.Build.harm_baselines ~audit:false ~seed spec)
+      spec flows
+  in
   Printf.printf "\nmetrics:\n";
   List.iter
     (fun (k, v) -> Printf.printf "  %-24s %.4f\n" k v)
