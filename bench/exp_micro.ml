@@ -49,7 +49,7 @@ let heap_micro =
 let sim_kernel_micro =
   let sim = Sim.create () in
   let sink = ref 0 in
-  let bump i = sink := !sink + i in
+  let bump = Sim.register sim (fun i -> sink := !sink + i) in
   { name = "sim at_fn schedule+fire x100";
     body = (fun () ->
       let base = Sim.now sim in

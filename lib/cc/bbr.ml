@@ -234,10 +234,9 @@ let on_ack_m t ~meta ~seq ~size =
   (match t.params.scavenger_dev_threshold_ms with
   | Some threshold_ms ->
       Mean_dev.update t.rtt_dev rtt;
-      (match Mean_dev.deviation t.rtt_dev with
-      | Some dev when dev > Proteus_net.Units.ms threshold_ms ->
-          t.yield_until <- Float.max t.yield_until (now +. yield_hold)
-      | _ -> ())
+      (* NaN (no deviation yet) compares false. *)
+      if Mean_dev.deviation_nan t.rtt_dev > Proteus_net.Units.ms threshold_ms
+      then t.yield_until <- Float.max t.yield_until (now +. yield_hold)
   | None -> ());
   handle_state t ~meta
 

@@ -17,9 +17,10 @@ val filter : t -> now:float -> rtt:float -> float option
     used, [None] if it is filtered out. Must be called for every ACK in
     arrival order. *)
 
-val filter_rtt : t -> now:float -> rtt:float -> float
-(** Allocation-free variant of {!filter}: returns the accepted sample,
-    or [Float.nan] when it is filtered out. *)
+val accept_m : t -> meta:float array -> bool
+(** Allocation-free {!filter} in the {!Proteus_net.Sender} call
+    protocol: [now] is [meta.(0)] and the sample [meta.(2)]. Returns
+    whether the sample is accepted. *)
 
 val is_filtering : t -> bool
 (** Whether the filter is currently in the discard state (tests). *)

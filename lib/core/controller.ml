@@ -100,17 +100,24 @@ type t = {
   mutable epoch_counter : int;
   mutable last_start_sample : (float * float) option; (* rate, utility *)
   planned : (float * tag) Queue.t;
-  mutable current_mi : (Mi.t * tag) option;
-  (* In-flight seq -> (MI, tag), as a power-of-two direct-mapped table:
-     slot = seq land (cap - 1), seqs.(i) = -1 marks an empty slot. Live
-     seqs span one congestion window, far fewer than the capacity, so
-     collisions are rare; on collision the table doubles until the live
-     set maps injectively (distinct ints always separate under a wide
-     enough mask). Replaces a per-packet Hashtbl on the ACK hot path. *)
+  (* MI slot pool. Slot [s] holds [mis.(s)] and the tag it trials; a
+     completed MI's slot returns to the free stack and is [Mi.reset] on
+     reuse, so steady state allocates no MI and no sample storage. Only
+     the few MIs still awaiting ACKs hold a slot. *)
+  mutable mis : Mi.t array;
+  mutable mi_tags : tag array;
+  mutable mi_free : int array; (* stack of free slots *)
+  mutable mi_free_len : int;
+  mutable current : int; (* slot of the MI being sent in; -1 = none *)
+  (* In-flight seq -> MI slot, as a power-of-two direct-mapped table:
+     entry = seq land (cap - 1), seqs.(i) = -1 marks an empty entry
+     (whose slot is -1 too). Live seqs span one congestion window, far
+     fewer than the capacity, so collisions are rare; on collision the
+     table doubles until the live set maps injectively (distinct ints
+     always separate under a wide enough mask). Both arrays hold ints,
+     so the per-packet stores need no write barrier. *)
   mutable sm_seqs : int array;
-  mutable sm_mis : Mi.t array;
-  mutable sm_tags : tag array;
-  sm_dummy : Mi.t;
+  mutable sm_slots : int array;
   pending_results : (int, tag * Mi.metrics) Hashtbl.t;
   mutable next_mi_id : int;
   mutable next_result_id : int;
@@ -122,7 +129,6 @@ let max_rate t = Units.mbps_to_bytes_per_sec t.config.max_rate_mbps
 let clamp_rate t r = Float.min (max_rate t) (Float.max (min_rate t) r)
 
 let create (config : config) (env : Sender.env) =
-  let sm_dummy = Mi.create ~id:(-1) ~target_rate:1.0 ~start_time:0.0 in
   {
     utility = config.utility;
     config;
@@ -139,11 +145,13 @@ let create (config : config) (env : Sender.env) =
     epoch_counter = 0;
     last_start_sample = None;
     planned = Queue.create ();
-    current_mi = None;
+    mis = [||];
+    mi_tags = [||];
+    mi_free = [||];
+    mi_free_len = 0;
+    current = -1;
     sm_seqs = Array.make 256 (-1);
-    sm_mis = Array.make 256 sm_dummy;
-    sm_tags = Array.make 256 Start;
-    sm_dummy;
+    sm_slots = Array.make 256 (-1);
     pending_results = Hashtbl.create 16;
     next_mi_id = 0;
     next_result_id = 0;
@@ -359,12 +367,43 @@ let process_pending t =
     | None -> continue := false
   done
 
-let complete_mi t mi tag =
-  let m = Tolerance.adjust t.tolerance (Mi.metrics mi) in
-  Hashtbl.replace t.pending_results (Mi.id mi) (tag, m);
-  process_pending t
+(* ---------- MI slot pool ---------- *)
 
-let check_complete t mi tag = if Mi.is_complete mi then complete_mi t mi tag
+(* Double the pool; the new slots make up the free stack. *)
+let grow_mis t =
+  let cap = Array.length t.mis in
+  let ncap = max 4 (2 * cap) in
+  let fresh _ = Mi.create ~id:(-1) ~target_rate:0.0 ~start_time:0.0 in
+  t.mis <- Array.append t.mis (Array.init (ncap - cap) fresh);
+  t.mi_tags <- Array.append t.mi_tags (Array.make (ncap - cap) Filler);
+  t.mi_free <- Array.make ncap 0;
+  for i = 0 to ncap - cap - 1 do
+    t.mi_free.(i) <- cap + i
+  done;
+  t.mi_free_len <- ncap - cap
+
+let acquire_mi t ~id ~target_rate ~start_time =
+  if t.mi_free_len = 0 then grow_mis t;
+  t.mi_free_len <- t.mi_free_len - 1;
+  let s = t.mi_free.(t.mi_free_len) in
+  Mi.reset t.mis.(s) ~id ~target_rate ~start_time;
+  s
+
+let release_mi t s =
+  t.mi_free.(t.mi_free_len) <- s;
+  t.mi_free_len <- t.mi_free_len + 1
+
+(* A complete MI's metrics are taken (and queued in MI-id order) before
+   its slot is recycled; no in-flight seq maps to it any more, since
+   every packet it sent was acknowledged or lost. *)
+let check_complete t s =
+  let mi = t.mis.(s) in
+  if Mi.is_complete mi then begin
+    let m = Tolerance.adjust t.tolerance (Mi.metrics mi) in
+    Hashtbl.replace t.pending_results (Mi.id mi) (t.mi_tags.(s), m);
+    release_mi t s;
+    process_pending t
+  end
 
 (* ---------- MI lifecycle on the send path ---------- *)
 
@@ -374,26 +413,32 @@ let mi_duration t ~rate =
   Float.max (t.fl.(3) *. jitter) (min_pkts *. float_of_int t.mtu /. rate)
 
 let close_current t ~now =
-  match t.current_mi with
-  | Some (mi, tag) ->
-      Mi.close mi ~end_time:now;
-      if Trace.enabled t.trace then
-        Trace.emit t.trace ~time:now ~kind:Trace.Mi_boundary ~flow:(-1)
-          ~seq:(Mi.id mi)
-          ~a:(now -. Mi.start_time mi)
-          ~b:(float_of_int (Mi.packets_sent mi))
-          ~note:(tag_name tag);
-      t.current_mi <- None;
-      if Mi.packets_sent mi = 0 then begin
-        (* Nothing was sent in this MI: drop it from the result order. *)
-        if Mi.id mi = t.next_result_id then begin
-          t.next_result_id <- t.next_result_id + 1;
-          process_pending t
-        end
-        else Hashtbl.replace t.pending_results (Mi.id mi) (Filler, Mi.metrics mi)
+  let s = t.current in
+  if s >= 0 then begin
+    let mi = t.mis.(s) in
+    Mi.close mi ~end_time:now;
+    if Trace.enabled t.trace then
+      Trace.emit t.trace ~time:now ~kind:Trace.Mi_boundary ~flow:(-1)
+        ~seq:(Mi.id mi)
+        ~a:(now -. Mi.start_time mi)
+        ~b:(float_of_int (Mi.packets_sent mi))
+        ~note:(tag_name t.mi_tags.(s));
+    t.current <- -1;
+    if Mi.packets_sent mi = 0 then begin
+      (* Nothing was sent in this MI: drop it from the result order. *)
+      let id = Mi.id mi in
+      if id = t.next_result_id then begin
+        release_mi t s;
+        t.next_result_id <- t.next_result_id + 1;
+        process_pending t
       end
-      else check_complete t mi tag
-  | None -> ()
+      else begin
+        Hashtbl.replace t.pending_results id (Filler, Mi.metrics mi);
+        release_mi t s
+      end
+    end
+    else check_complete t s
+  end
 
 let start_new_mi t ~now =
   let rate, tag =
@@ -402,35 +447,34 @@ let start_new_mi t ~now =
     else Queue.pop t.planned
   in
   let rate = clamp_rate t rate in
-  let mi = Mi.create ~id:t.next_mi_id ~target_rate:rate ~start_time:now in
+  let s =
+    acquire_mi t ~id:t.next_mi_id ~target_rate:rate ~start_time:now
+  in
+  t.mi_tags.(s) <- tag;
   t.next_mi_id <- t.next_mi_id + 1;
-  t.current_mi <- Some (mi, tag);
+  t.current <- s;
   t.fl.(1) <- now +. mi_duration t ~rate;
   t.fl.(2) <- rate
 
+(* The current MI's slot, opening a new MI when there is none or the
+   current one has run its course. *)
 let[@inline] ensure_current_mi t ~now =
-  (match t.current_mi with
-  | Some _ when now < t.fl.(1) -> ()
-  | Some _ ->
-      close_current t ~now;
-      start_new_mi t ~now
-  | None -> start_new_mi t ~now);
-  (* Return the stored pair itself — rebuilding [(mi, tag)] here would
-     allocate a fresh tuple on every poll and every send. *)
-  match t.current_mi with Some p -> p | None -> assert false
+  if t.current < 0 then start_new_mi t ~now
+  else if now >= t.fl.(1) then begin
+    close_current t ~now;
+    start_new_mi t ~now
+  end;
+  t.current
 
 let[@inline] close_if_expired t ~now =
-  match t.current_mi with
-  | Some _ when now >= t.fl.(1) -> close_current t ~now
-  | _ -> ()
+  if t.current >= 0 && now >= t.fl.(1) then close_current t ~now
 
 (* ---------- in-flight seq map ---------- *)
 
 let sm_rehash t n =
   let mask = n - 1 in
   let seqs = Array.make n (-1) in
-  let mis = Array.make n t.sm_dummy in
-  let tags = Array.make n Start in
+  let slots = Array.make n (-1) in
   let ok = ref true in
   let old_seqs = t.sm_seqs in
   Array.iteri
@@ -439,16 +483,14 @@ let sm_rehash t n =
         let i = k land mask in
         if seqs.(i) = -1 then begin
           seqs.(i) <- k;
-          mis.(i) <- t.sm_mis.(j);
-          tags.(i) <- t.sm_tags.(j)
+          slots.(i) <- t.sm_slots.(j)
         end
         else ok := false
       end)
     old_seqs;
   if !ok then begin
     t.sm_seqs <- seqs;
-    t.sm_mis <- mis;
-    t.sm_tags <- tags
+    t.sm_slots <- slots
   end;
   !ok
 
@@ -458,18 +500,30 @@ let sm_grow t =
     n := !n * 2
   done
 
-let rec sm_store t seq mi tag =
+let rec sm_store t seq s =
   let i = seq land (Array.length t.sm_seqs - 1) in
   let k = t.sm_seqs.(i) in
   if k = seq || k = -1 then begin
     t.sm_seqs.(i) <- seq;
-    t.sm_mis.(i) <- mi;
-    t.sm_tags.(i) <- tag
+    t.sm_slots.(i) <- s
   end
   else begin
     sm_grow t;
-    sm_store t seq mi tag
+    sm_store t seq s
   end
+
+(* Remove [seq]'s entry and return its MI slot, or -1 when [seq] is not
+   in flight. Seq -1 matches every empty entry's -1 marker and returns
+   that entry's slot, -1: callers must test the slot, not the match. *)
+let sm_take t seq =
+  let i = seq land (Array.length t.sm_seqs - 1) in
+  if t.sm_seqs.(i) = seq then begin
+    let s = t.sm_slots.(i) in
+    t.sm_seqs.(i) <- -1;
+    t.sm_slots.(i) <- -1;
+    s
+  end
+  else -1
 
 (* ---------- Sender.S ---------- *)
 
@@ -487,41 +541,33 @@ module Calls = struct
 
   let on_sent_m t ~meta ~seq ~size =
     let now = meta.(0) in
-    let mi, tag = ensure_current_mi t ~now in
-    Mi.record_sent mi ~size;
-    sm_store t seq mi tag;
+    let s = ensure_current_mi t ~now in
+    Mi.record_sent t.mis.(s) ~size;
+    sm_store t seq s;
     t.fl.(4) <- Float.max now t.fl.(4) +. (float_of_int size /. t.fl.(2))
 
   let on_ack_m t ~meta ~seq ~size:_ =
     let now = meta.(0) and rtt = meta.(2) in
     t.fl.(5) <- now;
     t.fl.(3) <- (0.875 *. t.fl.(3)) +. (0.125 *. rtt);
-    let sample =
-      match t.ack_filter with
-      | Some f -> Ack_filter.filter_rtt f ~now ~rtt
-      | None -> rtt
+    let accepted =
+      match t.ack_filter with Some f -> Ack_filter.accept_m f ~meta | None -> true
     in
     close_if_expired t ~now;
-    let i = seq land (Array.length t.sm_seqs - 1) in
-    if t.sm_seqs.(i) = seq then begin
-      let mi = t.sm_mis.(i) and tag = t.sm_tags.(i) in
-      t.sm_seqs.(i) <- -1;
-      t.sm_mis.(i) <- t.sm_dummy;
-      Mi.record_ack_sample mi ~send_time:meta.(1) ~rtt:sample;
-      check_complete t mi tag
+    let s = sm_take t seq in
+    if s >= 0 then begin
+      Mi.record_ack_m t.mis.(s) ~meta ~accepted;
+      check_complete t s
     end
 
   let on_loss_m t ~meta ~seq ~size:_ =
     let now = meta.(0) in
     t.fl.(5) <- now;
     close_if_expired t ~now;
-    let i = seq land (Array.length t.sm_seqs - 1) in
-    if t.sm_seqs.(i) = seq then begin
-      let mi = t.sm_mis.(i) and tag = t.sm_tags.(i) in
-      t.sm_seqs.(i) <- -1;
-      t.sm_mis.(i) <- t.sm_dummy;
-      Mi.record_loss mi;
-      check_complete t mi tag
+    let s = sm_take t seq in
+    if s >= 0 then begin
+      Mi.record_loss t.mis.(s);
+      check_complete t s
     end
 end
 

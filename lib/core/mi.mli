@@ -28,6 +28,12 @@ type metrics = {
 val create : id:int -> target_rate:float -> start_time:float -> t
 (** [target_rate] in bytes/sec. *)
 
+val reset : t -> id:int -> target_rate:float -> start_time:float -> unit
+(** Make [t] a fresh interval, as {!create} with the same arguments
+    would, keeping its sample storage: the metrics of a reset MI equal
+    those of a created one fed the same calls. For controllers that
+    recycle completed MIs. *)
+
 val id : t -> int
 val target_rate : t -> float
 val start_time : t -> float
@@ -37,9 +43,10 @@ val record_ack : t -> send_time:float -> rtt:float option -> unit
 (** [rtt = None] when the per-ACK noise filter discarded the sample:
     the packet still counts for completion and loss accounting. *)
 
-val record_ack_sample : t -> send_time:float -> rtt:float -> unit
-(** Allocation-free {!record_ack}: [rtt = Float.nan] marks a filtered
-    sample. *)
+val record_ack_m : t -> meta:float array -> accepted:bool -> unit
+(** Allocation-free {!record_ack} in the {!Proteus_net.Sender} call
+    protocol: [send_time] is [meta.(1)] and the RTT sample [meta.(2)],
+    logged when [accepted] (and not NaN). *)
 
 val record_loss : t -> unit
 

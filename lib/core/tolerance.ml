@@ -43,55 +43,69 @@ let disabled =
 
 type t = {
   config : config;
-  (* Most recent [history] MIs' (mean RTT, RTT deviation), newest last. *)
-  mutable avg_rtts : float list;
-  mutable deviations : float list;
+  (* The most recent [history] MIs' mean RTT and RTT deviation, oldest
+     first, in fixed arrays of which [n_hist] entries are valid. *)
+  avg_rtts : float array;
+  deviations : float array;
+  mutable n_hist : int;
   trend_grad : Mean_dev.t;
   trend_dev : Mean_dev.t;
 }
 
 let create config =
+  let cap = max 0 config.history in
   {
     config;
-    avg_rtts = [];
-    deviations = [];
+    avg_rtts = Array.make cap 0.0;
+    deviations = Array.make cap 0.0;
+    n_hist = 0;
     trend_grad = Mean_dev.create ();
     trend_dev = Mean_dev.create ();
   }
 
-let push_bounded t x xs =
-  let xs = xs @ [ x ] in
-  let extra = List.length xs - t.config.history in
-  if extra > 0 then List.filteri (fun i _ -> i >= extra) xs else xs
+(* Append one MI, dropping the oldest once [history] are held. *)
+let push_history t (m : Mi.metrics) =
+  let cap = Array.length t.avg_rtts in
+  if cap > 0 then begin
+    if t.n_hist = cap then begin
+      Array.blit t.avg_rtts 1 t.avg_rtts 0 (cap - 1);
+      Array.blit t.deviations 1 t.deviations 0 (cap - 1);
+      t.n_hist <- cap - 1
+    end;
+    t.avg_rtts.(t.n_hist) <- m.Mi.avg_rtt;
+    t.deviations.(t.n_hist) <- m.Mi.rtt_deviation;
+    t.n_hist <- t.n_hist + 1
+  end
+
+(* Whether [sample] lies [gate] EWMA deviations from the tracker's
+   moving average, then fold it in. Insignificant until the tracker has
+   seen 3 samples (NaN mean or deviation: none yet). *)
+let significant tracker sample ~gate ~two_sided =
+  let avg = Mean_dev.mean_nan tracker and dev = Mean_dev.deviation_nan tracker in
+  let result =
+    Mean_dev.n_samples tracker >= 3
+    && (not (Float.is_nan avg))
+    && (not (Float.is_nan dev))
+    &&
+    let delta = if two_sided then Float.abs (sample -. avg) else sample -. avg in
+    delta >= gate *. dev
+  in
+  Mean_dev.update tracker sample;
+  result
 
 (* Returns (trending_gradient significant, trending_deviation
    significant) for the MI just folded in. Until the EWMA trackers have
    seen enough samples the trend is treated as insignificant, deferring
    to the per-MI gate. *)
 let update_trending t (m : Mi.metrics) =
-  t.avg_rtts <- push_bounded t m.Mi.avg_rtt t.avg_rtts;
-  t.deviations <- push_bounded t m.Mi.rtt_deviation t.deviations;
-  if List.length t.avg_rtts < 2 then (false, false)
+  push_history t m;
+  let n = t.n_hist in
+  if n < 2 then (false, false)
   else begin
     let trending_gradient =
-      Regression.slope_of_indexed (Array.of_list t.avg_rtts)
+      Regression.slope_of_indexed t.avg_rtts ~len:n
     in
-    let trending_deviation =
-      Descriptive.stddev (Array.of_list t.deviations)
-    in
-    let significant tracker sample ~gate ~two_sided =
-      let result =
-        match (Mean_dev.mean tracker, Mean_dev.deviation tracker) with
-        | Some avg, Some dev when Mean_dev.n_samples tracker >= 3 ->
-            let delta =
-              if two_sided then Float.abs (sample -. avg) else sample -. avg
-            in
-            delta >= gate *. dev
-        | _ -> false
-      in
-      Mean_dev.update tracker sample;
-      result
-    in
+    let trending_deviation = Descriptive.stddev_prefix t.deviations ~len:n in
     let grad_sig =
       significant t.trend_grad trending_gradient ~gate:t.config.g1
         ~two_sided:true

@@ -53,6 +53,8 @@ type t = {
   mutable cts : float array;
   mutable cqs : int array;
   mutable cids : int array;
+  (* [insert]'s time argument on its way to the out-of-line body. *)
+  sc : float array;
   (* Observability counters. *)
   mutable n_ticks : int;
   mutable n_cascades : int;
@@ -103,6 +105,7 @@ let create ?(tick = 1e-3) ?(slots = 256) () =
     cts = [||];
     cqs = [||];
     cids = [||];
+    sc = [| 0.0 |];
     n_ticks = 0;
     n_cascades = 0;
     max_occ = 0;
@@ -114,22 +117,27 @@ let[@inline] is_empty t = count t = 0
 let ticks t = t.n_ticks
 let cascades t = t.n_cascades
 let max_occupancy t = t.max_occ
-let tick_of t time = int_of_float (time *. t.inv_tick)
+let[@inline] tick_of t time = int_of_float (time *. t.inv_tick)
 
-let slot_push s time seq id =
+(* Float-carrying helpers below are inlined into their callers: a
+   non-inlined call would box the [time] argument. Their growth paths,
+   which carry no float, stay out of line. *)
+
+let grow_slot s =
   let cap = Array.length s.ts in
-  if s.n = cap then begin
-    let ncap = if cap = 0 then 8 else 2 * cap in
-    let nts = Array.make ncap 0.0 in
-    let nqs = Array.make ncap 0 in
-    let nids = Array.make ncap 0 in
-    Array.blit s.ts 0 nts 0 s.n;
-    Array.blit s.qs 0 nqs 0 s.n;
-    Array.blit s.ids 0 nids 0 s.n;
-    s.ts <- nts;
-    s.qs <- nqs;
-    s.ids <- nids
-  end;
+  let ncap = if cap = 0 then 8 else 2 * cap in
+  let nts = Array.make ncap 0.0 in
+  let nqs = Array.make ncap 0 in
+  let nids = Array.make ncap 0 in
+  Array.blit s.ts 0 nts 0 s.n;
+  Array.blit s.qs 0 nqs 0 s.n;
+  Array.blit s.ids 0 nids 0 s.n;
+  s.ts <- nts;
+  s.qs <- nqs;
+  s.ids <- nids
+
+let[@inline] slot_push s time seq id =
+  if s.n = Array.length s.ts then grow_slot s;
   Array.unsafe_set s.ts s.n time;
   Array.unsafe_set s.qs s.n seq;
   Array.unsafe_set s.ids s.n id;
@@ -162,7 +170,7 @@ let batch_reserve t extra =
 
 (* Sorted insert into the batch, scanning from the front: behind-cursor
    arrivals are typically due now, i.e. near the head. *)
-let batch_insert t time seq id =
+let[@inline] batch_insert t time seq id =
   batch_reserve t 1;
   let ts = t.bts and qs = t.bqs and ids = t.bids in
   let hi = t.bhead + t.blen in
@@ -224,7 +232,7 @@ let[@inline] slot_at t level i =
     s
   end
 
-let place t time seq id =
+let[@inline] place t time seq id =
   let tk = tick_of t time in
   if tk <= t.cur then batch_insert t time seq id
   else begin
@@ -241,7 +249,9 @@ let place t time seq id =
     end
   end
 
-let insert t ~time ~seq ~id =
+(* Out-of-line body of [insert]; the time arrives through [sc]. *)
+let insert_sc t seq id =
+  let time = Array.unsafe_get t.sc 0 in
   if not (Float.is_finite time) || time < 0.0 then
     invalid_arg "Wheel.insert: time must be finite and non-negative";
   (* Empty wheel: rebase the cursor just behind the entry so a sparse
@@ -253,6 +263,12 @@ let insert t ~time ~seq ~id =
   place t time seq id;
   let c = count t in
   if c > t.max_occ then t.max_occ <- c
+
+(* A thin inlined wrapper, so the kernel's unboxed [time] reaches the
+   body through the float array [sc] instead of a boxed argument. *)
+let[@inline] insert t ~time ~seq ~id =
+  Array.unsafe_set t.sc 0 time;
+  insert_sc t seq id
 
 let drain_slot t s =
   let k = s.n in

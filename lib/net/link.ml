@@ -134,8 +134,9 @@ type t = {
      finishes everything admitted so far), fl.(1) the last forward
      arrival at the far end, fl.(2) the last nominal ACK delivery and
      fl.(3) the last instant an ACK reached the hop (the FIFO clamps of
-     the two directions). Mutable float fields in this mixed
-     record would box on every store, so they live in a float array. *)
+     the two directions), and fl.(4) the [now] of the call in progress
+     (see [sync]). Mutable float fields in this mixed record would box
+     on every store, so they live in a float array. *)
   fl : float array;
   (* Impairment schedule, sorted by time; entries at index < [sched_idx]
      have been applied. *)
@@ -175,7 +176,7 @@ let create ?(trace = Trace.disabled) cfg ~rng =
     rng = Rng.split rng;
     noise = Noise.create cfg.noise ~rng:(Rng.split rng);
     noisy = cfg.noise <> Noise.None_;
-    fl = [| 0.0; neg_infinity; neg_infinity; neg_infinity |];
+    fl = [| 0.0; neg_infinity; neg_infinity; neg_infinity; 0.0 |];
     sched_time = Array.of_list (List.map fst sorted);
     sched_imp = Array.of_list (List.map snd sorted);
     sched_idx = 0;
@@ -216,8 +217,14 @@ let apply_fluid t ~now =
    discards the queue (packets that would have been flushed were
    already reported Dropped at admission by the lookahead below). The
    fluid aggregate is advanced up to each impairment instant first, so
-   every fluid integration interval sees one consistent capacity. *)
-let sync t ~now =
+   every fluid integration interval sees one consistent capacity.
+
+   The instant comes in [fl.(4)]: a float argument to a call that is
+   not inlined is boxed, and every packet crosses this. The entry
+   points below are thin inlined wrappers that store [now] there and
+   call out-of-line bodies that read it back unboxed. *)
+let sync_at t =
+  let now = t.fl.(4) in
   while
     t.sched_idx < Array.length t.sched_time && t.sched_time.(t.sched_idx) <= now
   do
@@ -275,6 +282,10 @@ let attach_fluid t a =
     invalid_arg "Link.attach_fluid: link already carries a fluid aggregate";
   t.agg <- Some a
 
+let[@inline] sync t ~now =
+  t.fl.(4) <- now;
+  sync_at t
+
 let fluid t = t.agg
 let sync_fluid t ~now = sync t ~now
 
@@ -299,21 +310,21 @@ let[@inline] draw_fluid_loss t =
 
 let capacity_bytes_per_sec t = t.capacity
 let base_rtt t = 2.0 *. t.prop_one_way
-let one_way_delay t ~now =
+let[@inline] one_way_delay t ~now =
   sync t ~now;
   t.prop_one_way
 
-let is_down t ~now =
+let[@inline] is_down t ~now =
   sync t ~now;
   t.out_idx < Array.length t.out_start
   && t.out_start.(t.out_idx) <= now
   && now < t.out_end.(t.out_idx)
 
-let backlog_bytes t ~now =
+let[@inline] backlog_bytes t ~now =
   sync t ~now;
   Float.max 0.0 (t.fl.(0) -. now) *. t.cap_eff
 
-let queue_delay t ~now =
+let[@inline] queue_delay t ~now =
   sync t ~now;
   Float.max 0.0 (t.fl.(0) -. now)
 
@@ -363,8 +374,9 @@ let[@inline] lookahead t ~now dep0 =
    lookahead. The wire is FIFO: arrivals are clamped to be
    nondecreasing, so an RTT cut mid-run cannot land a later packet
    before an earlier one. *)
-let forward t ~now ~size ~out =
-  sync t ~now;
+let forward_at t ~size ~out =
+  let now = t.fl.(4) in
+  sync_at t;
   if
     t.out_idx < Array.length t.out_start
     && t.out_start.(t.out_idx) <= now
@@ -412,9 +424,10 @@ let forward t ~now ~size ~out =
    that trails the ACK by one MTU serialization at the hop's rate (the
    spacing a duplicated data packet would give it). A duplicate from an
    upstream hop keeps its lag. *)
-let ack_transit t ~now ~ack =
-  sync t ~now;
+let ack_transit_at t ~ack =
   let fl = t.fl in
+  let now = fl.(4) in
+  sync_at t;
   let at = ack.(0) in
   let lag = ack.(1) -. at in
   let wait = fl.(0) -. now in
@@ -447,3 +460,11 @@ let ack_transit t ~now ~ack =
      else if Rng.bernoulli t.rng ~p:t.dup_prob then
        time +. (float_of_int Units.mtu /. t.cap_eff)
      else Float.nan)
+
+let[@inline] forward t ~now ~size ~out =
+  t.fl.(4) <- now;
+  forward_at t ~size ~out
+
+let[@inline] ack_transit t ~now ~ack =
+  t.fl.(4) <- now;
+  ack_transit_at t ~ack

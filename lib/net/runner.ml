@@ -9,9 +9,9 @@ let burst_cap = 64
 
 (* Per-flow in-flight packet state lives in a structure-of-arrays ring:
    transmitting a packet fills a recycled slot and schedules one of the
-   reusable handlers (ack / loss / hop) on its link's lane with the
-   slot index as argument, so steady-state transmission allocates
-   nothing — the closure-per-packet pattern is gone. Slots are
+   flow's registered handlers (ack / loss / hop) on its link's lane
+   with the slot index as argument, so steady-state transmission
+   allocates nothing — the closure-per-packet pattern is gone. Slots are
    free-listed rather than FIFO because ACK-path noise can reorder
    delivery times. *)
 
@@ -44,12 +44,12 @@ type flow = {
   mutable ring_hop : int array; (* index into route_fwd of the hop in progress *)
   mutable ring_free : int array; (* stack of free slot ids *)
   mutable ring_free_len : int;
-  (* Reusable event handlers, created once per flow in [add_flow]. *)
-  mutable ack_fn : int -> unit;
-  mutable loss_fn : int -> unit;
-  mutable dup_fn : int -> unit;
-  mutable poll_fn : int -> unit;
-  mutable hop_fn : int -> unit;
+  (* Event handlers, registered once per flow in [add_flow]. *)
+  mutable ack_h : Sim.handler;
+  mutable loss_h : Sim.handler;
+  mutable dup_h : Sim.handler;
+  mutable poll_h : Sim.handler;
+  mutable hop_h : Sim.handler;
 }
 
 type t = {
@@ -251,7 +251,7 @@ let[@inline] ack_route t f idx ~now =
     if Array.length rev > 0 then rev.(Array.length rev - 1)
     else f.route_fwd.(Array.length f.route_fwd - 1)
   in
-  sched_link t ~link:lane ~time:pkt.(0) ~fn:f.ack_fn ~arg:idx;
+  sched_link t ~link:lane ~time:pkt.(0) ~fn:f.ack_h ~arg:idx;
   let dup_time = pkt.(1) in
   if not (Float.is_nan dup_time) then begin
     (* A second slot carries the same packet identity so the duplicate
@@ -261,10 +261,12 @@ let[@inline] ack_route t f idx ~now =
     Array.unsafe_set f.ring_send didx send;
     Array.unsafe_set f.ring_size didx (Array.unsafe_get f.ring_size idx);
     Array.unsafe_set f.ring_rtt didx (dup_time -. send);
-    sched_link t ~link:lane ~time:dup_time ~fn:f.dup_fn ~arg:didx
+    sched_link t ~link:lane ~time:dup_time ~fn:f.dup_h ~arg:didx
   end
 
-let admit_hop t f idx ~now =
+(* Reads the clock itself: a [~now] argument would box on every call. *)
+let admit_hop t f idx =
+  let now = Sim.now t.sim in
   let k = f.ring_hop.(idx) in
   let link_id = f.route_fwd.(k) in
   let link = t.links.(link_id) in
@@ -277,7 +279,7 @@ let admit_hop t f idx ~now =
     | Some a -> Audit.on_hop_enter a ~link:link_id ~now
     | None -> ());
     if k + 1 < Array.length f.route_fwd then
-      sched_link t ~link:link_id ~time:t.pkt.(0) ~fn:f.hop_fn ~arg:idx
+      sched_link t ~link:link_id ~time:t.pkt.(0) ~fn:f.hop_h ~arg:idx
     else ack_route t f idx ~now
   end
   else begin
@@ -291,7 +293,7 @@ let admit_hop t f idx ~now =
     for j = 0 to Array.length f.route_rev - 1 do
       notify := !notify +. Link.one_way_delay t.links.(f.route_rev.(j)) ~now
     done;
-    sched_link t ~link:link_id ~time:!notify ~fn:f.loss_fn ~arg:idx
+    sched_link t ~link:link_id ~time:!notify ~fn:f.loss_h ~arg:idx
   end
 
 let on_hop_event t f idx =
@@ -301,15 +303,17 @@ let on_hop_event t f idx =
   | Some a -> Audit.on_hop_exit a ~link:f.route_fwd.(k) ~now
   | None -> ());
   Array.unsafe_set f.ring_hop idx (k + 1);
-  admit_hop t f idx ~now
+  admit_hop t f idx
 
-let rec schedule_poll t f ~time =
+(* Inlined: a paced sender reaches it once per packet, and a call
+   would box [time]. *)
+let[@inline] schedule_poll t f ~time =
   if not f.poll_pending then begin
     f.poll_pending <- true;
-    Sim.at_fn t.sim ~time ~fn:f.poll_fn ~arg:0
+    Sim.at_fn t.sim ~time ~fn:f.poll_h ~arg:0
   end
 
-and poll t f = send_burst t f burst_cap
+let rec poll t f = send_burst t f burst_cap
 
 and send_burst t f budget =
   if budget = 0 then schedule_poll t f ~time:(Sim.now t.sim)
@@ -346,7 +350,7 @@ and transmit t f budget =
   Array.unsafe_set f.ring_send idx now;
   Array.unsafe_set f.ring_size idx size;
   Array.unsafe_set f.ring_hop idx 0;
-  admit_hop t f idx ~now;
+  admit_hop t f idx;
   (match t.audit with
   | Some a ->
       Audit.observe_backlog a
@@ -543,21 +547,22 @@ let add_flow ?(start = 0.0) ?stop ?size_bytes ?on_complete ?on_ack_bytes ?route
       ring_hop = [||];
       ring_free = [||];
       ring_free_len = 0;
-      ack_fn = ignore;
-      loss_fn = ignore;
-      dup_fn = ignore;
-      poll_fn = ignore;
-      hop_fn = ignore;
+      ack_h = Sim.no_handler;
+      loss_h = Sim.no_handler;
+      dup_h = Sim.no_handler;
+      poll_h = Sim.no_handler;
+      hop_h = Sim.no_handler;
     }
   in
-  f.ack_fn <- (fun idx -> on_ack_event t f idx);
-  f.loss_fn <- (fun idx -> on_loss_event t f idx);
-  f.dup_fn <- (fun idx -> on_dup_ack_event t f idx);
-  f.hop_fn <- (fun idx -> on_hop_event t f idx);
-  f.poll_fn <-
-    (fun _ ->
-      f.poll_pending <- false;
-      poll t f);
+  let reg = Sim.register t.sim in
+  f.ack_h <- reg (fun idx -> on_ack_event t f idx);
+  f.loss_h <- reg (fun idx -> on_loss_event t f idx);
+  f.dup_h <- reg (fun idx -> on_dup_ack_event t f idx);
+  f.hop_h <- reg (fun idx -> on_hop_event t f idx);
+  f.poll_h <-
+    reg (fun _ ->
+        f.poll_pending <- false;
+        poll t f);
   (match t.audit with
   | Some a ->
       let aid = Audit.register_flow a ~label in

@@ -1,14 +1,35 @@
-let mean xs =
-  if Array.length xs = 0 then invalid_arg "Descriptive.mean: empty";
-  Array.fold_left ( +. ) 0.0 xs /. float_of_int (Array.length xs)
+(* Left-to-right [for] loops over a length prefix: the summation order
+   of the [Array.fold_left] they replace, so results are bit-identical
+   to it, but the accumulator stays unboxed. *)
+let check_prefix xs ~len what =
+  if len <= 0 || len > Array.length xs then invalid_arg what
 
-let variance xs =
-  let n = Array.length xs in
-  if n = 0 then invalid_arg "Descriptive.variance: empty";
-  let m = mean xs in
-  Array.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 xs
-  /. float_of_int n
+let sum_prefix xs ~len =
+  let s = ref 0.0 in
+  for i = 0 to len - 1 do
+    s := !s +. Array.unsafe_get xs i
+  done;
+  !s
 
+let mean_prefix xs ~len =
+  check_prefix xs ~len "Descriptive.mean: empty";
+  sum_prefix xs ~len /. float_of_int len
+
+(* Keep [** 2.0]: libm's [pow (d, 2)] and [d *. d] differ in the last
+   bit for some [d], and every committed golden was computed with
+   [pow]. *)
+let variance_prefix xs ~len =
+  check_prefix xs ~len "Descriptive.variance: empty";
+  let m = sum_prefix xs ~len /. float_of_int len in
+  let s = ref 0.0 in
+  for i = 0 to len - 1 do
+    s := !s +. ((Array.unsafe_get xs i -. m) ** 2.0)
+  done;
+  !s /. float_of_int len
+
+let stddev_prefix xs ~len = sqrt (variance_prefix xs ~len)
+let mean xs = mean_prefix xs ~len:(Array.length xs)
+let variance xs = variance_prefix xs ~len:(Array.length xs)
 let stddev xs = sqrt (variance xs)
 
 (* Hoare selection (Wirth's variant) in [Float.compare] order: permutes

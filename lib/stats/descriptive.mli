@@ -9,6 +9,15 @@ val variance : float array -> float
 val stddev : float array -> float
 (** Population standard deviation, [sqrt (variance x)]. *)
 
+val mean_prefix : float array -> len:int -> float
+val variance_prefix : float array -> len:int -> float
+
+val stddev_prefix : float array -> len:int -> float
+(** {!mean}, {!variance} and {!stddev} of the first [len] elements,
+    bit-identical to the same function on [Array.sub xs 0 len] but
+    without the copy. Raise [Invalid_argument] unless
+    [0 < len <= Array.length xs]. *)
+
 val percentile : float array -> p:float -> float
 (** [percentile xs ~p] with [p] in [\[0,100\]], linear interpolation
     between order statistics. Does not mutate [xs]. It selects the two

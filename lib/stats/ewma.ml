@@ -36,7 +36,7 @@ module Mean_dev = struct
     update t.mean x;
     t.n <- t.n + 1
 
-  let mean t = value t.mean
-  let deviation t = value t.dev
+  let[@inline] mean_nan t = t.mean.avg
+  let[@inline] deviation_nan t = t.dev.avg
   let n_samples t = t.n
 end

@@ -34,8 +34,14 @@ module Mean_dev : sig
       weight), the classic TCP constants. *)
 
   val update : t -> float -> unit
-  val mean : t -> float option
-  val deviation : t -> float option
+
+  val mean_nan : t -> float
+  (** The moving average, [Float.nan] before the first sample.
+      Allocation-free, like {!value_nan}. *)
+
+  val deviation_nan : t -> float
+  (** The moving absolute deviation, [Float.nan] before the second
+      sample. *)
 
   val n_samples : t -> int
   (** Number of samples folded in so far. *)

@@ -1,10 +1,15 @@
+(* Storage comes from [Array.create_float]: elements at [len] and
+   beyond are never read, so zero-filling them on create and on every
+   doubling would be wasted stores. *)
 type t = { mutable data : float array; mutable len : int }
 
-let create ?(capacity = 64) () = { data = Array.make (max 1 capacity) 0.0; len = 0 }
+let create ?(capacity = 64) () =
+  { data = Array.create_float (max 1 capacity); len = 0 }
+
 let length t = t.len
 
 let grow t =
-  let ndata = Array.make (2 * t.len) 0.0 in
+  let ndata = Array.create_float (2 * t.len) in
   Array.blit t.data 0 ndata 0 t.len;
   t.data <- ndata
 

@@ -4,7 +4,11 @@
 type t
 
 val create : ?capacity:int -> unit -> t
+(** Empty vector with room for [capacity] elements (default 64);
+    storage doubles as it fills. *)
+
 val length : t -> int
+
 val push : t -> float -> unit
 val get : t -> int -> float
 

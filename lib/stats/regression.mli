@@ -14,6 +14,15 @@ val fit : x:float array -> y:float array -> fit
 (** Least-squares fit of [y] against [x]. Arrays must have equal, nonzero
     length. A fit over fewer than 2 distinct [x] values has slope 0. *)
 
-val slope_of_indexed : float array -> float
-(** [slope_of_indexed ys] fits [ys] against indices [1..k]; the paper's
-    trending-gradient computation over stored MI mean RTTs. *)
+val slope_of_indexed : float array -> len:int -> float
+(** [slope_of_indexed ys ~len] fits the first [len] elements of [ys]
+    against indices [1..len] and returns the slope, bit-identical to
+    {!fit}'s; the paper's trending-gradient computation over stored MI
+    mean RTTs. Allocation free. Raises [Invalid_argument] unless
+    [0 < len <= Array.length ys]. *)
+
+val fit_prefix : x:float array -> y:float array -> len:int -> fit
+(** {!fit} over the first [len] elements of [x] and [y], bit-identical
+    to it on the [Array.sub] copies but without them. Raises
+    [Invalid_argument] unless [0 < len] and both arrays hold at least
+    [len] elements. *)

@@ -198,7 +198,7 @@ let test_sim_pending () =
 let test_sim_at_fn () =
   let sim = Sim.create () in
   let log = ref [] in
-  let fn i = log := (i, Sim.now sim) :: !log in
+  let fn = Sim.register sim (fun i -> log := (i, Sim.now sim) :: !log) in
   Sim.at_fn sim ~time:2.0 ~fn ~arg:2;
   Sim.at_fn sim ~time:1.0 ~fn ~arg:1;
   Sim.at_fn sim ~time:1.0 ~fn ~arg:10;
@@ -207,6 +207,60 @@ let test_sim_at_fn () =
     "order + args + clock"
     [ (1, 1.0); (10, 1.0); (2, 2.0) ]
     (List.rev !log)
+
+(* Handlers registered once fire in (time, seq) order whichever of
+   them an event names: the firing log equals the schedule sorted by
+   time, ties in scheduling order. A placeholder handler is refused. *)
+let test_sim_handlers_order () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let hs =
+    Array.init 3 (fun h -> Sim.register sim (fun arg -> log := (h, arg) :: !log))
+  in
+  let lane = Sim.lane sim in
+  let times = [| 3.0; 1.0; 2.0; 1.0; 3.0; 0.5; 2.0; 1.0; 100.0 |] in
+  Array.iteri
+    (fun i time ->
+      let h = hs.(i mod 3) in
+      if i mod 4 = 3 then
+        Sim.lane_push sim lane ~time ~seq:(Sim.reserve_seq sim) ~fn:h ~arg:i
+      else Sim.at_fn sim ~time ~fn:h ~arg:i)
+    times;
+  Sim.run sim;
+  let expected =
+    Array.to_list (Array.mapi (fun i time -> (time, i)) times)
+    |> List.stable_sort (fun (a, _) (b, _) -> Float.compare a b)
+    |> List.map (fun (_, i) -> (i mod 3, i))
+  in
+  Alcotest.(check (list (pair int int))) "(time, seq) order" expected
+    (List.rev !log);
+  Alcotest.check_raises "placeholder refused"
+    (Invalid_argument "Sim: handler not registered with this sim") (fun () ->
+      Sim.at_fn sim ~time:1.0 ~fn:Sim.no_handler ~arg:0)
+
+(* The pool keeps ints for handler cells; a thunk cell's closure is
+   the one pointer it holds, and cancelling drops it at once, while
+   the dead cell still waits in the heap for its fire time. *)
+let[@inline never] schedule_holding sim w ~time =
+  let payload = Bytes.make 64 'x' in
+  Weak.set w 0 (Some payload);
+  Sim.at_cancellable sim ~time (fun () -> ignore (Bytes.length payload))
+
+let test_sim_cancel_drops_closure () =
+  let sim = Sim.create () in
+  for i = 1 to 3 do
+    Sim.at sim ~time:(float_of_int i) ignore
+  done;
+  let kept = Weak.create 1 and dropped = Weak.create 1 in
+  let _live = schedule_holding sim kept ~time:5.0 in
+  let c = schedule_holding sim dropped ~time:6.0 in
+  Sim.cancel c;
+  Alcotest.(check int) "dead cell still queued" 5 (Sim.queued sim);
+  Gc.full_major ();
+  Alcotest.(check bool) "live closure retained" true (Weak.check kept 0);
+  Alcotest.(check bool) "cancelled closure dropped" false (Weak.check dropped 0);
+  Sim.run sim;
+  Alcotest.(check int) "drained" 0 (Sim.queued sim)
 
 (* Cancelled events must not sit in the heap until their nominal fire
    time: once more than half the queue is dead it is compacted. *)
@@ -268,6 +322,8 @@ let suite =
     ("heap pop_into", `Quick, test_heap_pop_into);
     ("heap filter_in_place", `Quick, test_heap_filter);
     ("sim at_fn", `Quick, test_sim_at_fn);
+    ("sim handlers fire in (time, seq) order", `Quick, test_sim_handlers_order);
+    ("sim cancel drops the closure", `Quick, test_sim_cancel_drops_closure);
     ("sim cancel compacts", `Quick, test_sim_cancel_compacts);
     ("sim pool reuse", `Quick, test_sim_pool_reuse);
   ]

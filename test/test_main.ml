@@ -5,6 +5,7 @@ let () =
   Alcotest.run "pcc_proteus"
     [
       ("stats", Test_stats.suite);
+      ("oracles", Test_oracles.suite);
       ("eventsim", Test_eventsim.suite);
       ("wheel", Test_wheel.suite);
       ("obs", Test_obs.suite);

@@ -1,0 +1,384 @@
+(* Bit-identity oracles for the allocation-free statistics path.
+
+   [Descriptive.mean/variance/stddev], [Regression.fit] and the
+   trending history of [Tolerance] run as [for] loops over length
+   prefixes and fixed float arrays. Their reference implementations —
+   the [Array.fold_left] statistics and the list-based six-MI history
+   they replaced — are kept here, and every property demands equality
+   of the float bits, not closeness: the committed goldens depend on
+   the exact summation order. *)
+
+open Proteus_stats
+module Mi = Proteus.Mi
+module Tolerance = Proteus.Tolerance
+module Mean_dev = Ewma.Mean_dev
+
+(* Equal bits, or both NaN. Which operand's payload a NaN result
+   carries is not fixed by the source: the code generator may commute
+   the operands of [+.], so two NaN inputs can surface either payload
+   in either implementation. *)
+let same a b =
+  Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+  || (Float.is_nan a && Float.is_nan b)
+
+(* ---------- fold-based references ---------- *)
+
+let fold_mean xs =
+  Array.fold_left ( +. ) 0.0 xs /. float_of_int (Array.length xs)
+
+let fold_variance xs =
+  let m = fold_mean xs in
+  Array.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 xs
+  /. float_of_int (Array.length xs)
+
+let fold_stddev xs = sqrt (fold_variance xs)
+
+let fold_fit ~x ~y =
+  let n = Array.length x in
+  let nf = float_of_int n in
+  let mx = Array.fold_left ( +. ) 0.0 x /. nf in
+  let my = Array.fold_left ( +. ) 0.0 y /. nf in
+  let sxx = ref 0.0 and sxy = ref 0.0 in
+  for i = 0 to n - 1 do
+    let dx = x.(i) -. mx in
+    sxx := !sxx +. (dx *. dx);
+    sxy := !sxy +. (dx *. (y.(i) -. my))
+  done;
+  let slope = if !sxx = 0.0 then 0.0 else !sxy /. !sxx in
+  let intercept = my -. (slope *. mx) in
+  let ss_res = ref 0.0 in
+  for i = 0 to n - 1 do
+    let r = y.(i) -. (intercept +. (slope *. x.(i))) in
+    ss_res := !ss_res +. (r *. r)
+  done;
+  (slope, intercept, sqrt (!ss_res /. nf))
+
+let fold_slope_of_indexed ys =
+  let x = Array.init (Array.length ys) (fun i -> float_of_int (i + 1)) in
+  let slope, _, _ = fold_fit ~x ~y:ys in
+  slope
+
+(* ---------- list-based Tolerance reference ---------- *)
+
+module List_tolerance = struct
+  type t = {
+    config : Tolerance.config;
+    mutable avg_rtts : float list;
+    mutable deviations : float list;
+    trend_grad : Mean_dev.t;
+    trend_dev : Mean_dev.t;
+  }
+
+  let create config =
+    {
+      config;
+      avg_rtts = [];
+      deviations = [];
+      trend_grad = Mean_dev.create ();
+      trend_dev = Mean_dev.create ();
+    }
+
+  let push_bounded t x xs =
+    let xs = xs @ [ x ] in
+    let extra = List.length xs - t.config.Tolerance.history in
+    if extra > 0 then List.filteri (fun i _ -> i >= extra) xs else xs
+
+  let update_trending t (m : Mi.metrics) =
+    t.avg_rtts <- push_bounded t m.Mi.avg_rtt t.avg_rtts;
+    t.deviations <- push_bounded t m.Mi.rtt_deviation t.deviations;
+    if List.length t.avg_rtts < 2 then (false, false)
+    else begin
+      let trending_gradient =
+        fold_slope_of_indexed (Array.of_list t.avg_rtts)
+      in
+      let trending_deviation = fold_stddev (Array.of_list t.deviations) in
+      (* [Mean_dev]'s accessors read NaN where the option API they
+         replaced read [None]. *)
+      let opt x = if Float.is_nan x then None else Some x in
+      let significant tracker sample ~gate ~two_sided =
+        let result =
+          match
+            (opt (Mean_dev.mean_nan tracker), opt (Mean_dev.deviation_nan tracker))
+          with
+          | Some avg, Some dev when Mean_dev.n_samples tracker >= 3 ->
+              let delta =
+                if two_sided then Float.abs (sample -. avg) else sample -. avg
+              in
+              delta >= gate *. dev
+          | _ -> false
+        in
+        Mean_dev.update tracker sample;
+        result
+      in
+      let grad_sig =
+        significant t.trend_grad trending_gradient ~gate:t.config.g1
+          ~two_sided:true
+      in
+      let dev_sig =
+        significant t.trend_dev trending_deviation ~gate:t.config.g2
+          ~two_sided:false
+      in
+      (grad_sig, dev_sig)
+    end
+
+  let adjust t (m : Mi.metrics) =
+    let m =
+      match t.config.fixed_gradient_threshold with
+      | Some threshold when Float.abs m.Mi.rtt_gradient < threshold ->
+          { m with Mi.rtt_gradient = 0.0 }
+      | _ -> m
+    in
+    let grad_sig, dev_sig =
+      if t.config.trending_tolerance then update_trending t m
+      else (false, false)
+    in
+    if not t.config.regression_tolerance then m
+    else if Float.abs m.Mi.rtt_gradient < m.Mi.regression_error then begin
+      let zero_grad = not grad_sig in
+      let zero_dev = zero_grad && not dev_sig in
+      {
+        m with
+        Mi.rtt_gradient = (if zero_grad then 0.0 else m.Mi.rtt_gradient);
+        Mi.rtt_deviation = (if zero_dev then 0.0 else m.Mi.rtt_deviation);
+      }
+    end
+    else m
+end
+
+let same_metrics (a : Mi.metrics) (b : Mi.metrics) =
+  same a.send_rate_mbps b.send_rate_mbps
+  && same a.target_rate_mbps b.target_rate_mbps
+  && same a.loss_rate b.loss_rate && same a.avg_rtt b.avg_rtt
+  && same a.rtt_gradient b.rtt_gradient
+  && same a.rtt_deviation b.rtt_deviation
+  && same a.regression_error b.regression_error
+  && a.n_rtt_samples = b.n_rtt_samples
+  && same a.duration b.duration
+
+let print_metrics (m : Mi.metrics) =
+  Printf.sprintf "{rate %h; avg %h; grad %h; dev %h; err %h; n %d}"
+    m.send_rate_mbps m.avg_rtt m.rtt_gradient m.rtt_deviation
+    m.regression_error m.n_rtt_samples
+
+(* ---------- generators ---------- *)
+
+(* RTT-scale samples, values spanning many magnitudes (squares that
+   underflow or overflow), and IEEE specials. *)
+let gen_sample =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, float_range 0.0 0.5);
+        (2, float_range (-1e6) 1e6);
+        (1, map (fun e -> ldexp 1.0 e) (int_range (-1070) 1020));
+        (1, oneofl [ 0.0; -0.0; infinity; neg_infinity; Float.nan ]);
+      ])
+
+let gen_samples lo hi = QCheck.Gen.(array_size (int_range lo hi) gen_sample)
+
+let print_floats xs =
+  "[|" ^ String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") xs)) ^ "|]"
+
+(* ---------- Descriptive and Regression ---------- *)
+
+let prop_descriptive =
+  QCheck.Test.make ~count:500
+    ~name:"mean/variance/stddev loops equal the folds bit for bit"
+    (QCheck.make ~print:print_floats (gen_samples 1 64))
+    (fun xs ->
+      let n = Array.length xs in
+      let ok = ref true in
+      for len = 1 to n do
+        let sub = Array.sub xs 0 len in
+        ok :=
+          !ok
+          && same (Descriptive.mean_prefix xs ~len) (fold_mean sub)
+          && same (Descriptive.variance_prefix xs ~len) (fold_variance sub)
+          && same (Descriptive.stddev_prefix xs ~len) (fold_stddev sub)
+      done;
+      !ok
+      && same (Descriptive.mean xs) (fold_mean xs)
+      && same (Descriptive.variance xs) (fold_variance xs)
+      && same (Descriptive.stddev xs) (fold_stddev xs))
+
+let prop_regression =
+  QCheck.Test.make ~count:500
+    ~name:"regression loops equal the fold fit bit for bit"
+    (QCheck.make
+       ~print:(fun (x, y) -> print_floats x ^ " / " ^ print_floats y)
+       QCheck.Gen.(
+         int_range 1 48 >>= fun n ->
+         pair (array_repeat n gen_sample) (array_repeat n gen_sample)))
+    (fun (x, y) ->
+      let n = Array.length x in
+      let ok = ref true in
+      for len = 1 to n do
+        let sx = Array.sub x 0 len and sy = Array.sub y 0 len in
+        let slope, intercept, rms = fold_fit ~x:sx ~y:sy in
+        let f = Regression.fit_prefix ~x ~y ~len in
+        ok :=
+          !ok && same f.slope slope && same f.intercept intercept
+          && same f.residual_rms rms
+          && same (Regression.slope_of_indexed y ~len)
+               (fold_slope_of_indexed sy)
+      done;
+      let slope, _, _ = fold_fit ~x ~y in
+      !ok && same (Regression.fit ~x ~y).slope slope
+      && same
+           (Regression.slope_of_indexed y ~len:n)
+           (fold_slope_of_indexed y))
+
+(* [pow (d, 2)] and [d *. d] differ in the last bit for this [d] under
+   glibc's libm, so rewriting [** 2.0] as a multiplication changes
+   [variance] here. The goldens were computed with [pow]. *)
+let test_pow_pin () =
+  let d = 0x1.3cab81f969e3cp-9 in
+  Alcotest.(check bool) "pow(d, 2) <> d * d for the pin" false (d ** 2.0 = d *. d);
+  let xs = [| 0.0; 2.0 *. d |] in
+  Alcotest.(check string)
+    "variance keeps pow" "0x1.87b7dbc6a29b1p-18"
+    (Printf.sprintf "%h" (Descriptive.variance xs));
+  Alcotest.(check bool)
+    "equals the fold" true
+    (same (Descriptive.variance xs) (fold_variance xs))
+
+(* ---------- Tolerance ---------- *)
+
+let gen_metrics =
+  QCheck.Gen.(
+    map
+      (fun ((avg, dev, grad), (err, n)) ->
+        {
+          Mi.send_rate_mbps = 10.0;
+          target_rate_mbps = 10.0;
+          loss_rate = 0.0;
+          avg_rtt = avg;
+          rtt_gradient = grad;
+          rtt_deviation = dev;
+          regression_error = err;
+          n_rtt_samples = n;
+          duration = 0.03;
+        })
+      (pair
+         (triple (float_range 0.01 0.2) (float_range 0.0 0.02)
+            (float_range (-0.05) 0.05))
+         (pair (float_range 0.0 0.05) (int_range 0 200))))
+
+let gen_config =
+  QCheck.Gen.(
+    map
+      (fun ((history, regression_tolerance, trending_tolerance), fixed) ->
+        {
+          Tolerance.proteus_default with
+          history;
+          regression_tolerance;
+          trending_tolerance;
+          fixed_gradient_threshold = fixed;
+        })
+      (pair
+         (triple (int_range 0 7) bool bool)
+         (opt ~ratio:0.2 (float_range 0.0 0.02))))
+
+let prop_tolerance =
+  QCheck.Test.make ~count:500
+    ~name:"tolerance history arrays equal the list history bit for bit"
+    (QCheck.make
+       ~print:(fun ((c : Tolerance.config), ms) ->
+         Printf.sprintf "history=%d reg=%b trend=%b mis=%d" c.history
+           c.regression_tolerance c.trending_tolerance (List.length ms))
+       QCheck.Gen.(pair gen_config (list_size (int_range 0 40) gen_metrics)))
+    (fun (config, ms) ->
+      let arr = Tolerance.create config and lst = List_tolerance.create config in
+      List.for_all
+        (fun m ->
+          let a = Tolerance.adjust arr m and b = List_tolerance.adjust lst m in
+          same_metrics a b
+          || QCheck.Test.fail_reportf "arrays %s / lists %s" (print_metrics a)
+               (print_metrics b))
+        ms)
+
+(* ---------- Mi: in-place statistics and reuse ---------- *)
+
+(* An MI's metrics as the copying implementation computed them. *)
+let fold_mi_metrics (m : Mi.metrics) ~send_times ~rtts =
+  let n = Array.length rtts in
+  if n < 2 then m
+  else begin
+    let slope, _, rms = fold_fit ~x:send_times ~y:rtts in
+    {
+      m with
+      Mi.avg_rtt = fold_mean rtts;
+      rtt_gradient = slope;
+      rtt_deviation = fold_stddev rtts;
+      regression_error = rms /. m.duration;
+    }
+  end
+
+(* Feed one interval: [sent] packets, the samples as ACKs (NaN = a
+   filtered sample), then losses for the rest. *)
+let fill mi ~samples ~sent =
+  for _ = 1 to sent do
+    Mi.record_sent mi ~size:1500
+  done;
+  let meta = Array.make 3 0.0 in
+  Array.iteri
+    (fun i rtt ->
+      meta.(1) <- 0.001 *. float_of_int i;
+      meta.(2) <- rtt;
+      Mi.record_ack_m mi ~meta ~accepted:(i mod 5 <> 4))
+    samples;
+  for _ = Array.length samples + 1 to sent do
+    Mi.record_loss mi
+  done;
+  Mi.close mi ~end_time:0.05
+
+let gen_interval =
+  QCheck.Gen.(
+    oneofl [ 0; 1; 2 ] >>= fun small ->
+    int_range 3 300 >>= fun many ->
+    oneofl [ small; many ] >>= fun n ->
+    array_repeat n (float_range 0.01 0.2) >>= fun samples ->
+    int_range n (n + 5) >|= fun sent -> (samples, sent))
+
+let accepted_samples samples =
+  let acc = ref [] and times = ref [] in
+  Array.iteri
+    (fun i rtt ->
+      if i mod 5 <> 4 then begin
+        acc := rtt :: !acc;
+        times := (0.001 *. float_of_int i) :: !times
+      end)
+    samples;
+  (Array.of_list (List.rev !times), Array.of_list (List.rev !acc))
+
+let prop_mi_reuse =
+  QCheck.Test.make ~count:300
+    ~name:"a reset MI computes what a fresh one and the folds compute"
+    (QCheck.make
+       ~print:(fun ((a, _), (b, _)) ->
+         Printf.sprintf "first %d samples, then %d" (Array.length a)
+           (Array.length b))
+       QCheck.Gen.(pair gen_interval gen_interval))
+    (fun ((samples_a, sent_a), (samples_b, sent_b)) ->
+      let fresh = Mi.create ~id:7 ~target_rate:125_000.0 ~start_time:0.01 in
+      fill fresh ~samples:samples_b ~sent:sent_b;
+      let reused = Mi.create ~id:3 ~target_rate:1e6 ~start_time:0.0 in
+      fill reused ~samples:samples_a ~sent:sent_a;
+      ignore (Mi.metrics reused);
+      Mi.reset reused ~id:7 ~target_rate:125_000.0 ~start_time:0.01;
+      fill reused ~samples:samples_b ~sent:sent_b;
+      let m_fresh = Mi.metrics fresh and m_reused = Mi.metrics reused in
+      let send_times, rtts = accepted_samples samples_b in
+      let m_fold = fold_mi_metrics m_fresh ~send_times ~rtts in
+      Mi.id reused = 7
+      && (same_metrics m_fresh m_reused
+         || QCheck.Test.fail_reportf "fresh %s / reused %s"
+              (print_metrics m_fresh) (print_metrics m_reused))
+      && (same_metrics m_fresh m_fold
+         || QCheck.Test.fail_reportf "in place %s / folds %s"
+              (print_metrics m_fresh) (print_metrics m_fold)))
+
+let suite =
+  [ ("variance pins pow over multiplication", `Quick, test_pow_pin) ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_descriptive; prop_regression; prop_tolerance; prop_mi_reuse ]

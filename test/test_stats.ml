@@ -77,7 +77,7 @@ let test_regression_degenerate_x () =
   check_float "degenerate slope" 0.0 fit.Regression.slope
 
 let test_slope_of_indexed () =
-  check_float "indexed slope" 3.0 (Regression.slope_of_indexed [| 3.; 6.; 9. |])
+  check_float "indexed slope" 3.0 (Regression.slope_of_indexed [| 3.; 6.; 9. |] ~len:3)
 
 (* ---------- Welford ---------- *)
 
@@ -108,13 +108,13 @@ let test_ewma_blend () =
 let test_mean_dev () =
   let md = Ewma.Mean_dev.create ~alpha:0.5 ~beta:0.5 () in
   Ewma.Mean_dev.update md 10.0;
-  Alcotest.(check (option (float 1e-9)))
-    "no dev yet" None
-    (Ewma.Mean_dev.deviation md);
+  Alcotest.(check bool)
+    "no dev yet" true
+    (Float.is_nan (Ewma.Mean_dev.deviation_nan md));
   Ewma.Mean_dev.update md 14.0;
   (* dev sample = |14 - 10| = 4, first dev sample initializes *)
-  check_float "dev" 4.0 (Option.get (Ewma.Mean_dev.deviation md));
-  check_float "mean" 12.0 (Option.get (Ewma.Mean_dev.mean md))
+  check_float "dev" 4.0 (Ewma.Mean_dev.deviation_nan md);
+  check_float "mean" 12.0 (Ewma.Mean_dev.mean_nan md)
 
 (* ---------- Histogram ---------- *)
 

@@ -84,17 +84,17 @@ type backend = {
 let sim_backend sim fire =
   let lanes = [| Sim.lane sim; Sim.lane sim |] in
   let handles = Hashtbl.create 16 in
-  let fn i = !fire i in
+  let fn = Sim.register sim (fun i -> !fire i) in
   {
     now = (fun () -> Sim.now sim);
     sched =
       (fun kind time i ->
         match kind with
         | Fn -> Sim.at_fn sim ~time ~fn ~arg:i
-        | Thunk -> Sim.at sim ~time (fun () -> fn i)
+        | Thunk -> Sim.at sim ~time (fun () -> !fire i)
         | Cancellable ->
             Hashtbl.replace handles i
-              (Sim.at_cancellable sim ~time (fun () -> fn i))
+              (Sim.at_cancellable sim ~time (fun () -> !fire i))
         | Lane l ->
             Sim.lane_push sim lanes.(l) ~time ~seq:(Sim.reserve_seq sim) ~fn
               ~arg:i);
