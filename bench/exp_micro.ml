@@ -1,7 +1,7 @@
 (* Bechamel microbenchmarks of the simulator's hot paths: event heap
-   churn, pooled-kernel schedule/fire, link admission, MI metric
-   extraction, utility evaluation, and full simulated seconds of loaded
-   bottlenecks.
+   churn, pooled-kernel schedule/fire, link admission, the per-ACK
+   flow log, MI metric extraction, utility evaluation, and full
+   simulated seconds of loaded bottlenecks.
 
    Besides wall-clock (ns/run) this measures the minor-heap allocation
    witness (words/run). Every micro is timed [rounds] times and the
@@ -109,18 +109,23 @@ let audit_micro =
         Net.Audit.observe_backlog a ~backlog:0.0 ~now
       done) }
 
+(* One pooled MI, reset per run as the controller recycles them: 50
+   samples, then its metrics filled into a reused record. *)
 let mi_micro =
+  let times = [| 125_000.0; 0.0; 0.05 |] and meta = Array.make 3 0.0 in
+  let mi = Proteus.Mi.create ~id:0 ~target_rate:125_000.0 ~start_time:0.0 in
+  let m = Proteus.Mi.zero_metrics () in
   { name = "MI metrics (50 samples)";
     body = (fun () ->
-      let mi = Proteus.Mi.create ~id:0 ~target_rate:125_000.0 ~start_time:0.0 in
+      Proteus.Mi.reset mi ~id:0 ~times;
       for i = 0 to 49 do
         Proteus.Mi.record_sent mi ~size:1500;
-        Proteus.Mi.record_ack mi
-          ~send_time:(float_of_int i *. 0.001)
-          ~rtt:(Some (0.03 +. (0.0001 *. float_of_int (i mod 7))))
+        meta.(1) <- float_of_int i *. 0.001;
+        meta.(2) <- 0.03 +. (0.0001 *. float_of_int (i mod 7));
+        Proteus.Mi.record_ack_m mi ~meta ~accepted:true
       done;
-      Proteus.Mi.close mi ~end_time:0.05;
-      ignore (Proteus.Mi.metrics mi)) }
+      Proteus.Mi.close mi ~times;
+      Proteus.Mi.metrics_into mi m) }
 
 let utility_micro =
   let u = Proteus.Utility.proteus_s () in
@@ -133,7 +138,6 @@ let utility_micro =
       rtt_gradient = 0.001;
       rtt_deviation = 0.0005;
       regression_error = 0.0001;
-      n_rtt_samples = 50;
       duration = 0.05;
     }
   in
@@ -141,6 +145,25 @@ let utility_micro =
     body = (fun () ->
       for _ = 0 to 99 do
         ignore (Proteus.Utility.eval u m)
+      done) }
+
+(* The per-ACK log as a many-flow run fills it: 100 ACKs dealt round
+   robin to 64 flows, so consecutive records land in different flows'
+   logs. The logs are cleared before they outgrow their first
+   allocation, so every run appends in place. *)
+let flow_stats_micro =
+  let flows = Array.init 64 (fun _ -> Net.Flow_stats.create ()) in
+  let next = ref 0 and clock = [| 0.0 |] in
+  { name = "flow_stats record_ack x100 (64 flows)";
+    body = (fun () ->
+      if Net.Flow_stats.packets_acked flows.(0) >= 1000 then
+        Array.iter Net.Flow_stats.clear flows;
+      for _ = 0 to 99 do
+        let now = clock.(0) +. 1e-5 in
+        clock.(0) <- now;
+        Net.Flow_stats.record_ack flows.(!next land 63) ~now ~size:1500
+          ~rtt:0.03;
+        incr next
       done) }
 
 (* ---------- sim-second micros (the headline) ----------
@@ -188,8 +211,8 @@ let many_flow_micro =
 
 let micros =
   [
-    heap_micro; sim_kernel_micro; link_micro; audit_micro; mi_micro; utility_micro;
-    two_flow_micro; many_flow_micro;
+    heap_micro; sim_kernel_micro; link_micro; audit_micro; flow_stats_micro;
+    mi_micro; utility_micro; two_flow_micro; many_flow_micro;
   ]
 
 (* bechamel prefixes grouped test names with the group name *)

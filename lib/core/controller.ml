@@ -46,41 +46,142 @@ let vivace_config ~utility =
     yield_hold = 0.0;
   }
 
-(* What a monitor interval was trialling. The [epoch] stamps results so
-   that MIs planned by an abandoned phase instance cannot corrupt the
-   decisions of a later one. *)
-type tag =
-  | Start
-  | Probe of { epoch : int; pair : int; up : bool }
-  | Move of { epoch : int }
-  | Filler
+(* [Units]' rate conversions, written out: they run once per MI, and a
+   call across the module boundary would box its float. *)
+let[@inline] to_mbps b = b *. 8.0 /. 1e6
+let[@inline] of_mbps m = m *. 1e6 /. 8.0
+
+(* The utilities one probing round has observed. Probe MI [(pair, up)]
+   reports to vote slot [2 pair] (the upper rate) or [2 pair + 1]; a
+   round holds at most three pairs. Arrival order is kept because
+   {!mean_utility} sums newest first, the order the committed goldens
+   were computed in. *)
+module Votes = struct
+  type t = {
+    u : float array; (* by slot *)
+    order : int array; (* slots in arrival order *)
+    mutable n : int;
+    mutable npairs : int;
+  }
+
+  let max_pairs = 3
+
+  let create () =
+    {
+      u = Array.make (2 * max_pairs) 0.0;
+      order = Array.make (2 * max_pairs) 0;
+      n = 0;
+      npairs = 0;
+    }
+
+  let reset v ~npairs =
+    v.n <- 0;
+    v.npairs <- npairs
+
+  let[@inline] slot ~pair ~up = (2 * pair) + if up then 0 else 1
+
+  (* Each slot is planned once per round, so it reports at most once. *)
+  let add v ~slot ~u =
+    v.u.(slot) <- u;
+    v.order.(v.n) <- slot;
+    v.n <- v.n + 1
+
+  (* Every pair has reported both rates. *)
+  let complete v = v.n = 2 * v.npairs
+
+  let pair_dir v pair =
+    let hi = v.u.(2 * pair) and lo = v.u.((2 * pair) + 1) in
+    if hi > lo then 1 else if lo > hi then -1 else 0
+
+  (* Of a complete round: 1 (up), -1 (down) or 0 (no clear direction). *)
+  let direction v mode =
+    match mode with
+    | Consistent2 ->
+        let a = pair_dir v 0 and b = pair_dir v 1 in
+        if a = b && a <> 0 then a else 0
+    | Majority3 ->
+        let ups = ref 0 and downs = ref 0 in
+        for pair = 0 to v.npairs - 1 do
+          match pair_dir v pair with
+          | 1 -> incr ups
+          | -1 -> incr downs
+          | _ -> ()
+        done;
+        if !ups >= 2 then 1 else if !downs >= 2 then -1 else 0
+
+  (* Mean utility slope (per Mbps) across the pairs of a complete
+     round. *)
+  let[@inline] gradient v ~epsilon ~base_rate =
+    let dr = 2.0 *. epsilon *. to_mbps base_rate in
+    if dr > 0.0 then begin
+      let sum = ref 0.0 in
+      for pair = 0 to v.npairs - 1 do
+        sum := !sum +. ((v.u.(2 * pair) -. v.u.((2 * pair) + 1)) /. dr)
+      done;
+      !sum /. float_of_int v.npairs
+    end
+    else 0.0
+
+  (* Mean utility of the upper (or lower) trials of a complete round. *)
+  let[@inline] mean_utility v ~up =
+    let side = if up then 0 else 1 in
+    let sum = ref 0.0 in
+    for i = v.n - 1 downto 0 do
+      let s = v.order.(i) in
+      if s land 1 = side then sum := !sum +. v.u.(s)
+    done;
+    !sum /. float_of_int v.npairs
+end
+
+(* What a monitor interval trials, packed in an int: the kind in the
+   low 4 bits, the epoch above them. Probe kinds are [kind_probe] plus
+   the vote slot. The epoch stamps results so that MIs planned by an
+   abandoned phase instance cannot corrupt the decisions of a later
+   one. *)
+let kind_start = 0
+let kind_filler = 1
+let kind_move = 2
+let kind_probe = 4
+let[@inline] tag ~epoch kind = (epoch lsl 4) lor kind
+let[@inline] tag_kind tag = tag land 15
+let[@inline] tag_epoch tag = tag lsr 4
 
 (* Constant labels so Rate_decision trace notes allocate nothing. *)
-let tag_name = function
-  | Start -> "start"
-  | Probe { up = true; _ } -> "probe-up"
-  | Probe _ -> "probe-down"
-  | Move _ -> "move"
-  | Filler -> "filler"
+let tag_name tag =
+  let k = tag_kind tag in
+  if k = kind_start then "start"
+  else if k = kind_move then "move"
+  else if k = kind_filler then "filler"
+  else if (k - kind_probe) land 1 = 0 then "probe-up"
+  else "probe-down"
 
-type probing_state = {
-  epoch : int;
-  base_rate : float; (* bytes/s *)
-  npairs : int;
-  mutable probe_results : (int * bool * float) list; (* pair, up, utility *)
+type phase = Starting | Probing | Moving
+
+(* Unboxed float state: an all-float record is stored flat, so its
+   stores (several per packet, per ACK or per MI) allocate nothing, as
+   mutable float fields of the mixed [t] would. *)
+type floats = {
+  mutable base_rate : float; (* bytes/s *)
+  mutable deadline : float; (* end of the current MI *)
+  mutable pacing_rate : float; (* bytes/s *)
+  mutable srtt : float;
+  mutable next_send : float;
+  mutable now : float; (* of the latest ACK or loss *)
+  mutable hold_until : float; (* yield-hold expiry *)
+  mutable min_rate : float; (* bytes/s, from the config *)
+  mutable max_rate : float;
+  (* Probing: the rate the pairs straddle. *)
+  mutable probe_base : float;
+  (* Moving: direction (+-1), gradient (utility per Mbps), and the
+     previous step's rate (bytes/s) and utility. *)
+  mutable mv_dir : float;
+  mutable mv_gradient : float;
+  mutable mv_prev_rate : float;
+  mutable mv_prev_utility : float;
+  (* Starting: the best (rate, utility) sample so far; NaN rate = none. *)
+  mutable start_rate : float;
+  mutable start_utility : float;
 }
-
-type phase =
-  | Starting
-  | Probing of probing_state
-  | Moving of {
-      epoch : int;
-      dir : float;
-      mutable k : int;
-      mutable gradient : float; (* utility per Mbps *)
-      mutable prev_rate : float; (* bytes/s *)
-      mutable prev_utility : float;
-    }
 
 type t = {
   mutable utility : Utility.t;
@@ -90,25 +191,28 @@ type t = {
   rng : Rng.t;
   mtu : int;
   trace : Trace.t;
-  (* Unboxed float state. Mutable float fields in this mixed record
-     would box on every store, and three of these are stored per packet
-     or per ACK. Slots: 0 = base rate (bytes/s), 1 = current MI
-     deadline, 2 = pacing rate (bytes/s), 3 = srtt, 4 = next send time,
-     5 = cached now, 6 = yield-hold expiry. *)
-  fl : float array;
+  fl : floats;
   mutable phase : phase;
-  mutable epoch_counter : int;
-  mutable last_start_sample : (float * float) option; (* rate, utility *)
-  planned : (float * tag) Queue.t;
+  mutable epoch : int; (* of the current probing or moving phase *)
+  mutable mv_k : int; (* moving: steps taken in this direction *)
+  votes : Votes.t;
+  (* Planned MIs, a queue of at most [2 * Votes.max_pairs] (rate, tag)
+     entries in [plan_rate]/[plan_tag] from [plan_head] to [plan_len]. *)
+  plan_rate : float array;
+  plan_tag : int array;
+  mutable plan_head : int;
+  mutable plan_len : int;
   (* MI slot pool. Slot [s] holds [mis.(s)] and the tag it trials; a
      completed MI's slot returns to the free stack and is [Mi.reset] on
      reuse, so steady state allocates no MI and no sample storage. Only
-     the few MIs still awaiting ACKs hold a slot. *)
+     the few MIs still awaiting ACKs hold a slot. [mi_times] passes an
+     MI its target rate, start and end time (see [Mi.reset]). *)
   mutable mis : Mi.t array;
-  mutable mi_tags : tag array;
+  mutable mi_tags : int array;
   mutable mi_free : int array; (* stack of free slots *)
   mutable mi_free_len : int;
   mutable current : int; (* slot of the MI being sent in; -1 = none *)
+  mi_times : float array;
   (* In-flight seq -> MI slot, as a power-of-two direct-mapped table:
      entry = seq land (cap - 1), seqs.(i) = -1 marks an empty entry
      (whose slot is -1 too). Live seqs span one congestion window, far
@@ -118,17 +222,24 @@ type t = {
      so the per-packet stores need no write barrier. *)
   mutable sm_seqs : int array;
   mutable sm_slots : int array;
-  pending_results : (int, tag * Mi.metrics) Hashtbl.t;
+  (* Completed MIs awaiting their turn in MI-id order, in a power-of-two
+     ring keyed by id: entry = id land (cap - 1) holds the MI's id (-1 =
+     empty), tag and adjusted metrics. Waiting ids lie in
+     [next_result_id, next_result_id + cap), so they never collide; an
+     id past that range doubles the ring. The metrics records are
+     filled in place and reused. *)
+  mutable res_ids : int array;
+  mutable res_tags : int array;
+  mutable res_ms : Mi.metrics array;
   mutable next_mi_id : int;
   mutable next_result_id : int;
   mutable completed_mis : int;
 }
 
-let min_rate t = Units.mbps_to_bytes_per_sec t.config.min_rate_mbps
-let max_rate t = Units.mbps_to_bytes_per_sec t.config.max_rate_mbps
-let clamp_rate t r = Float.min (max_rate t) (Float.max (min_rate t) r)
+let[@inline] clamp_rate t r = Float.min t.fl.max_rate (Float.max t.fl.min_rate r)
 
 let create (config : config) (env : Sender.env) =
+  let r0 = of_mbps config.initial_rate_mbps in
   {
     utility = config.utility;
     config;
@@ -139,26 +250,58 @@ let create (config : config) (env : Sender.env) =
     mtu = env.mtu;
     trace = env.trace;
     fl =
-      (let r0 = Units.mbps_to_bytes_per_sec config.initial_rate_mbps in
-       [| r0; 0.0; r0; 0.05; 0.0; 0.0; neg_infinity |]);
+      {
+        base_rate = r0;
+        deadline = 0.0;
+        pacing_rate = r0;
+        srtt = 0.05;
+        next_send = 0.0;
+        now = 0.0;
+        hold_until = neg_infinity;
+        min_rate = of_mbps config.min_rate_mbps;
+        max_rate = of_mbps config.max_rate_mbps;
+        probe_base = 0.0;
+        mv_dir = 0.0;
+        mv_gradient = 0.0;
+        mv_prev_rate = 0.0;
+        mv_prev_utility = 0.0;
+        start_rate = Float.nan;
+        start_utility = 0.0;
+      };
     phase = Starting;
-    epoch_counter = 0;
-    last_start_sample = None;
-    planned = Queue.create ();
+    epoch = 0;
+    mv_k = 0;
+    votes = Votes.create ();
+    plan_rate = Array.make (2 * Votes.max_pairs) 0.0;
+    plan_tag = Array.make (2 * Votes.max_pairs) 0;
+    plan_head = 0;
+    plan_len = 0;
     mis = [||];
     mi_tags = [||];
     mi_free = [||];
     mi_free_len = 0;
     current = -1;
+    mi_times = Array.make 3 0.0;
     sm_seqs = Array.make 256 (-1);
     sm_slots = Array.make 256 (-1);
-    pending_results = Hashtbl.create 16;
+    res_ids = Array.make 8 (-1);
+    res_tags = Array.make 8 0;
+    res_ms = Array.init 8 (fun _ -> Mi.zero_metrics ());
     next_mi_id = 0;
     next_result_id = 0;
     completed_mis = 0;
   }
 
 let name t = "proteus:" ^ Utility.name t.utility
+
+let clear_plan t =
+  t.plan_head <- 0;
+  t.plan_len <- 0
+
+let[@inline] push_plan t ~rate ~tag =
+  t.plan_rate.(t.plan_len) <- rate;
+  t.plan_tag.(t.plan_len) <- tag;
+  t.plan_len <- t.plan_len + 1
 
 (* Switching objectives restarts the ramp: the new utility may deem a
    radically different rate optimal (scavenger -> primary can be three
@@ -167,48 +310,56 @@ let name t = "proteus:" ^ Utility.name t.utility
    planned under the old objective are ignored (phase/tag mismatch). *)
 let set_utility t u =
   t.utility <- u;
-  Queue.clear t.planned;
+  clear_plan t;
   t.phase <- Starting;
-  t.last_start_sample <- None
+  t.fl.start_rate <- Float.nan
 let utility_name t = Utility.name t.utility
-let rate_mbps t = Units.bytes_per_sec_to_mbps t.fl.(0)
+let rate_mbps t = Units.bytes_per_sec_to_mbps t.fl.base_rate
 let mi_count t = t.completed_mis
 
 (* ---------- planning ---------- *)
 
 let plan_probing t =
-  Queue.clear t.planned;
-  t.epoch_counter <- t.epoch_counter + 1;
-  let epoch = t.epoch_counter in
+  clear_plan t;
+  t.epoch <- t.epoch + 1;
+  let epoch = t.epoch in
   let npairs =
     match t.config.probing_mode with Consistent2 -> 2 | Majority3 -> 3
   in
   let eps = t.config.epsilon in
+  let base = t.fl.base_rate in
   for pair = 0 to npairs - 1 do
-    let hi = (t.fl.(0) *. (1.0 +. eps), Probe { epoch; pair; up = true }) in
-    let lo = (t.fl.(0) *. (1.0 -. eps), Probe { epoch; pair; up = false }) in
-    let first, second = if Rng.bool t.rng then (hi, lo) else (lo, hi) in
-    Queue.add first t.planned;
-    Queue.add second t.planned
+    let hi = tag ~epoch (kind_probe + Votes.slot ~pair ~up:true)
+    and lo = tag ~epoch (kind_probe + Votes.slot ~pair ~up:false) in
+    if Rng.bool t.rng then begin
+      push_plan t ~rate:(base *. (1.0 +. eps)) ~tag:hi;
+      push_plan t ~rate:(base *. (1.0 -. eps)) ~tag:lo
+    end
+    else begin
+      push_plan t ~rate:(base *. (1.0 -. eps)) ~tag:lo;
+      push_plan t ~rate:(base *. (1.0 +. eps)) ~tag:hi
+    end
   done;
-  t.phase <- Probing { epoch; base_rate = t.fl.(0); npairs; probe_results = [] }
+  Votes.reset t.votes ~npairs;
+  t.fl.probe_base <- base;
+  t.phase <- Probing
 
-let enter_probing t ~at_rate =
-  t.fl.(0) <- clamp_rate t at_rate;
-  t.last_start_sample <- None;
+let[@inline] enter_probing t ~at_rate =
+  t.fl.base_rate <- clamp_rate t at_rate;
+  t.fl.start_rate <- Float.nan;
   plan_probing t
 
-let plan_move t mv_epoch ~rate =
-  Queue.clear t.planned;
-  Queue.add (rate, Move { epoch = mv_epoch }) t.planned
+let plan_move t =
+  clear_plan t;
+  push_plan t ~rate:t.fl.base_rate ~tag:(tag ~epoch:t.epoch kind_move)
 
 (* Step size: gradient ascent with a confidence amplifier and a swing
    boundary proportional to the current rate (Vivace-style). Upward
    moves are additionally capped by [max_swing_up]: scavengers recover
    conservatively after yielding, so that bursty foreground traffic
    (web object waves, video chunks) is not re-taxed at every burst. *)
-let step_bytes t ~k ~dir ~gradient =
-  let rate_mbps = Units.bytes_per_sec_to_mbps t.fl.(0) in
+let[@inline] step_bytes t ~k ~dir ~gradient =
+  let rate_mbps = to_mbps t.fl.base_rate in
   let amplifier = Float.min (2.0 ** float_of_int (k - 1)) 32.0 in
   let raw = amplifier *. Float.abs gradient (* Mbps *) in
   let cap = if dir > 0.0 then t.config.max_swing_up else 0.5 in
@@ -217,121 +368,89 @@ let step_bytes t ~k ~dir ~gradient =
       (cap *. rate_mbps)
   in
   let floor_step = 0.01 *. rate_mbps in
-  Units.mbps_to_bytes_per_sec (Float.min boundary (Float.max floor_step raw))
+  of_mbps (Float.min boundary (Float.max floor_step raw))
 
 (* ---------- state machine on completed MI results ---------- *)
 
-let handle_start_result t ~rate_trialled ~u =
-  match t.last_start_sample with
-  | Some (prev_rate, prev_u) when rate_trialled > prev_rate && u < prev_u ->
-      (* The doubled rate lowered utility: revert and probe. *)
-      enter_probing t ~at_rate:prev_rate
-  | Some (prev_rate, prev_u) ->
-      if rate_trialled > prev_rate || u > prev_u then
-        t.last_start_sample <- Some (rate_trialled, u);
-      if t.fl.(0) <= rate_trialled *. 2.0 then
-        t.fl.(0) <- clamp_rate t (rate_trialled *. 2.0)
-  | None ->
-      t.last_start_sample <- Some (rate_trialled, u);
-      t.fl.(0) <- clamp_rate t (rate_trialled *. 2.0)
+(* The rate an MI trialled (bytes/s), as its metrics report it. *)
+let[@inline] rate_trialled (m : Mi.metrics) = of_mbps m.Mi.target_rate_mbps
 
-let direction_of_pair results pair =
-  let find up = List.find_opt (fun (p, u_, _) -> p = pair && u_ = up) results in
-  match (find true, find false) with
-  | Some (_, _, u_hi), Some (_, _, u_lo) ->
-      if u_hi > u_lo then Some 1 else if u_lo > u_hi then Some (-1) else Some 0
-  | _ -> None
+(* [u] is the utility of the MI [m]. The metrics come in place of the
+   rate they report, which as an argument would be boxed. *)
+let handle_start_result t m ~u =
+  let rate_trialled = rate_trialled m in
+  let fl = t.fl in
+  let prev_rate = fl.start_rate and prev_u = fl.start_utility in
+  if Float.is_nan prev_rate then begin
+    fl.start_rate <- rate_trialled;
+    fl.start_utility <- u;
+    fl.base_rate <- clamp_rate t (rate_trialled *. 2.0)
+  end
+  else if rate_trialled > prev_rate && u < prev_u then
+    (* The doubled rate lowered utility: revert and probe. *)
+    enter_probing t ~at_rate:prev_rate
+  else begin
+    if rate_trialled > prev_rate || u > prev_u then begin
+      fl.start_rate <- rate_trialled;
+      fl.start_utility <- u
+    end;
+    if fl.base_rate <= rate_trialled *. 2.0 then
+      fl.base_rate <- clamp_rate t (rate_trialled *. 2.0)
+  end
 
-let avg_gradient t results npairs ~base_rate =
-  let dr = 2.0 *. t.config.epsilon *. Units.bytes_per_sec_to_mbps base_rate in
-  let sum = ref 0.0 and n = ref 0 in
-  for pair = 0 to npairs - 1 do
-    let find up = List.find_opt (fun (p, u_, _) -> p = pair && u_ = up) results in
-    match (find true, find false) with
-    | Some (_, _, u_hi), Some (_, _, u_lo) when dr > 0.0 ->
-        sum := !sum +. ((u_hi -. u_lo) /. dr);
-        incr n
-    | _ -> ()
-  done;
-  if !n = 0 then 0.0 else !sum /. float_of_int !n
-
-let decide_direction t (ps : probing_state) =
-  let dirs =
-    List.filter_map (direction_of_pair ps.probe_results)
-      (List.init ps.npairs (fun i -> i))
-  in
-  if List.length dirs < ps.npairs then None
-  else
-    match t.config.probing_mode with
-    | Consistent2 -> (
-        match dirs with [ a; b ] when a = b && a <> 0 -> Some a | _ -> Some 0)
-    | Majority3 ->
-        let count d = List.length (List.filter (fun x -> x = d) dirs) in
-        if count 1 >= 2 then Some 1
-        else if count (-1) >= 2 then Some (-1)
-        else Some 0
-
-let handle_probe_result t (ps : probing_state) ~pair ~up ~u =
-  ps.probe_results <- (pair, up, u) :: ps.probe_results;
-  match decide_direction t ps with
-  | None -> ()
-  | Some 0 ->
-      t.fl.(0) <- clamp_rate t ps.base_rate;
+let handle_probe_result t ~slot ~u =
+  let v = t.votes and fl = t.fl in
+  Votes.add v ~slot ~u;
+  if Votes.complete v then begin
+    let dir_int = Votes.direction v t.config.probing_mode in
+    if dir_int = 0 || (dir_int = 1 && fl.now < fl.hold_until) then begin
+      (* No clear direction, or a recent yield to a deviation signal
+         holds the rate down instead of immediately re-probing upward,
+         so bursty foreground traffic (web object waves, video chunks)
+         is not re-taxed at every burst. *)
+      fl.base_rate <- clamp_rate t fl.probe_base;
       plan_probing t
-  | Some 1 when t.fl.(5) < t.fl.(6) ->
-      (* Recently yielded to a deviation signal: hold the rate down for
-         a while instead of immediately re-probing upward, so bursty
-         foreground traffic (web object waves, video chunks) is not
-         re-taxed at every burst. *)
-      t.fl.(0) <- clamp_rate t ps.base_rate;
-      plan_probing t
-  | Some dir_int ->
+    end
+    else begin
       let dir = float_of_int dir_int in
       let gradient =
-        avg_gradient t ps.probe_results ps.npairs ~base_rate:ps.base_rate
+        Votes.gradient v ~epsilon:t.config.epsilon ~base_rate:fl.probe_base
       in
-      let prev_rate = ps.base_rate *. (1.0 +. (dir *. t.config.epsilon)) in
-      let prev_utility =
-        let us =
-          List.filter_map
-            (fun (_, u_, util) ->
-              if u_ = (dir_int = 1) then Some util else None)
-            ps.probe_results
-        in
-        List.fold_left ( +. ) 0.0 us /. float_of_int (List.length us)
-      in
-      if dir_int < 0 then
-        t.fl.(6) <- t.fl.(5) +. t.config.yield_hold;
-      t.epoch_counter <- t.epoch_counter + 1;
-      let epoch = t.epoch_counter in
+      let prev_rate = fl.probe_base *. (1.0 +. (dir *. t.config.epsilon)) in
+      let prev_utility = Votes.mean_utility v ~up:(dir_int = 1) in
+      if dir_int < 0 then fl.hold_until <- fl.now +. t.config.yield_hold;
+      t.epoch <- t.epoch + 1;
       let step = step_bytes t ~k:1 ~dir ~gradient in
-      let new_rate = clamp_rate t (prev_rate +. (dir *. step)) in
-      t.fl.(0) <- new_rate;
-      plan_move t epoch ~rate:new_rate;
-      t.phase <- Moving { epoch; dir; k = 1; gradient; prev_rate; prev_utility }
+      fl.base_rate <- clamp_rate t (prev_rate +. (dir *. step));
+      plan_move t;
+      t.phase <- Moving;
+      t.mv_k <- 1;
+      fl.mv_dir <- dir;
+      fl.mv_gradient <- gradient;
+      fl.mv_prev_rate <- prev_rate;
+      fl.mv_prev_utility <- prev_utility
+    end
+  end
 
-let handle_move_result t ~rate_trialled ~u =
-  match t.phase with
-  | Moving mv ->
-      if u >= mv.prev_utility then begin
-        let dr =
-          Units.bytes_per_sec_to_mbps rate_trialled
-          -. Units.bytes_per_sec_to_mbps mv.prev_rate
-        in
-        if Float.abs dr > 1e-9 then mv.gradient <- (u -. mv.prev_utility) /. dr;
-        mv.k <- mv.k + 1;
-        mv.prev_rate <- rate_trialled;
-        mv.prev_utility <- u;
-        let step = step_bytes t ~k:mv.k ~dir:mv.dir ~gradient:mv.gradient in
-        let new_rate = clamp_rate t (rate_trialled +. (mv.dir *. step)) in
-        if new_rate = rate_trialled then enter_probing t ~at_rate:rate_trialled
-        else begin
-          t.fl.(0) <- new_rate;
-          plan_move t mv.epoch ~rate:new_rate
-        end
-      end
-      else enter_probing t ~at_rate:mv.prev_rate
-  | _ -> ()
+let handle_move_result t m ~u =
+  let rate_trialled = rate_trialled m in
+  let fl = t.fl in
+  if u >= fl.mv_prev_utility then begin
+    let dr = to_mbps rate_trialled -. to_mbps fl.mv_prev_rate in
+    if Float.abs dr > 1e-9 then
+      fl.mv_gradient <- (u -. fl.mv_prev_utility) /. dr;
+    t.mv_k <- t.mv_k + 1;
+    fl.mv_prev_rate <- rate_trialled;
+    fl.mv_prev_utility <- u;
+    let step = step_bytes t ~k:t.mv_k ~dir:fl.mv_dir ~gradient:fl.mv_gradient in
+    let new_rate = clamp_rate t (rate_trialled +. (fl.mv_dir *. step)) in
+    if new_rate = rate_trialled then enter_probing t ~at_rate:rate_trialled
+    else begin
+      fl.base_rate <- new_rate;
+      plan_move t
+    end
+  end
+  else enter_probing t ~at_rate:fl.mv_prev_rate
 
 let handle_result t tag (m : Mi.metrics) =
   t.completed_mis <- t.completed_mis + 1;
@@ -339,33 +458,62 @@ let handle_result t tag (m : Mi.metrics) =
      (each would box a [Some] cell, and [~now] a float, per MI). *)
   let u =
     if Trace.enabled t.trace then
-      Utility.eval ~trace:t.trace ~now:t.fl.(5) t.utility m
+      Utility.eval ~trace:t.trace ~now:t.fl.now t.utility m
     else Utility.eval t.utility m
   in
-  let rate_trialled = Units.mbps_to_bytes_per_sec m.Mi.target_rate_mbps in
-  (match (t.phase, tag) with
-  | Starting, Start -> handle_start_result t ~rate_trialled ~u
-  | Probing ps, Probe { epoch; pair; up } when epoch = ps.epoch ->
-      handle_probe_result t ps ~pair ~up ~u
-  | Moving mv, Move { epoch } when epoch = mv.epoch ->
-      handle_move_result t ~rate_trialled ~u
-  | _, (Start | Probe _ | Move _ | Filler) -> ());
+  let kind = tag_kind tag in
+  (match t.phase with
+  | Starting -> if kind = kind_start then handle_start_result t m ~u
+  | Probing ->
+      if kind >= kind_probe && tag_epoch tag = t.epoch then
+        handle_probe_result t ~slot:(kind - kind_probe) ~u
+  | Moving ->
+      if kind = kind_move && tag_epoch tag = t.epoch then
+        handle_move_result t m ~u);
   if Trace.enabled t.trace then
-    Trace.emit t.trace ~time:t.fl.(5) ~kind:Trace.Rate_decision ~flow:(-1)
+    Trace.emit t.trace ~time:t.fl.now ~kind:Trace.Rate_decision ~flow:(-1)
       ~seq:t.completed_mis ~a:u
-      ~b:(Units.bytes_per_sec_to_mbps t.fl.(0))
+      ~b:(Units.bytes_per_sec_to_mbps t.fl.base_rate)
       ~note:(tag_name tag)
 
-let process_pending t =
-  let continue = ref true in
-  while !continue do
-    match Hashtbl.find_opt t.pending_results t.next_result_id with
-    | Some (tag, m) ->
-        Hashtbl.remove t.pending_results t.next_result_id;
-        t.next_result_id <- t.next_result_id + 1;
-        handle_result t tag m
-    | None -> continue := false
-  done
+let rec process_pending t =
+  let id = t.next_result_id in
+  let e = id land (Array.length t.res_ids - 1) in
+  if t.res_ids.(e) = id then begin
+    t.res_ids.(e) <- -1;
+    t.next_result_id <- id + 1;
+    handle_result t t.res_tags.(e) t.res_ms.(e);
+    process_pending t
+  end
+
+(* Double the result ring until MI [id] fits beside the waiting ones. *)
+let grow_results t id =
+  let cap = ref (Array.length t.res_ids) in
+  while id - t.next_result_id >= !cap do
+    cap := 2 * !cap
+  done;
+  let ids = Array.make !cap (-1) and tags = Array.make !cap 0 in
+  let ms = Array.init !cap (fun _ -> Mi.zero_metrics ()) in
+  Array.iteri
+    (fun j i ->
+      if i >= 0 then begin
+        let e = i land (!cap - 1) in
+        ids.(e) <- i;
+        tags.(e) <- t.res_tags.(j);
+        ms.(e) <- t.res_ms.(j)
+      end)
+    t.res_ids;
+  t.res_ids <- ids;
+  t.res_tags <- tags;
+  t.res_ms <- ms
+
+(* The ring entry for MI [id]'s result, marked taken. *)
+let result_entry t id ~tag =
+  if id - t.next_result_id >= Array.length t.res_ids then grow_results t id;
+  let e = id land (Array.length t.res_ids - 1) in
+  t.res_ids.(e) <- id;
+  t.res_tags.(e) <- tag;
+  e
 
 (* ---------- MI slot pool ---------- *)
 
@@ -375,18 +523,18 @@ let grow_mis t =
   let ncap = max 4 (2 * cap) in
   let fresh _ = Mi.create ~id:(-1) ~target_rate:0.0 ~start_time:0.0 in
   t.mis <- Array.append t.mis (Array.init (ncap - cap) fresh);
-  t.mi_tags <- Array.append t.mi_tags (Array.make (ncap - cap) Filler);
+  t.mi_tags <- Array.append t.mi_tags (Array.make (ncap - cap) 0);
   t.mi_free <- Array.make ncap 0;
   for i = 0 to ncap - cap - 1 do
     t.mi_free.(i) <- cap + i
   done;
   t.mi_free_len <- ncap - cap
 
-let acquire_mi t ~id ~target_rate ~start_time =
+let acquire_mi t ~id =
   if t.mi_free_len = 0 then grow_mis t;
   t.mi_free_len <- t.mi_free_len - 1;
   let s = t.mi_free.(t.mi_free_len) in
-  Mi.reset t.mis.(s) ~id ~target_rate ~start_time;
+  Mi.reset t.mis.(s) ~id ~times:t.mi_times;
   s
 
 let release_mi t s =
@@ -395,28 +543,35 @@ let release_mi t s =
 
 (* A complete MI's metrics are taken (and queued in MI-id order) before
    its slot is recycled; no in-flight seq maps to it any more, since
-   every packet it sent was acknowledged or lost. *)
+   every packet it sent was acknowledged or lost. Only completion runs
+   the tolerance, in completion order. *)
 let check_complete t s =
   let mi = t.mis.(s) in
   if Mi.is_complete mi then begin
-    let m = Tolerance.adjust t.tolerance (Mi.metrics mi) in
-    Hashtbl.replace t.pending_results (Mi.id mi) (t.mi_tags.(s), m);
+    let e = result_entry t (Mi.id mi) ~tag:t.mi_tags.(s) in
+    let m = t.res_ms.(e) in
+    Mi.metrics_into mi m;
+    Tolerance.adjust t.tolerance m;
     release_mi t s;
     process_pending t
   end
 
 (* ---------- MI lifecycle on the send path ---------- *)
 
-let mi_duration t ~rate =
+let[@inline] mi_duration t ~rate =
   let jitter = 1.0 +. (0.1 *. Rng.float t.rng 1.0) in
   let min_pkts = 5.0 in
-  Float.max (t.fl.(3) *. jitter) (min_pkts *. float_of_int t.mtu /. rate)
+  Float.max (t.fl.srtt *. jitter) (min_pkts *. float_of_int t.mtu /. rate)
 
-let close_current t ~now =
+(* [close_current] and [start_new_mi] take the time as [meta.(0)], in
+   the call protocol's scratch: as an argument it would be boxed. *)
+let close_current t ~meta =
   let s = t.current in
   if s >= 0 then begin
+    let now = meta.(0) in
     let mi = t.mis.(s) in
-    Mi.close mi ~end_time:now;
+    t.mi_times.(2) <- now;
+    Mi.close mi ~times:t.mi_times;
     if Trace.enabled t.trace then
       Trace.emit t.trace ~time:now ~kind:Trace.Mi_boundary ~flow:(-1)
         ~seq:(Mi.id mi)
@@ -433,41 +588,47 @@ let close_current t ~now =
         process_pending t
       end
       else begin
-        Hashtbl.replace t.pending_results id (Filler, Mi.metrics mi);
+        let e = result_entry t id ~tag:kind_filler in
+        Mi.metrics_into mi t.res_ms.(e);
         release_mi t s
       end
     end
     else check_complete t s
   end
 
-let start_new_mi t ~now =
+let start_new_mi t ~meta =
+  let now = meta.(0) in
   let rate, tag =
-    if Queue.is_empty t.planned then
-      (t.fl.(0), match t.phase with Starting -> Start | _ -> Filler)
-    else Queue.pop t.planned
+    if t.plan_head = t.plan_len then
+      (t.fl.base_rate, if t.phase = Starting then kind_start else kind_filler)
+    else begin
+      let i = t.plan_head in
+      t.plan_head <- i + 1;
+      (t.plan_rate.(i), t.plan_tag.(i))
+    end
   in
   let rate = clamp_rate t rate in
-  let s =
-    acquire_mi t ~id:t.next_mi_id ~target_rate:rate ~start_time:now
-  in
+  t.mi_times.(0) <- rate;
+  t.mi_times.(1) <- now;
+  let s = acquire_mi t ~id:t.next_mi_id in
   t.mi_tags.(s) <- tag;
   t.next_mi_id <- t.next_mi_id + 1;
   t.current <- s;
-  t.fl.(1) <- now +. mi_duration t ~rate;
-  t.fl.(2) <- rate
+  t.fl.deadline <- now +. mi_duration t ~rate;
+  t.fl.pacing_rate <- rate
 
 (* The current MI's slot, opening a new MI when there is none or the
    current one has run its course. *)
-let[@inline] ensure_current_mi t ~now =
-  if t.current < 0 then start_new_mi t ~now
-  else if now >= t.fl.(1) then begin
-    close_current t ~now;
-    start_new_mi t ~now
+let[@inline] ensure_current_mi t ~meta =
+  if t.current < 0 then start_new_mi t ~meta
+  else if meta.(0) >= t.fl.deadline then begin
+    close_current t ~meta;
+    start_new_mi t ~meta
   end;
   t.current
 
-let[@inline] close_if_expired t ~now =
-  if t.current >= 0 && now >= t.fl.(1) then close_current t ~now
+let[@inline] close_if_expired t ~meta =
+  if t.current >= 0 && meta.(0) >= t.fl.deadline then close_current t ~meta
 
 (* ---------- in-flight seq map ---------- *)
 
@@ -536,24 +697,25 @@ module Calls = struct
   let name = name
 
   let next_send_m t ~meta =
-    ignore (ensure_current_mi t ~now:meta.(0));
-    meta.(3) <- t.fl.(4)
+    ignore (ensure_current_mi t ~meta);
+    meta.(3) <- t.fl.next_send
 
   let on_sent_m t ~meta ~seq ~size =
     let now = meta.(0) in
-    let s = ensure_current_mi t ~now in
+    let s = ensure_current_mi t ~meta in
     Mi.record_sent t.mis.(s) ~size;
     sm_store t seq s;
-    t.fl.(4) <- Float.max now t.fl.(4) +. (float_of_int size /. t.fl.(2))
+    t.fl.next_send <-
+      Float.max now t.fl.next_send +. (float_of_int size /. t.fl.pacing_rate)
 
   let on_ack_m t ~meta ~seq ~size:_ =
     let now = meta.(0) and rtt = meta.(2) in
-    t.fl.(5) <- now;
-    t.fl.(3) <- (0.875 *. t.fl.(3)) +. (0.125 *. rtt);
+    t.fl.now <- now;
+    t.fl.srtt <- (0.875 *. t.fl.srtt) +. (0.125 *. rtt);
     let accepted =
       match t.ack_filter with Some f -> Ack_filter.accept_m f ~meta | None -> true
     in
-    close_if_expired t ~now;
+    close_if_expired t ~meta;
     let s = sm_take t seq in
     if s >= 0 then begin
       Mi.record_ack_m t.mis.(s) ~meta ~accepted;
@@ -562,8 +724,8 @@ module Calls = struct
 
   let on_loss_m t ~meta ~seq ~size:_ =
     let now = meta.(0) in
-    t.fl.(5) <- now;
-    close_if_expired t ~now;
+    t.fl.now <- now;
+    close_if_expired t ~meta;
     let s = sm_take t seq in
     if s >= 0 then begin
       Mi.record_loss t.mis.(s);

@@ -71,3 +71,39 @@ val rate_mbps : t -> float
 
 val mi_count : t -> int
 (** Completed MIs so far (tests/debug). *)
+
+(** The utilities of one probing round and the rate decision they make:
+    [r(1+eps)] and [r(1-eps)] trialled for each of [npairs] pairs.
+    Exposed so that tests can hold it to a reference implementation. *)
+module Votes : sig
+  type t
+
+  val create : unit -> t
+
+  val reset : t -> npairs:int -> unit
+  (** Begin a round of [npairs] (2 or 3) pairs. *)
+
+  val slot : pair:int -> up:bool -> int
+  (** Where pair [pair]'s upper ([up]) or lower trial reports. *)
+
+  val add : t -> slot:int -> u:float -> unit
+  (** Record a trial's utility; each slot reports at most once a
+      round. *)
+
+  val complete : t -> bool
+  (** Every pair has reported both trials. *)
+
+  val direction : t -> probing_mode -> int
+  (** Of a complete round: 1 (raise the rate), -1 (lower it) or 0 (no
+      clear direction: probe again). A pair votes for the trial with
+      the higher utility; {!Consistent2} needs both pairs to agree,
+      {!Majority3} two of three. *)
+
+  val gradient : t -> epsilon:float -> base_rate:float -> float
+  (** Mean utility difference per Mbps across the pairs of a complete
+      round around [base_rate] (bytes/s); 0 when the rate spread is not
+      positive. *)
+
+  val mean_utility : t -> up:bool -> float
+  (** Mean utility of a complete round's upper (or lower) trials. *)
+end

@@ -1,4 +1,3 @@
-module Mean_dev = Proteus_stats.Ewma.Mean_dev
 module Regression = Proteus_stats.Regression
 module Descriptive = Proteus_stats.Descriptive
 
@@ -41,6 +40,11 @@ let disabled =
     fixed_gradient_threshold = None;
   }
 
+(* Weights of a new sample in the trend trackers' moving average and
+   moving deviation ([Ewma.Mean_dev]'s defaults). *)
+let trend_alpha = 0.125
+let trend_beta = 0.25
+
 type t = {
   config : config;
   (* The most recent [history] MIs' mean RTT and RTT deviation, oldest
@@ -48,8 +52,14 @@ type t = {
   avg_rtts : float array;
   deviations : float array;
   mutable n_hist : int;
-  trend_grad : Mean_dev.t;
-  trend_dev : Mean_dev.t;
+  (* The two trend trackers, [Ewma.Mean_dev] written out in a float
+     array so that no float crosses a call: slots 0 and 1 hold the
+     trending gradient's moving average and deviation, 2 and 3 the
+     trending deviation's (NaN = no sample yet); both have seen
+     [n_trend] samples. *)
+  fl : float array;
+  mutable n_trend : int;
+  out : float array; (* statistics scratch *)
 }
 
 let create config =
@@ -59,8 +69,9 @@ let create config =
     avg_rtts = Array.make cap 0.0;
     deviations = Array.make cap 0.0;
     n_hist = 0;
-    trend_grad = Mean_dev.create ();
-    trend_dev = Mean_dev.create ();
+    fl = [| Float.nan; Float.nan; Float.nan; Float.nan |];
+    n_trend = 0;
+    out = Array.create_float 2;
   }
 
 (* Append one MI, dropping the oldest once [history] are held. *)
@@ -77,67 +88,67 @@ let push_history t (m : Mi.metrics) =
     t.n_hist <- t.n_hist + 1
   end
 
-(* Whether [sample] lies [gate] EWMA deviations from the tracker's
-   moving average, then fold it in. Insignificant until the tracker has
-   seen 3 samples (NaN mean or deviation: none yet). *)
-let significant tracker sample ~gate ~two_sided =
-  let avg = Mean_dev.mean_nan tracker and dev = Mean_dev.deviation_nan tracker in
+(* [Ewma.update]'s arithmetic. *)
+let[@inline] ewma avg ~alpha x =
+  if Float.is_nan avg then x else ((1.0 -. alpha) *. avg) +. (alpha *. x)
+
+(* Whether [sample] lies [gate] moving deviations from the moving
+   average of the tracker at slot [k], then fold it in. Insignificant
+   until the tracker has seen 3 samples (NaN mean or deviation: none
+   yet). *)
+let[@inline] significant t k sample ~gate ~two_sided =
+  let fl = t.fl in
+  let avg = fl.(k) and dev = fl.(k + 1) in
   let result =
-    Mean_dev.n_samples tracker >= 3
+    t.n_trend >= 3
     && (not (Float.is_nan avg))
     && (not (Float.is_nan dev))
     &&
     let delta = if two_sided then Float.abs (sample -. avg) else sample -. avg in
     delta >= gate *. dev
   in
-  Mean_dev.update tracker sample;
+  if not (Float.is_nan avg) then
+    fl.(k + 1) <- ewma dev ~alpha:trend_beta (Float.abs (sample -. avg));
+  fl.(k) <- ewma avg ~alpha:trend_alpha sample;
   result
 
-(* Returns (trending_gradient significant, trending_deviation
-   significant) for the MI just folded in. Until the EWMA trackers have
-   seen enough samples the trend is treated as insignificant, deferring
-   to the per-MI gate. *)
+(* Bit 0 set: the trending gradient is significant; bit 1: the trending
+   deviation is, for the MI just folded in. Until the trackers have seen
+   enough samples the trend is treated as insignificant, deferring to
+   the per-MI gate. *)
 let update_trending t (m : Mi.metrics) =
   push_history t m;
   let n = t.n_hist in
-  if n < 2 then (false, false)
+  if n < 2 then 0
   else begin
-    let trending_gradient =
-      Regression.slope_of_indexed t.avg_rtts ~len:n
-    in
-    let trending_deviation = Descriptive.stddev_prefix t.deviations ~len:n in
+    let trending_gradient = Regression.slope_of_indexed t.avg_rtts ~len:n in
+    Descriptive.moments_prefix_into t.deviations ~len:n ~out:t.out;
+    let trending_deviation = t.out.(1) in
     let grad_sig =
-      significant t.trend_grad trending_gradient ~gate:t.config.g1
-        ~two_sided:true
+      significant t 0 trending_gradient ~gate:t.config.g1 ~two_sided:true
     in
     let dev_sig =
-      significant t.trend_dev trending_deviation ~gate:t.config.g2
-        ~two_sided:false
+      significant t 2 trending_deviation ~gate:t.config.g2 ~two_sided:false
     in
-    (grad_sig, dev_sig)
+    t.n_trend <- t.n_trend + 1;
+    (if grad_sig then 1 else 0) lor if dev_sig then 2 else 0
   end
 
 let adjust t (m : Mi.metrics) =
-  let m =
-    match t.config.fixed_gradient_threshold with
-    | Some threshold when Float.abs m.Mi.rtt_gradient < threshold ->
-        { m with Mi.rtt_gradient = 0.0 }
-    | _ -> m
-  in
-  let grad_sig, dev_sig =
-    if t.config.trending_tolerance then update_trending t m
-    else (false, false)
-  in
-  if not t.config.regression_tolerance then m
-  else if Float.abs m.Mi.rtt_gradient < m.Mi.regression_error then begin
+  (match t.config.fixed_gradient_threshold with
+  | Some threshold when Float.abs m.Mi.rtt_gradient < threshold ->
+      m.Mi.rtt_gradient <- 0.0
+  | _ -> ());
+  let signals = if t.config.trending_tolerance then update_trending t m else 0 in
+  if
+    t.config.regression_tolerance
+    && Float.abs m.Mi.rtt_gradient < m.Mi.regression_error
+  then begin
     (* Statistically indistinguishable from noise, unless the longer
        trend vetoes. *)
-    let zero_grad = not grad_sig in
-    let zero_dev = zero_grad && not dev_sig in
-    {
-      m with
-      Mi.rtt_gradient = (if zero_grad then 0.0 else m.Mi.rtt_gradient);
-      Mi.rtt_deviation = (if zero_dev then 0.0 else m.Mi.rtt_deviation);
-    }
+    let zero_grad = signals land 1 = 0 in
+    if zero_grad then begin
+      m.Mi.rtt_gradient <- 0.0;
+      if signals land 2 = 0 then m.Mi.rtt_deviation <- 0.0
+    end
   end
-  else m

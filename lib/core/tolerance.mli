@@ -38,6 +38,7 @@ type t
 
 val create : config -> t
 
-val adjust : t -> Mi.metrics -> Mi.metrics
-(** Fold one completed MI in (in completion order) and return the
-    metrics with gradient/deviation possibly zeroed. *)
+val adjust : t -> Mi.metrics -> unit
+(** Fold one completed MI in and zero its gradient and deviation in
+    place where the mechanisms deem them noise. Call it once per MI, in
+    completion order: each call advances the MI history. *)

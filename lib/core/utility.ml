@@ -24,9 +24,9 @@ let eval ?(trace = Trace.disabled) ?(now = 0.0) t m =
 
 let make ~name eval = { name; eval }
 
-let rate_term p (m : Mi.metrics) = m.Mi.send_rate_mbps ** p.exponent
+let[@inline] rate_term p (m : Mi.metrics) = m.Mi.send_rate_mbps ** p.exponent
 
-let loss_term p (m : Mi.metrics) =
+let[@inline] loss_term p (m : Mi.metrics) =
   p.loss_coeff *. m.Mi.send_rate_mbps *. m.Mi.loss_rate
 
 let allegro ?(alpha = 100.0) () =
@@ -59,7 +59,7 @@ let proportional ?(params = default_params) ~weight () =
   in
   { name = Printf.sprintf "proportional-%g" weight; eval }
 
-let proteus_p_eval params (m : Mi.metrics) =
+let[@inline] proteus_p_eval params (m : Mi.metrics) =
   rate_term params m
   -. (params.latency_coeff *. m.Mi.send_rate_mbps
       *. Float.max 0.0 m.Mi.rtt_gradient)

@@ -1,4 +1,16 @@
-module Fvec = Proteus_stats.Fvec
+(* The ACK log is a sequence of fixed-size chunks, each one float array
+   with stride 3: entry [i] lives in chunk [i / chunk_len], at offset
+   [3 (i mod chunk_len)], as its ACK time, bytes and RTT. With many
+   flows each ACK writes one page-local triple, not one float into each
+   of three arrays (three pages) of its flow. A full log takes another
+   chunk rather than doubling into a copy, so a long run leaves no
+   outgrown arrays behind for the major heap to hold. The log holds
+   [acked] entries (every ACK is logged); slots past them are never
+   read. *)
+let stride = 3
+let chunk_bits = 10
+let chunk_len = 1 lsl chunk_bits
+let chunk_mask = chunk_len - 1
 
 type t = {
   mutable sent : int;
@@ -9,10 +21,11 @@ type t = {
      would box on every per-ACK accumulation. *)
   bytes_acked_c : float array;
   mutable lost_by_hop : int array; (* indexed by link id; grown on demand *)
-  ack_times : Fvec.t;
-  ack_bytes : Fvec.t;
-  rtts : Fvec.t;
+  mutable chunks : float array array; (* the first [n_chunks] are in use *)
+  mutable n_chunks : int;
 }
+
+let new_chunk () = Array.create_float (stride * chunk_len)
 
 let create () =
   {
@@ -22,24 +35,45 @@ let create () =
     dup_acked = 0;
     bytes_acked_c = [| 0.0 |];
     lost_by_hop = [||];
-    ack_times = Fvec.create ~capacity:1024 ();
-    ack_bytes = Fvec.create ~capacity:1024 ();
-    rtts = Fvec.create ~capacity:1024 ();
+    chunks = [| new_chunk () |];
+    n_chunks = 1;
   }
+
+let clear t =
+  t.sent <- 0;
+  t.acked <- 0;
+  t.lost <- 0;
+  t.dup_acked <- 0;
+  t.bytes_acked_c.(0) <- 0.0;
+  Array.fill t.lost_by_hop 0 (Array.length t.lost_by_hop) 0
 
 let[@inline] record_sent t ~now:_ ~size:_ = t.sent <- t.sent + 1
 
+let add_chunk t =
+  if t.n_chunks = Array.length t.chunks then begin
+    let chunks = Array.make (2 * t.n_chunks) [||] in
+    Array.blit t.chunks 0 chunks 0 t.n_chunks;
+    t.chunks <- chunks
+  end;
+  t.chunks.(t.n_chunks) <- new_chunk ();
+  t.n_chunks <- t.n_chunks + 1
+
 let[@inline] record_ack t ~now ~size ~rtt =
-  t.acked <- t.acked + 1;
+  let i = t.acked in
+  if i lsr chunk_bits = t.n_chunks then add_chunk t;
+  t.acked <- i + 1;
   let sizef = float_of_int size in
   t.bytes_acked_c.(0) <- t.bytes_acked_c.(0) +. sizef;
-  Fvec.push t.ack_times now;
-  Fvec.push t.ack_bytes sizef;
-  Fvec.push t.rtts rtt
+  (* The guard above makes entry [i]'s chunk exist. *)
+  let c = Array.unsafe_get t.chunks (i lsr chunk_bits) in
+  let j = stride * (i land chunk_mask) in
+  Array.unsafe_set c j now;
+  Array.unsafe_set c (j + 1) sizef;
+  Array.unsafe_set c (j + 2) rtt
 
 let record_loss ?(hop = 0) t ~now:_ ~size:_ =
-  t.lost <- t.lost + 1;
   if hop < 0 then invalid_arg "Flow_stats.record_loss: negative hop";
+  t.lost <- t.lost + 1;
   if hop >= Array.length t.lost_by_hop then begin
     let cap = max (hop + 1) (max 4 (2 * Array.length t.lost_by_hop)) in
     let a = Array.make cap 0 in
@@ -71,12 +105,19 @@ let bytes_acked t = t.bytes_acked_c.(0)
 let loss_fraction t =
   if t.sent = 0 then 0.0 else float_of_int t.lost /. float_of_int t.sent
 
+(* Field [k] (0 = time, 1 = bytes, 2 = RTT) of entry [i < acked]. *)
+let[@inline] field t i k =
+  t.chunks.(i lsr chunk_bits).((stride * (i land chunk_mask)) + k)
+
+let[@inline] time t i = field t i 0
+let[@inline] bytes t i = field t i 1
+
 (* Index of first ack at or after [time]. *)
-let lower_bound t time =
-  let lo = ref 0 and hi = ref (Fvec.length t.ack_times) in
+let lower_bound t x =
+  let lo = ref 0 and hi = ref t.acked in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if Fvec.get t.ack_times mid < time then lo := mid + 1 else hi := mid
+    if time t mid < x then lo := mid + 1 else hi := mid
   done;
   !lo
 
@@ -85,27 +126,30 @@ let window_indices t ~t0 ~t1 =
   let i1 = lower_bound t t1 in
   (i0, i1)
 
+let window_bytes t ~t0 ~t1 =
+  let i0, i1 = window_indices t ~t0 ~t1 in
+  let sum = ref 0.0 in
+  for i = i0 to i1 - 1 do
+    sum := !sum +. bytes t i
+  done;
+  !sum
+
 let bytes_acked_window t ~t0 ~t1 =
   if t1 <= t0 then invalid_arg "Flow_stats.bytes_acked_window: empty window";
-  let i0, i1 = window_indices t ~t0 ~t1 in
-  let bytes = ref 0.0 in
-  for i = i0 to i1 - 1 do
-    bytes := !bytes +. Fvec.get t.ack_bytes i
-  done;
-  !bytes
+  window_bytes t ~t0 ~t1
 
 let throughput_mbps t ~t0 ~t1 =
   if t1 <= t0 then invalid_arg "Flow_stats.throughput_mbps: empty window";
-  let i0, i1 = window_indices t ~t0 ~t1 in
-  let bytes = ref 0.0 in
-  for i = i0 to i1 - 1 do
-    bytes := !bytes +. Fvec.get t.ack_bytes i
-  done;
-  Units.bytes_per_sec_to_mbps (!bytes /. (t1 -. t0))
+  Units.bytes_per_sec_to_mbps (window_bytes t ~t0 ~t1 /. (t1 -. t0))
 
 let rtt_samples t ~t0 ~t1 =
   let i0, i1 = window_indices t ~t0 ~t1 in
-  Fvec.sub_array t.rtts ~pos:i0 ~len:(i1 - i0)
+  if i1 < i0 then invalid_arg "Flow_stats.rtt_samples: inverted window";
+  let a = Array.create_float (i1 - i0) in
+  for i = i0 to i1 - 1 do
+    a.(i - i0) <- field t i 2
+  done;
+  a
 
 let rtt_percentile t ~t0 ~t1 ~p =
   let samples = rtt_samples t ~t0 ~t1 in
@@ -116,16 +160,15 @@ let throughput_series t ~bin ~until =
   if bin <= 0.0 then invalid_arg "Flow_stats.throughput_series: bin";
   let nbins = int_of_float (Float.ceil (until /. bin)) in
   let acc = Array.make (max nbins 1) 0.0 in
-  let n = Fvec.length t.ack_times in
-  for i = 0 to n - 1 do
-    let time = Fvec.get t.ack_times i in
+  for i = 0 to t.acked - 1 do
+    let time = time t i in
     if time < until then begin
       (* Acks whose bin index lands at or past [nbins] (possible when
          [time /. bin] rounds up against the window edge) are dropped
          rather than clamped into the last bin, which would silently
          inflate it. *)
       let b = int_of_float (time /. bin) in
-      if b < nbins then acc.(b) <- acc.(b) +. Fvec.get t.ack_bytes i
+      if b < nbins then acc.(b) <- acc.(b) +. bytes t i
     end
   done;
   Array.mapi
@@ -133,7 +176,5 @@ let throughput_series t ~bin ~until =
       (float_of_int i *. bin, Units.bytes_per_sec_to_mbps (bytes /. bin)))
     acc
 
-let first_ack_time t =
-  if Fvec.length t.ack_times = 0 then None else Some (Fvec.get t.ack_times 0)
-
-let last_ack_time t = Fvec.last t.ack_times
+let first_ack_time t = if t.acked = 0 then None else Some (time t 0)
+let last_ack_time t = if t.acked = 0 then None else Some (time t (t.acked - 1))

@@ -1,11 +1,15 @@
 (** Per-flow measurement record collected by the {!Runner}.
 
     Samples are appended in simulation-time order, so windowed queries
-    use binary search over the timestamp logs. *)
+    use binary search over the ACK log's timestamps. *)
 
 type t
 
 val create : unit -> t
+
+val clear : t -> unit
+(** Forget every count and sample, as a fresh {!create}, keeping the
+    log's storage: for measurement loops that reuse records. *)
 
 (** {2 Recording (used by the runner)} *)
 
@@ -52,7 +56,9 @@ val throughput_mbps : t -> t0:float -> t1:float -> float
     divided by the window length. *)
 
 val rtt_samples : t -> t0:float -> t1:float -> float array
-(** RTT samples (seconds) whose ACKs arrived within the window. *)
+(** RTT samples (seconds) whose ACKs arrived within the window. Raises
+    [Invalid_argument] on an inverted window ([t1 < t0]) that holds an
+    ACK in [\[t1,t0)]. *)
 
 val rtt_percentile : t -> t0:float -> t1:float -> p:float -> float option
 (** Percentile of windowed RTT samples; [None] when no samples. *)

@@ -7,7 +7,7 @@ module Metrics = Proteus_obs.Metrics
    loop, so simultaneous events from other flows interleave fairly. *)
 let burst_cap = 64
 
-(* Per-flow in-flight packet state lives in a structure-of-arrays ring:
+(* Per-flow in-flight packet state lives in a slot ring:
    transmitting a packet fills a recycled slot and schedules one of the
    flow's registered handlers (ack / loss / hop) on its link's lane
    with the slot index as argument, so steady-state transmission
@@ -36,13 +36,13 @@ type flow = {
   mutable completed_at : float option;
   on_complete : (now:float -> unit) option;
   on_ack_bytes : (now:float -> int -> unit) option;
-  (* In-flight ring (parallel arrays indexed by slot id). *)
-  mutable ring_seq : int array;
-  mutable ring_send : float array;
-  mutable ring_size : int array;
-  mutable ring_rtt : float array;
-  mutable ring_hop : int array; (* index into route_fwd of the hop in progress *)
-  mutable ring_free : int array; (* stack of free slot ids *)
+  (* In-flight ring, one int and one float array interleaved by slot id
+     (see [ri_seq] ... [rf_rtt]), so an event touches at most two pages
+     of the flow's ring. [ring_free] is a stack of free slot ids and as
+     long as the ring's capacity. *)
+  mutable ring_i : int array;
+  mutable ring_f : float array;
+  mutable ring_free : int array;
   mutable ring_free_len : int;
   (* Event handlers, registered once per flow in [add_flow]. *)
   mutable ack_h : Sim.handler;
@@ -171,25 +171,37 @@ let sending_allowed t f =
   && (match f.stop with Some s -> Sim.now t.sim < s | None -> true)
   && f.remaining <> 0
 
+(* Ring layout: slot [idx] holds its seq, size and hop (the index into
+   [route_fwd] of the hop in progress) at [ring_i.(3 idx + 0/1/2)], and
+   its send time and RTT at [ring_f.(2 idx + 0/1)]. *)
+let ri_stride = 3
+let ri_seq = 0
+let ri_size = 1
+let ri_hop = 2
+let rf_stride = 2
+let rf_send = 0
+let rf_rtt = 1
+
+let[@inline] ri f idx field = Array.unsafe_get f.ring_i ((ri_stride * idx) + field)
+
+let[@inline] set_ri f idx field v =
+  Array.unsafe_set f.ring_i ((ri_stride * idx) + field) v
+
+let[@inline] rf f idx field = Array.unsafe_get f.ring_f ((rf_stride * idx) + field)
+
+let[@inline] set_rf f idx field v =
+  Array.unsafe_set f.ring_f ((rf_stride * idx) + field) v
+
 let acquire_slot f =
   if f.ring_free_len = 0 then begin
-    let cap = Array.length f.ring_seq in
+    let cap = Array.length f.ring_free in
     let ncap = max 32 (2 * cap) in
-    let grow_int a =
-      let n = Array.make ncap 0 in
-      Array.blit a 0 n 0 cap;
-      n
-    in
-    let grow_float a =
-      let n = Array.make ncap 0.0 in
-      Array.blit a 0 n 0 cap;
-      n
-    in
-    f.ring_seq <- grow_int f.ring_seq;
-    f.ring_size <- grow_int f.ring_size;
-    f.ring_hop <- grow_int f.ring_hop;
-    f.ring_send <- grow_float f.ring_send;
-    f.ring_rtt <- grow_float f.ring_rtt;
+    let ring_i = Array.make (ri_stride * ncap) 0 in
+    Array.blit f.ring_i 0 ring_i 0 (ri_stride * cap);
+    f.ring_i <- ring_i;
+    let ring_f = Array.make (rf_stride * ncap) 0.0 in
+    Array.blit f.ring_f 0 ring_f 0 (rf_stride * cap);
+    f.ring_f <- ring_f;
     f.ring_free <- Array.make ncap 0;
     for i = 0 to ncap - cap - 1 do
       f.ring_free.(i) <- cap + i
@@ -245,8 +257,8 @@ let[@inline] ack_route t f idx ~now =
   for j = 0 to Array.length rev - 1 do
     Link.ack_transit t.links.(rev.(j)) ~now ~ack:pkt
   done;
-  let send = Array.unsafe_get f.ring_send idx in
-  Array.unsafe_set f.ring_rtt idx (pkt.(0) -. send);
+  let send = rf f idx rf_send in
+  set_rf f idx rf_rtt (pkt.(0) -. send);
   let lane =
     if Array.length rev > 0 then rev.(Array.length rev - 1)
     else f.route_fwd.(Array.length f.route_fwd - 1)
@@ -257,24 +269,24 @@ let[@inline] ack_route t f idx ~now =
     (* A second slot carries the same packet identity so the duplicate
        fires through its own reusable handler. *)
     let didx = acquire_slot f in
-    Array.unsafe_set f.ring_seq didx (Array.unsafe_get f.ring_seq idx);
-    Array.unsafe_set f.ring_send didx send;
-    Array.unsafe_set f.ring_size didx (Array.unsafe_get f.ring_size idx);
-    Array.unsafe_set f.ring_rtt didx (dup_time -. send);
+    set_ri f didx ri_seq (ri f idx ri_seq);
+    set_ri f didx ri_size (ri f idx ri_size);
+    set_rf f didx rf_send send;
+    set_rf f didx rf_rtt (dup_time -. send);
     sched_link t ~link:lane ~time:dup_time ~fn:f.dup_h ~arg:didx
   end
 
 (* Reads the clock itself: a [~now] argument would box on every call. *)
 let admit_hop t f idx =
   let now = Sim.now t.sim in
-  let k = f.ring_hop.(idx) in
+  let k = ri f idx ri_hop in
   let link_id = f.route_fwd.(k) in
   let link = t.links.(link_id) in
   if Trace.enabled t.trace then
     Trace.emit t.trace ~time:now ~kind:Trace.Queue_sample ~flow:f.id ~seq:0
       ~a:(Link.backlog_bytes link ~now)
       ~b:(float_of_int link_id) ~note:"";
-  if Link.forward link ~now ~size:f.ring_size.(idx) ~out:t.pkt then begin
+  if Link.forward link ~now ~size:(ri f idx ri_size) ~out:t.pkt then begin
     (match t.audit with
     | Some a -> Audit.on_hop_enter a ~link:link_id ~now
     | None -> ());
@@ -298,11 +310,11 @@ let admit_hop t f idx =
 
 let on_hop_event t f idx =
   let now = Sim.now t.sim in
-  let k = Array.unsafe_get f.ring_hop idx in
+  let k = ri f idx ri_hop in
   (match t.audit with
   | Some a -> Audit.on_hop_exit a ~link:f.route_fwd.(k) ~now
   | None -> ());
-  Array.unsafe_set f.ring_hop idx (k + 1);
+  set_ri f idx ri_hop (k + 1);
   admit_hop t f idx
 
 (* Inlined: a paced sender reaches it once per packet, and a call
@@ -346,10 +358,10 @@ and transmit t f budget =
   | Some a -> Audit.on_sent a ~flow:f.id ~seq ~size ~now
   | None -> ());
   let idx = acquire_slot f in
-  Array.unsafe_set f.ring_seq idx seq;
-  Array.unsafe_set f.ring_send idx now;
-  Array.unsafe_set f.ring_size idx size;
-  Array.unsafe_set f.ring_hop idx 0;
+  set_ri f idx ri_seq seq;
+  set_ri f idx ri_size size;
+  set_ri f idx ri_hop 0;
+  set_rf f idx rf_send now;
   admit_hop t f idx;
   (match t.audit with
   | Some a ->
@@ -450,16 +462,15 @@ and handle_loss t f ~seq ~size ~hop =
    count) — and the delivered-byte total is the receiver-side goodput
    before this event (duplicate ACK bytes never accrue). *)
 let[@inline] fill_runner_signals t f =
-  t.meta.(4) <- float_of_int (Array.length f.ring_seq - f.ring_free_len);
+  t.meta.(4) <- float_of_int (Array.length f.ring_free - f.ring_free_len);
   t.meta.(5) <- float_of_int f.acked_bytes
 
 let on_ack_event t f idx =
   let m = t.meta in
   m.(0) <- Sim.now t.sim;
-  m.(1) <- Array.unsafe_get f.ring_send idx;
-  m.(2) <- Array.unsafe_get f.ring_rtt idx;
-  let seq = Array.unsafe_get f.ring_seq idx
-  and size = Array.unsafe_get f.ring_size idx in
+  m.(1) <- rf f idx rf_send;
+  m.(2) <- rf f idx rf_rtt;
+  let seq = ri f idx ri_seq and size = ri f idx ri_size in
   release_slot f idx;
   fill_runner_signals t f;
   handle_ack t f ~seq ~size
@@ -467,10 +478,10 @@ let on_ack_event t f idx =
 let on_loss_event t f idx =
   let m = t.meta in
   m.(0) <- Sim.now t.sim;
-  m.(1) <- Array.unsafe_get f.ring_send idx;
-  let seq = Array.unsafe_get f.ring_seq idx
-  and size = Array.unsafe_get f.ring_size idx
-  and hop = f.route_fwd.(Array.unsafe_get f.ring_hop idx) in
+  m.(1) <- rf f idx rf_send;
+  let seq = ri f idx ri_seq
+  and size = ri f idx ri_size
+  and hop = f.route_fwd.(ri f idx ri_hop) in
   release_slot f idx;
   fill_runner_signals t f;
   handle_loss t f ~seq ~size ~hop
@@ -478,10 +489,9 @@ let on_loss_event t f idx =
 let on_dup_ack_event t f idx =
   let m = t.meta in
   m.(0) <- Sim.now t.sim;
-  m.(1) <- Array.unsafe_get f.ring_send idx;
-  m.(2) <- Array.unsafe_get f.ring_rtt idx;
-  let seq = Array.unsafe_get f.ring_seq idx
-  and size = Array.unsafe_get f.ring_size idx in
+  m.(1) <- rf f idx rf_send;
+  m.(2) <- rf f idx rf_rtt;
+  let seq = ri f idx ri_seq and size = ri f idx ri_size in
   release_slot f idx;
   fill_runner_signals t f;
   handle_dup_ack t f ~seq ~size
@@ -540,11 +550,8 @@ let add_flow ?(start = 0.0) ?stop ?size_bytes ?on_complete ?on_ack_bytes ?route
       completed_at = None;
       on_complete;
       on_ack_bytes;
-      ring_seq = [||];
-      ring_send = [||];
-      ring_size = [||];
-      ring_rtt = [||];
-      ring_hop = [||];
+      ring_i = [||];
+      ring_f = [||];
       ring_free = [||];
       ring_free_len = 0;
       ack_h = Sim.no_handler;

@@ -4,7 +4,7 @@
 let check_prefix xs ~len what =
   if len <= 0 || len > Array.length xs then invalid_arg what
 
-let sum_prefix xs ~len =
+let[@inline] sum_prefix xs ~len =
   let s = ref 0.0 in
   for i = 0 to len - 1 do
     s := !s +. Array.unsafe_get xs i
@@ -18,16 +18,22 @@ let mean_prefix xs ~len =
 (* Keep [** 2.0]: libm's [pow (d, 2)] and [d *. d] differ in the last
    bit for some [d], and every committed golden was computed with
    [pow]. *)
-let variance_prefix xs ~len =
-  check_prefix xs ~len "Descriptive.variance: empty";
-  let m = sum_prefix xs ~len /. float_of_int len in
+let[@inline] variance_around xs ~len m =
   let s = ref 0.0 in
   for i = 0 to len - 1 do
     s := !s +. ((Array.unsafe_get xs i -. m) ** 2.0)
   done;
   !s /. float_of_int len
 
-let stddev_prefix xs ~len = sqrt (variance_prefix xs ~len)
+let variance_prefix xs ~len =
+  check_prefix xs ~len "Descriptive.variance: empty";
+  variance_around xs ~len (sum_prefix xs ~len /. float_of_int len)
+
+let moments_prefix_into xs ~len ~out =
+  check_prefix xs ~len "Descriptive.mean: empty";
+  let m = sum_prefix xs ~len /. float_of_int len in
+  out.(0) <- m;
+  out.(1) <- sqrt (variance_around xs ~len m)
 let mean xs = mean_prefix xs ~len:(Array.length xs)
 let variance xs = variance_prefix xs ~len:(Array.length xs)
 let stddev xs = sqrt (variance xs)

@@ -10,13 +10,17 @@ val stddev : float array -> float
 (** Population standard deviation, [sqrt (variance x)]. *)
 
 val mean_prefix : float array -> len:int -> float
-val variance_prefix : float array -> len:int -> float
 
-val stddev_prefix : float array -> len:int -> float
-(** {!mean}, {!variance} and {!stddev} of the first [len] elements,
-    bit-identical to the same function on [Array.sub xs 0 len] but
-    without the copy. Raise [Invalid_argument] unless
-    [0 < len <= Array.length xs]. *)
+val variance_prefix : float array -> len:int -> float
+(** {!mean} and {!variance} of the first [len] elements, bit-identical
+    to the same function on [Array.sub xs 0 len] but without the copy.
+    Raise [Invalid_argument] unless [0 < len <= Array.length xs]. *)
+
+val moments_prefix_into : float array -> len:int -> out:float array -> unit
+(** {!mean} and {!stddev} of the first [len] elements, bit-identical to
+    them on [Array.sub xs 0 len], written to [out.(0)] and [out.(1)].
+    Allocation free, so no float crosses the call boxed. Raises
+    [Invalid_argument] unless [0 < len <= Array.length xs]. *)
 
 val percentile : float array -> p:float -> float
 (** [percentile xs ~p] with [p] in [\[0,100\]], linear interpolation

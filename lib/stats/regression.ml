@@ -3,7 +3,7 @@ type fit = { slope : float; intercept : float; residual_rms : float }
 (* [for] loops in the summation order of the [fold_left]s they
    replaced, so the fit is bit-identical to it with unboxed
    accumulators. *)
-let fit_prefix ~x ~y ~len =
+let fit_prefix_into ~x ~y ~len ~out =
   if len <= 0 || len > Array.length x || len > Array.length y then
     invalid_arg "Regression.fit: length mismatch or empty";
   let nf = float_of_int len in
@@ -30,7 +30,14 @@ let fit_prefix ~x ~y ~len =
     in
     ss_res := !ss_res +. (r *. r)
   done;
-  { slope; intercept; residual_rms = sqrt (!ss_res /. nf) }
+  out.(0) <- slope;
+  out.(1) <- intercept;
+  out.(2) <- sqrt (!ss_res /. nf)
+
+let fit_prefix ~x ~y ~len =
+  let out = Array.create_float 3 in
+  fit_prefix_into ~x ~y ~len ~out;
+  { slope = out.(0); intercept = out.(1); residual_rms = out.(2) }
 
 let fit ~x ~y =
   let n = Array.length x in

@@ -26,3 +26,9 @@ val fit_prefix : x:float array -> y:float array -> len:int -> fit
     to it on the [Array.sub] copies but without them. Raises
     [Invalid_argument] unless [0 < len] and both arrays hold at least
     [len] elements. *)
+
+val fit_prefix_into :
+  x:float array -> y:float array -> len:int -> out:float array -> unit
+(** {!fit_prefix} written to [out]: slope, intercept and residual RMS
+    at [out.(0)], [out.(1)], [out.(2)]. Allocation free, so no float
+    crosses the call boxed. *)

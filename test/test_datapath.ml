@@ -682,6 +682,48 @@ let test_ack_path_allocation_free () =
     [
       ("proteus-p", Proteus.Utility.proteus_p ());
       ("proteus-s", Proteus.Utility.proteus_s ());
+    ];
+  (* Per completed MI, at many_flow's Proteus-S packet rate: about six
+     packets per MI, so the MI completion path (metrics, tolerance,
+     utility, rate decision, the next MI's planning) dominates. The dev
+     profile reads 8.0 words per MI for Proteus (the utility's result,
+     [Rng.float]'s and the trending slope's, boxed at their calls) and
+     6.0 for Vivace (no trending tolerance); the ceilings leave under 2
+     words of slack, so one metrics-sized record (9 words) or one
+     [Hashtbl] binding per MI fails them. *)
+  let n = 2400 and spacing = 0.0055 in
+  List.iter
+    (fun (name, ceiling, config) ->
+      let factory, handle = Proteus.Presets.with_handle config in
+      let s = factory (mk_env ()) in
+      let c = Option.get (handle ()) in
+      drive_acks ~spacing s ~from:1 ~n:600 (* warmup: pool and storage *);
+      let mis0 = Proteus.Controller.mi_count c in
+      let before = Gc.minor_words () in
+      drive_acks ~spacing s ~from:601 ~n;
+      let words = Gc.minor_words () -. before in
+      let mis = Proteus.Controller.mi_count c - mis0 in
+      if mis < 300 then
+        Alcotest.failf "%s: only %d MIs completed over %d packets" name mis n;
+      let per_mi = words /. float_of_int mis in
+      if per_mi > ceiling then
+        Alcotest.failf
+          "%s: %.2f minor words per completed MI (%.0f over %d MIs, %d \
+           packets)"
+          name per_mi words mis n)
+    [
+      ( "proteus-p",
+        10.0,
+        Proteus.Controller.default_config
+          ~utility:(Proteus.Utility.proteus_p ()) );
+      ( "proteus-s",
+        10.0,
+        Proteus.Controller.default_config
+          ~utility:(Proteus.Utility.proteus_s ()) );
+      ( "vivace",
+        8.0,
+        Proteus.Controller.vivace_config ~utility:(Proteus.Utility.vivace ())
+      );
     ]
 
 (* ---------- QCheck: random programs vs the auditor ---------- *)

@@ -107,13 +107,17 @@ let test_histogram_rejects_bad_range () =
   Alcotest.check_raises "range" (Invalid_argument "Histogram.create")
     (fun () -> ignore (Stats.Histogram.create ~lo:1.0 ~hi:1.0 ~bins:4))
 
-let test_fvec_out_of_bounds () =
-  let v = Stats.Fvec.create () in
-  Stats.Fvec.push v 1.0;
-  Alcotest.check_raises "get" (Invalid_argument "Fvec.get") (fun () ->
-      ignore (Stats.Fvec.get v 1));
-  Alcotest.check_raises "sub" (Invalid_argument "Fvec.sub_array") (fun () ->
-      ignore (Stats.Fvec.sub_array v ~pos:0 ~len:2))
+(* The ACK log's windows: an inverted window over a logged ACK is
+   refused, an empty one yields nothing. *)
+let test_flow_stats_inverted_window () =
+  let st = Net.Flow_stats.create () in
+  Net.Flow_stats.record_ack st ~now:1.0 ~size:1500 ~rtt:0.05;
+  Alcotest.check_raises "inverted"
+    (Invalid_argument "Flow_stats.rtt_samples: inverted window") (fun () ->
+      ignore (Net.Flow_stats.rtt_samples st ~t0:2.0 ~t1:0.5));
+  Alcotest.(check int)
+    "empty" 0
+    (Array.length (Net.Flow_stats.rtt_samples st ~t0:1.5 ~t1:1.5))
 
 let test_winfilter_empty () =
   let f = Stats.Winfilter.create_min ~window:1.0 in
@@ -132,20 +136,21 @@ let test_winfilter_shrinking_window () =
 
 (* ---------- MI / controller edges ---------- *)
 
-let test_mi_single_sample_metrics () =
-  let mi = Proteus.Mi.create ~id:0 ~target_rate:125_000.0 ~start_time:0.0 in
+let one_sample_mi ~start ~end_time =
+  let mi = Proteus.Mi.create ~id:0 ~target_rate:125_000.0 ~start_time:start in
   Proteus.Mi.record_sent mi ~size:1500;
-  Proteus.Mi.record_ack mi ~send_time:0.0 ~rtt:(Some 0.05);
-  Proteus.Mi.close mi ~end_time:0.1;
+  Proteus.Mi.record_ack_m mi ~meta:[| 0.0; start; 0.05 |] ~accepted:true;
+  Proteus.Mi.close mi ~times:[| 0.0; 0.0; end_time |];
+  mi
+
+let test_mi_single_sample_metrics () =
+  let mi = one_sample_mi ~start:0.0 ~end_time:0.1 in
   let m = Proteus.Mi.metrics mi in
   check_float "avg is the sample" 0.05 m.Proteus.Mi.avg_rtt;
   check_float "no gradient from one point" 0.0 m.Proteus.Mi.rtt_gradient
 
 let test_mi_zero_duration_guard () =
-  let mi = Proteus.Mi.create ~id:0 ~target_rate:125_000.0 ~start_time:1.0 in
-  Proteus.Mi.record_sent mi ~size:1500;
-  Proteus.Mi.record_ack mi ~send_time:1.0 ~rtt:(Some 0.05);
-  Proteus.Mi.close mi ~end_time:1.0;
+  let mi = one_sample_mi ~start:1.0 ~end_time:1.0 in
   (* Duration clamped away from zero: metrics must be finite. *)
   let m = Proteus.Mi.metrics mi in
   if not (Float.is_finite m.Proteus.Mi.send_rate_mbps) then
@@ -176,7 +181,7 @@ let suite =
     ("jain all zero", `Quick, test_jain_all_zero);
     ("ewma bad alpha", `Quick, test_ewma_rejects_bad_alpha);
     ("histogram bad range", `Quick, test_histogram_rejects_bad_range);
-    ("fvec bounds", `Quick, test_fvec_out_of_bounds);
+    ("flow stats inverted window", `Quick, test_flow_stats_inverted_window);
     ("winfilter empty", `Quick, test_winfilter_empty);
     ("winfilter shrink window", `Quick, test_winfilter_shrinking_window);
     ("mi single sample", `Quick, test_mi_single_sample_metrics);

@@ -174,6 +174,19 @@ let test_flow_stats_loss_fraction () =
   Flow_stats.record_loss st ~now:0.0 ~size:1500;
   check_float "loss" 0.25 (Flow_stats.loss_fraction st)
 
+(* A rejected hop must leave no trace: [losses_by_hop] keeps summing to
+   [packets_lost]. *)
+let test_flow_stats_negative_hop () =
+  let st = Flow_stats.create () in
+  Flow_stats.record_loss ~hop:2 st ~now:0.0 ~size:1500;
+  Alcotest.check_raises "negative hop"
+    (Invalid_argument "Flow_stats.record_loss: negative hop") (fun () ->
+      Flow_stats.record_loss ~hop:(-1) st ~now:0.0 ~size:1500);
+  Alcotest.(check int) "lost" 1 (Flow_stats.packets_lost st);
+  Alcotest.(check int)
+    "by-hop sum" (Flow_stats.packets_lost st)
+    (Array.fold_left ( + ) 0 (Flow_stats.losses_by_hop st))
+
 let test_flow_stats_series () =
   let st = Flow_stats.create () in
   Flow_stats.record_ack st ~now:0.5 ~size:125_000 ~rtt:0.02;
@@ -348,6 +361,7 @@ let suite =
     ("flow stats window", `Quick, test_flow_stats_throughput_window);
     ("flow stats percentile", `Quick, test_flow_stats_rtt_percentile);
     ("flow stats loss", `Quick, test_flow_stats_loss_fraction);
+    ("flow stats negative hop", `Quick, test_flow_stats_negative_hop);
     ("flow stats series", `Quick, test_flow_stats_series);
     ("flow stats series edge", `Quick, test_flow_stats_series_edge);
     ("runner conservation", `Quick, test_runner_packet_conservation);

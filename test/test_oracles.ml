@@ -152,13 +152,12 @@ let same_metrics (a : Mi.metrics) (b : Mi.metrics) =
   && same a.rtt_gradient b.rtt_gradient
   && same a.rtt_deviation b.rtt_deviation
   && same a.regression_error b.regression_error
-  && a.n_rtt_samples = b.n_rtt_samples
   && same a.duration b.duration
 
 let print_metrics (m : Mi.metrics) =
-  Printf.sprintf "{rate %h; avg %h; grad %h; dev %h; err %h; n %d}"
+  Printf.sprintf "{rate %h; avg %h; grad %h; dev %h; err %h}"
     m.send_rate_mbps m.avg_rtt m.rtt_gradient m.rtt_deviation
-    m.regression_error m.n_rtt_samples
+    m.regression_error
 
 (* ---------- generators ---------- *)
 
@@ -187,14 +186,16 @@ let prop_descriptive =
     (QCheck.make ~print:print_floats (gen_samples 1 64))
     (fun xs ->
       let n = Array.length xs in
-      let ok = ref true in
+      let ok = ref true and out = Array.make 2 0.0 in
       for len = 1 to n do
         let sub = Array.sub xs 0 len in
+        Descriptive.moments_prefix_into xs ~len ~out;
         ok :=
           !ok
           && same (Descriptive.mean_prefix xs ~len) (fold_mean sub)
           && same (Descriptive.variance_prefix xs ~len) (fold_variance sub)
-          && same (Descriptive.stddev_prefix xs ~len) (fold_stddev sub)
+          && same out.(0) (fold_mean sub)
+          && same out.(1) (fold_stddev sub)
       done;
       !ok
       && same (Descriptive.mean xs) (fold_mean xs)
@@ -247,7 +248,7 @@ let test_pow_pin () =
 let gen_metrics =
   QCheck.Gen.(
     map
-      (fun ((avg, dev, grad), (err, n)) ->
+      (fun ((avg, dev, grad), err) ->
         {
           Mi.send_rate_mbps = 10.0;
           target_rate_mbps = 10.0;
@@ -256,13 +257,12 @@ let gen_metrics =
           rtt_gradient = grad;
           rtt_deviation = dev;
           regression_error = err;
-          n_rtt_samples = n;
           duration = 0.03;
         })
       (pair
          (triple (float_range 0.01 0.2) (float_range 0.0 0.02)
             (float_range (-0.05) 0.05))
-         (pair (float_range 0.0 0.05) (int_range 0 200))))
+         (float_range 0.0 0.05)))
 
 let gen_config =
   QCheck.Gen.(
@@ -291,7 +291,9 @@ let prop_tolerance =
       let arr = Tolerance.create config and lst = List_tolerance.create config in
       List.for_all
         (fun m ->
-          let a = Tolerance.adjust arr m and b = List_tolerance.adjust lst m in
+          let a = { m with Mi.duration = m.Mi.duration } in
+          Tolerance.adjust arr a;
+          let b = List_tolerance.adjust lst m in
           same_metrics a b
           || QCheck.Test.fail_reportf "arrays %s / lists %s" (print_metrics a)
                (print_metrics b))
@@ -330,7 +332,7 @@ let fill mi ~samples ~sent =
   for _ = Array.length samples + 1 to sent do
     Mi.record_loss mi
   done;
-  Mi.close mi ~end_time:0.05
+  Mi.close mi ~times:[| 0.0; 0.0; 0.05 |]
 
 let gen_interval =
   QCheck.Gen.(
@@ -365,7 +367,7 @@ let prop_mi_reuse =
       let reused = Mi.create ~id:3 ~target_rate:1e6 ~start_time:0.0 in
       fill reused ~samples:samples_a ~sent:sent_a;
       ignore (Mi.metrics reused);
-      Mi.reset reused ~id:7 ~target_rate:125_000.0 ~start_time:0.01;
+      Mi.reset reused ~id:7 ~times:[| 125_000.0; 0.01; 0.0 |];
       fill reused ~samples:samples_b ~sent:sent_b;
       let m_fresh = Mi.metrics fresh and m_reused = Mi.metrics reused in
       let send_times, rtts = accepted_samples samples_b in
@@ -378,7 +380,291 @@ let prop_mi_reuse =
          || QCheck.Test.fail_reportf "in place %s / folds %s"
               (print_metrics m_fresh) (print_metrics m_fold)))
 
+(* ---------- Controller.Votes against the list-based probing round ---------- *)
+
+module Controller = Proteus.Controller
+module Votes = Controller.Votes
+
+(* The probing round as the controller kept it before [Votes]: a list
+   of (pair, up, utility) results, newest first, searched per pair. *)
+module List_votes = struct
+  let direction_of_pair results pair =
+    let find up =
+      List.find_opt (fun (p, u_, _) -> p = pair && u_ = up) results
+    in
+    match (find true, find false) with
+    | Some (_, _, u_hi), Some (_, _, u_lo) ->
+        if u_hi > u_lo then Some 1 else if u_lo > u_hi then Some (-1) else Some 0
+    | _ -> None
+
+  let avg_gradient ~epsilon results npairs ~base_rate =
+    let dr =
+      2.0 *. epsilon *. Proteus_net.Units.bytes_per_sec_to_mbps base_rate
+    in
+    let sum = ref 0.0 and n = ref 0 in
+    for pair = 0 to npairs - 1 do
+      let find up =
+        List.find_opt (fun (p, u_, _) -> p = pair && u_ = up) results
+      in
+      match (find true, find false) with
+      | Some (_, _, u_hi), Some (_, _, u_lo) when dr > 0.0 ->
+          sum := !sum +. ((u_hi -. u_lo) /. dr);
+          incr n
+      | _ -> ()
+    done;
+    if !n = 0 then 0.0 else !sum /. float_of_int !n
+
+  let decide_direction mode npairs results =
+    let dirs =
+      List.filter_map (direction_of_pair results) (List.init npairs (fun i -> i))
+    in
+    if List.length dirs < npairs then None
+    else
+      match mode with
+      | Controller.Consistent2 -> (
+          match dirs with [ a; b ] when a = b && a <> 0 -> Some a | _ -> Some 0)
+      | Controller.Majority3 ->
+          let count d = List.length (List.filter (fun x -> x = d) dirs) in
+          if count 1 >= 2 then Some 1
+          else if count (-1) >= 2 then Some (-1)
+          else Some 0
+
+  (* [handle_probe_result]'s utility of the side moved towards. *)
+  let prev_utility results ~dir_int =
+    let us =
+      List.filter_map
+        (fun (_, u_, util) -> if u_ = (dir_int = 1) then Some util else None)
+        results
+    in
+    List.fold_left ( +. ) 0.0 us /. float_of_int (List.length us)
+end
+
+(* Utilities with frequent ties (a pair that votes 0), signed zeros and
+   NaN (which never wins a comparison). *)
+let gen_utility =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, float_range (-50.0) 50.0);
+        (3, oneofl [ 0.0; 1.0; -1.0; 2.5 ]);
+        (1, oneofl [ -0.0; Float.nan; infinity; neg_infinity ]);
+      ])
+
+let gen_round =
+  QCheck.Gen.(
+    oneofl [ Controller.Consistent2; Controller.Majority3 ] >>= fun mode ->
+    let npairs = match mode with Controller.Consistent2 -> 2 | _ -> 3 in
+    shuffle_l
+      (List.concat_map (fun p -> [ (p, true); (p, false) ]) (List.init npairs Fun.id))
+    >>= fun order ->
+    list_repeat (2 * npairs) gen_utility >>= fun us ->
+    oneofl [ 0.05; 0.1; 0.0 ] >>= fun epsilon ->
+    frequency [ (6, float_range 1e3 1e9); (1, return 0.0) ] >|= fun base_rate ->
+    (mode, npairs, List.combine order us, epsilon, base_rate))
+
+let prop_votes =
+  QCheck.Test.make ~count:1000
+    ~name:"probing votes decide as the list-based round, bit for bit"
+    (QCheck.make
+       ~print:(fun (mode, _, results, epsilon, base_rate) ->
+         Printf.sprintf "%s eps %h base %h: %s"
+           (match mode with Controller.Consistent2 -> "consistent2" | _ -> "majority3")
+           epsilon base_rate
+           (String.concat "; "
+              (List.map
+                 (fun ((p, up), u) -> Printf.sprintf "(%d,%b)=%h" p up u)
+                 results)))
+       gen_round)
+    (fun (mode, npairs, results, epsilon, base_rate) ->
+      let v = Votes.create () in
+      Votes.reset v ~npairs;
+      let rec go seen = function
+        | [] -> true
+        | ((pair, up), u) :: rest ->
+            Votes.add v ~slot:(Votes.slot ~pair ~up) ~u;
+            let seen = (pair, up, u) :: seen in
+            let expected = List_votes.decide_direction mode npairs seen in
+            let got =
+              if Votes.complete v then Some (Votes.direction v mode) else None
+            in
+            (expected = got
+            || QCheck.Test.fail_reportf "after %d results: direction differs"
+                 (List.length seen))
+            && go seen rest
+      in
+      go [] results
+      &&
+      let seen = List.rev_map (fun ((p, up), u) -> (p, up, u)) results in
+      (same
+         (Votes.gradient v ~epsilon ~base_rate)
+         (List_votes.avg_gradient ~epsilon seen npairs ~base_rate)
+      || QCheck.Test.fail_report "gradient differs")
+      && List.for_all
+           (fun dir_int ->
+             same
+               (Votes.mean_utility v ~up:(dir_int = 1))
+               (List_votes.prev_utility seen ~dir_int)
+             || QCheck.Test.fail_reportf "mean utility (%d) differs" dir_int)
+           [ 1; -1 ])
+
+(* ---------- Flow_stats: the per-ACK log against a list of triples ---------- *)
+
+module Flow_stats = Proteus_net.Flow_stats
+
+(* The log as the list of (ack time, bytes, rtt) triples it records,
+   each query a left-to-right pass over the window [t0, t1). *)
+module List_log = struct
+  let window acks ~t0 ~t1 =
+    List.filter (fun (time, _, _) -> time >= t0 && time < t1) acks
+
+  let bytes acks ~t0 ~t1 =
+    List.fold_left
+      (fun s (_, b, _) -> s +. float_of_int b)
+      0.0 (window acks ~t0 ~t1)
+
+  let rtts acks ~t0 ~t1 =
+    Array.of_list (List.map (fun (_, _, r) -> r) (window acks ~t0 ~t1))
+
+  let series acks ~bin ~until =
+    let nbins = int_of_float (Float.ceil (until /. bin)) in
+    let acc = Array.make (max nbins 1) 0.0 in
+    List.iter
+      (fun (time, b, _) ->
+        if time < until then begin
+          let i = int_of_float (time /. bin) in
+          if i < nbins then acc.(i) <- acc.(i) +. float_of_int b
+        end)
+      acks;
+    Array.mapi
+      (fun i x ->
+        ( float_of_int i *. bin,
+          Proteus_net.Units.bytes_per_sec_to_mbps (x /. bin) ))
+      acc
+end
+
+(* Nondecreasing ACK times with runs of equal timestamps, sizes off the
+   MTU, logs long enough to outgrow their first allocation, and windows
+   that may hold no ACK at all. *)
+let gen_acks =
+  QCheck.Gen.(
+    list_size
+      (frequency [ (5, int_range 0 300); (1, int_range 1000 2600) ])
+      (triple
+         (frequency [ (2, return 0.0); (3, float_range 0.0 0.01) ])
+         (frequency
+            [ (3, return 1500); (1, int_range 1 1499); (1, return 40) ])
+         (float_range 0.001 0.3))
+    >|= fun steps ->
+    let now = ref 0.0 in
+    List.map
+      (fun (dt, size, rtt) ->
+        now := !now +. dt;
+        (!now, size, rtt))
+      steps)
+
+(* Window edges fall on logged ACK times as often as between them, so
+   the ACKs at a window's edges and runs of equal timestamps are
+   decided by the half-open rule. *)
+let gen_window acks =
+  QCheck.Gen.(
+    let times = Array.of_list (List.map (fun (t, _, _) -> t) acks) in
+    let edge =
+      if Array.length times = 0 then float_range (-0.1) 1.6
+      else
+        frequency
+          [
+            (1, float_range (-0.1) 1.6);
+            (1, map (fun i -> times.(i)) (int_bound (Array.length times - 1)));
+          ]
+    in
+    pair edge edge >>= fun (a, b) ->
+    frequency
+      [ (1, return (a, a)); (6, return (Float.min a b, Float.max a b)) ])
+
+let prop_flow_stats =
+  QCheck.Test.make ~count:300
+    ~name:"flow_stats queries equal a list-of-triples oracle bit for bit"
+    (QCheck.make
+       ~print:(fun (acks, windows, (bin, until), p) ->
+         Printf.sprintf "%d acks, windows %s, bin %h until %h, p %h"
+           (List.length acks)
+           (String.concat " "
+              (List.map (fun (a, b) -> Printf.sprintf "[%h,%h)" a b) windows))
+           bin until p)
+       QCheck.Gen.(
+         gen_acks >>= fun acks ->
+         triple
+           (list_size (int_range 1 8) (gen_window acks))
+           (pair (float_range 0.01 0.5) (float_range 0.0 2.0))
+           (float_range 0.0 100.0)
+         >|= fun (windows, series, p) -> (acks, windows, series, p)))
+    (fun (acks, windows, (bin, until), p) ->
+      let st = Flow_stats.create () in
+      List.iter
+        (fun (now, size, rtt) -> Flow_stats.record_ack st ~now ~size ~rtt)
+        acks;
+      let same_arrays a b =
+        Array.length a = Array.length b && Array.for_all2 same a b
+      in
+      let check_window (t0, t1) =
+        let rtts = List_log.rtts acks ~t0 ~t1 in
+        same_arrays (Flow_stats.rtt_samples st ~t0 ~t1) rtts
+        && (match Flow_stats.rtt_percentile st ~t0 ~t1 ~p with
+           | None -> Array.length rtts = 0
+           | Some x ->
+               Array.length rtts > 0
+               && same x (Descriptive.percentile rtts ~p))
+        &&
+        if t1 <= t0 then
+          (try
+             ignore (Flow_stats.bytes_acked_window st ~t0 ~t1);
+             false
+           with Invalid_argument _ -> true)
+          &&
+          try
+            ignore (Flow_stats.throughput_mbps st ~t0 ~t1);
+            false
+          with Invalid_argument _ -> true
+        else
+          let bytes = List_log.bytes acks ~t0 ~t1 in
+          same (Flow_stats.bytes_acked_window st ~t0 ~t1) bytes
+          && same
+               (Flow_stats.throughput_mbps st ~t0 ~t1)
+               (Proteus_net.Units.bytes_per_sec_to_mbps (bytes /. (t1 -. t0)))
+      in
+      let series = Flow_stats.throughput_series st ~bin ~until in
+      let expected = List_log.series acks ~bin ~until in
+      let first, last =
+        match acks with
+        | [] -> (None, None)
+        | (t, _, _) :: _ ->
+            let l, _, _ = List.nth acks (List.length acks - 1) in
+            (Some t, Some l)
+      in
+      let same_opt a b =
+        match (a, b) with
+        | None, None -> true
+        | Some x, Some y -> same x y
+        | _ -> false
+      in
+      (List.for_all check_window windows
+      || QCheck.Test.fail_report "a windowed query differs")
+      && (Array.length series = Array.length expected
+          && Array.for_all2
+               (fun (a, x) (b, y) -> same a b && same x y)
+               series expected
+         || QCheck.Test.fail_report "throughput_series differs")
+      && same_opt (Flow_stats.first_ack_time st) first
+      && same_opt (Flow_stats.last_ack_time st) last)
+
 let suite =
   [ ("variance pins pow over multiplication", `Quick, test_pow_pin) ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_descriptive; prop_regression; prop_tolerance; prop_mi_reuse ]
+      [
+        prop_descriptive;
+        prop_regression;
+        prop_tolerance;
+        prop_mi_reuse;
+        prop_votes;
+        prop_flow_stats;
+      ]

@@ -110,7 +110,6 @@ let metrics ?(rate = 10.0) ?(loss = 0.0) ?(gradient = 0.0) () =
     rtt_gradient = gradient;
     rtt_deviation = 0.0;
     regression_error = 0.0;
-    n_rtt_samples = 50;
     duration = 0.05;
   }
 

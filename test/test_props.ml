@@ -170,7 +170,6 @@ let test_allegro_utility_shape () =
       rtt_gradient = 0.0;
       rtt_deviation = 0.0;
       regression_error = 0.0;
-      n_rtt_samples = 50;
       duration = 0.05;
     }
   in

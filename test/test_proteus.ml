@@ -10,25 +10,30 @@ let check_float ?(eps = 1e-9) msg expected actual =
 
 (* ---------- Mi ---------- *)
 
+let close mi ~end_time = Mi.close mi ~times:[| 0.0; 0.0; end_time |]
+
+let ack ?(accepted = true) mi ~send_time ~rtt =
+  Mi.record_ack_m mi ~meta:[| 0.0; send_time; rtt |] ~accepted
+
 let complete_mi ?(rate = 125_000.0) ~rtts () =
   (* Build an MI spanning 1 s with one packet per rtt sample. *)
   let mi = Mi.create ~id:0 ~target_rate:rate ~start_time:0.0 in
   List.iteri (fun i _ -> ignore i; Mi.record_sent mi ~size:1500) rtts;
   List.iteri
     (fun i rtt ->
-      Mi.record_ack mi ~send_time:(float_of_int i *. 0.1) ~rtt:(Some rtt))
+      ack mi ~send_time:(float_of_int i *. 0.1) ~rtt)
     rtts;
-  Mi.close mi ~end_time:1.0;
+  close mi ~end_time:1.0;
   mi
 
 let test_mi_lifecycle () =
   let mi = Mi.create ~id:3 ~target_rate:1000.0 ~start_time:0.0 in
   Alcotest.(check bool) "not closed" false (Mi.is_closed mi);
   Mi.record_sent mi ~size:1500;
-  Mi.close mi ~end_time:1.0;
+  close mi ~end_time:1.0;
   Alcotest.(check bool) "closed" true (Mi.is_closed mi);
   Alcotest.(check bool) "not complete" false (Mi.is_complete mi);
-  Mi.record_ack mi ~send_time:0.0 ~rtt:(Some 0.02);
+  ack mi ~send_time:0.0 ~rtt:0.02;
   Alcotest.(check bool) "complete" true (Mi.is_complete mi)
 
 let test_mi_metrics_requires_complete () =
@@ -65,22 +70,22 @@ let test_mi_loss_rate () =
     Mi.record_sent mi ~size:1500
   done;
   for i = 1 to 8 do
-    Mi.record_ack mi ~send_time:(float_of_int i *. 0.01) ~rtt:(Some 0.02)
+    ack mi ~send_time:(float_of_int i *. 0.01) ~rtt:0.02
   done;
   Mi.record_loss mi;
   Mi.record_loss mi;
-  Mi.close mi ~end_time:0.5;
+  close mi ~end_time:0.5;
   let m = Mi.metrics mi in
   check_float "loss rate" 0.2 m.Mi.loss_rate
 
 let test_mi_filtered_sample_counts_for_completion () =
   let mi = Mi.create ~id:0 ~target_rate:125_000.0 ~start_time:0.0 in
   Mi.record_sent mi ~size:1500;
-  Mi.close mi ~end_time:0.5;
-  Mi.record_ack mi ~send_time:0.0 ~rtt:None;
+  close mi ~end_time:0.5;
+  ack mi ~accepted:false ~send_time:0.0 ~rtt:0.02;
   Alcotest.(check bool) "complete with filtered rtt" true (Mi.is_complete mi);
   let m = Mi.metrics mi in
-  Alcotest.(check int) "no samples" 0 m.Mi.n_rtt_samples
+  check_float "no samples, no mean" 0.0 m.Mi.avg_rtt
 
 let test_mi_send_rate () =
   let m = Mi.metrics (complete_mi ~rtts:(List.init 10 (fun _ -> 0.02)) ()) in
@@ -99,7 +104,6 @@ let metrics ?(rate = 10.0) ?(loss = 0.0) ?(gradient = 0.0) ?(deviation = 0.0)
     rtt_gradient = gradient;
     rtt_deviation = deviation;
     regression_error = 0.0;
-    n_rtt_samples = 50;
     duration = 0.05;
   }
 
@@ -224,7 +228,8 @@ let test_tolerance_zeroes_noise_gradient () =
     { (metrics ~gradient:0.001 ~deviation:0.003 ()) with
       Mi.regression_error = 0.01 }
   in
-  let adj = Tolerance.adjust t m in
+  Tolerance.adjust t m;
+  let adj = m in
   check_float "gradient zeroed" 0.0 adj.Mi.rtt_gradient;
   check_float "deviation zeroed" 0.0 adj.Mi.rtt_deviation
 
@@ -234,7 +239,8 @@ let test_tolerance_keeps_significant_gradient () =
     { (metrics ~gradient:0.05 ~deviation:0.003 ()) with
       Mi.regression_error = 0.01 }
   in
-  let adj = Tolerance.adjust t m in
+  Tolerance.adjust t m;
+  let adj = m in
   check_float "gradient kept" 0.05 adj.Mi.rtt_gradient;
   check_float "deviation kept" 0.003 adj.Mi.rtt_deviation
 
@@ -244,14 +250,17 @@ let test_tolerance_disabled_passthrough () =
     { (metrics ~gradient:0.001 ~deviation:0.003 ()) with
       Mi.regression_error = 0.01 }
   in
-  let adj = Tolerance.adjust t m in
+  Tolerance.adjust t m;
+  let adj = m in
   check_float "gradient kept" 0.001 adj.Mi.rtt_gradient
 
 let test_tolerance_vivace_fixed_threshold () =
   let t = Tolerance.create Tolerance.vivace_default in
-  let small = Tolerance.adjust t (metrics ~gradient:0.005 ()) in
+  let small = metrics ~gradient:0.005 () in
+  Tolerance.adjust t small;
   check_float "below fixed threshold" 0.0 small.Mi.rtt_gradient;
-  let big = Tolerance.adjust t (metrics ~gradient:0.05 ()) in
+  let big = metrics ~gradient:0.05 () in
+  Tolerance.adjust t big;
   check_float "above fixed threshold" 0.05 big.Mi.rtt_gradient
 
 let test_tolerance_trending_vetoes_zeroing () =
@@ -265,7 +274,7 @@ let test_tolerance_trending_vetoes_zeroing () =
       regression_error = 0.01 }
   in
   for i = 0 to 19 do
-    ignore (Tolerance.adjust t (quiet i))
+    Tolerance.adjust t (quiet i)
   done;
   (* Now RTT climbs 4 ms per MI: the trend is unmistakable. *)
   let vetoed = ref false in
@@ -275,7 +284,8 @@ let test_tolerance_trending_vetoes_zeroing () =
         Mi.avg_rtt = 0.05 +. (0.004 *. float_of_int i);
         regression_error = 0.01 }
     in
-    let adj = Tolerance.adjust t m in
+    Tolerance.adjust t m;
+    let adj = m in
     if adj.Mi.rtt_gradient <> 0.0 then vetoed := true
   done;
   Alcotest.(check bool) "trend veto fired" true !vetoed

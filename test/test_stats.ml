@@ -178,18 +178,6 @@ let test_confusion_monte_carlo_close () =
   if Float.abs (exact -. mc) > 0.02 then
     Alcotest.failf "MC %.4f far from exact %.4f" mc exact
 
-(* ---------- Fvec ---------- *)
-
-let test_fvec_growth () =
-  let v = Fvec.create ~capacity:2 () in
-  for i = 0 to 99 do
-    Fvec.push v (float_of_int i)
-  done;
-  Alcotest.(check int) "length" 100 (Fvec.length v);
-  check_float "get" 42.0 (Fvec.get v 42);
-  check_float "last" 99.0 (Option.get (Fvec.last v));
-  Alcotest.(check int) "sub" 10 (Array.length (Fvec.sub_array v ~pos:5 ~len:10))
-
 (* ---------- Rng ---------- *)
 
 let test_rng_deterministic () =
@@ -371,7 +359,6 @@ let suite =
     ("confusion inverted", `Quick, test_confusion_inverted);
     ("confusion ties", `Quick, test_confusion_identical);
     ("confusion monte-carlo", `Quick, test_confusion_monte_carlo_close);
-    ("fvec growth", `Quick, test_fvec_growth);
     ("rng deterministic", `Quick, test_rng_deterministic);
     ("rng split stability", `Quick, test_rng_split_independent_of_parent_draws);
     ("bernoulli extremes", `Quick, test_bernoulli_extremes);
