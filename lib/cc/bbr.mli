@@ -35,3 +35,8 @@ val rtprop_estimate : t -> float
 val is_probing_rtt : t -> bool
 (** Whether the sender is currently in PROBE_RTT (or a BBR-S yield
     hold), for tests. *)
+
+val state_fields : t -> (string * float) list
+(** Internal state at full precision, for the golden tests: bytes
+    delivered, the pacing clock, the smoothed RTT and the BBR-S RTT
+    deviation tracker's mean and deviation (NaN for BBR). *)

@@ -23,3 +23,7 @@ val cwnd_packets : t -> float
 
 val srtt : t -> float
 (** Smoothed RTT in seconds, for tests. *)
+
+val state_fields : t -> (string * float) list
+(** Internal state at full precision, for the golden tests: velocity,
+    the standing and minimum RTT filters and the velocity checkpoint. *)
