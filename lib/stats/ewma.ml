@@ -30,13 +30,19 @@ module Mean_dev = struct
   let create ?(alpha = 0.125) ?(beta = 0.25) () =
     { mean = create ~alpha; dev = create ~alpha:beta; n = 0 }
 
-  let update t x =
+  let[@inline] push t x =
     if not (Float.is_nan t.mean.avg) then
       update t.dev (Float.abs (x -. t.mean.avg));
     update t.mean x;
     t.n <- t.n + 1
 
+  let update t x = push t x
+
+  (* The per-ACK form: the sample comes from a float array, so it is
+     not boxed at the call. *)
+  let update_from t a i = push t a.(i)
   let[@inline] mean_nan t = t.mean.avg
   let[@inline] deviation_nan t = t.dev.avg
+  let deviation_into t a i = a.(i) <- t.dev.avg
   let n_samples t = t.n
 end

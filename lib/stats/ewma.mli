@@ -35,6 +35,11 @@ module Mean_dev : sig
 
   val update : t -> float -> unit
 
+  val update_from : t -> float array -> int -> unit
+  (** [update_from t a i] is [update t a.(i)], for per-packet callers:
+      a float argument would be boxed at a call across the module
+      boundary. *)
+
   val mean_nan : t -> float
   (** The moving average, [Float.nan] before the first sample.
       Allocation-free, like {!value_nan}. *)
@@ -42,6 +47,9 @@ module Mean_dev : sig
   val deviation_nan : t -> float
   (** The moving absolute deviation, [Float.nan] before the second
       sample. *)
+
+  val deviation_into : t -> float array -> int -> unit
+  (** [deviation_into t a i] writes {!deviation_nan} into [a.(i)]. *)
 
   val n_samples : t -> int
   (** Number of samples folded in so far. *)
