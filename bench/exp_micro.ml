@@ -1,7 +1,9 @@
 (* Bechamel microbenchmarks of the simulator's hot paths: event heap
    churn, pooled-kernel schedule/fire, link admission, the per-ACK
-   flow log, MI metric extraction, utility evaluation, and full
-   simulated seconds of loaded bottlenecks.
+   flow log, MI metric extraction, utility evaluation, BBR's and Copa's
+   per-packet calls, and full simulated seconds of loaded bottlenecks.
+   One further row only counts words: the 64-flow bottleneck's second
+   simulated second, after a warm-up.
 
    Besides wall-clock (ns/run) this measures the minor-heap allocation
    witness (words/run). Every micro is timed [rounds] times and the
@@ -166,6 +168,37 @@ let flow_stats_micro =
         incr next
       done) }
 
+(* A packed sender's per-packet calls as the runner makes them: poll,
+   send, and the ACK of the packet sent [lag] packets earlier (1 ms
+   apart, so RTTs and delivery rates are real). The sender persists
+   across runs, so the clock, its filters and its send records are in
+   their steady state. *)
+let sender_micro ~name factory =
+  let lag = 30 in
+  let s =
+    factory
+      (Net.Sender.make_env ~rng:(Proteus_stats.Rng.create ~seed:1) ~mtu:1500 ())
+  in
+  let meta = Array.make 6 0.0 and next = ref 0 in
+  { name;
+    body = (fun () ->
+      for _ = 0 to 99 do
+        let i = !next in
+        next := i + 1;
+        let now = 0.001 *. float_of_int i in
+        meta.(0) <- now;
+        Net.Sender.next_send_m s ~meta;
+        Net.Sender.on_sent_m s ~meta ~seq:i ~size:1500;
+        if i >= lag then begin
+          meta.(1) <- 0.001 *. float_of_int (i - lag);
+          meta.(2) <- now -. meta.(1) +. (0.0001 *. float_of_int (i mod 7));
+          Net.Sender.on_ack_m s ~meta ~seq:(i - lag) ~size:1500
+        end
+      done) }
+
+let bbr_micro = sender_micro ~name:"bbr ack x100" (Proteus_cc.Bbr.factory ())
+let copa_micro = sender_micro ~name:"copa ack x100" (Proteus_cc.Copa.factory ())
+
 (* ---------- sim-second micros (the headline) ----------
 
    Each run simulates exactly one second of a loaded bottleneck, so
@@ -192,27 +225,46 @@ let two_flow_micro =
                 ~factory:(Proteus.Presets.proteus_s ()));
       Net.Runner.run r ~until:1.0) }
 
+let many_flow_runner () =
+  let cfg =
+    Net.Link.config ~bandwidth_mbps:500.0 ~rtt_ms:30.0 ~buffer_bytes:1_875_000 ()
+  in
+  let r = Net.Runner.create cfg in
+  for i = 0 to 63 do
+    let factory =
+      if i land 1 = 0 then Proteus_cc.Cubic.factory ()
+      else Proteus.Presets.proteus_s ()
+    in
+    ignore (Net.Runner.add_flow r ~label:(Printf.sprintf "f%d" i) ~factory)
+  done;
+  r
+
 let many_flow_micro =
   { name = many_flow_name;
-    body = (fun () ->
-      let cfg =
-        Net.Link.config ~bandwidth_mbps:500.0 ~rtt_ms:30.0
-          ~buffer_bytes:1_875_000 ()
-      in
-      let r = Net.Runner.create cfg in
-      for i = 0 to 63 do
-        let factory =
-          if i land 1 = 0 then Proteus_cc.Cubic.factory ()
-          else Proteus.Presets.proteus_s ()
-        in
-        ignore (Net.Runner.add_flow r ~label:(Printf.sprintf "f%d" i) ~factory)
-      done;
-      Net.Runner.run r ~until:1.0) }
+    body = (fun () -> Net.Runner.run (many_flow_runner ()) ~until:1.0) }
 
 let micros =
   [
     heap_micro; sim_kernel_micro; link_micro; audit_micro; flow_stats_micro;
-    mi_micro; utility_micro; two_flow_micro; many_flow_micro;
+    mi_micro; utility_micro; bbr_micro; copa_micro; two_flow_micro;
+    many_flow_micro;
+  ]
+
+(* Rows that only count words. The 64-flow sim-second row is mostly
+   set-up and start-up; this one counts the words of the second
+   simulated second only, after a one-second warm-up, so its gate sees
+   the steady state. It is deterministic. *)
+let steady_many_flow_name = "64 flows @500Mbps, sim-second 1-2 (steady state)"
+
+let word_only =
+  [
+    ( steady_many_flow_name,
+      fun () ->
+        let r = many_flow_runner () in
+        Net.Runner.run r ~until:1.0;
+        let before = Gc.minor_words () in
+        Net.Runner.run r ~until:2.0;
+        Gc.minor_words () -. before );
   ]
 
 (* bechamel prefixes grouped test names with the group name *)
@@ -359,6 +411,11 @@ let run () =
           words = Some (minor_words m);
         })
       by_name
+    @ List.map
+        (fun (name, words) ->
+          { name = group ^ "/" ^ name; ns = None; ns_spread = None;
+            words = Some (words ()) })
+        word_only
   in
   Printf.printf "%-44s %14s %9s %18s\n" "benchmark" "ns/run (best)" "spread"
     "minor-words/run";
