@@ -1,9 +1,10 @@
-(* Bechamel microbenchmarks of the simulator's hot paths: event heap
-   churn, pooled-kernel schedule/fire, link admission, the per-ACK
-   flow log, MI metric extraction, utility evaluation, BBR's and Copa's
-   per-packet calls, and full simulated seconds of loaded bottlenecks.
-   One further row only counts words: the 64-flow bottleneck's second
-   simulated second, after a warm-up.
+(* Bechamel microbenchmarks of the simulator's hot paths: pooled-kernel
+   schedule/fire for near and far-future events, link admission, the
+   per-ACK flow log, MI metric extraction, utility evaluation, BBR's and
+   Copa's per-packet calls, and full simulated seconds of loaded
+   bottlenecks. Two further rows only count words: the second simulated
+   second of the 64-flow bottleneck and of a loss-heavy blaster pair,
+   each after a warm-up.
 
    Besides wall-clock (ns/run) this measures the minor-heap allocation
    witness (words/run). Every micro is timed [rounds] times and the
@@ -19,31 +20,15 @@
 
 open Bechamel
 module Net = Proteus_net
-module Heap = Proteus_eventsim.Heap
 module Sim = Proteus_eventsim.Sim
 
 let rounds = 9
 let word_runs = 50
 
 (* A micro is a name and one run of its body; the bodies keep their
-   state (heaps, links, auditors) across runs to measure the steady
+   state (sims, links, auditors) across runs to measure the steady
    state. *)
 type micro = { name : string; body : unit -> unit }
-
-(* The heap and slot are reused across runs to exercise the steady
-   state: push/pop through the SoA arrays + pop_into. Half the row's
-   words are the [~time] float boxed for each (not inlined) push. *)
-let heap_micro =
-  let h : int Heap.t = Heap.create () in
-  let slot = Heap.make_slot ~time:0.0 0 in
-  { name = "heap push+pop x100";
-    body = (fun () ->
-      for i = 0 to 99 do
-        Heap.push h ~time:(float_of_int (i * 7919 mod 100)) i
-      done;
-      for _ = 0 to 99 do
-        ignore (Heap.pop_into h slot)
-      done) }
 
 (* Steady-state event kernel: schedule 100 events through the pooled
    at_fn fast path and drain them. The sim is reused, so every event
@@ -58,6 +43,23 @@ let sim_kernel_micro =
       for i = 0 to 99 do
         Sim.at_fn sim
           ~time:(base +. (float_of_int (i * 7919 mod 100) *. 1e-6))
+          ~fn:bump ~arg:i
+      done;
+      Sim.run sim) }
+
+(* The same cycle for events 100-199 s ahead, past the wheel's level-1
+   reach (about 65 s): they are clamped on insert and refiled as the
+   cursor jumps across the empty stretches between them. *)
+let sim_far_micro =
+  let sim = Sim.create () in
+  let sink = ref 0 in
+  let bump = Sim.register sim (fun i -> sink := !sink + i) in
+  { name = "sim far-future at_fn schedule+fire x100";
+    body = (fun () ->
+      let base = Sim.now sim +. 100.0 in
+      for i = 0 to 99 do
+        Sim.at_fn sim
+          ~time:(base +. float_of_int (i * 7919 mod 100))
           ~fn:bump ~arg:i
       done;
       Sim.run sim) }
@@ -245,26 +247,43 @@ let many_flow_micro =
 
 let micros =
   [
-    heap_micro; sim_kernel_micro; link_micro; audit_micro; flow_stats_micro;
+    sim_kernel_micro; sim_far_micro; link_micro; audit_micro; flow_stats_micro;
     mi_micro; utility_micro; bbr_micro; copa_micro; two_flow_micro;
     many_flow_micro;
   ]
 
-(* Rows that only count words. The 64-flow sim-second row is mostly
-   set-up and start-up; this one counts the words of the second
-   simulated second only, after a one-second warm-up, so its gate sees
-   the steady state. It is deterministic. *)
+(* Rows that only count words. The sim-second rows are mostly set-up
+   and start-up; these count the words of the second simulated second
+   only, after a one-second warm-up, so their gates see the steady
+   state. They are deterministic. The blaster pair (two 20 Mbps
+   constant-rate senders on one 20 Mbps link) loses about half its
+   packets, so its row watches the loss path. *)
 let steady_many_flow_name = "64 flows @500Mbps, sim-second 1-2 (steady state)"
+let steady_blaster_name = "2 blasters @20Mbps, sim-second 1-2 (steady state)"
+
+let blaster_runner () =
+  let cfg =
+    Net.Link.config ~bandwidth_mbps:20.0 ~rtt_ms:30.0 ~buffer_bytes:75_000 ()
+  in
+  let r = Net.Runner.create cfg in
+  for i = 0 to 1 do
+    ignore
+      (Net.Runner.add_flow r ~label:(Printf.sprintf "b%d" i)
+         ~factory:(Proteus_cc.Blaster.factory ~rate_mbps:20.0))
+  done;
+  r
+
+let steady_second runner () =
+  let r = runner () in
+  Net.Runner.run r ~until:1.0;
+  let before = Gc.minor_words () in
+  Net.Runner.run r ~until:2.0;
+  Gc.minor_words () -. before
 
 let word_only =
   [
-    ( steady_many_flow_name,
-      fun () ->
-        let r = many_flow_runner () in
-        Net.Runner.run r ~until:1.0;
-        let before = Gc.minor_words () in
-        Net.Runner.run r ~until:2.0;
-        Gc.minor_words () -. before );
+    (steady_many_flow_name, steady_second many_flow_runner);
+    (steady_blaster_name, steady_second blaster_runner);
   ]
 
 (* bechamel prefixes grouped test names with the group name *)

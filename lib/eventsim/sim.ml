@@ -1,5 +1,5 @@
-(* Event kernel: a free-list event pool over a timing wheel, a binary
-   heap and per-source lanes.
+(* Event kernel: a free-list event pool over a timing wheel, plus
+   per-source lanes.
 
    Every scheduled event occupies a pooled cell: a handler id plus an
    unboxed [int] argument, both held in parallel int arrays indexed by
@@ -15,32 +15,25 @@
    [thunk_handler], a per-sim trampoline registered first, so they ride
    the same pooled machinery. Only thunk cells write a pointer.
 
-   Ordering. Every event — whichever backend holds it — carries a
-   global sequence number assigned at scheduling time. The run loop
-   picks the source (heap / wheel / lane) with the lexicographically
-   smallest [(time, seq)], so equal-time events fire in scheduling
-   order no matter where they live: the firing order is that of one
-   sorted queue keyed by [(time, seq)].
+   Ordering. Every event carries a global sequence number assigned at
+   scheduling time. The run loop picks the source (wheel or lane) with
+   the lexicographically smallest [(time, seq)], so equal-time events
+   fire in scheduling order no matter where they live: the firing
+   order is that of one sorted queue keyed by [(time, seq)].
 
-   Stores. The [at_fn] fast path routes near-future events into a
-   hierarchical timing {!Wheel} (O(1) instead of O(log n)). The SoA
-   binary {!Heap} holds everything else: events beyond the wheel
-   horizon, thunks and cancellables. Callers with per-source FIFO event
-   streams (e.g. one per network link) can push into {e lanes}: SoA
-   ring buffers consumed directly by the run loop, skipping the cell
-   pool entirely. A lane push whose time would break the lane's
-   monotonicity falls back to the wheel/heap, so lanes are an
-   optimisation, never a semantic constraint. *)
+   Stores. Every pooled cell, whatever its handler and however far
+   ahead, goes into the hierarchical timing {!Wheel} (O(1) insert and
+   extract; the wheel jumps its cursor across long empty stretches).
+   Callers with per-source FIFO event streams (e.g. one per network
+   link) can push into {e lanes}: SoA ring buffers consumed directly by
+   the run loop, skipping the cell pool entirely. A lane push whose
+   time would break the lane's monotonicity falls back to the wheel,
+   so lanes are an optimisation, never a semantic constraint. *)
 
 let noop_thunk () = ()
 
 (* Handler 0 of every sim: calls the thunk stored for the cell. *)
 let thunk_handler = 0
-
-(* Cell states, one byte per cell. *)
-let st_free = '\000'
-let st_live = '\001'
-let st_cancelled = '\002'
 
 type kernel = Wheel_kernel
 
@@ -98,8 +91,6 @@ type t = {
      not. *)
   fl : float array;
   wheel : Wheel.t;
-  wheel_horizon : float;
-  queue : int Heap.t; (* payload = event cell id *)
   mutable lanes : lane_buf array;
   mutable n_lanes : int;
   mutable lane_total : int; (* entries across all lanes *)
@@ -110,33 +101,25 @@ type t = {
   mutable fns : int array; (* handler id per cell *)
   mutable args : int array;
   mutable thunks : (unit -> unit) array;
-  mutable state : Bytes.t;
-  mutable gens : int array; (* bumped on release; guards stale cancels *)
   mutable free : int array; (* stack of free cell ids *)
   mutable free_len : int;
-  mutable dead : int; (* cancelled events still sitting in the heap *)
   (* Run-loop scratch (see fl above for the float half). *)
   mutable sc_seq : int;
-  mutable sc_src : int; (* -1 none, 0 heap, 1 wheel, 2+i lane i *)
+  mutable sc_src : int; (* -1 none, 0 wheel, 1+i lane i *)
   mutable guard : guard; (* supervision budgets; default = unlimited *)
   (* Observability counters: plain int bumps, always on (two or three
      integer stores per event — cheap enough not to gate). *)
-  mutable n_queued : int; (* entries across heap + wheel + lanes *)
+  mutable n_queued : int; (* entries across wheel + lanes *)
   mutable n_scheduled : int;
   mutable n_fired : int;
   mutable max_queued : int;
 }
 
-type cancel = { sim : t; id : int; gen : int }
-
 let create () =
-  let wheel = Wheel.create () in
   let t =
     {
       fl = Array.make 2 0.0;
-      wheel;
-      wheel_horizon = Wheel.horizon wheel;
-      queue = Heap.create ();
+      wheel = Wheel.create ();
       lanes = [||];
       n_lanes = 0;
       lane_total = 0;
@@ -145,11 +128,8 @@ let create () =
       fns = [||];
       args = [||];
       thunks = [||];
-      state = Bytes.empty;
-      gens = [||];
       free = [||];
       free_len = 0;
-      dead = 0;
       handlers = [||];
       n_handlers = 0;
       sc_seq = 0;
@@ -221,10 +201,6 @@ let grow_pool t =
   t.fns <- grow_fn t.fns thunk_handler;
   t.args <- grow_fn t.args 0;
   t.thunks <- grow_fn t.thunks noop_thunk;
-  t.gens <- grow_fn t.gens 0;
-  let nstate = Bytes.make ncap st_free in
-  Bytes.blit t.state 0 nstate 0 cap;
-  t.state <- nstate;
   let nfree = Array.make ncap 0 in
   Array.blit t.free 0 nfree 0 t.free_len;
   t.free <- nfree;
@@ -236,20 +212,15 @@ let grow_pool t =
 let alloc_cell t =
   if t.free_len = 0 then grow_pool t;
   t.free_len <- t.free_len - 1;
-  let id = Array.unsafe_get t.free t.free_len in
-  Bytes.unsafe_set t.state id st_live;
-  id
+  Array.unsafe_get t.free t.free_len
 
 (* Return a cell to the free list. A thunk cell drops its closure so
-   the pool does not retain it; a handler cell holds only ints. Bumps
-   the generation so outstanding cancel handles become inert. Cell ids
-   are always in pool bounds by construction, so the accesses are
+   the pool does not retain it; a handler cell holds only ints. Cell
+   ids are always in pool bounds by construction, so the accesses are
    unchecked. *)
 let release_cell t id =
   if Array.unsafe_get t.fns id = thunk_handler then
     Array.unsafe_set t.thunks id noop_thunk;
-  Bytes.unsafe_set t.state id st_free;
-  Array.unsafe_set t.gens id (Array.unsafe_get t.gens id + 1);
   Array.unsafe_set t.free t.free_len id;
   t.free_len <- t.free_len + 1
 
@@ -259,51 +230,41 @@ let note_scheduled t =
   t.n_queued <- q;
   if q > t.max_queued then t.max_queued <- q
 
-(* Route a live cell to the wheel (within its horizon) or the heap.
-   Both order by the global [seq] on equal times, so where a cell lands
-   never changes when it fires. Inlined, as is [Wheel.insert], so the
-   [time] of a wheel event reaches the wheel's float arrays unboxed. *)
-let[@inline] schedule_cell t ~time ~seq id =
-  if time -. t.fl.(0) < t.wheel_horizon then
-    Wheel.insert t.wheel ~time ~seq ~id
-  else Heap.push_ord t.queue ~time ~order:seq id
+(* Clamp a time in the past to now. The wheel refuses the other
+   times no event can have (NaN, infinite, past {!Wheel.max_time});
+   [neg_infinity] is refused here, before it would be clamped. *)
+let[@inline] clamp_time t time =
+  if time < t.fl.(0) then begin
+    if time = neg_infinity then invalid_arg "Sim: event time must be finite";
+    t.fl.(0)
+  end
+  else time
+
+(* File a fresh cell for handler [fn] on the wheel and return its id.
+   The cell is written only once the wheel has accepted [time], so a
+   refused event counts nowhere and holds no closure; its id is never
+   reused. Inlined, as is [Wheel.insert], so [time] reaches the wheel's
+   float arrays unboxed. *)
+let[@inline] schedule_cell t ~time ~seq ~fn =
+  let id = alloc_cell t in
+  Wheel.insert t.wheel ~time ~seq ~id;
+  Array.unsafe_set t.fns id fn;
+  note_scheduled t;
+  id
 
 let[@inline] at_fn t ~time ~fn ~arg =
   check_handler t fn;
-  let time = if time < t.fl.(0) then t.fl.(0) else time in
-  let id = alloc_cell t in
-  Array.unsafe_set t.fns id fn;
-  Array.unsafe_set t.args id arg;
-  note_scheduled t;
-  schedule_cell t ~time ~seq:(reserve_seq t) id
-
-(* Thunk and cancellable scheduling always lands on the heap: these are
-   the sparse far-future events (MI boundaries, impairment steps,
-   workload arrivals), and keeping cancellables out of the wheel means
-   {!compact} only ever has to filter one structure. *)
+  let time = clamp_time t time in
+  let id = schedule_cell t ~time ~seq:(reserve_seq t) ~fn in
+  Array.unsafe_set t.args id arg
 
 let at t ~time handler =
-  let time = if time < t.fl.(0) then t.fl.(0) else time in
-  let id = alloc_cell t in
-  t.fns.(id) <- thunk_handler;
+  let time = clamp_time t time in
+  let id = schedule_cell t ~time ~seq:(reserve_seq t) ~fn:thunk_handler in
   t.args.(id) <- id;
-  t.thunks.(id) <- handler;
-  note_scheduled t;
-  Heap.push_ord t.queue ~time ~order:(reserve_seq t) id
+  t.thunks.(id) <- handler
 
-let after t ~delay handler =
-  at t ~time:(t.fl.(0) +. Float.max 0.0 delay) handler
-
-let at_cancellable t ~time handler =
-  let time = if time < t.fl.(0) then t.fl.(0) else time in
-  let id = alloc_cell t in
-  t.fns.(id) <- thunk_handler;
-  t.args.(id) <- id;
-  t.thunks.(id) <- handler;
-  let handle = { sim = t; id; gen = t.gens.(id) } in
-  note_scheduled t;
-  Heap.push_ord t.queue ~time ~order:(reserve_seq t) id;
-  handle
+let after t ~delay handler = at t ~time:(t.fl.(0) +. delay) handler
 
 (* ---------- lanes ---------- *)
 
@@ -347,7 +308,7 @@ let grow_lane l =
 
 let[@inline] lane_push t lane ~time ~seq ~fn ~arg =
   check_handler t fn;
-  let time = if time < t.fl.(0) then t.fl.(0) else time in
+  let time = clamp_time t time in
   let l = t.lanes.(lane) in
   let cap = Array.length l.lt in
   let monotone =
@@ -359,13 +320,10 @@ let[@inline] lane_push t lane ~time ~seq ~fn ~arg =
   in
   if not monotone then begin
     (* Out-of-order arrival (ACK-path noise / reordering / loss
-       notifications): route through the wheel/heap, where the carried
+       notifications): route through the wheel, where the carried
        (time, seq) keeps the global order exact. *)
-    let id = alloc_cell t in
-    t.fns.(id) <- fn;
-    t.args.(id) <- arg;
-    note_scheduled t;
-    schedule_cell t ~time ~seq id
+    let id = schedule_cell t ~time ~seq ~fn in
+    Array.unsafe_set t.args id arg
   end
   else begin
     if l.len = cap then grow_lane l;
@@ -379,33 +337,6 @@ let[@inline] lane_push t lane ~time ~seq ~fn ~arg =
     l.len <- l.len + 1;
     t.lane_total <- t.lane_total + 1;
     note_scheduled t
-  end
-
-(* ---------- cancellation ---------- *)
-
-(* Drop every cancelled event from the heap and recycle its cell.
-   Insertion order of survivors is preserved (FIFO ties intact).
-   Cancelled cells live only in the heap — see the scheduling paths. *)
-let compact t =
-  let before = Heap.length t.queue in
-  Heap.filter_in_place t.queue (fun id ->
-      if Bytes.get t.state id = st_live then true
-      else begin
-        release_cell t id;
-        false
-      end);
-  t.n_queued <- t.n_queued - (before - Heap.length t.queue);
-  t.dead <- 0
-
-let cancel { sim = t; id; gen } =
-  if t.gens.(id) = gen && Bytes.get t.state id = st_live then begin
-    Bytes.set t.state id st_cancelled;
-    (* Drop the thunk now; the cell itself is reclaimed either by
-       compaction or when its fire time is reached. Cancellable cells
-       are always thunk cells. *)
-    t.thunks.(id) <- noop_thunk;
-    t.dead <- t.dead + 1;
-    if t.dead > Heap.length t.queue / 2 then compact t
   end
 
 (* ---------- supervision ---------- *)
@@ -427,25 +358,13 @@ let guard_tick t g =
 
 (* ---------- run loop ---------- *)
 
-(* Fire (or reclaim) a pooled cell popped from the heap or wheel. *)
+(* Fire a pooled cell extracted from the wheel, then recycle it. *)
 let fire_cell t id =
-  if Bytes.unsafe_get t.state id = st_live then begin
-    let fn = Array.unsafe_get t.handlers (Array.unsafe_get t.fns id)
-    and arg = Array.unsafe_get t.args id in
-    (* Invalidate outstanding cancel handles before dispatch so a
-       handler cancelling its own (already firing) event is a no-op
-       rather than corrupting the dead counter. *)
-    Array.unsafe_set t.gens id (Array.unsafe_get t.gens id + 1);
-    t.n_fired <- t.n_fired + 1;
-    fn arg;
-    release_cell t id
-  end
-  else begin
-    (* Cancelled event reached its fire time before compaction kicked
-       in: just reclaim the cell. *)
-    t.dead <- t.dead - 1;
-    release_cell t id
-  end
+  let fn = Array.unsafe_get t.handlers (Array.unsafe_get t.fns id)
+  and arg = Array.unsafe_get t.args id in
+  t.n_fired <- t.n_fired + 1;
+  fn arg;
+  release_cell t id
 
 let run ?until t =
   let until_t = match until with Some u -> u | None -> infinity in
@@ -456,21 +375,11 @@ let run ?until t =
     fl.(1) <- infinity;
     t.sc_seq <- max_int;
     t.sc_src <- -1;
-    if not (Heap.is_empty t.queue) then begin
-      fl.(1) <- Heap.top_time t.queue;
-      t.sc_seq <- Heap.top_order t.queue;
-      t.sc_src <- 0
-    end;
     if not (Wheel.is_empty t.wheel) then begin
       Wheel.prepare t.wheel;
-      let wt = Wheel.head_time t.wheel in
-      if
-        wt < fl.(1) || (wt = fl.(1) && Wheel.head_seq t.wheel < t.sc_seq)
-      then begin
-        fl.(1) <- wt;
-        t.sc_seq <- Wheel.head_seq t.wheel;
-        t.sc_src <- 1
-      end
+      fl.(1) <- Wheel.head_time t.wheel;
+      t.sc_seq <- Wheel.head_seq t.wheel;
+      t.sc_src <- 0
     end;
     for i = 0 to t.n_lanes - 1 do
       let l = Array.unsafe_get t.lanes i in
@@ -482,7 +391,7 @@ let run ?until t =
         then begin
           fl.(1) <- lt;
           t.sc_seq <- Array.unsafe_get l.lq l.head;
-          t.sc_src <- 2 + i
+          t.sc_src <- 1 + i
         end
       end
     done;
@@ -506,13 +415,9 @@ let run ?until t =
       if t.n_fired land 255 = 0 then guard_tick t g;
       t.n_queued <- t.n_queued - 1;
       match t.sc_src with
-      | 0 ->
-          let id = Heap.top t.queue in
-          Heap.remove_top t.queue;
-          fire_cell t id
-      | 1 -> fire_cell t (Wheel.extract t.wheel)
+      | 0 -> fire_cell t (Wheel.extract t.wheel)
       | s ->
-          let l = Array.unsafe_get t.lanes (s - 2) in
+          let l = Array.unsafe_get t.lanes (s - 1) in
           let h = l.head in
           let fn = Array.unsafe_get t.handlers (Array.unsafe_get l.lfn h) in
           let arg = Array.unsafe_get l.larg h in
@@ -524,15 +429,14 @@ let run ?until t =
     end
   done
 
-(* Is any event (heap, wheel or lane) due at the current instant?
+(* Is any event (wheel or lane) due at the current instant?
    Pending fire times are never in the past (insertion clamps to now,
    and the run loop fires in order), so every comparison is against the
    current instant. Reuses the [sc_src] scratch so the lane scan needs
    no ref cell. *)
 let next_is_now t =
   let now = t.fl.(0) in
-  ((not (Heap.is_empty t.queue)) && Heap.top_time t.queue <= now)
-  || ((not (Wheel.is_empty t.wheel)) && Wheel.next_time t.wheel <= now)
+  ((not (Wheel.is_empty t.wheel)) && Wheel.next_time t.wheel <= now)
   ||
   begin
     t.sc_src <- 0;
@@ -543,8 +447,7 @@ let next_is_now t =
     t.sc_src = 1
   end
 
-let pending t = t.n_queued - t.dead
-let queued t = t.n_queued
+let pending t = t.n_queued
 let events_scheduled t = t.n_scheduled
 let events_fired t = t.n_fired
 let max_queued t = t.max_queued

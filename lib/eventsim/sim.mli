@@ -13,12 +13,14 @@
     allocation free and free of GC write barriers in steady state. This
     is the hot path used by the packet-level scenario runner.
 
-    There is one kernel. {!at_fn} events within the timing wheel's
-    horizon (about 65 s ahead) go into a hierarchical {!Wheel} (O(1)
-    insert/extract); events beyond it, thunks ({!at}) and cancellables
-    sit in a binary {!Heap}; {!lane}s hold per-source FIFO streams. The
-    run loop merges all three by [(time, seq)], so the firing order is
-    that of a single queue sorted by time with scheduling-order ties. *)
+    There is one kernel and one store for pooled cells: {!at_fn} events
+    and thunks ({!at}), however far ahead, go into a hierarchical
+    {!Wheel} (O(1) insert/extract, with cursor jumps across empty
+    stretches); {!lane}s hold per-source FIFO streams. The run loop
+    merges the two by [(time, seq)], so the firing order is that of a
+    single queue sorted by time with scheduling-order ties. Nothing
+    can be cancelled: a caller that may change its mind schedules an
+    event that checks, when it fires, whether it still has work. *)
 
 type t
 
@@ -84,11 +86,13 @@ val now : t -> float
 
 val at : t -> time:float -> (unit -> unit) -> unit
 (** Schedule a handler at an absolute time (clamped to [now] if in the
-    past). *)
+    past). Raises [Invalid_argument] when [time] is NaN, infinite or
+    not below {!Wheel.max_time} (about 2.3e15 s). *)
 
 val after : t -> delay:float -> (unit -> unit) -> unit
 (** Schedule a handler [delay] seconds from now (negative delays clamp
-    to zero). *)
+    to zero). Raises [Invalid_argument] as {!at} does, for a NaN or
+    infinite [delay]. *)
 
 type handler
 (** A callback registered with one sim, valid only on that sim. *)
@@ -109,19 +113,20 @@ val at_fn : t -> time:float -> fn:handler -> arg:int -> unit
     into a caller-owned ring. Equivalent to
     [at t ~time (fun () -> f arg)], for the [f] that [fn] was registered
     with, without the fresh closure. Raises [Invalid_argument] when
-    [fn] is not in [t]'s handler table (e.g. {!no_handler}). *)
+    [fn] is not in [t]'s handler table (e.g. {!no_handler}), or when
+    [time] is refused as by {!at}. *)
 
 (** {2 Lanes}
 
     A lane is a per-source FIFO event stream consumed directly by the
     run loop — an SoA ring buffer that skips both the cell pool and the
-    heap/wheel. Intended for event sources that are naturally (almost)
+    wheel. Intended for event sources that are naturally (almost)
     time-ordered, e.g. one lane per network link whose delivery times
     are nondecreasing. The caller reserves the global sequence number
     ({!reserve_seq}) at the exact program point where {!at_fn} would
     have been called, so lane events keep their deterministic position
     in the global (time, seq) order. A push that would violate the
-    lane's time-monotonicity transparently falls back to the wheel/heap
+    lane's time-monotonicity transparently falls back to the wheel
     with the same (time, seq) — correctness never depends on the caller
     getting monotonicity right. *)
 
@@ -151,27 +156,16 @@ val lane_push :
   t -> lane -> time:float -> seq:int -> fn:handler -> arg:int -> unit
 (** Schedule handler [fn] with [arg] at [time] (clamped to [now]) on
     the lane, with a sequence number from {!reserve_seq}. Raises
-    [Invalid_argument] when [fn] is not in [t]'s handler table. *)
+    [Invalid_argument] when [fn] is not in [t]'s handler table, when
+    [time] is [neg_infinity], or when a push that falls back to the
+    wheel has a time {!at} would refuse. *)
 
 val next_is_now : t -> bool
-(** Whether any scheduled event (heap, wheel or lane) fires at {!now}.
+(** Whether any scheduled event (wheel or lane) fires at {!now}.
     Lets handlers detect "nothing else happens at the current instant"
     and run follow-up work inline instead of scheduling a zero-delay
     event — the per-ACK fast-path test on the runner's hot path.
     Allocation free. *)
-
-type cancel
-(** Handle for a cancellable event. *)
-
-val at_cancellable : t -> time:float -> (unit -> unit) -> cancel
-
-val cancel : cancel -> unit
-(** Cancelling an already-fired or already-cancelled event is a no-op.
-    Cancelled events are dropped from the queue eagerly: when more than
-    half the queued events are dead the queue is compacted in place, so
-    cancel-heavy workloads (timer wheels, retransmission timers) do not
-    retain dead entries until their nominal fire time. Cancellable
-    events always live on the heap. *)
 
 val run : ?until:float -> t -> unit
 (** Drain the event queue, advancing the clock. With [?until], stop
@@ -179,12 +173,7 @@ val run : ?until:float -> t -> unit
     then set to [until]). *)
 
 val pending : t -> int
-(** Number of live (non-cancelled) events still queued. *)
-
-val queued : t -> int
-(** Number of queued entries (heap + wheel + lanes) including
-    not-yet-compacted cancelled events. Diagnostic;
-    [queued t - pending t] is the dead count. *)
+(** Number of events still queued (wheel and lanes). *)
 
 (** {2 Kernel observability}
 
@@ -194,12 +183,11 @@ val queued : t -> int
     pressure. *)
 
 val events_scheduled : t -> int
-(** Events ever scheduled (including later-cancelled ones), lane pushes
-    included. Work a caller runs inline instead of scheduling (the
+(** Events ever scheduled, lane pushes included. Work a caller runs inline instead of scheduling (the
     runner's post-ACK poll when nothing else is due) is not counted. *)
 
 val events_fired : t -> int
-(** Live events dispatched (excludes cancelled reclaims). *)
+(** Events dispatched. *)
 
 val max_queued : t -> int
 (** High-water mark of the event queue length. *)
@@ -208,8 +196,9 @@ val wheel_ticks : t -> int
 (** Timing-wheel cursor advances. *)
 
 val wheel_cascades : t -> int
-(** Non-empty level-1 wheel slot refills (events scheduled more than
-    one level-0 span, 256 ms, ahead). *)
+(** Level-1 wheel refills (events scheduled more than one level-0
+    span, 256 ms, ahead), counting each cursor jump across an empty
+    stretch as one. *)
 
 val wheel_max_occupancy : t -> int
 (** High-water mark of wheel occupancy. *)

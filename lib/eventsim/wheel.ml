@@ -1,5 +1,6 @@
-(* Two-level hierarchical timing wheel for near-future, high-frequency
-   events (packet departures, ACK deliveries, loss notifications).
+(* Two-level hierarchical timing wheel: the event kernel's one store
+   for pooled cells, near-future packet events and far-future workload
+   thunks alike.
 
    Entries are (time, seq, id) triples held in per-slot
    structure-of-arrays buffers: a float array of absolute fire times, an
@@ -14,9 +15,14 @@
    delay-zero polls) are merged into the batch by sorted insertion and
    still fire in exact (time, seq) order.
 
-   Level-1 slot [j] is cascaded exactly when the cursor enters span
-   [j]: every entry with tick delta below [slots²] is therefore refiled
-   into level 0 at or before its due tick. Steady state allocates
+   Level-1 slot [j] is cascaded when the cursor enters span [j]: every
+   entry with tick delta below [slots²] is therefore refiled into level
+   0 at or before its due tick. Long empty stretches cost nothing per
+   tick: when level 0 is empty the cursor jumps to just behind the
+   earliest entry of the next non-empty level-1 slot, or, when that
+   slot holds only entries clamped from far ahead, to just behind the
+   earliest level-1 entry ({!skip}), so an entry 1e9 s ahead is reached
+   in a few jumps rather than 1e12 ticks. Steady state allocates
    nothing — slot buffers, the batch and the cascade scratch grow
    geometrically and are then reused. *)
 
@@ -30,6 +36,7 @@ type slot = {
 type t = {
   tick : float;
   inv_tick : float;
+  max_time : float;
   nslots : int;
   (* Slot records are materialised lazily on first push: [empty] is a
      shared sentinel that is never mutated (only {!place} pushes, and it
@@ -48,8 +55,7 @@ type t = {
   mutable bids : int array;
   mutable bhead : int;
   mutable blen : int;
-  (* Cascade scratch: level-1 entries are moved here before refiling,
-     because refiling can write back into the same level-1 array. *)
+  (* Cascade scratch (see {!scratch_reserve}). *)
   mutable cts : float array;
   mutable cqs : int array;
   mutable cids : int array;
@@ -81,8 +87,8 @@ let blit_ints (src : int array) so (dst : int array) d n =
 (* 256 slots: the largest count whose two slot arrays are still
    minor-heap allocations (arrays of up to 256 words), which keeps
    creation, paid once per simulation run, about 5x cheaper than at
-   512 slots. The horizon is then about 65 s; the kernel keeps events
-   beyond it on its heap. *)
+   512 slots. Level 1 then reaches about 65 s ahead; entries further
+   out are clamped into it. *)
 let create ?(tick = 1e-3) ?(slots = 256) () =
   if tick <= 0.0 then invalid_arg "Wheel.create: tick must be positive";
   if slots < 2 then invalid_arg "Wheel.create: need at least 2 slots";
@@ -90,6 +96,9 @@ let create ?(tick = 1e-3) ?(slots = 256) () =
   {
     tick;
     inv_tick = 1.0 /. tick;
+    (* Tick indices up to 2^61 leave the cursor arithmetic (cursor plus
+       a level-1 span, span rounding) clear of [max_int]. *)
+    max_time = tick *. 0x1p61;
     nslots = slots;
     empty;
     l0 = Array.make slots empty;
@@ -111,7 +120,7 @@ let create ?(tick = 1e-3) ?(slots = 256) () =
     max_occ = 0;
   }
 
-let horizon t = t.tick *. float_of_int ((t.nslots * t.nslots) - 2)
+let max_time t = t.max_time
 let[@inline] count t = t.blen + t.n_l0 + t.n_l1
 let[@inline] is_empty t = count t = 0
 let ticks t = t.n_ticks
@@ -252,8 +261,8 @@ let[@inline] place t time seq id =
 (* Out-of-line body of [insert]; the time arrives through [sc]. *)
 let insert_sc t seq id =
   let time = Array.unsafe_get t.sc 0 in
-  if not (Float.is_finite time) || time < 0.0 then
-    invalid_arg "Wheel.insert: time must be finite and non-negative";
+  if not (time >= 0.0 && time < t.max_time) then
+    invalid_arg "Wheel.insert: time must lie in [0, max_time)";
   (* Empty wheel: rebase the cursor just behind the entry so a sparse
      schedule does not walk every intervening slot. *)
   if t.blen = 0 && t.n_l0 = 0 && t.n_l1 = 0 then begin
@@ -282,44 +291,103 @@ let drain_slot t s =
   t.n_l0 <- t.n_l0 - k;
   batch_sort t
 
-(* Refile the level-1 slot of the span the cursor just entered. *)
-let cascade t =
-  let s = Array.unsafe_get t.l1 (t.cur / t.nslots mod t.nslots) in
-  let k = s.n in
-  if k > 0 then begin
-    t.n_cascades <- t.n_cascades + 1;
-    if Array.length t.cts < k then begin
-      let ncap = max 16 (max k (2 * Array.length t.cts)) in
-      t.cts <- Array.make ncap 0.0;
-      t.cqs <- Array.make ncap 0;
-      t.cids <- Array.make ncap 0
-    end;
-    Array.blit s.ts 0 t.cts 0 k;
-    blit_ints s.qs 0 t.cqs 0 k;
-    blit_ints s.ids 0 t.cids 0 k;
-    s.n <- 0;
-    t.n_l1 <- t.n_l1 - k;
-    for i = 0 to k - 1 do
-      place t
-        (Array.unsafe_get t.cts i)
-        (Array.unsafe_get t.cqs i)
-        (Array.unsafe_get t.cids i)
-    done
+(* Cascade scratch: level-1 entries are moved here before refiling,
+   because refiling can write back into the level-1 arrays. *)
+let scratch_reserve t k =
+  if Array.length t.cts < k then begin
+    let ncap = max 16 (max k (2 * Array.length t.cts)) in
+    t.cts <- Array.make ncap 0.0;
+    t.cqs <- Array.make ncap 0;
+    t.cids <- Array.make ncap 0
   end
 
+(* Move level-1 slot [s] into the scratch at [at]; returns the new
+   scratch length. *)
+let take_slot t s at =
+  let k = s.n in
+  Array.blit s.ts 0 t.cts at k;
+  blit_ints s.qs 0 t.cqs at k;
+  blit_ints s.ids 0 t.cids at k;
+  s.n <- 0;
+  t.n_l1 <- t.n_l1 - k;
+  at + k
+
+(* Place the first [k] scratch entries relative to the current cursor. *)
+let refile t k =
+  for i = 0 to k - 1 do
+    place t
+      (Array.unsafe_get t.cts i)
+      (Array.unsafe_get t.cqs i)
+      (Array.unsafe_get t.cids i)
+  done
+
+(* Refile level-1 slot [s], whose span the cursor has just entered. *)
+let cascade t s =
+  if s.n > 0 then begin
+    t.n_cascades <- t.n_cascades + 1;
+    scratch_reserve t s.n;
+    refile t (take_slot t s 0)
+  end
+
+(* Earliest tick index among slot [s]'s entries. *)
+let first_tick t s =
+  let first = ref max_int in
+  for i = 0 to s.n - 1 do
+    let tk = tick_of t (Array.unsafe_get s.ts i) in
+    if tk < !first then first := tk
+  done;
+  !first
+
+(* Level 0 and the batch are empty, and the earliest level-1 slot holds
+   only entries clamped past its span: jump the cursor to just behind
+   the earliest level-1 entry and refile all of level 1 from there, as
+   inserts into a wheel whose cursor sat there. One pass over level 1
+   replaces one cascade per [slots²] ticks until that entry is due.
+   Every level-1 entry lies past the current span, so the jump never
+   moves the cursor back. *)
+let skip t =
+  scratch_reserve t t.n_l1;
+  let k = ref 0 and first = ref max_int in
+  for j = 0 to t.nslots - 1 do
+    let s = Array.unsafe_get t.l1 j in
+    if s.n > 0 then begin
+      first := min !first (first_tick t s);
+      k := take_slot t s !k
+    end
+  done;
+  t.n_cascades <- t.n_cascades + 1;
+  t.cur <- !first - 1;
+  refile t !k
+
 (* Advance the cursor until the batch holds at least one entry.
-   Precondition: [blen = 0] and [n_l0 + n_l1 > 0]. When level 0 is
-   empty the cursor jumps span by span (one cascade per span) instead
-   of slot by slot. *)
+   Precondition: [blen = 0] and [n_l0 + n_l1 > 0]. With entries on
+   level 0 the cursor steps slot by slot, cascading each span it
+   enters. When level 0 is empty it finds the next span whose level-1
+   slot has entries (at most [slots] slot checks). Every entry of that
+   slot lies at or past the span's start, and every other level-1
+   entry past its end, so when the slot's earliest entry falls inside
+   its span the cursor jumps to just behind that entry and refiles the
+   slot. Otherwise the slot held only clamped entries, still far
+   ahead, and {!skip} jumps to the earliest level-1 entry. *)
 let refill t =
   while t.blen = 0 do
     if t.n_l0 > 0 then begin
       t.cur <- t.cur + 1;
-      if t.cur mod t.nslots = 0 then cascade t
+      if t.cur mod t.nslots = 0 then
+        cascade t (Array.unsafe_get t.l1 (t.cur / t.nslots mod t.nslots))
     end
     else begin
-      t.cur <- ((t.cur / t.nslots) + 1) * t.nslots;
-      cascade t
+      let span = ref ((t.cur / t.nslots) + 1) in
+      while (Array.unsafe_get t.l1 (!span mod t.nslots)).n = 0 do
+        incr span
+      done;
+      let s = Array.unsafe_get t.l1 (!span mod t.nslots) in
+      let first = first_tick t s in
+      if first / t.nslots = !span then begin
+        t.cur <- first - 1;
+        cascade t s
+      end
+      else skip t
     end;
     t.n_ticks <- t.n_ticks + 1;
     let s = Array.unsafe_get t.l0 (t.cur mod t.nslots) in

@@ -1,5 +1,6 @@
 (** Two-level hierarchical timing wheel: O(1) insert / amortised-O(1)
-    extract schedule for near-future, high-frequency events.
+    extract schedule, and the event kernel's only store for pooled
+    cells.
 
     Entries are [(time, seq, id)] triples — an absolute fire time, the
     kernel's global sequence number (tie-break for equal times) and an
@@ -12,9 +13,10 @@
     The wheel spans [slots] ticks at tick granularity on level 0 and
     [slots²] ticks on level 1; level-1 entries are refiled on cascade
     when the cursor enters their span. Times beyond the level-1 range
-    are clamped inward and converge over repeated cascades — correct,
-    but callers wanting O(1) behaviour should keep inserts within
-    {!horizon}. Steady-state operation allocates nothing. *)
+    are clamped inward and refiled as the cursor nears them. When level
+    0 is empty the cursor jumps to just behind the earliest level-1
+    entry, so a far-future entry costs a few cursor moves, not one per
+    tick. Steady-state operation allocates nothing. *)
 
 type t
 
@@ -23,14 +25,14 @@ val create : ?tick:float -> ?slots:int -> unit -> t
     256, a horizon of about 65 s) the per-level slot count.
     @raise Invalid_argument when [tick <= 0] or [slots < 2]. *)
 
-val horizon : t -> float
-(** Relative-time span (seconds) the two levels cover without
-    clamping: [tick * (slots² - 2)]. *)
+val max_time : t -> float
+(** Exclusive bound on insert times: [tick * 2^61], about 2.3e15 s at
+    the default tick, so tick indices stay clear of integer overflow. *)
 
 val insert : t -> time:float -> seq:int -> id:int -> unit
 (** Schedule [id] at absolute [time] with tie-break [seq]. [time] must
-    be finite and non-negative ({b raises} [Invalid_argument]
-    otherwise); times behind the cursor fire as soon as possible, in
+    be non-negative and below {!max_time} ({b raises}
+    [Invalid_argument] otherwise, NaN included); times behind the cursor fire as soon as possible, in
     correct [(time, seq)] order relative to other due entries. *)
 
 val count : t -> int
@@ -63,10 +65,12 @@ val extract : t -> int
 (** {2 Counters} — lifetime totals for observability exports. *)
 
 val ticks : t -> int
-(** Cursor advances (slot steps and span jumps). *)
+(** Cursor advances (slot steps, span jumps and jumps to the earliest
+    level-1 entry). *)
 
 val cascades : t -> int
-(** Non-empty level-1 slot refills. *)
+(** Level-1 refills: non-empty slot cascades plus jumps that refile
+    all of level 1. *)
 
 val max_occupancy : t -> int
 (** High-water mark of {!count}. *)

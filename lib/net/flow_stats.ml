@@ -71,7 +71,7 @@ let[@inline] record_ack t ~now ~size ~rtt =
   Array.unsafe_set c (j + 1) sizef;
   Array.unsafe_set c (j + 2) rtt
 
-let record_loss ?(hop = 0) t ~now:_ ~size:_ =
+let record_loss ?(hop = 0) t ~size:_ =
   if hop < 0 then invalid_arg "Flow_stats.record_loss: negative hop";
   t.lost <- t.lost + 1;
   if hop >= Array.length t.lost_by_hop then begin
@@ -82,7 +82,7 @@ let record_loss ?(hop = 0) t ~now:_ ~size:_ =
   end;
   t.lost_by_hop.(hop) <- t.lost_by_hop.(hop) + 1
 
-let record_dup_ack t ~now:_ = t.dup_acked <- t.dup_acked + 1
+let record_dup_ack t = t.dup_acked <- t.dup_acked + 1
 let packets_sent t = t.sent
 let packets_acked t = t.acked
 let packets_lost t = t.lost

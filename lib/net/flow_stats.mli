@@ -16,12 +16,12 @@ val clear : t -> unit
 val record_sent : t -> now:float -> size:int -> unit
 val record_ack : t -> now:float -> size:int -> rtt:float -> unit
 
-val record_loss : ?hop:int -> t -> now:float -> size:int -> unit
+val record_loss : ?hop:int -> t -> size:int -> unit
 (** [hop] (default 0) is the id of the link the packet was lost on, for
     per-hop drop attribution in multi-hop topologies. Raises
     [Invalid_argument] on a negative hop. *)
 
-val record_dup_ack : t -> now:float -> unit
+val record_dup_ack : t -> unit
 (** A duplicate ACK delivery (link duplication knob); duplicates do not
     count toward goodput or completion. *)
 

@@ -222,7 +222,7 @@ let release_slot f idx =
    arrival) produced by [link] on the link's lane — per-link delivery
    times are (nearly) nondecreasing, so the FIFO fast path almost always
    applies and non-monotone stragglers (reordering noise, loss
-   notifications) fall back to the wheel/heap inside [Sim.lane_push],
+   notifications) fall back to the wheel inside [Sim.lane_push],
    keeping the global (time, seq) order exact either way. *)
 let[@inline] sched_link t ~link ~time ~fn ~arg =
   Sim.lane_push t.sim t.lanes.(link) ~time ~seq:(Sim.reserve_seq t.sim) ~fn
@@ -431,7 +431,7 @@ and handle_dup_ack t f ~seq ~size =
   (* The duplicate reaches the congestion controller (dup-ACK stress)
      and the dup counter, but is invisible to the application: no
      goodput, no completion progress. *)
-  Flow_stats.record_dup_ack f.stats ~now;
+  Flow_stats.record_dup_ack f.stats;
   Sender.on_ack_m f.sender ~meta:t.meta ~seq ~size;
   kick t f
 
@@ -448,7 +448,7 @@ and handle_loss t f ~seq ~size ~hop =
         ~backlog:(Link.backlog_bytes t.links.(f.route_fwd.(0)) ~now)
         ~now
   | None -> ());
-  Flow_stats.record_loss ~hop f.stats ~now ~size;
+  Flow_stats.record_loss ~hop f.stats ~size;
   Sender.on_loss_m f.sender ~meta:t.meta ~seq ~size;
   (* Reliable delivery for finite flows: the lost bytes re-enter the
      send budget (retransmission). *)
@@ -588,7 +588,6 @@ let snapshot_metrics t reg =
   Metrics.incr ~by:(Sim.events_fired t.sim) (Metrics.counter reg "sim.events-fired");
   Metrics.incr ~by:(Sim.max_queued t.sim) (Metrics.counter reg "sim.max-queued");
   Metrics.set (Metrics.gauge reg "sim.pending") (float_of_int (Sim.pending t.sim));
-  Metrics.set (Metrics.gauge reg "sim.queued") (float_of_int (Sim.queued t.sim));
   Metrics.incr ~by:(Sim.wheel_ticks t.sim) (Metrics.counter reg "sim.wheel-ticks");
   Metrics.incr
     ~by:(Sim.wheel_cascades t.sim)

@@ -1,125 +1,6 @@
-(* Tests for the event heap and simulation kernel. *)
+(* Tests for the simulation kernel. *)
 
 open Proteus_eventsim
-
-(* ---------- Heap ---------- *)
-
-let test_heap_orders () =
-  let h = Heap.create () in
-  List.iter (fun t -> Heap.push h ~time:t t) [ 3.0; 1.0; 2.0; 0.5 ];
-  let order = List.init 4 (fun _ -> fst (Option.get (Heap.pop h))) in
-  Alcotest.(check (list (float 1e-9))) "sorted" [ 0.5; 1.0; 2.0; 3.0 ] order
-
-let test_heap_fifo_ties () =
-  let h = Heap.create () in
-  List.iter (fun v -> Heap.push h ~time:1.0 v) [ "a"; "b"; "c" ];
-  let order = List.init 3 (fun _ -> snd (Option.get (Heap.pop h))) in
-  Alcotest.(check (list string)) "fifo" [ "a"; "b"; "c" ] order
-
-let test_heap_empty () =
-  let h : int Heap.t = Heap.create () in
-  Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  Alcotest.(check bool) "pop none" true (Heap.pop h = None);
-  Alcotest.(check bool) "peek none" true (Heap.peek_time h = None)
-
-let test_heap_interleaved () =
-  let h = Heap.create () in
-  Heap.push h ~time:5.0 5;
-  Heap.push h ~time:1.0 1;
-  Alcotest.(check bool) "pop 1" true (Heap.pop h = Some (1.0, 1));
-  Heap.push h ~time:3.0 3;
-  Alcotest.(check bool) "pop 3" true (Heap.pop h = Some (3.0, 3));
-  Alcotest.(check bool) "pop 5" true (Heap.pop h = Some (5.0, 5))
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap pops in nondecreasing time order" ~count:300
-    QCheck.(list_of_size Gen.(int_range 0 100) (float_bound_exclusive 1000.0))
-    (fun times ->
-      let h = Heap.create () in
-      List.iter (fun t -> Heap.push h ~time:t ()) times;
-      let popped = List.init (List.length times) (fun _ ->
-          fst (Option.get (Heap.pop h))) in
-      let sorted = List.sort compare times in
-      List.for_all2 (fun a b -> Float.abs (a -. b) < 1e-12) popped sorted)
-
-(* Random push/pop interleavings against a sorted reference model. Times
-   are drawn from a tiny set so equal-time ties are frequent; payloads
-   are unique ids, so the model checks FIFO order within ties exactly. *)
-let prop_heap_model =
-  let op_gen =
-    QCheck.Gen.(
-      frequency
-        [ (3, map (fun t -> `Push (float_of_int t)) (int_range 0 4));
-          (2, return `Pop) ])
-  in
-  let ops_arb =
-    QCheck.make
-      ~print:(fun ops ->
-        String.concat ";"
-          (List.map
-             (function `Push t -> Printf.sprintf "push %.0f" t | `Pop -> "pop")
-             ops))
-      (QCheck.Gen.list_size (QCheck.Gen.int_range 0 200) op_gen)
-  in
-  QCheck.Test.make ~name:"heap matches sorted reference model (FIFO ties)"
-    ~count:500 ops_arb (fun ops ->
-      let h = Heap.create () in
-      (* model: list of (time, insertion order, id), kept stably sorted *)
-      let model = ref [] in
-      let next_id = ref 0 and next_ord = ref 0 in
-      let ok = ref true in
-      List.iter
-        (fun op ->
-          match op with
-          | `Push time ->
-              let id = !next_id and ord = !next_ord in
-              incr next_id;
-              incr next_ord;
-              Heap.push h ~time id;
-              model :=
-                List.merge
-                  (fun (t1, o1, _) (t2, o2, _) -> compare (t1, o1) (t2, o2))
-                  !model
-                  [ (time, ord, id) ]
-          | `Pop -> (
-              match (Heap.pop h, !model) with
-              | None, [] -> ()
-              | Some (t, id), (mt, _, mid) :: rest ->
-                  if t <> mt || id <> mid then ok := false;
-                  model := rest
-              | Some _, [] | None, _ :: _ -> ok := false))
-        ops;
-      (* drain: the leftovers must come out in model order too *)
-      List.iter
-        (fun (mt, _, mid) ->
-          match Heap.pop h with
-          | Some (t, id) when t = mt && id = mid -> ()
-          | _ -> ok := false)
-        !model;
-      !ok && Heap.is_empty h)
-
-let test_heap_pop_into () =
-  let h = Heap.create () in
-  List.iter (fun t -> Heap.push h ~time:t (int_of_float t)) [ 3.0; 1.0; 2.0 ];
-  let slot = Heap.make_slot ~time:0.0 0 in
-  Alcotest.(check bool) "pop 1" true (Heap.pop_into h slot);
-  Alcotest.(check (float 1e-12)) "time 1" 1.0 slot.Heap.time;
-  Alcotest.(check int) "payload 1" 1 slot.Heap.payload;
-  Alcotest.(check bool) "pop 2" true (Heap.pop_into h slot);
-  Alcotest.(check bool) "pop 3" true (Heap.pop_into h slot);
-  Alcotest.(check (float 1e-12)) "time 3" 3.0 slot.Heap.time;
-  Alcotest.(check bool) "empty" false (Heap.pop_into h slot);
-  Alcotest.(check (float 1e-12)) "slot untouched" 3.0 slot.Heap.time
-
-let test_heap_filter () =
-  let h = Heap.create () in
-  List.iter (fun v -> Heap.push h ~time:(float_of_int (v mod 3)) v)
-    [ 0; 1; 2; 3; 4; 5; 6; 7; 8 ];
-  Heap.filter_in_place h (fun v -> v mod 2 = 0);
-  Alcotest.(check int) "length" 5 (Heap.length h);
-  let popped = List.init 5 (fun _ -> snd (Option.get (Heap.pop h))) in
-  (* evens sorted by (time = v mod 3, insertion order) *)
-  Alcotest.(check (list int)) "order" [ 0; 6; 4; 2; 8 ] popped
 
 (* ---------- Sim ---------- *)
 
@@ -171,21 +52,6 @@ let test_sim_past_events_clamp () =
       Sim.at sim ~time:1.0 (fun () -> times := Sim.now sim :: !times));
   Sim.run sim;
   Alcotest.(check (list (float 1e-12))) "clamped" [ 3.0 ] !times
-
-let test_sim_cancel () =
-  let sim = Sim.create () in
-  let fired = ref false in
-  let c = Sim.at_cancellable sim ~time:1.0 (fun () -> fired := true) in
-  Sim.cancel c;
-  Sim.run sim;
-  Alcotest.(check bool) "cancelled" false !fired
-
-let test_sim_cancel_twice_ok () =
-  let sim = Sim.create () in
-  let c = Sim.at_cancellable sim ~time:1.0 (fun () -> ()) in
-  Sim.cancel c;
-  Sim.cancel c;
-  Sim.run sim
 
 let test_sim_pending () =
   let sim = Sim.create () in
@@ -239,54 +105,53 @@ let test_sim_handlers_order () =
       Sim.at_fn sim ~time:1.0 ~fn:Sim.no_handler ~arg:0)
 
 (* The pool keeps ints for handler cells; a thunk cell's closure is
-   the one pointer it holds, and cancelling drops it at once, while
-   the dead cell still waits in the heap for its fire time. *)
+   the one pointer it holds, and releasing the cell once it has fired
+   drops it, while a cell still queued keeps its closure. *)
 let[@inline never] schedule_holding sim w ~time =
   let payload = Bytes.make 64 'x' in
   Weak.set w 0 (Some payload);
-  Sim.at_cancellable sim ~time (fun () -> ignore (Bytes.length payload))
+  Sim.at sim ~time (fun () -> ignore (Bytes.length payload))
 
-let test_sim_cancel_drops_closure () =
+let test_sim_fired_thunk_released () =
   let sim = Sim.create () in
-  for i = 1 to 3 do
-    Sim.at sim ~time:(float_of_int i) ignore
-  done;
-  let kept = Weak.create 1 and dropped = Weak.create 1 in
-  let _live = schedule_holding sim kept ~time:5.0 in
-  let c = schedule_holding sim dropped ~time:6.0 in
-  Sim.cancel c;
-  Alcotest.(check int) "dead cell still queued" 5 (Sim.queued sim);
+  let fired = Weak.create 1 and queued = Weak.create 1 in
+  schedule_holding sim fired ~time:1.0;
+  schedule_holding sim queued ~time:5.0;
+  Sim.run ~until:2.0 sim;
   Gc.full_major ();
-  Alcotest.(check bool) "live closure retained" true (Weak.check kept 0);
-  Alcotest.(check bool) "cancelled closure dropped" false (Weak.check dropped 0);
+  Alcotest.(check bool) "fired closure released" false (Weak.check fired 0);
+  Alcotest.(check bool) "queued closure retained" true (Weak.check queued 0);
   Sim.run sim;
-  Alcotest.(check int) "drained" 0 (Sim.queued sim)
+  Gc.full_major ();
+  Alcotest.(check bool) "drained closure released" false (Weak.check queued 0)
 
-(* Cancelled events must not sit in the heap until their nominal fire
-   time: once more than half the queue is dead it is compacted. *)
-let test_sim_cancel_compacts () =
+(* No event can fire at NaN, at an infinite time, or past the wheel's
+   largest tick index: scheduling one raises, queues nothing, and leaves
+   the sim usable. *)
+let test_sim_refuses_bad_times () =
   let sim = Sim.create () in
-  let handles =
-    List.init 100 (fun i ->
-        Sim.at_cancellable sim ~time:(1e6 +. float_of_int i) (fun () -> ()))
+  let fn = Sim.register sim ignore in
+  let refused what f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument _ -> ()
   in
-  Alcotest.(check int) "queued" 100 (Sim.queued sim);
-  List.iter Sim.cancel handles;
-  Alcotest.(check int) "compacted away" 0 (Sim.queued sim);
-  Alcotest.(check int) "pending" 0 (Sim.pending sim);
-  (* a mixed population keeps the live ones *)
+  let too_far = Wheel.max_time (Wheel.create ()) in
+  List.iter
+    (fun time ->
+      let what = Printf.sprintf "time %g" time in
+      refused ("at " ^ what) (fun () -> Sim.at sim ~time ignore);
+      refused ("after " ^ what) (fun () -> Sim.after sim ~delay:time ignore);
+      refused ("at_fn " ^ what) (fun () -> Sim.at_fn sim ~time ~fn ~arg:0))
+    [ Float.nan; infinity; neg_infinity; too_far; 1e16 ];
+  Alcotest.(check int) "nothing queued" 0 (Sim.pending sim);
+  Alcotest.(check int) "nothing scheduled" 0 (Sim.events_scheduled sim);
   let fired = ref 0 in
-  let keep = List.init 10 (fun i -> float_of_int (i + 1)) in
-  List.iter (fun t -> Sim.at sim ~time:t (fun () -> incr fired)) keep;
-  let dead =
-    List.init 90 (fun i ->
-        Sim.at_cancellable sim ~time:(2e6 +. float_of_int i) (fun () -> ()))
-  in
-  List.iter Sim.cancel dead;
-  Alcotest.(check bool) "dead mostly gone" true (Sim.queued sim <= 20);
-  Alcotest.(check int) "live retained" 10 (Sim.pending sim);
+  Sim.at sim ~time:1.0 (fun () -> incr fired);
+  Sim.at_fn sim ~time:(too_far *. 0.5) ~fn ~arg:0;
   Sim.run sim;
-  Alcotest.(check int) "all live fired" 10 !fired
+  Alcotest.(check int) "later events fire" 1 !fired;
+  Alcotest.(check int) "drained" 0 (Sim.pending sim)
 
 let test_sim_pool_reuse () =
   (* A long schedule/fire chain through the pooled kernel must recycle
@@ -307,27 +172,17 @@ let test_sim_pool_reuse () =
 
 let suite =
   [
-    ("heap orders", `Quick, test_heap_orders);
-    ("heap fifo ties", `Quick, test_heap_fifo_ties);
-    ("heap empty", `Quick, test_heap_empty);
-    ("heap interleaved", `Quick, test_heap_interleaved);
     ("sim order", `Quick, test_sim_runs_in_order);
     ("sim clock", `Quick, test_sim_clock_advances);
     ("sim until", `Quick, test_sim_until_stops);
     ("sim chained scheduling", `Quick, test_sim_handlers_can_schedule);
     ("sim past clamp", `Quick, test_sim_past_events_clamp);
-    ("sim cancel", `Quick, test_sim_cancel);
-    ("sim double cancel", `Quick, test_sim_cancel_twice_ok);
     ("sim pending", `Quick, test_sim_pending);
-    ("heap pop_into", `Quick, test_heap_pop_into);
-    ("heap filter_in_place", `Quick, test_heap_filter);
     ("sim at_fn", `Quick, test_sim_at_fn);
     ("sim handlers fire in (time, seq) order", `Quick, test_sim_handlers_order);
-    ("sim cancel drops the closure", `Quick, test_sim_cancel_drops_closure);
-    ("sim cancel compacts", `Quick, test_sim_cancel_compacts);
+    ("sim fired thunk's closure is released", `Quick,
+      test_sim_fired_thunk_released);
+    ("sim refuses NaN, infinite and too-far times", `Quick,
+      test_sim_refuses_bad_times);
     ("sim pool reuse", `Quick, test_sim_pool_reuse);
   ]
-  @ [
-      QCheck_alcotest.to_alcotest prop_heap_sorts;
-      QCheck_alcotest.to_alcotest prop_heap_model;
-    ]

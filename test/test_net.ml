@@ -170,18 +170,18 @@ let test_flow_stats_loss_fraction () =
   for _ = 1 to 8 do
     Flow_stats.record_sent st ~now:0.0 ~size:1500
   done;
-  Flow_stats.record_loss st ~now:0.0 ~size:1500;
-  Flow_stats.record_loss st ~now:0.0 ~size:1500;
+  Flow_stats.record_loss st ~size:1500;
+  Flow_stats.record_loss st ~size:1500;
   check_float "loss" 0.25 (Flow_stats.loss_fraction st)
 
 (* A rejected hop must leave no trace: [losses_by_hop] keeps summing to
    [packets_lost]. *)
 let test_flow_stats_negative_hop () =
   let st = Flow_stats.create () in
-  Flow_stats.record_loss ~hop:2 st ~now:0.0 ~size:1500;
+  Flow_stats.record_loss ~hop:2 st ~size:1500;
   Alcotest.check_raises "negative hop"
     (Invalid_argument "Flow_stats.record_loss: negative hop") (fun () ->
-      Flow_stats.record_loss ~hop:(-1) st ~now:0.0 ~size:1500);
+      Flow_stats.record_loss ~hop:(-1) st ~size:1500);
   Alcotest.(check int) "lost" 1 (Flow_stats.packets_lost st);
   Alcotest.(check int)
     "by-hop sum" (Flow_stats.packets_lost st)
