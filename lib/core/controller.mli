@@ -72,6 +72,10 @@ val rate_mbps : t -> float
 val mi_count : t -> int
 (** Completed MIs so far (tests/debug). *)
 
+val moments_fields : t -> (string * float) list
+(** {!Tolerance.moments_fields} of this flow's tolerance, for the
+    golden tests. *)
+
 (** The utilities of one probing round and the rate decision they make:
     [r(1+eps)] and [r(1-eps)] trialled for each of [npairs] pairs.
     Exposed so that tests can hold it to a reference implementation. *)

@@ -152,3 +152,14 @@ let adjust t (m : Mi.metrics) =
       if signals land 2 = 0 then m.Mi.rtt_deviation <- 0.0
     end
   end
+
+let moments_fields t =
+  let n = t.n_hist in
+  let last a = if n >= 1 then a.(n - 1) else Float.nan in
+  let trend i = if n >= 2 then t.out.(i) else Float.nan in
+  [
+    ("mi_avg_rtt", last t.avg_rtts);
+    ("mi_rtt_dev", last t.deviations);
+    ("trend_dev_mean", trend 0);
+    ("trend_dev_dev", trend 1);
+  ]

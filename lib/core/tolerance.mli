@@ -42,3 +42,10 @@ val adjust : t -> Mi.metrics -> unit
 (** Fold one completed MI in and zero its gradient and deviation in
     place where the mechanisms deem them noise. Call it once per MI, in
     completion order: each call advances the MI history. *)
+
+val moments_fields : t -> (string * float) list
+(** The newest statistics at full precision, for the golden tests: the
+    last MI's RTT mean and deviation as folded into the history, and
+    the trending deviation's mean and standard deviation over the
+    history. NaN until the history holds one MI (the first pair) or two
+    (the second); the history only advances under [trending_tolerance]. *)
