@@ -109,6 +109,7 @@ let program ?(params = default) (env : Proteus_net.Sender.env) =
     Dp.p_name = Printf.sprintf "ledbat-%g" (Units.sec_to_ms target);
     p_regs = Array.of_list (List.map2 Dp.reg register_names inits);
     p_cwnd = r_cwnd;
+    p_reads = [ Dp.Bytes_acked; Dp.Rtt_sample; Dp.Now ];
     p_on_ack = on_ack;
     p_on_loss = on_loss;
     p_triggers = [| Dp.On_loss |];

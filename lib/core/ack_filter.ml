@@ -24,8 +24,12 @@ let create ?(ratio_threshold = 50.0) () =
 
 let is_filtering t = not (Float.is_nan t.st.(2))
 
+(* Branch-only [Float.max], equal to it on every input (see
+   [Descriptive.fmax]); local, so no float crosses a module boundary. *)
+let[@inline] fmax a b = if a > b then a else if b > a then b else Float.max a b
+
 let[@inline] interval_ratio a b =
-  if a <= 0.0 || b <= 0.0 then 1.0 else Float.max (a /. b) (b /. a)
+  if a <= 0.0 || b <= 0.0 then 1.0 else fmax (a /. b) (b /. a)
 
 (* The average's update, written out so that no float crosses a call;
    the arithmetic is [Proteus_stats.Ewma.update]'s. *)

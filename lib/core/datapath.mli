@@ -19,7 +19,11 @@
     registers and signals live in preallocated float arrays (unboxed
     stores), adapter scalars (inflight, pacing clock, byte counters)
     live in one more float array, and folds are closures invoked with
-    the two arrays — no float crosses a call boundary. Triggers are
+    the two arrays — no float crosses a call boundary. Of the nine
+    {!signal}s the adapter refills only those the program declares in
+    [p_reads], plus those its [When] triggers read (CCP's rule: fold
+    only what the program names); CUBIC pays for two stores per ACK,
+    not nine and a division. Triggers are
     only scanned on an ACK when the program has one that can fire
     there ([Every] or [When]); an [On_loss]-only program pays nothing
     for them per ACK. Only delivering
@@ -30,7 +34,10 @@
 (** {1 Signals}
 
     One slot per primitive, in a flat [float array] the adapter refills
-    before each fold. The set follows CCP's ACK scope, with one
+    before each fold, for the signals the program reads (see
+    [p_reads]); every other slot holds NaN, so a fold that reads a
+    signal it did not declare computes NaN rather than a stale value.
+    The set follows CCP's ACK scope, with one
     addition: [Rtt_sample] carries the RTT in {e seconds exactly as the
     runner measured it}, because the microsecond round trip
     [rtt *. 1e6 *. 1e-6] does not round-trip in floating point and
@@ -111,6 +118,10 @@ val eval : expr -> regs:float array -> sigs:float array -> float
 
 val cmp_holds : cmp -> float -> float -> bool
 
+val expr_signals : expr -> signal list
+(** The signals an expression reads, each once, in slot order: what a
+    program built from expressions declares in [p_reads]. *)
+
 type fold = float array -> float array -> unit
 (** [fold regs sigs] — fold one event's signals into the registers. *)
 
@@ -135,6 +146,12 @@ type program = {
   p_cwnd : int;
       (** Index of the register holding the congestion window in
           packets; the adapter's window check reads it directly. *)
+  p_reads : signal list;
+      (** The signals [p_on_ack] and [p_on_loss] read. The adapter
+          fills these slots (and those read by [When] triggers, which
+          it derives from their expressions) before each fold; the
+          other slots hold NaN. On a loss event the RTT slots keep the
+          previous ACK's sample (0 before any ACK). *)
   p_on_ack : fold;  (** Runs on every ACK (duplicates included). *)
   p_on_loss : fold;  (** Runs on every loss notification. *)
   p_triggers : trigger array;

@@ -38,6 +38,12 @@ type t = {
   inv_tick : float;
   max_time : float;
   nslots : int;
+  (* [nslots] is a power of two, so slot indices are masks and spans
+     shifts: no integer division on the insert and refill paths. Tick
+     indices and the cursor are never negative. *)
+  mask : int; (* nslots - 1 *)
+  shift : int; (* log2 nslots *)
+  maxd : int; (* nslots² - 1: the farthest tick delta level 1 holds *)
   (* Slot records are materialised lazily on first push: [empty] is a
      shared sentinel that is never mutated (only {!place} pushes, and it
      swaps in a fresh record first), so creating a wheel costs two
@@ -91,7 +97,9 @@ let blit_ints (src : int array) so (dst : int array) d n =
    out are clamped into it. *)
 let create ?(tick = 1e-3) ?(slots = 256) () =
   if tick <= 0.0 then invalid_arg "Wheel.create: tick must be positive";
-  if slots < 2 then invalid_arg "Wheel.create: need at least 2 slots";
+  if slots < 2 || slots land (slots - 1) <> 0 then
+    invalid_arg "Wheel.create: slots must be a power of two, at least 2";
+  let rec log2 n = if n = 1 then 0 else 1 + log2 (n lsr 1) in
   let empty = fresh_slot () in
   {
     tick;
@@ -100,6 +108,9 @@ let create ?(tick = 1e-3) ?(slots = 256) () =
        a level-1 span, span rounding) clear of [max_int]. *)
     max_time = tick *. 0x1p61;
     nslots = slots;
+    mask = slots - 1;
+    shift = log2 slots;
+    maxd = (slots * slots) - 1;
     empty;
     l0 = Array.make slots empty;
     l1 = Array.make slots empty;
@@ -247,13 +258,12 @@ let[@inline] place t time seq id =
   else begin
     let delta = tk - t.cur in
     if delta < t.nslots then begin
-      slot_push (slot_at t t.l0 (tk mod t.nslots)) time seq id;
+      slot_push (slot_at t t.l0 (tk land t.mask)) time seq id;
       t.n_l0 <- t.n_l0 + 1
     end
     else begin
-      let maxd = (t.nslots * t.nslots) - 1 in
-      let tk = if delta > maxd then t.cur + maxd else tk in
-      slot_push (slot_at t t.l1 (tk / t.nslots mod t.nslots)) time seq id;
+      let tk = if delta > t.maxd then t.cur + t.maxd else tk in
+      slot_push (slot_at t t.l1 ((tk lsr t.shift) land t.mask)) time seq id;
       t.n_l1 <- t.n_l1 + 1
     end
   end
@@ -373,24 +383,24 @@ let refill t =
   while t.blen = 0 do
     if t.n_l0 > 0 then begin
       t.cur <- t.cur + 1;
-      if t.cur mod t.nslots = 0 then
-        cascade t (Array.unsafe_get t.l1 (t.cur / t.nslots mod t.nslots))
+      if t.cur land t.mask = 0 then
+        cascade t (Array.unsafe_get t.l1 ((t.cur lsr t.shift) land t.mask))
     end
     else begin
-      let span = ref ((t.cur / t.nslots) + 1) in
-      while (Array.unsafe_get t.l1 (!span mod t.nslots)).n = 0 do
+      let span = ref ((t.cur lsr t.shift) + 1) in
+      while (Array.unsafe_get t.l1 (!span land t.mask)).n = 0 do
         incr span
       done;
-      let s = Array.unsafe_get t.l1 (!span mod t.nslots) in
+      let s = Array.unsafe_get t.l1 (!span land t.mask) in
       let first = first_tick t s in
-      if first / t.nslots = !span then begin
+      if first lsr t.shift = !span then begin
         t.cur <- first - 1;
         cascade t s
       end
       else skip t
     end;
     t.n_ticks <- t.n_ticks + 1;
-    let s = Array.unsafe_get t.l0 (t.cur mod t.nslots) in
+    let s = Array.unsafe_get t.l0 (t.cur land t.mask) in
     if s.n > 0 then drain_slot t s
   done
 

@@ -22,8 +22,10 @@ type t
 
 val create : ?tick:float -> ?slots:int -> unit -> t
 (** [tick] (default 1e-3 s) is the slot granularity, [slots] (default
-    256, a horizon of about 65 s) the per-level slot count.
-    @raise Invalid_argument when [tick <= 0] or [slots < 2]. *)
+    256, a horizon of about 65 s) the per-level slot count, a power of
+    two so that slot indices are masks rather than divisions.
+    @raise Invalid_argument when [tick <= 0], or [slots] is below 2 or
+    not a power of two. *)
 
 val max_time : t -> float
 (** Exclusive bound on insert times: [tick * 2^61], about 2.3e15 s at

@@ -15,13 +15,42 @@ let mean_prefix xs ~len =
   check_prefix xs ~len "Descriptive.mean: empty";
   sum_prefix xs ~len /. float_of_int len
 
-(* Keep [** 2.0]: libm's [pow (d, 2)] and [d *. d] differ in the last
-   bit for some [d], and every committed golden was computed with
-   [pow]. *)
+(* [x ** 2.0] bit for bit, mostly without the libm call: libm's
+   [pow (d, 2)] and [d *. d] differ in the last bit for about one [d]
+   in a thousand, and every committed golden was computed with [pow].
+   [p = d *. d] is the correctly rounded square and Dekker's product
+   gives its exact error [e]. glibc documents [pow]'s worst-case error
+   as 0.54 ulp, so [pow] returns the correctly rounded value whenever
+   the exact square lies more than 0.04 ulp from a rounding midpoint;
+   [p +. 1.125 *. e = p] holds only when it lies at least 1/18 ulp
+   from one. Otherwise, and outside 2^-450 < |x| < 2^450 (where an
+   error term could leave the normal range) except for ±0, the kernel
+   calls [**]. DESIGN §2b has the argument; [Cubic.cube] is the same
+   kernel one product longer. *)
+let veltkamp = 134217729.0 (* 2^27 + 1 *)
+
+let[@inline] square x =
+  let a = Float.abs x in
+  if a < 0x1p450 && (a > 0x1p-450 || a = 0.0) then begin
+    let t = veltkamp *. x in
+    let xh = t -. (t -. x) in
+    let xl = x -. xh in
+    let p = x *. x in
+    let e = (((xh *. xh) -. p) +. (2.0 *. xh *. xl)) +. (xl *. xl) in
+    if p +. (1.125 *. e) = p then p else x ** 2.0
+  end
+  else x ** 2.0
+
+(* Branch-only [Float.max] / [Float.min]: a strict comparison settles
+   every ordered pair of distinct values; the stdlib functions settle
+   equal values (signed zeros) and NaN. *)
+let[@inline] fmax a b = if a > b then a else if b > a then b else Float.max a b
+let[@inline] fmin a b = if a < b then a else if b < a then b else Float.min a b
+
 let[@inline] variance_around xs ~len m =
   let s = ref 0.0 in
   for i = 0 to len - 1 do
-    s := !s +. ((Array.unsafe_get xs i -. m) ** 2.0)
+    s := !s +. square (Array.unsafe_get xs i -. m)
   done;
   !s /. float_of_int len
 
@@ -92,7 +121,7 @@ let median xs = percentile xs ~p:50.0
 let min_max xs =
   if Array.length xs = 0 then invalid_arg "Descriptive.min_max: empty";
   Array.fold_left
-    (fun (lo, hi) x -> (Float.min lo x, Float.max hi x))
+    (fun (lo, hi) x -> (fmin lo x, fmax hi x))
     (xs.(0), xs.(0)) xs
 
 let jain_index xs =

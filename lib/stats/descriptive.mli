@@ -22,6 +22,19 @@ val moments_prefix_into : float array -> len:int -> out:float array -> unit
     Allocation free, so no float crosses the call boxed. Raises
     [Invalid_argument] unless [0 < len <= Array.length xs]. *)
 
+val square : float -> float
+(** [x ** 2.0], bit for bit, computed without a libm call on about
+    nine inputs in ten: the kernel {!variance} sums. *)
+
+val fmax : float -> float -> float
+val fmin : float -> float -> float
+(** [Float.max] and [Float.min] on every input, signed zeros and NaN
+    included, by comparisons alone: the stdlib's forms call the C
+    [caml_signbit] whenever their first comparison fails. Modules that
+    run them per packet keep their own inlined copies, since the dev
+    profile's [-opaque] boxes floats passed across modules; these are
+    the ones the property tests hold to the stdlib. *)
+
 val percentile : float array -> p:float -> float
 (** [percentile xs ~p] with [p] in [\[0,100\]], linear interpolation
     between order statistics. Does not mutate [xs]. It selects the two

@@ -243,6 +243,94 @@ let test_pow_pin () =
     "equals the fold" true
     (same (Descriptive.variance xs) (fold_variance xs))
 
+(* ---------- the [**] kernels and branch-only min/max ---------- *)
+
+(* Inputs for the integer-power kernels: random values across every
+   binade (subnormals included) and in the working range; values near
+   rounding midpoints, built from short mantissas (18 bits cube to 54,
+   27 bits square to 54, so some results tie exactly) moved by up to
+   two ulps; powers of two and values whose power lands next to one;
+   the fast paths' range limits; and the special values. Near-midpoint
+   values are also placed just inside and outside the range limits and
+   where the results turn subnormal, since that is where a missing
+   range check goes wrong. *)
+let gen_power_input =
+  let open QCheck.Gen in
+  let nudge x k =
+    let u = Float.succ (Float.abs x) -. Float.abs x in
+    x +. (float_of_int k *. u)
+  in
+  let short_mantissa =
+    oneofl [ 17; 18; 26; 27 ] >>= fun bits ->
+    int_bound ((1 lsl (bits - 1)) - 1) >|= fun m ->
+    float_of_int ((1 lsl (bits - 1)) lor m lor 1) *. ldexp 1.0 (1 - bits)
+  in
+  let edge_exp =
+    oneof
+      [
+        int_range (-60) 60;
+        (oneofl [ -450; -300; 300; 450 ] >>= fun e -> int_range (e - 2) (e + 2));
+        int_range (-350) (-330) (* cubes turn subnormal *);
+        int_range (-513) (-510) (* squares turn subnormal *);
+      ]
+  in
+  let value =
+    frequency
+      [
+        ( 3,
+          pair (float_range 1.0 2.0) (int_range (-1074) 1023) >|= fun (m, e) ->
+          ldexp m e );
+        (3, pair (float_range 1.0 2.0) (int_range (-40) 40) >|= fun (m, e) -> ldexp m e);
+        ( 4,
+          triple short_mantissa edge_exp (int_range (-2) 2) >|= fun (m, e, k) ->
+          nudge (ldexp m e) k );
+        ( 1,
+          pair (int_range (-1074) 1023) (int_range (-2) 2) >|= fun (e, k) ->
+          nudge (ldexp 1.0 e) k );
+        ( 1,
+          triple (int_range (-1000) 1000) bool (int_range (-2) 2)
+          >|= fun (e, cubic, k) ->
+          let p = ldexp 1.0 e in
+          nudge (if cubic then Float.cbrt p else Float.sqrt p) k );
+        ( 1,
+          pair (oneofl [ 0x1p-450; 0x1p-300; 0x1p300; 0x1p450 ]) (int_range (-2) 2)
+          >|= fun (x, k) -> nudge x k );
+        ( 1,
+          oneofl
+            [
+              0.0; Float.min_float; 0x1p-1074; Float.max_float; infinity; Float.nan;
+            ] );
+      ]
+  in
+  pair value bool >|= fun (x, neg) -> if neg then Float.neg x else x
+
+let prop_power_kernels =
+  QCheck.Test.make ~count:300
+    ~name:"cube and square equal x ** 3.0 and x ** 2.0 bit for bit"
+    (QCheck.make ~print:print_floats
+       QCheck.Gen.(array_repeat 100 gen_power_input))
+    (Array.for_all (fun x ->
+         same (Proteus_cc.Cubic.cube x) (x ** 3.0)
+         && same (Descriptive.square x) (x ** 2.0)))
+
+(* Signed zeros, NaN and infinities on either side, equal operands and
+   ordered pairs. *)
+let prop_fmax_fmin =
+  let special =
+    QCheck.Gen.oneofl [ 0.0; -0.0; Float.nan; infinity; neg_infinity; 1.0; -1.0 ]
+  in
+  let operand = QCheck.Gen.(frequency [ (1, special); (1, gen_sample) ]) in
+  QCheck.Test.make ~count:2000 ~name:"fmax and fmin equal Float.max and Float.min"
+    (QCheck.make
+       ~print:(fun (a, b) -> Printf.sprintf "%h %h" a b)
+       QCheck.Gen.(
+         frequency
+           [ (4, pair operand operand); (1, operand >|= fun a -> (a, a)) ]))
+    (fun (a, b) ->
+      let bits_same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+      bits_same (Descriptive.fmax a b) (Float.max a b)
+      && bits_same (Descriptive.fmin a b) (Float.min a b))
+
 (* ---------- Tolerance ---------- *)
 
 let gen_metrics =
@@ -934,6 +1022,8 @@ let suite =
   @ List.map QCheck_alcotest.to_alcotest
       [
         prop_descriptive;
+        prop_power_kernels;
+        prop_fmax_fmin;
         prop_regression;
         prop_tolerance;
         prop_mi_reuse;

@@ -52,6 +52,28 @@ let test_wheel_behind_cursor () =
   let order = List.init 3 (fun _ -> Wheel.extract w) in
   Alcotest.(check (list int)) "behind-cursor merge" [ 1; 2; 3 ] order
 
+(* Slot counts are powers of two (indices are masks); anything else is
+   refused up front, not wrapped wrongly later. *)
+let test_wheel_slot_counts () =
+  List.iter
+    (fun slots ->
+      match Wheel.create ~slots () with
+      | _ -> Alcotest.failf "slots=%d accepted" slots
+      | exception Invalid_argument _ -> ())
+    [ -4; 0; 1; 3; 6; 12; 100; 255; 257 ];
+  List.iter
+    (fun slots ->
+      let w = Wheel.create ~tick:1e-3 ~slots () in
+      (* Level 0, level 1 and the clamp range, out of order. *)
+      List.iteri
+        (fun id time -> Wheel.insert w ~time ~seq:id ~id)
+        [ 0.0005; 0.0015; 0.9; 0.003; 700.0; 0.05 ];
+      Alcotest.(check (list int))
+        (Printf.sprintf "slots=%d order" slots)
+        [ 0; 1; 3; 5; 2; 4 ]
+        (List.init 6 (fun _ -> Wheel.extract w)))
+    [ 2; 4; 64; 1024 ]
+
 let prop_wheel_sorted_extraction =
   QCheck.Test.make ~name:"wheel extracts in (time, seq) order" ~count:200
     QCheck.(
@@ -313,6 +335,8 @@ let suite =
       test_wheel_equal_time_seq_ties;
     Alcotest.test_case "wheel: behind-cursor merge" `Quick
       test_wheel_behind_cursor;
+    Alcotest.test_case "wheel: power-of-two slot counts" `Quick
+      test_wheel_slot_counts;
     QCheck_alcotest.to_alcotest prop_wheel_sorted_extraction;
     Alcotest.test_case "wheel: far-future jumps" `Quick test_far_future_jumps;
     QCheck_alcotest.to_alcotest prop_oracle_order;
