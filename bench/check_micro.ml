@@ -12,10 +12,14 @@
 
      check_micro.exe BASELINE.json FRESH.json
        [--threshold 0.25] [--tol key=frac]... [--words ROW=MAX]...
+       [--events ROW=N]...
 
    [--words ROW=MAX] also gates allocation: the fresh run's
    minor_words_per_run for the row named ROW (with or without its
-   "group/" prefix) must be at most MAX.
+   "group/" prefix) must be at most MAX. [--events ROW=N] requires the
+   row's events_per_run to be exactly N: deterministic runs fire an
+   exact number of kernel events, so any change in it is a change in
+   what the simulation does.
 
    The parser is deliberately minimal (no JSON dependency): it extracts
    the flat {"key": number} pairs inside the headline object the bench
@@ -58,12 +62,12 @@ let headline path =
              | None -> None)
          | _ -> None)
 
-(* [(name, minor words per run)] for every result row of a
+(* [(name, value)] of one numeric field for every result row of a
    BENCH_micro.json; [None] where the file says null. *)
-let word_rows path =
+let field_rows path field =
   let row =
     Str.regexp
-      {|"name": "\([^"]*\)".*"minor_words_per_run": \([-+.0-9eE]+\|null\)|}
+      ({|"name": "\([^"]*\)".*"|} ^ field ^ {|": \([-+.0-9eE]+\|null\)|})
   in
   String.split_on_char '\n' (read_file path)
   |> List.filter_map (fun line ->
@@ -81,21 +85,23 @@ let row_matches ~row name =
   let n = String.length name and k = String.length suffix in
   n >= k && String.sub name (n - k) k = suffix
 
-(* Every --words gate; true when all hold. *)
-let check_words path gates =
-  let rows = word_rows path in
+(* Every gate on one field; true when all hold. [bad v bound] says
+   whether reading [v] breaks [bound]. *)
+let check_field path ~field ~label ~bad ~show gates =
+  let rows = field_rows path field in
   List.fold_left
-    (fun ok (row, max_words) ->
+    (fun ok (row, bound) ->
       match List.find_opt (fun (name, _) -> row_matches ~row name) rows with
       | None ->
-          Printf.printf "  words %-30s MISSING from fresh run\n" row;
+          Printf.printf "  %s %-30s MISSING from fresh run\n" label row;
           false
       | Some (_, None) ->
-          Printf.printf "  words %-30s no reading in fresh run\n" row;
+          Printf.printf "  %s %-30s no reading in fresh run\n" label row;
           false
-      | Some (_, Some w) ->
-          let bad = w > max_words in
-          Printf.printf "  words %-30s %10.1f  (max %.1f)%s\n" row w max_words
+      | Some (_, Some v) ->
+          let bad = bad v bound in
+          Printf.printf "  %s %-30s %10.1f  (%s %.1f)%s\n" label row v show
+            bound
             (if bad then "  REGRESSION" else "");
           ok && not bad)
     true (List.rev gates)
@@ -103,13 +109,30 @@ let check_words path gates =
 let usage () =
   prerr_endline
     "usage: check_micro BASELINE.json FRESH.json [--threshold 0.25] [--tol \
-     key=frac]... [--words ROW=MAX]...";
+     key=frac]... [--words ROW=MAX]... [--events ROW=N]...";
   exit 2
+
+(* [ROW=V] with V accepted by [valid]; the row name may itself contain
+   '=', so the last one splits. *)
+let row_bound ~flag ~valid kv =
+  match String.rindex_opt kv '=' with
+  | Some i -> (
+      let row = String.sub kv 0 i in
+      let v = String.sub kv (i + 1) (String.length kv - i - 1) in
+      match float_of_string_opt v with
+      | Some v when valid v && row <> "" -> (row, v)
+      | _ ->
+          Printf.eprintf "check_micro: bad %s bound in %S\n" flag kv;
+          exit 2)
+  | None ->
+      Printf.eprintf "check_micro: %s expects ROW=VALUE, got %S\n" flag kv;
+      exit 2
 
 let () =
   let threshold = ref 0.25 in
   let tols : (string * float) list ref = ref [] in
   let words : (string * float) list ref = ref [] in
+  let events : (string * float) list ref = ref [] in
   let paths = ref [] in
   let rec parse = function
     | [] -> ()
@@ -136,22 +159,18 @@ let () =
         | None ->
             Printf.eprintf "check_micro: --tol expects key=frac, got %S\n" kv;
             exit 2)
-    | "--words" :: kv :: rest -> (
-        match String.rindex_opt kv '=' with
-        | Some i -> (
-            let row = String.sub kv 0 i in
-            let max = String.sub kv (i + 1) (String.length kv - i - 1) in
-            match float_of_string_opt max with
-            | Some v when v >= 0.0 && row <> "" ->
-                words := (row, v) :: !words;
-                parse rest
-            | _ ->
-                Printf.eprintf "check_micro: bad --words bound in %S\n" kv;
-                exit 2)
-        | None ->
-            Printf.eprintf "check_micro: --words expects ROW=MAX, got %S\n" kv;
-            exit 2)
-    | [ ("--threshold" | "--tol" | "--words") ] -> usage ()
+    | "--words" :: kv :: rest ->
+        words :=
+          row_bound ~flag:"--words" ~valid:(fun v -> v >= 0.0) kv :: !words;
+        parse rest
+    | "--events" :: kv :: rest ->
+        events :=
+          row_bound ~flag:"--events"
+            ~valid:(fun v -> v >= 0.0 && Float.is_integer v)
+            kv
+          :: !events;
+        parse rest
+    | [ ("--threshold" | "--tol" | "--words" | "--events") ] -> usage ()
     | p :: rest ->
         paths := p :: !paths;
         parse rest
@@ -190,8 +209,20 @@ let () =
     Printf.eprintf "check_micro: headline regressed beyond tolerance\n";
     exit 1
   end;
-  if not (check_words fresh_path !words) then begin
+  if
+    not
+      (check_field fresh_path !words ~field:"minor_words_per_run" ~label:"words"
+         ~show:"max" ~bad:( > ))
+  then begin
     Printf.eprintf "check_micro: a row allocates more than its --words bound\n";
+    exit 1
+  end;
+  if
+    not
+      (check_field fresh_path !events ~field:"events_per_run" ~label:"events"
+         ~show:"exactly" ~bad:( <> ))
+  then begin
+    Printf.eprintf "check_micro: a row fired other than its --events count\n";
     exit 1
   end;
   Printf.printf "check_micro: headline within tolerance of baseline\n"

@@ -1,10 +1,13 @@
 (* Bechamel microbenchmarks of the simulator's hot paths: pooled-kernel
    schedule/fire for near and far-future events, link admission, the
-   per-ACK flow log, MI metric extraction, utility evaluation, BBR's and
-   Copa's per-packet calls, and full simulated seconds of loaded
-   bottlenecks. Two further rows only count words: the second simulated
-   second of the 64-flow bottleneck and of a loss-heavy blaster pair,
-   each after a warm-up.
+   per-ACK flow log, MI metric extraction, utility evaluation, BBR's,
+   Copa's and CUBIC's per-packet calls, and full simulated seconds of
+   loaded bottlenecks. Three further rows only count words: the second
+   simulated second of the 64-flow bottleneck and of a loss-heavy
+   blaster pair, and the sixth of a BBR-S pair, each after a warm-up.
+   The sim-second and steady-state rows also count the events the
+   kernel fired ([events_per_run]), an exact figure for a
+   deterministic run.
 
    Besides wall-clock (ns/run) this measures the minor-heap allocation
    witness (words/run). Every micro is timed [rounds] times and the
@@ -201,6 +204,12 @@ let sender_micro ~name factory =
 let bbr_micro = sender_micro ~name:"bbr ack x100" (Proteus_cc.Bbr.factory ())
 let copa_micro = sender_micro ~name:"copa ack x100" (Proteus_cc.Copa.factory ())
 
+(* With no loss CUBIC would stay in slow start; an initial ssthresh of
+   10 puts every ACK on the cubic-growth path. *)
+let cubic_micro =
+  sender_micro ~name:"cubic ack x100"
+    (Proteus_cc.Cubic.factory ~consts:[ ("ssthresh", 10.0) ] ())
+
 (* ---------- sim-second micros (the headline) ----------
 
    Each run simulates exactly one second of a loaded bottleneck, so
@@ -212,20 +221,20 @@ let copa_micro = sender_micro ~name:"copa ack x100" (Proteus_cc.Copa.factory ())
 let two_flow_name = "1 sim-second, 2 flows @50Mbps"
 let many_flow_name = "1 sim-second, 64 flows @500Mbps"
 
+let two_flow_runner () =
+  let cfg =
+    Net.Link.config ~bandwidth_mbps:50.0 ~rtt_ms:30.0 ~buffer_bytes:375_000 ()
+  in
+  let r = Net.Runner.create cfg in
+  ignore
+    (Net.Runner.add_flow r ~label:"a" ~factory:(Proteus_cc.Cubic.factory ()));
+  ignore
+    (Net.Runner.add_flow r ~label:"b" ~factory:(Proteus.Presets.proteus_s ()));
+  r
+
 let two_flow_micro =
   { name = two_flow_name;
-    body = (fun () ->
-      let cfg =
-        Net.Link.config ~bandwidth_mbps:50.0 ~rtt_ms:30.0
-          ~buffer_bytes:375_000 ()
-      in
-      let r = Net.Runner.create cfg in
-      ignore
-        (Net.Runner.add_flow r ~label:"a"
-           ~factory:(Proteus_cc.Cubic.factory ()));
-      ignore (Net.Runner.add_flow r ~label:"b"
-                ~factory:(Proteus.Presets.proteus_s ()));
-      Net.Runner.run r ~until:1.0) }
+    body = (fun () -> Net.Runner.run (two_flow_runner ()) ~until:1.0) }
 
 let many_flow_runner () =
   let cfg =
@@ -248,18 +257,34 @@ let many_flow_micro =
 let micros =
   [
     sim_kernel_micro; sim_far_micro; link_micro; audit_micro; flow_stats_micro;
-    mi_micro; utility_micro; bbr_micro; copa_micro; two_flow_micro;
-    many_flow_micro;
+    mi_micro; utility_micro; bbr_micro; copa_micro; cubic_micro;
+    two_flow_micro; many_flow_micro;
   ]
 
-(* Rows that only count words. The sim-second rows are mostly set-up
-   and start-up; these count the words of the second simulated second
-   only, after a one-second warm-up, so their gates see the steady
-   state. They are deterministic. The blaster pair (two 20 Mbps
-   constant-rate senders on one 20 Mbps link) loses about half its
-   packets, so its row watches the loss path. *)
+(* Events the kernel fires in one run of a sim-second row. *)
+let events_to runner ~until () =
+  let r = runner () in
+  Net.Runner.run r ~until;
+  Sim.events_fired (Net.Runner.sim r)
+
+let event_counts =
+  [
+    (two_flow_name, events_to two_flow_runner ~until:1.0);
+    (many_flow_name, events_to many_flow_runner ~until:1.0);
+  ]
+
+(* Rows that only count words and events. The sim-second rows are
+   mostly set-up and start-up; these count one later simulated second
+   only, after a warm-up, so their gates see the steady state. They are
+   deterministic. The blaster pair (two 20 Mbps constant-rate senders
+   on one 20 Mbps link) loses about half its packets, so its row
+   watches the loss path. The BBR-S pair is counted in its sixth
+   second: its first seconds grow the filters, the wheel's slots and
+   the per-ACK log (about 3,300 words in sim-second 1-2), which later
+   seconds reuse. *)
 let steady_many_flow_name = "64 flows @500Mbps, sim-second 1-2 (steady state)"
 let steady_blaster_name = "2 blasters @20Mbps, sim-second 1-2 (steady state)"
+let steady_bbr_s_name = "2 bbr-s @20Mbps, sim-second 5-6 (steady state)"
 
 let blaster_runner () =
   let cfg =
@@ -273,17 +298,36 @@ let blaster_runner () =
   done;
   r
 
-let steady_second runner () =
+let bbr_s_runner () =
+  let cfg =
+    Net.Link.config ~bandwidth_mbps:20.0 ~rtt_ms:30.0 ~buffer_bytes:75_000 ()
+  in
+  let r = Net.Runner.create ~seed:7 cfg in
+  for i = 0 to 1 do
+    ignore
+      (Net.Runner.add_flow r ~label:(Printf.sprintf "s%d" i)
+         ~factory:(Proteus_cc.Bbr.scavenger_factory ()))
+  done;
+  r
+
+(* Minor words and events of simulated seconds [from, until). Both
+   bounds are literals at the call sites: a computed bound would be a
+   boxed float allocated inside the count. *)
+let steady_second ~from ~until runner () =
   let r = runner () in
-  Net.Runner.run r ~until:1.0;
+  Net.Runner.run r ~until:from;
+  let sim = Net.Runner.sim r in
+  let events = Sim.events_fired sim in
   let before = Gc.minor_words () in
-  Net.Runner.run r ~until:2.0;
-  Gc.minor_words () -. before
+  Net.Runner.run r ~until;
+  (Gc.minor_words () -. before, Sim.events_fired sim - events)
 
 let word_only =
   [
-    (steady_many_flow_name, steady_second many_flow_runner);
-    (steady_blaster_name, steady_second blaster_runner);
+    ( steady_many_flow_name,
+      steady_second ~from:1.0 ~until:2.0 many_flow_runner );
+    (steady_blaster_name, steady_second ~from:1.0 ~until:2.0 blaster_runner);
+    (steady_bbr_s_name, steady_second ~from:5.0 ~until:6.0 bbr_s_runner);
   ]
 
 (* bechamel prefixes grouped test names with the group name *)
@@ -337,6 +381,7 @@ type row = {
   ns : float option;
   ns_spread : float option;  (* (max - min) / min across rounds *)
   words : float option;
+  events : int option;  (* kernel events fired per run *)
 }
 
 let headline_pairs rows =
@@ -373,9 +418,10 @@ let emit_json rows =
     (fun i r ->
       Printf.fprintf oc
         "    {\"name\": \"%s\", \"ns_per_run\": %s, \"ns_spread\": %s, \
-         \"minor_words_per_run\": %s}%s\n"
+         \"minor_words_per_run\": %s, \"events_per_run\": %s}%s\n"
         (json_escape r.name) (json_num r.ns) (json_num r.ns_spread)
         (json_num r.words)
+        (match r.events with Some n -> string_of_int n | None -> "null")
         (if i = List.length rows - 1 then "" else ","))
     rows;
   output_string oc "  ]\n}\n";
@@ -428,16 +474,21 @@ let run () =
           ns = best ns_by_round;
           ns_spread = spread ns_by_round;
           words = Some (minor_words m);
+          events =
+            Option.map
+              (fun count -> count ())
+              (List.assoc_opt m.name event_counts);
         })
       by_name
     @ List.map
-        (fun (name, words) ->
+        (fun (name, steady) ->
+          let words, events = steady () in
           { name = group ^ "/" ^ name; ns = None; ns_spread = None;
-            words = Some (words ()) })
+            words = Some words; events = Some events })
         word_only
   in
-  Printf.printf "%-44s %14s %9s %18s\n" "benchmark" "ns/run (best)" "spread"
-    "minor-words/run";
+  Printf.printf "%-48s %14s %9s %16s %10s\n" "benchmark" "ns/run (best)"
+    "spread" "minor-words/run" "events/run";
   List.iter
     (fun r ->
       let str = function
@@ -448,8 +499,9 @@ let run () =
         | Some v when Float.is_finite v -> Printf.sprintf "%.1f%%" (100.0 *. v)
         | _ -> "n/a"
       in
-      Printf.printf "%-44s %14s %9s %18s\n" r.name (str r.ns) (pct r.ns_spread)
-        (str r.words))
+      Printf.printf "%-48s %14s %9s %16s %10s\n" r.name (str r.ns)
+        (pct r.ns_spread) (str r.words)
+        (match r.events with Some n -> string_of_int n | None -> "n/a"))
     rows;
   Printf.printf "\nsim_seconds_per_wall_second:\n";
   List.iter
