@@ -12,7 +12,9 @@
     Written as a datapath fold program plus control handler
     ({!Proteus.Datapath}): the RFC's delay filters are fixed register
     banks folded per ACK; the loss halving runs in the handler behind
-    an [On_loss] report. *)
+    an [On_loss] report. The fold declares the three signals it reads
+    ([Bytes_acked], [Rtt_sample], [Now]); the adapter fills no
+    other. *)
 
 type params = {
   target_ms : float;  (** Extra queueing-delay target. *)
