@@ -198,3 +198,379 @@ let topology =
         ];
     };
   ]
+
+(* The paper figures' deterministic cells, recorded from the bespoke
+   runners scenarios/paper replaced, at their default scale (60 s
+   single-flow runs measured from 20 s; 80 s pairs with the scavenger
+   at 80/6 s, measured from 80/3 s): [Exp_common.single_run] with the
+   Fig. 3 buffers and Fig. 4's zero loss rate, and Fig. 6's primary-alone
+   run ([Exp_fig6.alone_run]) and with-scavenger run (the body of
+   [Exp_fig6.compete]), at commit 832ac73. The old code seeded the alone
+   and with runs apart, so they are pinned separately. Only CUBIC, Copa
+   and LEDBAT-100 on loss-free links: each value was recorded at two
+   seeds (1 and 2; Fig. 6 at 1 and 14) and was the same at both. RTTs
+   are in seconds, as the old code kept them. Combos are the grid
+   bindings of scenarios/paper/FIG.scn. *)
+
+type paper_cell = { combo : string; values : (string * float) list }
+
+let fig3 =
+  [
+    {
+      combo = "cc=cubic,buffer=4500";
+      values =
+        [
+          ("tput_mbps", 0x1.58db22d0e5604p+5);
+          ("p95_rtt_s", 0x1.f37d3abe424p-6);
+        ];
+    };
+    {
+      combo = "cc=cubic,buffer=9000";
+      values =
+        [
+          ("tput_mbps", 0x1.6910cb295e9e2p+5);
+          ("p95_rtt_s", 0x1.018e75791fcp-5);
+        ];
+    };
+    {
+      combo = "cc=cubic,buffer=15000";
+      values =
+        [
+          ("tput_mbps", 0x1.6e7df3b645a1dp+5);
+          ("p95_rtt_s", 0x1.07746887b04p-5);
+        ];
+    };
+    {
+      combo = "cc=cubic,buffer=26000";
+      values =
+        [
+          ("tput_mbps", 0x1.76236e2eb1c43p+5);
+          ("p95_rtt_s", 0x1.15379fa9744p-5);
+        ];
+    };
+    {
+      combo = "cc=cubic,buffer=45000";
+      values =
+        [
+          ("tput_mbps", 0x1.8ad38ef34d6a1p+5);
+          ("p95_rtt_s", 0x1.2ec6bce85bcp-5);
+        ];
+    };
+    {
+      combo = "cc=cubic,buffer=75000";
+      values =
+        [
+          ("tput_mbps", 0x1.8e8aa64c2f838p+5);
+          ("p95_rtt_s", 0x1.56191149074p-5);
+        ];
+    };
+    {
+      combo = "cc=cubic,buffer=150000";
+      values =
+        [
+          ("tput_mbps", 0x1.8fff972474539p+5);
+          ("p95_rtt_s", 0x1.b866e43a98p-5);
+        ];
+    };
+    {
+      combo = "cc=cubic,buffer=375000";
+      values =
+        [
+          ("tput_mbps", 0x1.8fff972474539p+5);
+          ("p95_rtt_s", 0x1.6eac86055b2p-4);
+        ];
+    };
+    {
+      combo = "cc=cubic,buffer=625000";
+      values =
+        [
+          ("tput_mbps", 0x1.8fff972474539p+5);
+          ("p95_rtt_s", 0x1.0870110a0a2p-3);
+        ];
+    };
+    {
+      combo = "cc=cubic,buffer=900000";
+      values =
+        [
+          ("tput_mbps", 0x1.8fff972474539p+5);
+          ("p95_rtt_s", 0x1.62e09fe85bap-3);
+        ];
+    };
+    {
+      combo = "cc=copa,buffer=4500";
+      values =
+        [
+          ("tput_mbps", 0x1.9000346dc5d64p+5);
+          ("p95_rtt_s", 0x1.f76bdcc7da8p-6);
+        ];
+    };
+    {
+      combo = "cc=copa,buffer=9000";
+      values =
+        [
+          ("tput_mbps", 0x1.8ffb4a2339c0fp+5);
+          ("p95_rtt_s", 0x1.ff2e48e8b58p-6);
+        ];
+    };
+    {
+      combo = "cc=copa,buffer=15000";
+      values =
+        [
+          ("tput_mbps", 0x1.8ffb4a2339c0fp+5);
+          ("p95_rtt_s", 0x1.ff2e48e8b58p-6);
+        ];
+    };
+    {
+      combo = "cc=copa,buffer=26000";
+      values =
+        [
+          ("tput_mbps", 0x1.8ffaacd9e83e4p+5);
+          ("p95_rtt_s", 0x1.ff2e48e8b58p-6);
+        ];
+    };
+    {
+      combo = "cc=copa,buffer=45000";
+      values =
+        [
+          ("tput_mbps", 0x1.8e4985f06f694p+5);
+          ("p95_rtt_s", 0x1.30be0ded312p-5);
+        ];
+    };
+    {
+      combo = "cc=copa,buffer=75000";
+      values =
+        [
+          ("tput_mbps", 0x1.8ffb4a2339c0fp+5);
+          ("p95_rtt_s", 0x1.ff2e48e8b58p-6);
+        ];
+    };
+    {
+      combo = "cc=copa,buffer=150000";
+      values =
+        [
+          ("tput_mbps", 0x1.8ffb4a2339c0fp+5);
+          ("p95_rtt_s", 0x1.ff2e48e8b58p-6);
+        ];
+    };
+    {
+      combo = "cc=copa,buffer=375000";
+      values =
+        [
+          ("tput_mbps", 0x1.8ffb4a2339c0fp+5);
+          ("p95_rtt_s", 0x1.ff2e48e8b58p-6);
+        ];
+    };
+    {
+      combo = "cc=copa,buffer=625000";
+      values =
+        [
+          ("tput_mbps", 0x1.8ffb4a2339c0fp+5);
+          ("p95_rtt_s", 0x1.ff2e48e8b58p-6);
+        ];
+    };
+    {
+      combo = "cc=copa,buffer=900000";
+      values =
+        [
+          ("tput_mbps", 0x1.8ffb4a2339c0fp+5);
+          ("p95_rtt_s", 0x1.ff2e48e8b58p-6);
+        ];
+    };
+    {
+      combo = "cc=ledbat-100,buffer=4500";
+      values =
+        [
+          ("tput_mbps", 0x1.360346dc5d639p+5);
+          ("p95_rtt_s", 0x1.f37d3abe424p-6);
+        ];
+    };
+    {
+      combo = "cc=ledbat-100,buffer=9000";
+      values =
+        [
+          ("tput_mbps", 0x1.3aa8c154c985fp+5);
+          ("p95_rtt_s", 0x1.ff2e48e895p-6);
+        ];
+    };
+    {
+      combo = "cc=ledbat-100,buffer=15000";
+      values =
+        [
+          ("tput_mbps", 0x1.443a5e353f7cfp+5);
+          ("p95_rtt_s", 0x1.077468879f8p-5);
+        ];
+    };
+    {
+      combo = "cc=ledbat-100,buffer=26000";
+      values =
+        [
+          ("tput_mbps", 0x1.50bdd97f62b6bp+5);
+          ("p95_rtt_s", 0x1.15379fa9744p-5);
+        ];
+    };
+    {
+      combo = "cc=ledbat-100,buffer=45000";
+      values =
+        [
+          ("tput_mbps", 0x1.64bda5119ce07p+5);
+          ("p95_rtt_s", 0x1.2ec6bce8488p-5);
+        ];
+    };
+    {
+      combo = "cc=ledbat-100,buffer=75000";
+      values =
+        [
+          ("tput_mbps", 0x1.7a09374bc6a7fp+5);
+          ("p95_rtt_s", 0x1.5421c04431ep-5);
+        ];
+    };
+    {
+      combo = "cc=ledbat-100,buffer=150000";
+      values =
+        [
+          ("tput_mbps", 0x1.8eaf837b4a234p+5);
+          ("p95_rtt_s", 0x1.b4784230ed8p-5);
+        ];
+    };
+    {
+      combo = "cc=ledbat-100,buffer=375000";
+      values =
+        [
+          ("tput_mbps", 0x1.9000346dc5d64p+5);
+          ("p95_rtt_s", 0x1.6cb535009d1p-4);
+        ];
+    };
+    {
+      combo = "cc=ledbat-100,buffer=625000";
+      values =
+        [
+          ("tput_mbps", 0x1.9000346dc5d64p+5);
+          ("p95_rtt_s", 0x1.c432ca57978p-4);
+        ];
+    };
+    {
+      combo = "cc=ledbat-100,buffer=900000";
+      values =
+        [
+          ("tput_mbps", 0x1.9000346dc5d64p+5);
+          ("p95_rtt_s", 0x1.c432ca57978p-4);
+        ];
+    };
+  ]
+
+let fig4 =
+  [
+    {
+      combo = "cc=cubic,loss=0";
+      values =
+        [
+          ("tput_mbps", 0x1.8fff972474539p+5);
+        ];
+    };
+    {
+      combo = "cc=copa,loss=0";
+      values =
+        [
+          ("tput_mbps", 0x1.8ffb4a2339c0fp+5);
+        ];
+    };
+    {
+      combo = "cc=ledbat-100,loss=0";
+      values =
+        [
+          ("tput_mbps", 0x1.9000346dc5d64p+5);
+        ];
+    };
+  ]
+
+let fig6 =
+  [
+    {
+      combo = "scav=ledbat-100,primary=cubic,buffer=75000";
+      values =
+        [
+          ("alone_tput", 0x1.8e3f141205bc1p+5);
+          ("alone_p95_s", 0x1.561911491dp-5);
+          ("with_tput", 0x1.044226809d496p+5);
+          ("with_p95_s", 0x1.5810624dc6cp-5);
+          ("scav_tput", 0x1.129ab9f559b3dp+4);
+        ];
+    };
+    {
+      combo = "scav=ledbat-100,primary=cubic,buffer=375000";
+      values =
+        [
+          ("alone_tput", 0x1.90005bc01a36fp+5);
+          ("alone_p95_s", 0x1.6eac86055b2p-4);
+          ("with_tput", 0x1.15076c8b43958p+5);
+          ("with_p95_s", 0x1.6eac86055b2p-4);
+          ("scav_tput", 0x1.ebe3bcd35a85ap+3);
+        ];
+    };
+    {
+      combo = "scav=ledbat-100,primary=copa,buffer=75000";
+      values =
+        [
+          ("alone_tput", 0x1.8ffb4a2339c1p+5);
+          ("alone_p95_s", 0x1.ff2e48e8d6p-6);
+          ("with_tput", 0x1.76648e8a71de8p+3);
+          ("with_p95_s", 0x1.4a4d2b2bf2p-5);
+          ("scav_tput", 0x1.190154c985f07p+5);
+        ];
+    };
+    {
+      combo = "scav=ledbat-100,primary=copa,buffer=375000";
+      values =
+        [
+          ("alone_tput", 0x1.8ffad42c3c9fp+5);
+          ("alone_p95_s", 0x1.ff2e48e8d6p-6);
+          ("with_tput", 0x1.ffc6a7ef9db24p+0);
+          ("with_p95_s", 0x1.65d3996fc9p-4);
+          ("scav_tput", 0x1.8001b089a0276p+5);
+        ];
+    };
+    {
+      combo = "scav=copa,primary=cubic,buffer=75000";
+      values =
+        [
+          ("alone_tput", 0x1.8e3f141205bc1p+5);
+          ("alone_p95_s", 0x1.561911491dp-5);
+          ("with_tput", 0x1.6b6b851eb852p+5);
+          ("with_p95_s", 0x1.5810624dc6cp-5);
+          ("scav_tput", 0x1.247318fc50481p+2);
+        ];
+    };
+    {
+      combo = "scav=copa,primary=cubic,buffer=375000";
+      values =
+        [
+          ("alone_tput", 0x1.90005bc01a36fp+5);
+          ("alone_p95_s", 0x1.6eac86055b2p-4);
+          ("with_tput", 0x1.7cdbc01a36e3p+5);
+          ("with_p95_s", 0x1.70a3d70a47dp-4);
+          ("scav_tput", 0x1.3249ba5e353f8p+1);
+        ];
+    };
+    {
+      combo = "scav=copa,primary=copa,buffer=75000";
+      values =
+        [
+          ("alone_tput", 0x1.8ffb4a2339c1p+5);
+          ("alone_p95_s", 0x1.ff2e48e8d6p-6);
+          ("with_tput", 0x1.941999999999bp+4);
+          ("with_p95_s", 0x1.07746887b04p-5);
+          ("scav_tput", 0x1.8ba113404ea4cp+4);
+        ];
+    };
+    {
+      combo = "scav=copa,primary=copa,buffer=375000";
+      values =
+        [
+          ("alone_tput", 0x1.8ffad42c3c9fp+5);
+          ("alone_p95_s", 0x1.ff2e48e8d6p-6);
+          ("with_tput", 0x1.9410624dd2f1cp+4);
+          ("with_p95_s", 0x1.07746887b04p-5);
+          ("scav_tput", 0x1.8bad0e560418ap+4);
+        ];
+    };
+  ]
