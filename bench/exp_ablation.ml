@@ -26,8 +26,7 @@ let noisy_tput ?(noise = Net.Noise.default_wifi) make =
   D.mean
     (Array.of_list
        (List.init n (fun i ->
-            (Exp_common.single_run ~seed:(i + 1) ~noise (make ()))
-              .Exp_common.tput_mbps)))
+            Exp_common.single_tput ~seed:(i + 1) ~noise (make ()))))
 
 let yield_ratio make =
   let r =
@@ -112,9 +111,7 @@ let run () =
     "yield vs COPA (ratio %)";
   List.iter
     (fun (name, make) ->
-      let alone =
-        (Exp_common.single_run ~seed:1 (make ())).Exp_common.tput_mbps
-      in
+      let alone = Exp_common.single_tput ~seed:1 (make ()) in
       let vs_copa =
         Exp_common.pair_run ~seed:1
           ~primary:(fun () -> Proteus_cc.Copa.factory ())

@@ -1,6 +1,6 @@
 (* Shared machinery for the paper-reproduction experiments: the
-   protocol registry, standard single-flow and two-flow runs, trial
-   averaging, and output formatting. *)
+   protocol registry, standard single-flow and two-flow runs, and
+   output formatting. *)
 
 module Net = Proteus_net
 module Stats = Proteus_stats
@@ -203,82 +203,48 @@ let proteus_p = proto "proteus-p"
 let proteus_s = proto "proteus-s"
 let ledbat_100 = proto "ledbat-100"
 let ledbat_25 = proto "ledbat-25"
-let bbr_s = proto "bbr-s"
 
-(* Fig. 3/4/5 single-protocol lineup (paper order). *)
+(* Fig. 5/9 single-protocol lineup (paper order); lineup_b adds
+   LEDBAT-25 for Appendix B. *)
 let lineup = [ proteus_s; ledbat_100; cubic; bbr; proteus_p; copa; vivace ]
 let lineup_b = [ proteus_s; ledbat_25; ledbat_100; cubic; bbr; proteus_p; copa; vivace ]
 let primaries = [ bbr; cubic; copa; proteus_p; vivace ]
 
 (* ---------- standard links ---------- *)
 
-let emulab_cfg ?loss_rate ?noise ?(bandwidth_mbps = 50.0) ?(rtt_ms = 30.0)
+let emulab_cfg ?noise ?(bandwidth_mbps = 50.0) ?(rtt_ms = 30.0)
     ?(buffer_bytes = 375_000) () =
-  Net.Link.config ?loss_rate ?noise ~bandwidth_mbps ~rtt_ms ~buffer_bytes ()
+  Net.Link.config ?noise ~bandwidth_mbps ~rtt_ms ~buffer_bytes ()
 
 (* ---------- single-flow run ---------- *)
 
-type single_summary = {
-  tput_mbps : float;
-  p95_rtt : float;
-  loss_frac : float;
-}
-
-let single_run ?(seed = 1) ?loss_rate ?noise ?(bandwidth_mbps = 50.0)
-    ?(rtt_ms = 30.0) ?(buffer_bytes = 375_000) factory =
+(* Throughput of one flow alone, over the last two thirds of the run. *)
+let single_tput ?(seed = 1) ?noise factory =
   let duration = single_duration () in
-  let warmup = duration /. 3.0 in
-  let cfg = emulab_cfg ?loss_rate ?noise ~bandwidth_mbps ~rtt_ms ~buffer_bytes () in
-  let r = Net.Runner.create ~seed cfg in
+  let r = Net.Runner.create ~seed (emulab_cfg ?noise ()) in
   let f = Net.Runner.add_flow r ~label:"single" ~factory in
   Net.Runner.run r ~until:duration;
-  let st = Net.Runner.stats f in
-  {
-    tput_mbps = Net.Flow_stats.throughput_mbps st ~t0:warmup ~t1:duration;
-    p95_rtt =
-      Option.value ~default:0.0
-        (Net.Flow_stats.rtt_percentile st ~t0:warmup ~t1:duration ~p:95.0);
-    loss_frac = Net.Flow_stats.loss_fraction st;
-  }
-
-let avg_trials n f =
-  let xs = par_map f (List.init n (fun i -> i + 1)) in
-  D.mean (Array.of_list xs)
-
-let single_avg ?loss_rate ?noise ?bandwidth_mbps ?rtt_ms ?buffer_bytes
-    (p : proto) =
-  avg_trials (trials ()) (fun seed ->
-      (single_run ~seed ?loss_rate ?noise ?bandwidth_mbps ?rtt_ms ?buffer_bytes
-         (p.make ()))
-        .tput_mbps)
+  Net.Flow_stats.throughput_mbps (Net.Runner.stats f) ~t0:(duration /. 3.0)
+    ~t1:duration
 
 (* ---------- two-flow (scavenger vs primary) run ---------- *)
 
 type pair_summary = {
-  alone_tput : float;  (* primary running alone *)
-  with_tput : float;  (* primary with the scavenger *)
+  ratio : float;  (* primary with the scavenger / primary alone *)
   scav_tput : float;
-  ratio : float;  (* with / alone *)
-  utilization : float;  (* (with + scav) / capacity *)
-  alone_p95 : float;
-  with_p95 : float;
-  rtt_ratio : float;  (* with_p95 / alone_p95 *)
 }
 
-let pair_run ?(seed = 1) ?loss_rate ?noise ?(bandwidth_mbps = 50.0)
-    ?(rtt_ms = 30.0) ?(buffer_bytes = 375_000) ~primary ~scavenger () =
+let pair_run ?(seed = 1) ?noise ?(bandwidth_mbps = 50.0) ?(rtt_ms = 30.0)
+    ?(buffer_bytes = 375_000) ~primary ~scavenger () =
   let duration = pair_duration () in
   let scav_start = duration /. 6.0 in
   let t0 = duration /. 3.0 in
-  let cfg = emulab_cfg ?loss_rate ?noise ~bandwidth_mbps ~rtt_ms ~buffer_bytes () in
+  let cfg = emulab_cfg ?noise ~bandwidth_mbps ~rtt_ms ~buffer_bytes () in
   let r1 = Net.Runner.create ~seed cfg in
   let p1 = Net.Runner.add_flow r1 ~label:"primary" ~factory:(primary ()) in
   Net.Runner.run r1 ~until:duration;
-  let st1 = Net.Runner.stats p1 in
-  let alone_tput = Net.Flow_stats.throughput_mbps st1 ~t0 ~t1:duration in
-  let alone_p95 =
-    Option.value ~default:0.0
-      (Net.Flow_stats.rtt_percentile st1 ~t0 ~t1:duration ~p:95.0)
+  let alone_tput =
+    Net.Flow_stats.throughput_mbps (Net.Runner.stats p1) ~t0 ~t1:duration
   in
   let r2 = Net.Runner.create ~seed:(seed + 1000) cfg in
   let p2 = Net.Runner.add_flow r2 ~label:"primary" ~factory:(primary ()) in
@@ -290,45 +256,10 @@ let pair_run ?(seed = 1) ?loss_rate ?noise ?(bandwidth_mbps = 50.0)
   let with_tput =
     Net.Flow_stats.throughput_mbps (Net.Runner.stats p2) ~t0 ~t1:duration
   in
-  let with_p95 =
-    Option.value ~default:0.0
-      (Net.Flow_stats.rtt_percentile (Net.Runner.stats p2) ~t0 ~t1:duration
-         ~p:95.0)
-  in
-  let scav_tput =
-    Net.Flow_stats.throughput_mbps (Net.Runner.stats s2) ~t0 ~t1:duration
-  in
   {
-    alone_tput;
-    with_tput;
-    scav_tput;
     ratio = (if alone_tput > 0.0 then with_tput /. alone_tput else 0.0);
-    utilization = (with_tput +. scav_tput) /. bandwidth_mbps;
-    alone_p95;
-    with_p95;
-    rtt_ratio = (if alone_p95 > 0.0 then with_p95 /. alone_p95 else 0.0);
-  }
-
-let pair_avg ?loss_rate ?noise ?bandwidth_mbps ?rtt_ms ?buffer_bytes ~primary
-    ~scavenger () =
-  let n = trials () in
-  let runs =
-    par_map
-      (fun i ->
-        pair_run ~seed:((i * 17) + 1) ?loss_rate ?noise ?bandwidth_mbps ?rtt_ms
-          ?buffer_bytes ~primary:primary.make ~scavenger:scavenger.make ())
-      (List.init n (fun i -> i))
-  in
-  let avg f = D.mean (Array.of_list (List.map f runs)) in
-  {
-    alone_tput = avg (fun r -> r.alone_tput);
-    with_tput = avg (fun r -> r.with_tput);
-    scav_tput = avg (fun r -> r.scav_tput);
-    ratio = avg (fun r -> r.ratio);
-    utilization = avg (fun r -> r.utilization);
-    alone_p95 = avg (fun r -> r.alone_p95);
-    with_p95 = avg (fun r -> r.with_p95);
-    rtt_ratio = avg (fun r -> r.rtt_ratio);
+    scav_tput =
+      Net.Flow_stats.throughput_mbps (Net.Runner.stats s2) ~t0 ~t1:duration;
   }
 
 (* ---------- output ---------- *)

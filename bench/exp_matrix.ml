@@ -2,8 +2,9 @@
    expands (grid x trials) into concrete seeded instances, fans out
    through the supervised sweep over the Domain pool, and the per-trial
    metric values aggregate into mean / sd / 95% CI cells in
-   BENCH_<id>.json. Three bench ids run it: matrix (the --scenarios
-   corpus), faults (scenarios/faults) and topology (scenarios/topology).
+   BENCH_<id>.json. Four bench ids run it: matrix (the --scenarios
+   corpus), paper (scenarios/paper), faults (scenarios/faults) and
+   topology (scenarios/topology).
    bench/check_matrix.exe gates a candidate against a committed
    baseline with Welch-style tests instead of byte equality (the cells
    are sample statistics; see lib/scenario/gate).

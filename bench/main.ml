@@ -3,9 +3,8 @@
 
    Usage:  dune exec bench/main.exe --
              [--fast|--full] [--jobs N] [OPTION]... [ids...]
-   ids: fig2 fig3 fig4 fig5 fig6 fig8 fig9 fig11 fig12 fig14
-        appendix theory ablation micro faults topology scale matrix
-        all (default: all);
+   ids: fig2 paper fig5 fig8 fig9 fig11 fig12 appendix theory ablation
+        micro faults topology scale matrix all (default: all);
    --help lists every id and option (parsed with Cmdliner).
 
    --jobs N fans independent trials/protocol runs across N domains;
@@ -16,10 +15,13 @@
    metrics snapshot from experiments that support per-run tracing
    (currently faults-smoke); tracing never changes results.
 
-   faults, topology and matrix are one scenario sweep (Exp_matrix) over
-   scenarios/faults, scenarios/topology and the --scenarios corpus;
-   each writes BENCH_<id>.json, JOURNAL_<id>.jsonl and
-   MANIFEST_<id>.json. The sweeps (those three and scale) run under the
+   paper, faults, topology and matrix are one scenario sweep
+   (Exp_matrix) over scenarios/paper (Figs. 3, 4, 6/7 and 14 with
+   their Appendix B variants), scenarios/faults, scenarios/topology
+   and the --scenarios corpus; each writes BENCH_<id>.json,
+   JOURNAL_<id>.jsonl and MANIFEST_<id>.json. e.g.
+     dune exec bench/main.exe -- --fast --trials 3 --jobs 4 paper
+   The sweeps (those four and scale) run under the
    lib/harness supervisor: --wall-budget/--stall-budget/--event-budget
    bound each run, --retries retries failed runs with escalating
    budgets, --resume skips runs already journaled in JOURNAL_<id>.jsonl,
@@ -30,19 +32,19 @@
 let experiments : (string * (unit -> unit)) list =
   [
     ("fig2", Exp_fig2.run);
-    ("fig3", fun () -> Exp_fig3.run ());
-    ("fig4", fun () -> Exp_fig4.run ());
+    ( "paper",
+      fun () ->
+        Exp_matrix.sweep ~id:"paper"
+          ~title:
+            "Paper Figs. 3, 4, 6/7 and 14 with Appendix B Figs. 15, 16, \
+             19/20 (scenario files)"
+          "scenarios/paper" );
     ("fig5", fun () -> Exp_fig5.run ());
-    ("fig6", fun () -> Exp_fig6.run ());
     ("fig8", Exp_fig8.run);
     ("fig9", fun () -> Exp_fig9.run ());
     ("fig11", Exp_fig11.run);
     ("fig12", Exp_fig12.run);
-    ("fig14", Exp_fig14.run);
-    ("figB-buffers", fun () -> Exp_fig3.run ~appendix:true ());
-    ("figB-loss", fun () -> Exp_fig4.run ~appendix:true ());
     ("figB-fairness", fun () -> Exp_fig5.run ~appendix:true ());
-    ("figB-yield", fun () -> Exp_fig6.run ~appendix:true ());
     ("figB-wifi", fun () -> Exp_fig9.run ~appendix:true ());
     ("theory", Exp_theory.run);
     ("ablation", Exp_ablation.run);
@@ -66,8 +68,9 @@ let experiments : (string * (unit -> unit)) list =
     ("matrix", Exp_matrix.run);
   ]
 
-let appendix_ids =
-  [ "figB-buffers"; "figB-loss"; "figB-fairness"; "figB-yield"; "figB-wifi" ]
+(* The paper sweep holds Appendix B's Figs. 15, 16 and 19/20 as grid
+   values. *)
+let appendix_ids = [ "paper"; "figB-fairness"; "figB-wifi" ]
 
 open Cmdliner
 

@@ -161,7 +161,7 @@ let run_scenario ~path ~seed:seed_opt ~series ~trace_file ~metrics_file
     flows;
   let metric_vals =
     Scn.Build.metric_values
-      ~baselines:(Scn.Build.harm_baselines ~audit:false ~seed spec)
+      ~baselines:(Scn.Build.baselines ~audit:false ~seed spec)
       spec flows
   in
   Printf.printf "\nmetrics:\n";

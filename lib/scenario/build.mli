@@ -37,21 +37,23 @@ val metric_values :
     metrics report milliseconds and default to [0.] when no samples
     landed in the window; non-finite values read [0.].
 
-    [baselines] maps each [(harm L)] label to the other flows'
-    throughputs, by label, over the measurement window of the run
-    without [L] ({!harm_baselines}); a harm metric without one raises
+    [baselines] maps each label that a [(harm L)] or [(without L M)]
+    removes to what those metrics read of the run without [L], keyed
+    by metric key ({!baselines}); a metric without its entry raises
     [Failure]. *)
 
-val harm_baselines :
+val baselines :
   ?kernel:Proteus_eventsim.Sim.kernel ->
   ?audit:bool ->
   ?arm:(Proteus_net.Runner.t -> unit) ->
   seed:int ->
   Spec.t ->
   (string * (string * float) list) list
-(** For each [(harm L)] metric, run the same spec and seed without the
-    declared flow [L] (as {!run_metrics} runs a spec) and return the
-    other flows' throughputs over the measurement window. *)
+(** One run per label that a [(harm L)] or [(without L M)] removes: the
+    same spec and seed without the declared flow [L] (as {!run_metrics}
+    runs a spec). Each label maps to that run's values, keyed by
+    {!Spec.metric_name}, of the other flows' [tput] (for harm) and of
+    each [M] (for without). A spec with neither form runs nothing. *)
 
 val run_metrics :
   ?trace:Proteus_obs.Trace.t ->
@@ -64,8 +66,9 @@ val run_metrics :
 (** [instantiate], run to [duration], and evaluate metrics. [audit]
     (default true) attaches the conservation auditor so violations
     raise; when every flow has a [(stop ...)] (and no parking-lot cross
-    runs forever) the run must also end quiesced. Each [(harm L)] adds
-    one more run of the same spec and seed without flow [L], as its
-    baseline. [arm] is called with every runner before it runs — hook
-    for {!Proteus_harness.Supervisor.arm_runner} without a harness
+    runs forever) the run must also end quiesced. Each label that
+    [(harm L)] or [(without L M)] removes adds one more run, of the
+    same spec and seed without flow [L] ({!baselines}). [arm] is
+    called with every runner before it runs — hook for
+    {!Proteus_harness.Supervisor.arm_runner} without a harness
     dependency here. [trace] records the main run only. *)

@@ -53,6 +53,7 @@ type metric =
   | Total_loss
   | Recovery of { pre : window; after : float }
   | Harm of string
+  | Without of string * metric
 
 type t = {
   name : string;
@@ -510,7 +511,7 @@ let parse_opt_window ctx = function
   | [ Sexp.List (Sexp.Atom "window" :: ts) ] -> Some (parse_window ctx ts)
   | f :: _ -> bad "%s: expected (window T0 T1), got %s" ctx (Sexp.to_string f)
 
-let parse_metric = function
+let rec parse_metric = function
   | Sexp.List (Sexp.Atom "tput" :: l :: w) ->
       Tput (atom "tput" l, parse_opt_window "tput" w)
   | Sexp.List (Sexp.Atom "mean-rtt" :: l :: w) ->
@@ -534,12 +535,14 @@ let parse_metric = function
       Recovery
         { pre = parse_window "recovery pre" pre; after = float_atom "after" t }
   | Sexp.List [ Sexp.Atom "harm"; l ] -> Harm (atom "harm" l)
+  | Sexp.List [ Sexp.Atom "without"; l; m ] ->
+      Without (atom "without" l, parse_metric m)
   | f -> bad "metrics: unknown metric %s" (Sexp.to_string f)
 
 let window_sexp head w =
   Sexp.List [ Sexp.Atom head; Sexp.Atom (fstr w.w_from); Sexp.Atom (fstr w.w_to) ]
 
-let print_metric m =
+let rec print_metric m =
   let form head args w =
     Sexp.List
       ((Sexp.Atom head :: args)
@@ -561,6 +564,7 @@ let print_metric m =
           Sexp.List [ Sexp.Atom "after"; Sexp.Atom (fstr after) ];
         ]
   | Harm l -> form "harm" [ Sexp.Atom l ] None
+  | Without (l, m) -> form "without" [ Sexp.Atom l; print_metric m ] None
 
 (* Unwindowed keys are the historical ones; a window appends
    "@T0-T1". Keys never contain ',' or '=' (the journal separators). *)
@@ -574,7 +578,7 @@ let recovery_keys pre after =
   let suffix = Printf.sprintf ":%s@%s" (window_key pre) (fstr after) in
   ("recovery" ^ suffix, "recovered" ^ suffix)
 
-let metric_name = function
+let rec metric_name = function
   | Tput (l, w) -> windowed ("tput:" ^ l) w
   | Mean_rtt (l, w) -> windowed ("mean-rtt:" ^ l) w
   | P95_rtt (l, w) -> windowed ("p95-rtt:" ^ l) w
@@ -584,6 +588,7 @@ let metric_name = function
   | Total_loss -> "total-loss"
   | Recovery { pre; after } -> fst (recovery_keys pre after)
   | Harm l -> "harm:" ^ l
+  | Without (l, m) -> Printf.sprintf "without:%s:%s" l (metric_name m)
 
 let metric_keys = function
   | Recovery { pre; after } ->
@@ -813,27 +818,43 @@ let validate_exn t =
     if not (List.mem l labels) then
       bad "metrics: %s references unknown flow label %S" (metric_name m) l
   in
-  List.iter
-    (fun m ->
-      match m with
-      | Tput (l, w) | Mean_rtt (l, w) | P95_rtt (l, w) ->
-          check_label m l;
-          Option.iter (check_window m) w
-      | Loss l -> check_label m l
-      | Total_tput w | Fairness w -> Option.iter (check_window m) w
-      | Total_loss -> ()
-      | Recovery { pre; after } ->
-          check_window m pre;
-          if (not (Float.is_finite after)) || after < 0.0 || after >= t.duration
-          then bad "metrics: %s: after must lie in [0, duration)" (metric_name m)
-      | Harm l ->
-          if not (List.exists (fun f -> f.label = l) t.flows) then
-            bad "metrics: %s references unknown flow label %S (harm removes \
-                 a declared flow)"
-              (metric_name m) l;
-          if List.length labels < 2 then
-            bad "metrics: %s needs another flow to harm" (metric_name m))
-    t.metrics
+  (* harm and without re-run the spec without a declared flow. *)
+  let check_removed m l =
+    if not (List.exists (fun f -> f.label = l) t.flows) then
+      bad "metrics: %s: %S is not a declared flow (%s)" (metric_name m) l
+        (if List.mem l labels then "a parking-lot cross cannot be removed"
+         else "unknown flow label")
+  in
+  let rec check m =
+    match m with
+    | Tput (l, w) | Mean_rtt (l, w) | P95_rtt (l, w) ->
+        check_label m l;
+        Option.iter (check_window m) w
+    | Loss l -> check_label m l
+    | Total_tput w | Fairness w -> Option.iter (check_window m) w
+    | Total_loss -> ()
+    | Recovery { pre; after } ->
+        check_window m pre;
+        if (not (Float.is_finite after)) || after < 0.0 || after >= t.duration
+        then bad "metrics: %s: after must lie in [0, duration)" (metric_name m)
+    | Harm l ->
+        check_removed m l;
+        if List.length labels < 2 then
+          bad "metrics: %s needs another flow to harm" (metric_name m)
+    | Without (l, inner) -> (
+        check_removed m l;
+        match inner with
+        | Without _ -> bad "metrics: %s: without does not nest" (metric_name m)
+        | Tput (f, _) | Mean_rtt (f, _) | P95_rtt (f, _) | Loss f ->
+            if f = l then
+              bad "metrics: %s reads %S, the flow it removes" (metric_name m) l;
+            check inner
+        | _ ->
+            bad "metrics: %s needs a per-flow metric (tput, mean-rtt, \
+                 p95-rtt or loss)"
+              (metric_name m))
+  in
+  List.iter check t.metrics
 
 let validate t = match validate_exn t with () -> Ok () | exception Bad m -> Error m
 

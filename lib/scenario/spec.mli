@@ -35,13 +35,21 @@
             | (p95-rtt L [WINDOW]) | (loss L)
             | (total-tput [WINDOW]) | (fairness [WINDOW]) | (total-loss)
             | (recovery (pre T0 T1) (after T)) | (harm L)
+            | (without L FLOWMETRIC)
+    FLOWMETRIC := (tput F [WINDOW]) | (mean-rtt F [WINDOW])
+            | (p95-rtt F [WINDOW]) | (loss F)          ; F other than L
     WINDOW := (window T0 T1)
     v}
 
     A metric reads the measurement window [\[measure-from, duration)]
     unless it carries a [WINDOW]. Windowed throughput ([tput],
     [total-tput], [fairness]) is the mean of the 0.25 s goodput bins in
-    [\[T0, T1)], so window edges must be multiples of 0.25 s. *)
+    [\[T0, T1)], so window edges must be multiples of 0.25 s.
+
+    [(harm L)] and [(without L M)] read the same spec and seed run
+    again without the declared flow [L]: one such run per removed
+    label, however many metrics read it. A spec with neither form runs
+    once. *)
 
 type route = E2e | Hop of int | Rev
 
@@ -107,6 +115,12 @@ type metric =
       (** [max 0 (1 - mean_i (tput_i / base_i))] over the other flows,
           where [base_i] comes from the same spec and seed run again
           without the declared flow [L]. *)
+  | Without of string * metric
+      (** [(without L M)]: the per-flow metric [M] ([Tput], [Mean_rtt],
+          [P95_rtt] or [Loss], on a flow other than [L]) in this run
+          divided by [M] in the run without the declared flow [L] (the
+          run [Harm L] reads); a zero baseline reads 0. Keyed
+          ["without:L:"] followed by [M]'s key. *)
 
 type t = {
   name : string;
@@ -125,7 +139,7 @@ val series_bin : float
 val metric_name : metric -> string
 (** Stable key used in journal payloads and BENCH_matrix rows, e.g.
     ["tput:a"], ["fairness"], ["total-tput@3-8"], ["harm:e2e"],
-    ["recovery:3-8@10"]. *)
+    ["recovery:3-8@10"], ["without:s:p95-rtt:p"]. *)
 
 val metric_keys : metric -> string list
 (** Every key a metric reports, in order: [metric_name], plus

@@ -190,18 +190,34 @@ let test_metric_form_errors () =
   expect_spec_error
     (with_metrics ~flows:"(flow (cc cubic) (label a))" "(harm a)")
     "another flow";
+  expect_spec_error (with_metrics "(without ghost (tput a))") "unknown flow label";
+  expect_spec_error
+    {|(scenario (duration 6)
+       (topology (parking-lot (hops 2) (cross cubic)
+         (link (bw-mbps 10) (rtt-ms 30) (buffer-bytes 100000))))
+       (flows (flow (cc cubic) (label a)))
+       (metrics (without cross0 (tput a))))|}
+    "parking-lot cross";
+  expect_spec_error (with_metrics "(without a (tput a))") "the flow it removes";
+  expect_spec_error (with_metrics "(without a (total-tput))") "per-flow metric";
+  expect_spec_error (with_metrics "(without a (harm b))") "per-flow metric";
+  expect_spec_error
+    (with_metrics "(without a (without a (tput b)))") "does not nest";
+  expect_spec_error (with_metrics "(without a (tput b (window 5 7)))") "window";
   (* windowed keys extend the unwindowed ones; the bare keys stay *)
   let s =
     parse_spec
       (with_metrics
          "(tput a) (tput a (window 1 2.5)) (fairness) (fairness (window 0 6)) \
-          (total-loss) (recovery (pre 1 2) (after 3)) (harm b)")
+          (total-loss) (recovery (pre 1 2) (after 3)) (harm b) \
+          (without a (p95-rtt b (window 1 2))) (without b (loss a))")
   in
   Alcotest.(check (list string))
     "keys"
     [
       "tput:a"; "tput:a@1-2.5"; "fairness"; "fairness@0-6"; "total-loss";
       "recovery:1-2@3"; "recovered:1-2@3"; "harm:b";
+      "without:a:p95-rtt:b@1-2"; "without:b:loss:a";
     ]
     (List.concat_map Spec.metric_keys s.Spec.metrics)
 
@@ -269,11 +285,11 @@ let test_harm_formula () =
       (Scn.Build.metric_values ~baselines:[ ("a", base) ] spec flows)
   in
   Alcotest.(check (float 0.0)) "halved and untouched" 0.25
-    (harm [ ("b", 2.0 *. tput "b"); ("c", tput "c") ]);
+    (harm [ ("tput:b", 2.0 *. tput "b"); ("tput:c", tput "c") ]);
   Alcotest.(check (float 0.0)) "gains clamp to 0" 0.0
-    (harm [ ("b", tput "b" /. 2.0); ("c", tput "c") ]);
+    (harm [ ("tput:b", tput "b" /. 2.0); ("tput:c", tput "c") ]);
   Alcotest.(check (float 0.0)) "zero baseline reads as no harm" 0.0
-    (harm [ ("b", 0.0); ("c", tput "c") ])
+    (harm [ ("tput:b", 0.0); ("tput:c", tput "c") ])
 
 (* Every flow stops: the run must drain, and a run that cannot
    (flows stopping at the horizon) fails the quiescence check. *)
@@ -466,7 +482,7 @@ let test_run_metrics_deterministic () =
 let scenarios_dir =
   if Sys.file_exists "../scenarios/faults" then "../scenarios" else "scenarios"
 
-let sweep_instance dir name cc =
+let sweep_instance dir name combo =
   let path = Printf.sprintf "%s/%s/%s.scn" scenarios_dir dir name in
   match Grid.load_file path with
   | Error e -> Alcotest.failf "%s" e
@@ -474,7 +490,6 @@ let sweep_instance dir name cc =
       match Grid.expand tmpl ~trials:1 with
       | Error e -> Alcotest.failf "%s" e
       | Ok insts -> (
-          let combo = "cc=" ^ cc in
           match List.find_opt (fun (i : Grid.instance) -> i.combo = combo) insts with
           | Some i -> i
           | None -> Alcotest.failf "%s has no %s instance" path combo))
@@ -484,7 +499,7 @@ let sweep_instance dir name cc =
 let check_pinned dir key_prefix (cells : Sweep_goldens.cell list) =
   List.iter
     (fun (c : Sweep_goldens.cell) ->
-      let i = sweep_instance dir c.scenario c.cc in
+      let i = sweep_instance dir c.scenario ("cc=" ^ c.cc) in
       let ms = Scn.Build.run_metrics ~seed:i.seed i.spec in
       let find prefix =
         match
@@ -533,6 +548,102 @@ let test_topology_pinned () =
            (fun (c : Sweep_goldens.cell) -> c.scenario = scenario)
            Sweep_goldens.topology))
     [ ("parking-lot", "e2e"); ("rev-path", "probe") ]
+
+(* The paper figures' pinned cells, bit for bit. [field] maps each old
+   value onto the metric key replacing it, whether the run without s
+   reports it, and its unit scale (the old code kept RTTs in seconds);
+   [derived] gives keys whose value follows from the pinned ones. *)
+let check_paper_pinned ?(derived = fun _ -> []) figure field
+    (cells : Sweep_goldens.paper_cell list) =
+  List.iter
+    (fun (c : Sweep_goldens.paper_cell) ->
+      let i = sweep_instance "paper" figure c.combo in
+      let ms = Scn.Build.run_metrics ~seed:i.seed i.spec in
+      let alone =
+        lazy (List.assoc "s" (Scn.Build.baselines ~seed:i.seed i.spec))
+      in
+      let check what key v want =
+        if Int64.bits_of_float v <> Int64.bits_of_float want then
+          Alcotest.failf "%s %s (was %s): %h <> pinned %h" i.id key what v want
+      in
+      List.iter
+        (fun (name, golden) ->
+          let key, in_alone, scale = field name in
+          let run = if in_alone then Lazy.force alone else ms in
+          check name key (List.assoc key run) (scale *. golden))
+        c.values;
+      List.iter
+        (fun (key, want) -> check "derived" key (List.assoc key ms) want)
+        (derived c.values))
+    cells
+
+let single_field = function
+  | "tput_mbps" -> ("tput:f", false, 1.0)
+  | "p95_rtt_s" -> ("p95-rtt:f", false, 1000.0)
+  | f -> Alcotest.failf "unmapped field %s" f
+
+let test_fig3_pinned () = check_paper_pinned "fig3" single_field Sweep_goldens.fig3
+let test_fig4_pinned () = check_paper_pinned "fig4" single_field Sweep_goldens.fig4
+
+(* Fig. 6's ratios are exp_fig6's: with / alone, a zero alone reading 0. *)
+let test_fig6_pinned () =
+  check_paper_pinned "fig6"
+    (function
+      | "with_tput" -> ("tput:p", false, 1.0)
+      | "with_p95_s" -> ("p95-rtt:p", false, 1000.0)
+      | "scav_tput" -> ("tput:s", false, 1.0)
+      | "alone_tput" -> ("tput:p", true, 1.0)
+      | "alone_p95_s" -> ("p95-rtt:p", true, 1000.0)
+      | f -> Alcotest.failf "unmapped field %s" f)
+    ~derived:(fun vs ->
+      let g k = List.assoc k vs in
+      [
+        ("without:s:tput:p", g "with_tput" /. g "alone_tput");
+        ( "without:s:p95-rtt:p",
+          1000.0 *. g "with_p95_s" /. (1000.0 *. g "alone_p95_s") );
+        ("total-tput", 0.0 +. g "with_tput" +. g "scav_tput");
+      ])
+    Sweep_goldens.fig6
+
+(* harm and every without on one label read one run without that
+   label; a spec with neither form runs once. Runs are counted through
+   the arm hook. *)
+let test_shared_baseline () =
+  let spec metrics =
+    parse_spec
+      (Printf.sprintf
+         {|(scenario (duration 3) (measure-from 1)
+            (topology (dumbbell (link (bw-mbps 10) (rtt-ms 30) (buffer-bytes 100000))))
+            (flows (flow (cc cubic) (label p)) (flow (cc copa) (label s) (start 0.5)))
+            (metrics %s))|}
+         metrics)
+  in
+  let runs s =
+    let n = ref 0 in
+    let ms = Scn.Build.run_metrics ~arm:(fun _ -> incr n) ~seed:3 s in
+    (!n, ms)
+  in
+  let shared =
+    spec "(tput p) (harm s) (without s (tput p)) (without s (p95-rtt p (window 1 2)))"
+  in
+  let n, ms = runs shared in
+  Alcotest.(check int) "main run + one baseline" 2 n;
+  Alcotest.(check int) "two labels, two baselines" 3
+    (fst (runs (spec "(harm s) (without p (tput s))")));
+  Alcotest.(check int) "neither form runs once" 1
+    (fst (runs (spec "(tput p) (tput s)")));
+  (* the ratio divides by the baseline run's own value *)
+  let base = List.assoc "s" (Scn.Build.baselines ~seed:3 shared) in
+  Alcotest.(check (float 0.0)) "ratio over the baseline"
+    (List.assoc "tput:p" ms /. List.assoc "tput:p" base)
+    (List.assoc "without:s:tput:p" ms);
+  let r, flows = Scn.Build.instantiate ~seed:3 shared in
+  Net.Runner.run r ~until:3.0;
+  Alcotest.(check (float 0.0)) "zero baseline reads 0" 0.0
+    (List.assoc "without:s:tput:p"
+       (Scn.Build.metric_values
+          ~baselines:[ ("s", ("tput:p", 0.0) :: List.remove_assoc "tput:p" base) ]
+          shared flows))
 
 (* ---------- QCheck: generated valid specs run audit-clean ---------- *)
 
@@ -613,8 +724,24 @@ let gen_spec =
            float_range 0.0 (duration -. 0.01) >>= fun after ->
            return (Spec.Recovery { pre; after }) );
        ]
-      @ if n_flows >= 2 then [ (2, some_label >>= fun l -> return (Spec.Harm l)) ]
-        else [])
+      @
+      if n_flows >= 2 then
+        [
+          (2, some_label >>= fun l -> return (Spec.Harm l));
+          ( 2,
+            some_label >>= fun l ->
+            oneofl (List.filter (( <> ) l) labels) >>= fun f ->
+            oneof
+              [
+                return (Spec.Tput (f, None));
+                (gen_window >|= fun w -> Spec.Tput (f, Some w));
+                return (Spec.Mean_rtt (f, None));
+                (gen_window >|= fun w -> Spec.P95_rtt (f, Some w));
+                return (Spec.Loss f);
+              ]
+            >>= fun m -> return (Spec.Without (l, m)) );
+        ]
+      else [])
   in
   list_size (int_range 0 3) gen_extra >>= fun extra ->
   return { spec with Spec.metrics = Spec.default_metrics spec @ extra }
@@ -834,6 +961,7 @@ let suite =
     ("all-stopped spec must quiesce", `Quick, test_stopped_spec_quiesces);
     ("recovery bar is 0.8 of the pre window", `Quick, test_recovery_threshold);
     ("harm formula", `Quick, test_harm_formula);
+    ("harm and without share one baseline", `Quick, test_shared_baseline);
     ("grid expansion count", `Quick, test_grid_expansion_count);
     ("grid determinism", `Quick, test_grid_determinism);
     ("grid errors", `Quick, test_grid_errors);
@@ -848,5 +976,8 @@ let suite =
     ("protocol registry", `Quick, test_protocols_registry);
     ("ported fault sweep: pinned cells", `Slow, test_faults_pinned);
     ("ported topology sweep: pinned cells", `Slow, test_topology_pinned);
+    ("paper fig3: pinned cells", `Slow, test_fig3_pinned);
+    ("paper fig4: pinned cells", `Slow, test_fig4_pinned);
+    ("paper fig6/7: pinned cells", `Slow, test_fig6_pinned);
   ]
   @ qcheck [ prop_generated_spec_runs ]
