@@ -574,3 +574,316 @@ let fig6 =
         ];
     };
   ]
+
+(* Fig. 5's and Fig. 8's deterministic cells, recorded the same way
+   from [Exp_fig5.fairness] (Jain's index over [15n, 15n + 100) s of n
+   flows started 15 s apart on a 20n Mbps / 30 ms / 300n KB link) and
+   from the body of [Exp_common.pair_run] as [Exp_fig8] called it (80 s
+   pairs, CUBIC primary alone at seed 7 and with a LEDBAT-100 scavenger
+   from 80/6 s at seed 1007, measured from 80/3 s) over the 24 default
+   [Exp_fig8.grid] rows, at commit 23de2df. Each value was the same at
+   seeds 1 and 2 (Fig. 8: 7 and 1, each with its + 1000 partner). *)
+
+let fig5 =
+  [
+    {
+      combo = "cc=cubic,n=2,bw=40,buffer=600000,from=30,until=130";
+      values = [ ("jain", 0x1.fb72e3ba72066p-1) ];
+    };
+    {
+      combo = "cc=cubic,n=4,bw=80,buffer=1200000,from=60,until=160";
+      values = [ ("jain", 0x1.ff2b6cc2ec249p-1) ];
+    };
+    {
+      combo = "cc=cubic,n=6,bw=120,buffer=1800000,from=90,until=190";
+      values = [ ("jain", 0x1.fc63a21fae175p-1) ];
+    };
+    {
+      combo = "cc=cubic,n=8,bw=160,buffer=2400000,from=120,until=220";
+      values = [ ("jain", 0x1.fc4e7eab0e842p-1) ];
+    };
+    {
+      combo = "cc=cubic,n=10,bw=200,buffer=3000000,from=150,until=250";
+      values = [ ("jain", 0x1.f932d6cdc55bcp-1) ];
+    };
+    {
+      combo = "cc=copa,n=2,bw=40,buffer=600000,from=30,until=130";
+      values = [ ("jain", 0x1.fff2aa1935249p-1) ];
+    };
+    {
+      combo = "cc=copa,n=4,bw=80,buffer=1200000,from=60,until=160";
+      values = [ ("jain", 0x1.ff808c6d5f381p-1) ];
+    };
+    {
+      combo = "cc=copa,n=6,bw=120,buffer=1800000,from=90,until=190";
+      values = [ ("jain", 0x1.ffebf6f0d9a8p-1) ];
+    };
+    {
+      combo = "cc=copa,n=8,bw=160,buffer=2400000,from=120,until=220";
+      values = [ ("jain", 0x1.fff4e610ff12ep-1) ];
+    };
+    {
+      combo = "cc=copa,n=10,bw=200,buffer=3000000,from=150,until=250";
+      values = [ ("jain", 0x1.fff1fffb6b387p-1) ];
+    };
+    {
+      combo = "cc=ledbat-100,n=2,bw=40,buffer=600000,from=30,until=130";
+      values = [ ("jain", 0x1.f1b6133ba56c5p-1) ];
+    };
+    {
+      combo = "cc=ledbat-100,n=4,bw=80,buffer=1200000,from=60,until=160";
+      values = [ ("jain", 0x1.7b44b668b0164p-1) ];
+    };
+    {
+      combo = "cc=ledbat-100,n=6,bw=120,buffer=1800000,from=90,until=190";
+      values = [ ("jain", 0x1.3d77d9a16440ep-1) ];
+    };
+    {
+      combo = "cc=ledbat-100,n=8,bw=160,buffer=2400000,from=120,until=220";
+      values = [ ("jain", 0x1.1c14df9159b5bp-1) ];
+    };
+    {
+      combo = "cc=ledbat-100,n=10,bw=200,buffer=3000000,from=150,until=250";
+      values = [ ("jain", 0x1.091e15b0d0268p-1) ];
+    };
+    {
+      combo = "cc=ledbat-25,n=2,bw=40,buffer=600000,from=30,until=130";
+      values = [ ("jain", 0x1.110b18dd08b1ap-1) ];
+    };
+    {
+      combo = "cc=ledbat-25,n=4,bw=80,buffer=1200000,from=60,until=160";
+      values = [ ("jain", 0x1.0c5fbd1b3c651p-1) ];
+    };
+    {
+      combo = "cc=ledbat-25,n=6,bw=120,buffer=1800000,from=90,until=190";
+      values = [ ("jain", 0x1.2c24a4abee467p-1) ];
+    };
+    {
+      combo = "cc=ledbat-25,n=8,bw=160,buffer=2400000,from=120,until=220";
+      values = [ ("jain", 0x1.0c32288810c4p-1) ];
+    };
+    {
+      combo = "cc=ledbat-25,n=10,bw=200,buffer=3000000,from=150,until=250";
+      values = [ ("jain", 0x1.09dabd7f7ed71p-1) ];
+    };
+  ]
+
+let fig8 =
+  [
+    {
+      combo = "primary=cubic,scav=ledbat-100,bw=20,rtt=10,buffer=12500";
+      values =
+        [
+          ("alone_tput", 0x1.40001a36e2eb2p+4);
+          ("with_tput", 0x1.413886594af4fp+3);
+          ("scav_tput", 0x1.3e027525460aap+3);
+        ];
+    };
+    {
+      combo = "primary=cubic,scav=ledbat-100,bw=20,rtt=10,buffer=50000";
+      values =
+        [
+          ("alone_tput", 0x1.3fff2e48e8a72p+4);
+          ("with_tput", 0x1.8ddd63886594cp+3);
+          ("scav_tput", 0x1.e441f212d7733p+2);
+        ];
+    };
+    {
+      combo = "primary=cubic,scav=ledbat-100,bw=20,rtt=30,buffer=37500";
+      values =
+        [
+          ("alone_tput", 0x1.40001a36e2eb2p+4);
+          ("with_tput", 0x1.958ded288ce71p+3);
+          ("scav_tput", 0x1.d3617c1bda513p+2);
+        ];
+    };
+    {
+      combo = "primary=cubic,scav=ledbat-100,bw=20,rtt=30,buffer=150000";
+      values =
+        [
+          ("alone_tput", 0x1.40001a36e2eb2p+4);
+          ("with_tput", 0x1.8fc226809d496p+3);
+          ("scav_tput", 0x1.e07c1bda5119ep+2);
+        ];
+    };
+    {
+      combo = "primary=cubic,scav=ledbat-100,bw=20,rtt=100,buffer=125000";
+      values =
+        [
+          ("alone_tput", 0x1.40001a36e2eb2p+4);
+          ("with_tput", 0x1.0474d6a161e5p+4);
+          ("scav_tput", 0x1.dc353f7ced918p+1);
+        ];
+    };
+    {
+      combo = "primary=cubic,scav=ledbat-100,bw=20,rtt=100,buffer=500000";
+      values =
+        [
+          ("alone_tput", 0x1.40001a36e2eb2p+4);
+          ("with_tput", 0x1.ecb98c7e28242p+3);
+          ("scav_tput", 0x1.268d4fdf3b646p+2);
+        ];
+    };
+    {
+      combo = "primary=cubic,scav=ledbat-100,bw=50,rtt=10,buffer=31250";
+      values =
+        [
+          ("alone_tput", 0x1.8fffe5c91d14fp+5);
+          ("with_tput", 0x1.e28a57a786c23p+4);
+          ("scav_tput", 0x1.3c02f837b4a23p+4);
+        ];
+    };
+    {
+      combo = "primary=cubic,scav=ledbat-100,bw=50,rtt=10,buffer=125000";
+      values =
+        [
+          ("alone_tput", 0x1.8fffe5c91d14fp+5);
+          ("with_tput", 0x1.cccdb8bac710ep+4);
+          ("scav_tput", 0x1.533212d773191p+4);
+        ];
+    };
+    {
+      combo = "primary=cubic,scav=ledbat-100,bw=50,rtt=30,buffer=93750";
+      values =
+        [
+          ("alone_tput", 0x1.90005bc01a36fp+5);
+          ("with_tput", 0x1.b05205bc01a38p+4);
+          ("scav_tput", 0x1.6d3dd97f62b6cp+4);
+        ];
+    };
+    {
+      combo = "primary=cubic,scav=ledbat-100,bw=50,rtt=30,buffer=375000";
+      values =
+        [
+          ("alone_tput", 0x1.90005bc01a36fp+5);
+          ("with_tput", 0x1.15076c8b43958p+5);
+          ("scav_tput", 0x1.ebe3bcd35a85ap+3);
+        ];
+    };
+    {
+      combo = "primary=cubic,scav=ledbat-100,bw=50,rtt=100,buffer=312500";
+      values =
+        [
+          ("alone_tput", 0x1.8fffe5c91d14fp+5);
+          ("with_tput", 0x1.53f32617c1bdbp+5);
+          ("scav_tput", 0x1.e05e9e1b089a1p+2);
+        ];
+    };
+    {
+      combo = "primary=cubic,scav=ledbat-100,bw=50,rtt=100,buffer=1250000";
+      values =
+        [
+          ("alone_tput", 0x1.8fffe5c91d14fp+5);
+          ("with_tput", 0x1.7bde4f765fd8cp+5);
+          ("scav_tput", 0x1.4219652bd3c36p+1);
+        ];
+    };
+    {
+      combo = "primary=cubic,scav=ledbat-100,bw=100,rtt=10,buffer=62500";
+      values =
+        [
+          ("alone_tput", 0x1.8fffe5c91d14fp+6);
+          ("with_tput", 0x1.176aacd9e83e4p+6);
+          ("scav_tput", 0x1.e1afec56d5cfcp+4);
+        ];
+    };
+    {
+      combo = "primary=cubic,scav=ledbat-100,bw=100,rtt=10,buffer=250000";
+      values =
+        [
+          ("alone_tput", 0x1.8fffe5c91d14fp+6);
+          ("with_tput", 0x1.db19db22d0e57p+5);
+          ("scav_tput", 0x1.44e5f06f69446p+5);
+        ];
+    };
+    {
+      combo = "primary=cubic,scav=ledbat-100,bw=100,rtt=30,buffer=187500";
+      values =
+        [
+          ("alone_tput", 0x1.8fffe5c91d14fp+6);
+          ("with_tput", 0x1.05ba29c779a6cp+6);
+          ("scav_tput", 0x1.136f27bb2fec5p+5);
+        ];
+    };
+    {
+      combo = "primary=cubic,scav=ledbat-100,bw=100,rtt=30,buffer=750000";
+      values =
+        [
+          ("alone_tput", 0x1.8fffe5c91d14fp+6);
+          ("with_tput", 0x1.512ac083126ebp+6);
+          ("scav_tput", 0x1.f6a92a3055327p+3);
+        ];
+    };
+    {
+      combo = "primary=cubic,scav=ledbat-100,bw=100,rtt=100,buffer=625000";
+      values =
+        [
+          ("alone_tput", 0x1.8fffe5c91d14fp+6);
+          ("with_tput", 0x1.6ff56d5cfaacfp+6);
+          ("scav_tput", 0x1.0053c36113405p+3);
+        ];
+    };
+    {
+      combo = "primary=cubic,scav=ledbat-100,bw=100,rtt=100,buffer=2500000";
+      values =
+        [
+          ("alone_tput", 0x1.8fffe5c91d14fp+6);
+          ("with_tput", 0x1.7d06d5cfaacdbp+6);
+          ("scav_tput", 0x1.2f90ff9724745p+2);
+        ];
+    };
+    {
+      combo = "primary=cubic,scav=ledbat-100,bw=300,rtt=10,buffer=187500";
+      values =
+        [
+          ("alone_tput", 0x1.2bfffb15b573fp+8);
+          ("with_tput", 0x1.6423b2fec56d7p+7);
+          ("scav_tput", 0x1.e4127bb2fec58p+6);
+        ];
+    };
+    {
+      combo = "primary=cubic,scav=ledbat-100,bw=300,rtt=10,buffer=750000";
+      values =
+        [
+          ("alone_tput", 0x1.2bfffb15b573fp+8);
+          ("with_tput", 0x1.acc851eb851edp+7);
+          ("scav_tput", 0x1.566f487fcb925p+6);
+        ];
+    };
+    {
+      combo = "primary=cubic,scav=ledbat-100,bw=300,rtt=30,buffer=562500";
+      values =
+        [
+          ("alone_tput", 0x1.2bfffb15b573fp+8);
+          ("with_tput", 0x1.c34dd97f62b6cp+7);
+          ("scav_tput", 0x1.28fa027525461p+6);
+        ];
+    };
+    {
+      combo = "primary=cubic,scav=ledbat-100,bw=300,rtt=30,buffer=2250000";
+      values =
+        [
+          ("alone_tput", 0x1.2bfffb15b573fp+8);
+          ("with_tput", 0x1.112de353f7ceep+8);
+          ("scav_tput", 0x1.ad217c1bda513p+4);
+        ];
+    };
+    {
+      combo = "primary=cubic,scav=ledbat-100,bw=300,rtt=100,buffer=1875000";
+      values =
+        [
+          ("alone_tput", 0x1.2bfffb15b573fp+8);
+          ("with_tput", 0x1.1f39916872b02p+8);
+          ("scav_tput", 0x1.98cd35a858795p+3);
+        ];
+    };
+    {
+      combo = "primary=cubic,scav=ledbat-100,bw=300,rtt=100,buffer=7500000";
+      values =
+        [
+          ("alone_tput", 0x1.2bfffb15b573fp+8);
+          ("with_tput", 0x1.26675a858793ep+8);
+          ("scav_tput", 0x1.6628240b78035p+2);
+        ];
+    };
+  ]
