@@ -196,25 +196,14 @@ let proto name =
   }
 
 let cubic = proto "cubic"
-let bbr = proto "bbr"
-let copa = proto "copa"
-let vivace = proto "vivace"
-let proteus_p = proto "proteus-p"
 let proteus_s = proto "proteus-s"
 let ledbat_100 = proto "ledbat-100"
-let ledbat_25 = proto "ledbat-25"
-
-(* Fig. 5/9 single-protocol lineup (paper order); lineup_b adds
-   LEDBAT-25 for Appendix B. *)
-let lineup = [ proteus_s; ledbat_100; cubic; bbr; proteus_p; copa; vivace ]
-let lineup_b = [ proteus_s; ledbat_25; ledbat_100; cubic; bbr; proteus_p; copa; vivace ]
-let primaries = [ bbr; cubic; copa; proteus_p; vivace ]
 
 (* ---------- standard links ---------- *)
 
-let emulab_cfg ?noise ?(bandwidth_mbps = 50.0) ?(rtt_ms = 30.0)
-    ?(buffer_bytes = 375_000) () =
-  Net.Link.config ?noise ~bandwidth_mbps ~rtt_ms ~buffer_bytes ()
+let emulab_cfg ?noise () =
+  Net.Link.config ?noise ~bandwidth_mbps:50.0 ~rtt_ms:30.0
+    ~buffer_bytes:375_000 ()
 
 (* ---------- single-flow run ---------- *)
 
@@ -234,12 +223,11 @@ type pair_summary = {
   scav_tput : float;
 }
 
-let pair_run ?(seed = 1) ?noise ?(bandwidth_mbps = 50.0) ?(rtt_ms = 30.0)
-    ?(buffer_bytes = 375_000) ~primary ~scavenger () =
+let pair_run ?(seed = 1) ~primary ~scavenger () =
   let duration = pair_duration () in
   let scav_start = duration /. 6.0 in
   let t0 = duration /. 3.0 in
-  let cfg = emulab_cfg ?noise ~bandwidth_mbps ~rtt_ms ~buffer_bytes () in
+  let cfg = emulab_cfg () in
   let r1 = Net.Runner.create ~seed cfg in
   let p1 = Net.Runner.add_flow r1 ~label:"primary" ~factory:(primary ()) in
   Net.Runner.run r1 ~until:duration;

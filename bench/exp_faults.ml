@@ -6,7 +6,8 @@ module Net = Proteus_net
 module Link = Net.Link
 
 let protos =
-  Exp_common.[ proteus_p; proteus_s; cubic; bbr; copa; ledbat_100 ]
+  List.map Exp_common.proto
+    [ "proteus-p"; "proteus-s"; "cubic"; "bbr"; "copa"; "ledbat-100" ]
 
 (* A five-second outage scenario per congestion controller with the
    auditor attached: the link goes dark for two seconds mid-run, flows

@@ -16,7 +16,8 @@ let rev_cfg () =
   Link.config ~bandwidth_mbps:30.0 ~rtt_ms:30.0 ~buffer_bytes:150_000 ()
 
 let protos =
-  Exp_common.[ proteus_p; proteus_s; cubic; bbr; copa; ledbat_100 ]
+  List.map Exp_common.proto
+    [ "proteus-p"; "proteus-s"; "cubic"; "bbr"; "copa"; "ledbat-100" ]
 
 (* A short parking-lot run per protocol with the auditor attached: the
    e2e flow and the per-hop crosses stop at t=4 and the final second

@@ -3,8 +3,8 @@
 
    Usage:  dune exec bench/main.exe --
              [--fast|--full] [--jobs N] [OPTION]... [ids...]
-   ids: fig2 paper fig5 fig8 fig9 fig11 fig12 appendix theory ablation
-        micro faults topology scale matrix all (default: all);
+   ids: fig2 paper fig11 fig12 ablation micro faults topology scale
+        matrix all (default: all);
    --help lists every id and option (parsed with Cmdliner).
 
    --jobs N fans independent trials/protocol runs across N domains;
@@ -16,9 +16,10 @@
    (currently faults-smoke); tracing never changes results.
 
    paper, faults, topology and matrix are one scenario sweep
-   (Exp_matrix) over scenarios/paper (Figs. 3, 4, 6/7 and 14 with
-   their Appendix B variants), scenarios/faults, scenarios/topology
-   and the --scenarios corpus; each writes BENCH_<id>.json,
+   (Exp_matrix) over scenarios/paper (Figs. 3-10, 14 and 18 with their
+   Appendix B variants, and the Appendix A equilibrium runs),
+   scenarios/faults, scenarios/topology and the --scenarios corpus;
+   each writes BENCH_<id>.json,
    JOURNAL_<id>.jsonl and MANIFEST_<id>.json. e.g.
      dune exec bench/main.exe -- --fast --trials 3 --jobs 4 paper
    The sweeps (those four and scale) run under the
@@ -36,17 +37,11 @@ let experiments : (string * (unit -> unit)) list =
       fun () ->
         Exp_matrix.sweep ~id:"paper"
           ~title:
-            "Paper Figs. 3, 4, 6/7 and 14 with Appendix B Figs. 15, 16, \
-             19/20 (scenario files)"
+            "Paper Figs. 3-10, 14 and 18 with Appendix B Figs. 15-17 and \
+             19-22, and the Appendix A equilibrium runs (scenario files)"
           "scenarios/paper" );
-    ("fig5", fun () -> Exp_fig5.run ());
-    ("fig8", Exp_fig8.run);
-    ("fig9", fun () -> Exp_fig9.run ());
     ("fig11", Exp_fig11.run);
     ("fig12", Exp_fig12.run);
-    ("figB-fairness", fun () -> Exp_fig5.run ~appendix:true ());
-    ("figB-wifi", fun () -> Exp_fig9.run ~appendix:true ());
-    ("theory", Exp_theory.run);
     ("ablation", Exp_ablation.run);
     ("micro", Exp_micro.run);
     ( "faults",
@@ -67,10 +62,6 @@ let experiments : (string * (unit -> unit)) list =
     ("scale-smoke", Exp_scale.smoke);
     ("matrix", Exp_matrix.run);
   ]
-
-(* The paper sweep holds Appendix B's Figs. 15, 16 and 19/20 as grid
-   values. *)
-let appendix_ids = [ "paper"; "figB-fairness"; "figB-wifi" ]
 
 open Cmdliner
 
@@ -174,18 +165,17 @@ let settings =
 let short_help = Arg.(value & flag & info [ "h" ] ~doc:"Same as $(b,--help).")
 
 let ids =
-  let names = List.map fst experiments @ [ "appendix"; "all" ] in
+  let names = List.map fst experiments @ [ "all" ] in
   Arg.(
     value
     & pos_all (enum (List.map (fun n -> (n, n)) names)) []
     & info [] ~docv:"ID"
         ~doc:
           (Printf.sprintf
-             "Experiments to run: $(docv) is one of %s; appendix runs %s; \
-              all (the default) runs every experiment except the smoke \
-              entries and the matrix."
-             (String.concat ", " (List.map fst experiments))
-             (String.concat " " appendix_ids)))
+             "Experiments to run: $(docv) is one of %s; all (the default) \
+              runs every experiment except the smoke entries and the \
+              matrix. paper holds the paper's figures, Appendix B included."
+             (String.concat ", " (List.map fst experiments))))
 
 let run scale_flags jobs ids =
   Exp_common.scale := List.nth scale_flags (List.length scale_flags - 1);
@@ -208,7 +198,6 @@ let run scale_flags jobs ids =
                 then None
                 else Some id)
               experiments
-        | "appendix" -> appendix_ids
         | _ -> [ id ])
       ids
   in

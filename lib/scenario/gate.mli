@@ -52,14 +52,8 @@ val t_crit : alpha:float -> df:float -> float
 (** Two-sided Student-t critical value; df rounds down to the nearest
     table row (conservative), alpha snaps to 0.05/0.01/0.001. *)
 
-val welch : row -> row -> (float * float) option
-(** Welch's t statistic and Welch–Satterthwaite df for two cells;
-    [None] when both variances vanish. *)
-
 val parse_bench : string -> (row list, string) result
 (** Extract result rows (lines carrying an ["id"] key) from a
     BENCH_matrix.json file. *)
-
-val row_of_line : string -> row option
 
 val describe_regression : regression -> string

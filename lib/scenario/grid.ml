@@ -1,16 +1,17 @@
 (* Template expansion: a scenario file is a (scenario ...) form whose
-   optional (grid (NAME VALUE...) ...) clause turns it into a template.
-   Every $NAME atom in the body is substituted with each combination of
-   grid values (cartesian product, first entry varying slowest), and
-   each combination runs [trials] seeded instances. Instance ids are
-   pure functions of (scenario name, bindings, trial index) and the
-   seed is derived from the id's MD5, so a run's identity never depends
-   on file ordering, sibling scenarios, or how many combos expanded
-   before it. *)
+   optional (grid ENTRY ...) clause turns it into a template. An entry
+   is (NAME VALUE...) or a tuple ((NAME...) (VALUE...) ...) binding
+   several names per row. Every $NAME atom in the body is substituted
+   with each combination of entry values (cartesian product, first
+   entry varying slowest), and each combination runs [trials] seeded
+   instances. Instance ids are pure functions of (scenario name,
+   bindings, trial index) and the seed is derived from the id's MD5,
+   so a run's identity never depends on file ordering, sibling
+   scenarios, or how many combos expanded before it. *)
 
 type template = {
   path : string;
-  grid : (string * string list) list;
+  grid : (string list * string list list) list;
   body : Sexp.t;
 }
 
@@ -44,10 +45,42 @@ let rec strip_grid = function
       bad "grid: only allowed at the top level of (scenario ...)"
   | Sexp.List items -> Sexp.List (List.map strip_grid items)
 
+let atoms ctx = function
+  | Sexp.Atom v -> v
+  | Sexp.List _ as l ->
+      bad "grid %s: values must be atoms, got %s" ctx (Sexp.to_string l)
+
+(* One grid entry: a plain (NAME VALUE...) binds one name per value; a
+   tuple ((NAME...) (VALUE...) ...) binds every name once per row. *)
+let parse_entry = function
+  | Sexp.List (Sexp.Atom name :: (_ :: _ as values)) ->
+      ([ name ], List.map (fun v -> [ atoms name v ]) values)
+  | Sexp.List (Sexp.List (_ :: _ as names) :: (_ :: _ as rows)) ->
+      let names =
+        List.map
+          (function
+            | Sexp.Atom n -> n
+            | l -> bad "grid: tuple names must be atoms, got %s" (Sexp.to_string l))
+          names
+      in
+      let ctx = String.concat " " names in
+      let arity = List.length names in
+      ( names,
+        List.map
+          (function
+            | Sexp.List vs when List.length vs = arity -> List.map (atoms ctx) vs
+            | row ->
+                bad "grid (%s): expected a row of %d values, got %s" ctx arity
+                  (Sexp.to_string row))
+          rows )
+  | f ->
+      bad "grid: expected (NAME VALUE...) or ((NAME...) (VALUE...)...), got %s"
+        (Sexp.to_string f)
+
 let of_sexp_exn ?(path = "<string>") form =
   match form with
   | Sexp.List (Sexp.Atom "scenario" :: clauses) ->
-      let grid = ref [] in
+      let grid = ref [] and seen = ref [] in
       let rest =
         List.filter
           (fun clause ->
@@ -55,25 +88,16 @@ let of_sexp_exn ?(path = "<string>") form =
             | Sexp.List (Sexp.Atom "grid" :: entries) ->
                 List.iter
                   (fun entry ->
-                    match entry with
-                    | Sexp.List (Sexp.Atom name :: (_ :: _ as values)) ->
+                    let names, rows = parse_entry entry in
+                    List.iter
+                      (fun name ->
                         if not (ident_ok name) then
                           bad "grid: bad parameter name %S" name;
-                        if List.mem_assoc name !grid then
+                        if List.mem name !seen then
                           bad "grid: duplicate parameter %S" name;
-                        let values =
-                          List.map
-                            (function
-                              | Sexp.Atom v -> v
-                              | Sexp.List _ as l ->
-                                  bad "grid %s: values must be atoms, got %s"
-                                    name (Sexp.to_string l))
-                            values
-                        in
-                        grid := !grid @ [ (name, values) ]
-                    | f ->
-                        bad "grid: expected (NAME VALUE...), got %s"
-                          (Sexp.to_string f))
+                        seen := name :: !seen)
+                      names;
+                    grid := !grid @ [ (names, rows) ])
                   entries;
                 false
             | _ -> true)
@@ -87,13 +111,13 @@ let of_sexp_exn ?(path = "<string>") form =
         | Sexp.List items -> List.exists (mentions var) items
       in
       List.iter
-        (fun (name, _) ->
+        (fun name ->
           if not (mentions name body) then
             bad "grid: parameter %S is never referenced (no $%s in the body)"
               name name)
-        !grid;
+        (List.rev !seen);
       let n_combos =
-        List.fold_left (fun acc (_, vs) -> acc * List.length vs) 1 !grid
+        List.fold_left (fun acc (_, rows) -> acc * List.length rows) 1 !grid
       in
       if n_combos > max_combos then
         bad "grid: %d combinations exceed the %d cap" n_combos max_combos;
@@ -119,9 +143,10 @@ let load_file path =
 
 let combos t =
   List.fold_left
-    (fun acc (name, values) ->
+    (fun acc (names, rows) ->
       List.concat_map
-        (fun bindings -> List.map (fun v -> bindings @ [ (name, v) ]) values)
+        (fun bindings ->
+          List.map (fun row -> bindings @ List.combine names row) rows)
         acc)
     [ [] ] t.grid
 

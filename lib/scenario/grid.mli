@@ -1,19 +1,32 @@
-(** Template expansion: [(grid (NAME VALUE ...) ...)] × seed trials →
-    concrete scenario instances.
+(** Template expansion: [(grid ENTRY ...)] × seed trials → concrete
+    scenario instances.
+
+    {v
+    (grid ENTRY ...)
+    ENTRY := (NAME VALUE ...)                       ; one name per value
+           | ((NAME ...) (VALUE ...) ...)           ; one row per tuple
+    v}
 
     A scenario file holds one [(scenario ...)] form; an optional
-    [(grid ...)] clause lists parameters whose [$NAME] references in
-    the body are substituted with every combination of values
-    (cartesian product, first parameter varying slowest). Each
-    combination expands into [trials] instances whose ids —
-    [NAME/k=v,.../tN] — are pure functions of the scenario name,
-    bindings and trial index, and whose seeds derive from the id's MD5:
-    a run's identity never depends on file ordering or sibling
-    scenarios. *)
+    [(grid ...)] clause lists entries whose [$NAME] references in the
+    body are substituted with every combination of entry values
+    (cartesian product, first entry varying slowest). A tuple entry
+    binds all of its names from one row at a time, so its rows enter
+    the product as one axis: [((bw rtt) (20 10) (50 30))] expands to
+    two combinations, not four. Every row must have one value per
+    name, a name may be bound only once across the grid, and every
+    name must be referenced in the body. Each combination expands into
+    [trials] instances whose ids — [NAME/k=v,.../tN], one [k=v] per
+    bound name in entry order — are pure functions of the scenario
+    name, bindings and trial index, and whose seeds derive from the
+    id's MD5: a run's identity never depends on file ordering or
+    sibling scenarios. *)
 
 type template = {
   path : string;  (** source path (diagnostics only) *)
-  grid : (string * string list) list;  (** declaration order *)
+  grid : (string list * string list list) list;
+      (** entries in declaration order: the names each binds, and one
+          value row per combination (a plain entry binds one name) *)
   body : Sexp.t;  (** the scenario form, grid clause stripped *)
 }
 
@@ -27,18 +40,14 @@ type instance = {
 
 val load_file : string -> (template, string) result
 (** Parse one scenario file into a template. Fails on parse errors,
-    multiple top-level forms, malformed grid entries, duplicate or
-    unreferenced grid parameters, and combination counts over 10k. *)
+    multiple top-level forms, malformed grid entries (including a tuple
+    row whose arity differs from its names), duplicate or unreferenced
+    grid parameters, and combination counts over 10k. *)
 
 val of_sexp : ?path:string -> Sexp.t -> (template, string) result
 
 val combos : template -> (string * string) list list
 (** All grid bindings in expansion order ([[[]]] when gridless). *)
-
-val combo_id : (string * string) list -> string
-
-val instantiate : template -> (string * string) list -> (Spec.t, string) result
-(** Substitute one combination and parse/validate the resulting spec. *)
 
 val expand : template -> trials:int -> (instance list, string) result
 (** Every combination × trial index, in combination-major order. *)

@@ -361,6 +361,47 @@ let parse_flow idx form =
       }
   | f -> bad "flows: expected (flow ...), got %s" (Sexp.to_string f)
 
+(* (replicate N [(every T)] FLOW): N copies of one labelled flow, copy
+   i labelled Li and started at START + i x T. Default labels count
+   expanded flows, so a flow after a replicate never reuses a copy's. *)
+let parse_flows forms =
+  let idx = ref 0 in
+  List.concat_map
+    (function
+      | Sexp.List (Sexp.Atom "replicate" :: count :: rest) as form ->
+          let n = int_atom "replicate count" count in
+          if n < 0 then bad "replicate: count must be >= 0, got %d" n;
+          let every, flow =
+            match rest with
+            | [ flow ] -> (0.0, flow)
+            | [ Sexp.List [ Sexp.Atom "every"; t ]; flow ] ->
+                (float_atom "replicate every" t, flow)
+            | _ ->
+                bad "replicate: expected (replicate N [(every T)] FLOW), got %s"
+                  (Sexp.to_string form)
+          in
+          (match flow with
+          | Sexp.List (Sexp.Atom "flow" :: clauses)
+            when List.exists
+                   (function
+                     | Sexp.List [ Sexp.Atom "label"; _ ] -> true | _ -> false)
+                   clauses ->
+              ()
+          | _ -> bad "replicate: expected a (flow ...) with a (label L)");
+          let f = parse_flow 0 flow in
+          idx := !idx + n;
+          List.init n (fun i ->
+              {
+                f with
+                label = f.label ^ string_of_int i;
+                start = f.start +. (float_of_int i *. every);
+              })
+      | form ->
+          let f = parse_flow !idx form in
+          incr idx;
+          [ f ])
+    forms
+
 let print_cc f =
   match f.dp with
   | None -> Sexp.Atom f.cc
@@ -879,7 +920,7 @@ let of_sexp_exn form =
           | Sexp.List (Sexp.Atom "topology" :: _) as topo ->
               topology := Some (parse_topology topo)
           | Sexp.List (Sexp.Atom "flows" :: fs) ->
-              flows := Some (List.mapi parse_flow fs)
+              flows := Some (parse_flows fs)
           | Sexp.List (Sexp.Atom "fluid" :: _) as fl ->
               fluids := !fluids @ [ parse_fluid fl ]
           | Sexp.List (Sexp.Atom "metrics" :: ms) ->

@@ -10,7 +10,7 @@
       (duration SECONDS)
       (measure-from SECONDS)             ; optional, default duration/3
       (topology TOPO)
-      (flows FLOW ...)
+      (flows FLOW-OR-REPLICATE ...)
       (fluid (link ID) [(buffer-share F)] CLASS ...) ...   ; optional
       (metrics METRIC ...))              ; optional
 
@@ -25,6 +25,7 @@
     NOISE  := none | wifi | lte | (gaussian SIGMA_MS)
     IMP    := (set-bandwidth MBPS) | (set-rtt MS) | (set-buffer BYTES)
             | (set-loss LOSSMODEL) | (down SECONDS [flush])
+    FLOW-OR-REPLICATE := FLOW | (replicate N [(every T)] FLOW)
     FLOW   := (flow (cc CC) [(label L)] [(start T)] [(stop T)]
                [(size-mb MB)] [(route e2e | rev | (hop N))])
     CC     := NAME
@@ -40,6 +41,15 @@
             | (p95-rtt F [WINDOW]) | (loss F)          ; F other than L
     WINDOW := (window T0 T1)
     v}
+
+    [(replicate N [(every T)] FLOW)] expands at parse time into [N]
+    copies of [FLOW], which must carry a [(label L)]: copy [i] is
+    labelled [Li] and starts at [START + i × T], where [START] is
+    [FLOW]'s start (default 0) and [T] defaults to 0. Every other
+    clause, [(stop T)] included, is copied as written. [N] is a
+    non-negative integer; [0] adds no flow. A copy's label must not
+    clash with another flow's. {!to_sexp} prints the copies as plain
+    flows.
 
     A metric reads the measurement window [\[measure-from, duration)]
     unless it carries a [WINDOW]. Windowed throughput ([tput],

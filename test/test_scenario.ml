@@ -19,6 +19,17 @@ let parse_spec text =
       | Error e -> Alcotest.failf "spec parse: %s" e)
   | Ok forms -> Alcotest.failf "expected one form, got %d" (List.length forms)
 
+(* Case-insensitive substring test for error messages. *)
+let mentions e needle =
+  let lower = String.lowercase_ascii e in
+  let nl = String.lowercase_ascii needle in
+  let found = ref false in
+  let n = String.length lower and m = String.length nl in
+  for i = 0 to n - m do
+    if String.sub lower i m = nl then found := true
+  done;
+  !found
+
 let expect_spec_error text needle =
   match Sexp.parse_string text with
   | Error _ -> () (* lexical rejection counts too *)
@@ -26,14 +37,7 @@ let expect_spec_error text needle =
       match Spec.of_sexp form with
       | Ok _ -> Alcotest.failf "expected error mentioning %S, spec parsed" needle
       | Error e ->
-          let lower = String.lowercase_ascii e in
-          let nl = String.lowercase_ascii needle in
-          let found = ref false in
-          let n = String.length lower and m = String.length nl in
-          for i = 0 to n - m do
-            if String.sub lower i m = nl then found := true
-          done;
-          if not !found then
+          if not (mentions e needle) then
             Alcotest.failf "error %S does not mention %S" e needle)
   | Ok _ -> Alcotest.fail "expected a single form"
 
@@ -475,6 +479,139 @@ let test_run_metrics_deterministic () =
       if not (Float.is_finite v1) then Alcotest.failf "%s not finite" k1)
     m1 m2
 
+(* Tuple entries bind every name from one row, enter the product as
+   one axis, and keep a k=v id part per bound name. *)
+let tuple_grid =
+  {|(scenario (name g) (duration 4)
+     (grid (cc cubic bbr) ((bw rtt) (10 30) (20 40) (15 25)))
+     (topology (dumbbell (link (bw-mbps $bw) (rtt-ms $rtt) (buffer-bytes 100000))))
+     (flows (flow (cc $cc) (label a))))|}
+
+let test_grid_tuples () =
+  let t = load_grid tuple_grid in
+  let insts = Result.get_ok (Grid.expand t ~trials:1) in
+  Alcotest.(check (list string))
+    "ids"
+    [
+      "g/cc=cubic,bw=10,rtt=30/t0"; "g/cc=cubic,bw=20,rtt=40/t0";
+      "g/cc=cubic,bw=15,rtt=25/t0"; "g/cc=bbr,bw=10,rtt=30/t0";
+      "g/cc=bbr,bw=20,rtt=40/t0"; "g/cc=bbr,bw=15,rtt=25/t0";
+    ]
+    (List.map (fun (i : Grid.instance) -> i.id) insts);
+  List.iter
+    (fun (i : Grid.instance) ->
+      match i.spec.Spec.topology with
+      | Spec.Dumbbell c ->
+          Alcotest.(check string)
+            (i.id ^ " row bound together") i.combo
+            (Printf.sprintf "cc=%s,bw=%g,rtt=%g"
+               (List.hd i.spec.Spec.flows).Spec.cc c.Net.Link.bandwidth_mbps
+               c.Net.Link.rtt_ms)
+      | _ -> Alcotest.fail "dumbbell expected")
+    insts;
+  (* a tuple first: its rows vary slowest *)
+  let t =
+    load_grid
+      {|(scenario (name h) (duration 4)
+         (grid ((bw rtt) (10 30) (20 40)) (cc cubic bbr))
+         (topology (dumbbell (link (bw-mbps $bw) (rtt-ms $rtt) (buffer-bytes 100000))))
+         (flows (flow (cc $cc) (label a))))|}
+  in
+  Alcotest.(check (list string))
+    "tuple-major ids"
+    [ "bw=10,rtt=30,cc=cubic"; "bw=10,rtt=30,cc=bbr"; "bw=20,rtt=40,cc=cubic";
+      "bw=20,rtt=40,cc=bbr" ]
+    (List.map
+       (fun (i : Grid.instance) -> i.combo)
+       (Result.get_ok (Grid.expand t ~trials:1)))
+
+let test_grid_tuple_errors () =
+  let reject grid needle =
+    let text =
+      Printf.sprintf
+        {|(scenario (duration 4) (grid %s)
+           (topology (dumbbell (link (bw-mbps $bw) (rtt-ms $rtt) (buffer-bytes 100000))))
+           (flows (flow (cc cubic))))|}
+        grid
+    in
+    match Sexp.parse_string text with
+    | Ok [ form ] -> (
+        match Grid.of_sexp form with
+        | Ok _ -> Alcotest.failf "grid accepted: %s" grid
+        | Error e ->
+            if not (mentions e needle) then
+              Alcotest.failf "%s: error %S lacks %S" grid e needle)
+    | _ -> Alcotest.fail "lex"
+  in
+  reject "((bw rtt) (10 30) (20))" "row of 2 values";
+  reject "((bw rtt) (10 30 40))" "row of 2 values";
+  reject "((bw rtt) 10)" "row of 2 values";
+  reject "((bw bw) (10 20))" "duplicate parameter \"bw\"";
+  reject "(bw 10) ((rtt bw) (1 2))" "duplicate parameter \"bw\"";
+  reject "((bw rtt ghost) (10 30 1))" "\"ghost\" is never referenced";
+  reject "(((bw) rtt) (10 30))" "tuple names must be atoms"
+
+(* (replicate N [(every T)] FLOW) is N labelled copies, copy i started
+   at START + i x T; the printed spec holds plain flows. *)
+let replicate_spec flows =
+  Printf.sprintf
+    {|(scenario (duration 10)
+       (topology (dumbbell (link (bw-mbps 10) (rtt-ms 30) (buffer-bytes 100000))))
+       (flows %s))|}
+    flows
+
+let test_replicate () =
+  let spec =
+    parse_spec
+      (replicate_spec
+         "(replicate 4 (every 0.7) (flow (cc cubic) (label p) (start 0.1) \
+          (stop 9.9))) (flow (cc bbr))")
+  in
+  let flows = spec.Spec.flows in
+  Alcotest.(check (list string))
+    "labels" [ "p0"; "p1"; "p2"; "p3"; "f4" ]
+    (List.map (fun f -> f.Spec.label) flows);
+  List.iteri
+    (fun i f ->
+      if i < 4 then begin
+        let want = 0.1 +. (float_of_int i *. 0.7) in
+        if Int64.bits_of_float f.Spec.start <> Int64.bits_of_float want then
+          Alcotest.failf "p%d start %h <> %h" i f.Spec.start want;
+        Alcotest.(check string) "cc copied" "cubic" f.Spec.cc;
+        Alcotest.(check (option (float 0.0))) "stop copied" (Some 9.9) f.Spec.stop
+      end)
+    flows;
+  (match Spec.of_sexp (Spec.to_sexp spec) with
+  | Ok s when s = spec -> ()
+  | Ok _ -> Alcotest.fail "to_sexp round trip drifted"
+  | Error e -> Alcotest.failf "to_sexp round trip: %s" e);
+  let none =
+    parse_spec
+      (replicate_spec
+         "(replicate 0 (every 2) (flow (cc cubic) (label p))) (flow (cc bbr))")
+  in
+  Alcotest.(check (list string))
+    "N = 0 adds no flow" [ "f0" ]
+    (List.map (fun f -> f.Spec.label) none.Spec.flows);
+  let plain =
+    parse_spec (replicate_spec "(replicate 2 (flow (cc cubic) (label q)))")
+  in
+  Alcotest.(check (list (float 0.0)))
+    "every defaults to 0" [ 0.0; 0.0 ]
+    (List.map (fun f -> f.Spec.start) plain.Spec.flows);
+  let reject flows needle = expect_spec_error (replicate_spec flows) needle in
+  reject "(replicate -1 (flow (cc cubic) (label p)))" "count must be >= 0";
+  reject "(replicate 2.5 (flow (cc cubic) (label p)))" "expected an integer";
+  reject "(replicate two (flow (cc cubic) (label p)))" "expected an integer";
+  reject "(replicate 2 (flow (cc cubic)))" "with a (label L)";
+  reject "(replicate 2 (every x) (flow (cc cubic) (label p)))" "expected a number";
+  reject "(replicate 2 (flow (cc cubic) (label p)) (flow (cc bbr)))"
+    "expected (replicate N";
+  reject "(flow (cc bbr) (label p1)) (replicate 2 (flow (cc cubic) (label p)))"
+    "duplicate flow label \"p1\"";
+  reject "(replicate 2 (flow (cc cubic) (label p))) (flow (cc bbr) (label p0))"
+    "duplicate flow label \"p0\""
+
 (* ---------- the ported fault and topology sweeps ---------- *)
 
 (* The committed sweep specs, as the bench expands them. [dune test]
@@ -604,6 +741,25 @@ let test_fig6_pinned () =
         ("total-tput", 0.0 +. g "with_tput" +. g "scav_tput");
       ])
     Sweep_goldens.fig6
+
+let test_fig5_pinned () =
+  check_paper_pinned "fig5"
+    (function
+      | "jain" -> ("fairness", false, 1.0)
+      | f -> Alcotest.failf "unmapped field %s" f)
+    Sweep_goldens.fig5
+
+(* Fig. 8's ratio is pair_run's: with / alone. *)
+let test_fig8_pinned () =
+  check_paper_pinned "fig8"
+    (function
+      | "with_tput" -> ("tput:p", false, 1.0)
+      | "scav_tput" -> ("tput:s", false, 1.0)
+      | "alone_tput" -> ("tput:p", true, 1.0)
+      | f -> Alcotest.failf "unmapped field %s" f)
+    ~derived:(fun vs ->
+      [ ("without:s:tput:p", List.assoc "with_tput" vs /. List.assoc "alone_tput" vs) ])
+    Sweep_goldens.fig8
 
 (* harm and every without on one label read one run without that
    label; a spec with neither form runs once. Runs are counted through
@@ -965,6 +1121,9 @@ let suite =
     ("grid expansion count", `Quick, test_grid_expansion_count);
     ("grid determinism", `Quick, test_grid_determinism);
     ("grid errors", `Quick, test_grid_errors);
+    ("grid tuple entries", `Quick, test_grid_tuples);
+    ("grid tuple errors", `Quick, test_grid_tuple_errors);
+    ("replicate flows", `Quick, test_replicate);
     ("golden parity: dumbbell twin", `Quick, test_golden_parity_dumbbell);
     ("golden parity: chain twin", `Quick, test_golden_parity_chain);
     ("run-metrics deterministic", `Slow, test_run_metrics_deterministic);
@@ -979,5 +1138,7 @@ let suite =
     ("paper fig3: pinned cells", `Slow, test_fig3_pinned);
     ("paper fig4: pinned cells", `Slow, test_fig4_pinned);
     ("paper fig6/7: pinned cells", `Slow, test_fig6_pinned);
+    ("paper fig5: pinned cells", `Slow, test_fig5_pinned);
+    ("paper fig8: pinned cells", `Slow, test_fig8_pinned);
   ]
   @ qcheck [ prop_generated_spec_runs ]
