@@ -87,7 +87,9 @@ val config :
   config
 (** Validated constructor: raises [Invalid_argument] on non-positive
     [bandwidth_mbps]/[rtt_ms]/[buffer_bytes], probabilities outside
-    [0,1] (including NaN), negative or non-finite schedule times,
+    [0,1] (including NaN), negative or non-finite noise delays (a
+    Gaussian [sigma_ms], any wifi/LTE delay; an LTE [frame_ms] must be
+    positive), negative or non-finite schedule times,
     invalid scheduled values, or overlapping outage windows.
     [reorder_extra_ms] defaults to 5 ms. *)
 

@@ -53,7 +53,41 @@ let test_config_validation () =
           (Link.Gilbert_elliott
              { p_good_bad = 1.5; p_bad_good = 0.1; loss_good = 0.0;
                loss_bad = 0.5 })
-        ())
+        ());
+  let noise n = base ~noise:n () in
+  let gaussian sigma_ms = noise (Noise.Gaussian { sigma_ms }) in
+  ignore (gaussian 0.0);
+  ignore (gaussian 2.0);
+  ignore (noise Noise.default_wifi);
+  ignore (noise Noise.default_lte);
+  expect_invalid "nan gaussian sigma" (fun () -> gaussian Float.nan);
+  expect_invalid "negative gaussian sigma" (fun () -> gaussian (-1.0));
+  expect_invalid "inf gaussian sigma" (fun () -> gaussian Float.infinity);
+  let wifi ?(jitter_ms = 1.0) ?(spike_prob = 0.004) ?(spike_scale_ms = 8.0)
+      ?(gate_prob = 0.01) ?(gate_max_ms = 25.0) () =
+    noise
+      (Noise.Wifi
+         { jitter_ms; spike_prob; spike_scale_ms; gate_prob; gate_max_ms })
+  in
+  expect_invalid "nan wifi jitter" (fun () -> wifi ~jitter_ms:Float.nan ());
+  expect_invalid "wifi spike_prob > 1" (fun () -> wifi ~spike_prob:1.5 ());
+  expect_invalid "negative wifi spike scale" (fun () ->
+      wifi ~spike_scale_ms:(-8.0) ());
+  expect_invalid "nan wifi gate_prob" (fun () -> wifi ~gate_prob:Float.nan ());
+  expect_invalid "inf wifi gate" (fun () -> wifi ~gate_max_ms:Float.infinity ());
+  let lte ?(frame_ms = 1.0) ?(jitter_ms = 0.3) ?(outage_prob = 0.002)
+      ?(outage_max_ms = 40.0) () =
+    noise (Noise.Lte { frame_ms; jitter_ms; outage_prob; outage_max_ms })
+  in
+  expect_invalid "zero lte frame" (fun () -> lte ~frame_ms:0.0 ());
+  expect_invalid "negative lte jitter" (fun () -> lte ~jitter_ms:(-0.3) ());
+  expect_invalid "lte outage_prob < 0" (fun () -> lte ~outage_prob:(-0.1) ());
+  expect_invalid "nan lte outage" (fun () -> lte ~outage_max_ms:Float.nan ());
+  (* Link.create re-validates records built without the constructor. *)
+  expect_invalid "create with nan sigma" (fun () ->
+      Link.create
+        { (base ()) with noise = Noise.Gaussian { sigma_ms = Float.nan } }
+        ~rng:(Rng.create ~seed:1))
 
 let test_schedule_validation () =
   ignore

@@ -170,7 +170,21 @@ let test_validation_errors () =
     {|(scenario (duration 6)
        (topology (dumbbell (link (bw-mbps -5) (rtt-ms 30) (buffer-bytes 100000))))
        (flows (flow (cc cubic))))|}
-    "bandwidth"
+    "bandwidth";
+  let with_noise n =
+    Printf.sprintf
+      {|(scenario (duration 6)
+         (topology (dumbbell (link (bw-mbps 10) (rtt-ms 30) (buffer-bytes 100000)
+                                   (noise %s))))
+         (flows (flow (cc cubic))))|}
+      n
+  in
+  List.iter
+    (fun n -> ignore (parse_spec (with_noise n)))
+    [ "none"; "wifi"; "lte"; "(gaussian 0)"; "(gaussian 2)" ];
+  List.iter
+    (fun n -> expect_spec_error (with_noise n) "sigma_ms")
+    [ "(gaussian nan)"; "(gaussian -1)"; "(gaussian inf)" ]
 
 let test_metric_form_errors () =
   let with_metrics ?(flows = "(flow (cc cubic) (label a)) (flow (cc bbr) (label b))") ms =
