@@ -13,145 +13,228 @@
          one CUBIC cross flow per hop.
      proteus-sim --topology chain1 cubic blaster=40%rev
          reverse-path congestion: a 40 Mbps blaster on the ACK path.
+     proteus-sim --scenario scenarios/d-late-join.scn
 
    Flow spec: PROTO[%HOP|%rev][@START_SECONDS][:SIZE_MB]
      %HOP pins the flow to a single hop of a chain topology; %rev runs
      it end-to-end in the reverse direction (its data shares the other
-     flows' ACK path). Default: end-to-end forward.
+     flows' ACK path). Default: end-to-end forward. Flow i is labelled
+     PROTO.i, any character outside [A-Za-z0-9._-] replaced by '-'.
    Protocols: cubic bbr bbr-s copa ledbat ledbat-25 vivace
-              proteus-p proteus-s blaster=RATE_MBPS *)
+              proteus-p proteus-s blaster=RATE_MBPS
+
+   The flags compile to a scenario spec, so both forms share one run
+   path: Spec.validate, Build.instantiate, a supervised run, one report
+   and one export. *)
 
 module Net = Proteus_net
+module Obs = Proteus_obs
 module Scn = Proteus_scenario
+module Harness = Proteus_harness
 
-(* One protocol registry for the whole repo: the scenario language and
-   this CLI resolve names through the same table. *)
-let protocol_factory = Scn.Protocols.factory
+let fatal e =
+  prerr_endline ("proteus-sim: " ^ e);
+  exit 1
 
-type route_spec = Forward | Hop of int | Reverse
+let ok = function Ok v -> v | Error e -> fatal e
 
-type flow_spec = {
-  proto : string;
-  start : float;
-  size_mb : float option;
-  route : route_spec;
+(* What a front end hands the run path: the spec and its seed, the
+   report's first line, where each flow's table window starts (by
+   label; it ends at the duration) and the manifest's scenario name and
+   parameters. *)
+type run = {
+  spec : Scn.Spec.t;
+  seed : int;
+  header : string;
+  window : string -> float;
+  scenario : string;
+  params : (string * string) list;
 }
 
-let parse_flow_spec s : (flow_spec, string) result =
-  let proto_part, size_mb =
-    match String.index_opt s ':' with
-    | Some i -> (
-        let sz = String.sub s (i + 1) (String.length s - i - 1) in
-        match float_of_string_opt sz with
-        | Some mb ->
-            (String.sub s 0 i, Some mb)
-        | None -> (s, None))
-    | None -> (s, None)
-  in
-  let name_part, start =
-    match String.index_opt proto_part '@' with
-    | Some i -> (
-        let name = String.sub proto_part 0 i in
-        let st =
-          String.sub proto_part (i + 1) (String.length proto_part - i - 1)
-        in
-        match float_of_string_opt st with
-        | Some start -> (Ok name, start)
-        | None -> (Error (Printf.sprintf "bad start time in %S" s), 0.0))
-    | None -> (Ok proto_part, 0.0)
-  in
-  match name_part with
-  | Error e -> Error e
-  | Ok name -> (
-      match String.index_opt name '%' with
-      | None -> Ok { proto = name; start; size_mb; route = Forward }
-      | Some i -> (
-          let proto = String.sub name 0 i in
-          let r = String.sub name (i + 1) (String.length name - i - 1) in
-          match (r, int_of_string_opt r) with
-          | "rev", _ -> Ok { proto; start; size_mb; route = Reverse }
-          | _, Some hop when hop >= 0 ->
-              Ok { proto; start; size_mb; route = Hop hop }
-          | _ -> Error (Printf.sprintf "bad route %S in %S (want %%N or %%rev)" r s)))
+(* ---------- the flag form ---------- *)
 
-let parse_noise = function
-  | "none" -> Ok Net.Noise.None_
-  | "wifi" -> Ok Net.Noise.default_wifi
-  | s when String.length s > 9 && String.sub s 0 9 = "gaussian:" -> (
-      match float_of_string_opt (String.sub s 9 (String.length s - 9)) with
-      | Some sigma_ms -> Ok (Net.Noise.Gaussian { sigma_ms })
-      | None -> Error "bad gaussian sigma")
-  | s -> Error (Printf.sprintf "unknown noise model %S" s)
+(* [s] split at the first [c]: "cubic:50" at ':' is ("cubic", Some "50"). *)
+let split s c =
+  match String.index_opt s c with
+  | None -> (s, None)
+  | Some i ->
+      (String.sub s 0 i, Some (String.sub s (i + 1) (String.length s - i - 1)))
+
+let parse_flow_spec idx s : Scn.Spec.flow =
+  let num what conv x =
+    match conv x with
+    | Some v -> v
+    | None -> fatal (Printf.sprintf "bad %s in %S" what s)
+  in
+  let float what = num what float_of_string_opt in
+  let rest, size = split s ':' in
+  let rest, start = split rest '@' in
+  let cc, route = split rest '%' in
+  let label =
+    String.map
+      (function
+        | ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '_' | '-') as c -> c
+        | _ -> '-')
+      cc
+    ^ "." ^ string_of_int idx
+  in
+  {
+    cc;
+    label;
+    start = Option.fold ~none:0.0 ~some:(float "start time") start;
+    stop = None;
+    size_mb = Option.map (float "size") size;
+    route =
+      (match route with
+      | None -> Scn.Spec.E2e
+      | Some "rev" -> Scn.Spec.Rev
+      | Some h ->
+          Scn.Spec.Hop (num "route (want %N or %rev)" int_of_string_opt h));
+    dp = None;
+  }
+
+let parse_noise s =
+  match split s ':' with
+  | "none", None -> Net.Noise.None_
+  | "wifi", None -> Net.Noise.default_wifi
+  | "gaussian", Some sigma -> (
+      match float_of_string_opt sigma with
+      | Some sigma_ms -> Net.Noise.Gaussian { sigma_ms }
+      | None -> fatal "bad gaussian sigma")
+  | _ -> fatal (Printf.sprintf "unknown noise model %S" s)
 
 (* The number of hops of a chain: "dumbbell" is the one-hop chain, and
    "chainN" builds an N-hop chain whose per-hop propagation delays split
    --rtt evenly, so the end-to-end base RTT is unchanged. *)
 let parse_topology = function
-  | "dumbbell" -> Ok 1
-  | s when String.length s > 5 && String.sub s 0 5 = "chain" -> (
+  | "dumbbell" -> 1
+  | s when String.starts_with ~prefix:"chain" s -> (
       match int_of_string_opt (String.sub s 5 (String.length s - 5)) with
-      | Some n when n >= 1 -> Ok n
-      | _ -> Error (Printf.sprintf "bad chain length in %S" s))
-  | s -> Error (Printf.sprintf "unknown topology %S (want dumbbell or chainN)" s)
+      | Some n when n >= 1 -> n
+      | _ -> fatal (Printf.sprintf "bad chain length in %S" s))
+  | s ->
+      fatal (Printf.sprintf "unknown topology %S (want dumbbell or chainN)" s)
 
-module Obs = Proteus_obs
+(* The flags as a spec: a chain of identical hops, no declared metrics,
+   measured from duration/4; the table reads each flow from duration/4
+   after its own start. *)
+let of_flags ~bw ~rtt ~buffer_kb ~loss ~noise ~topology ~duration ~seed specs
+    =
+  let flows = List.mapi parse_flow_spec specs in
+  let noise_spec = parse_noise noise in
+  let hops = parse_topology topology in
+  if flows = [] then fatal "no flows given (try: proteus-sim cubic)";
+  let link =
+    try
+      Net.Link.config ~loss_rate:loss ~noise:noise_spec ~bandwidth_mbps:bw
+        ~rtt_ms:(rtt /. float_of_int hops)
+        ~buffer_bytes:(Net.Units.kb buffer_kb)
+        ()
+    with Invalid_argument m -> fatal ("link: " ^ m)
+  in
+  let spec =
+    {
+      Scn.Spec.name = "proteus-sim";
+      duration;
+      measure_from = duration /. 4.0;
+      topology = Scn.Spec.Chain (List.init hops (fun _ -> link));
+      flows;
+      fluids = [];
+      metrics = [];
+    }
+  in
+  ok (Scn.Spec.validate spec);
+  let start l =
+    (List.find (fun (f : Scn.Spec.flow) -> f.label = l) flows).start
+  in
+  let g = Printf.sprintf "%g" in
+  {
+    spec;
+    seed = Option.value seed ~default:42;
+    header =
+      Printf.sprintf
+        "link: %.0f Mbps, %.0f ms RTT, %.0f KB buffer, loss %.3f%%, noise %s, \
+         topology %s"
+        bw rtt buffer_kb (100.0 *. loss) noise topology;
+    window = (fun l -> Float.min (start l +. spec.measure_from) duration);
+    scenario = String.concat " " specs;
+    params =
+      [
+        ("bandwidth_mbps", g bw);
+        ("rtt_ms", g rtt);
+        ("buffer_kb", g buffer_kb);
+        ("loss", g loss);
+        ("noise", noise);
+        ("topology", topology);
+        ("duration_s", g duration);
+      ];
+  }
 
-(* --scenario FILE: run a declarative scenario spec (see scenarios/
-   and DESIGN.md §5f) instead of command-line flow specs. The link /
-   flow / duration flags are ignored — the file is the scenario — but
-   observability (--trace/--metrics/--manifest/--series), budgets and
-   --seed compose. A gridded scenario runs its first combination. *)
-let run_scenario ~path ~seed:seed_opt ~series ~trace_file ~metrics_file
-    ~manifest_file ~wall_budget ~stall_budget ~event_budget =
-  let fatal e =
-    prerr_endline ("proteus-sim: " ^ e);
-    exit 1
-  in
-  let tmpl =
-    match Scn.Grid.load_file path with Ok t -> t | Error e -> fatal e
-  in
-  let insts =
-    match Scn.Grid.expand tmpl ~trials:1 with Ok l -> l | Error e -> fatal e
-  in
+(* ---------- the --scenario form ---------- *)
+
+(* A declarative scenario spec (see scenarios/ and DESIGN.md §5f). The
+   link / flow / duration flags are ignored — the file is the scenario.
+   A gridded scenario runs its first combination. *)
+let of_scenario ~path ~seed =
+  let insts = ok (Scn.Grid.expand (ok (Scn.Grid.load_file path)) ~trials:1) in
   let inst = List.hd insts in
   if List.length insts > 1 then
     Printf.printf
       "(scenario expands to %d combinations; running the first: %s)\n"
       (List.length insts) inst.Scn.Grid.id;
   let spec = inst.Scn.Grid.spec in
-  let seed = Option.value seed_opt ~default:inst.Scn.Grid.seed in
+  let seed = Option.value seed ~default:inst.Scn.Grid.seed in
+  {
+    spec;
+    seed;
+    header =
+      Printf.sprintf "scenario: %s (%s), seed %d, %g s (measuring from %g s)"
+        spec.name inst.Scn.Grid.id seed spec.duration spec.measure_from;
+    window = (fun _ -> spec.measure_from);
+    scenario = inst.Scn.Grid.id;
+    params =
+      [
+        ("scenario_file", path);
+        ("combo", inst.Scn.Grid.combo);
+        ("duration_s", Printf.sprintf "%g" spec.duration);
+        ("measure_from_s", Printf.sprintf "%g" spec.measure_from);
+      ];
+  }
+
+(* ---------- the run path ---------- *)
+
+(* Exit codes: 0 = clean run, 2 = the supervised simulation failed
+   (crash / audit violation / budget) but was reported, 1 = usage
+   error. *)
+let execute ~series ~trace_file ~metrics_file ~manifest_file ~budget r =
+  let duration = r.spec.duration in
   let trace =
     match trace_file with
     | Some _ -> Obs.Trace.create ()
     | None -> Obs.Trace.disabled
   in
-  let duration = spec.Scn.Spec.duration in
-  let t0 = spec.Scn.Spec.measure_from in
-  let runner, flows = Scn.Build.instantiate ~trace ~seed spec in
+  let runner, flows = Scn.Build.instantiate ~trace ~seed:r.seed r.spec in
+  (* Budgets (if any) are armed on the runner's sim, and a crash /
+     audit violation / stall / budget overrun is reported with the stats
+     collected so far instead of a raw backtrace. *)
   let outcome =
-    Proteus_harness.Supervisor.run
-      ~budget:
-        {
-          Proteus_harness.Supervisor.max_events = event_budget;
-          max_sim_time = None;
-          wall_s = wall_budget;
-          stall_s = stall_budget;
-        }
-      (fun () ->
-        Proteus_harness.Supervisor.arm_runner runner;
+    Harness.Supervisor.run ~budget (fun () ->
+        Harness.Supervisor.arm_runner runner;
         Net.Runner.run runner ~until:duration)
   in
-  Printf.printf "scenario: %s (%s), seed %d, %g s (measuring from %g s)\n\n"
-    spec.Scn.Spec.name inst.Scn.Grid.id seed duration t0;
+  Printf.printf "%s\n\n" r.header;
   Printf.printf "%-16s %10s %10s %9s %9s %10s\n" "flow" "tput Mbps" "p95 ms"
     "loss %" "pkts" "done";
   List.iter
     (fun (label, flow) ->
       let st = Net.Runner.stats flow in
+      let t0 = r.window label in
       Printf.printf "%-16s %10.2f %10.1f %9.3f %9d %10s\n" label
-        (Net.Flow_stats.throughput_mbps st ~t0 ~t1:duration)
+        (if duration > t0 then
+           Net.Flow_stats.throughput_mbps st ~t0 ~t1:duration
+         else 0.0)
         (match Net.Flow_stats.rtt_percentile st ~t0 ~t1:duration ~p:95.0 with
-        | Some r -> Net.Units.sec_to_ms r
+        | Some rtt -> Net.Units.sec_to_ms rtt
         | None -> nan)
         (100.0 *. Net.Flow_stats.loss_fraction st)
         (Net.Flow_stats.packets_sent st)
@@ -161,13 +244,13 @@ let run_scenario ~path ~seed:seed_opt ~series ~trace_file ~metrics_file
     flows;
   let metric_vals =
     Scn.Build.metric_values
-      ~baselines:(Scn.Build.baselines ~audit:false ~seed spec)
-      spec flows
+      ~baselines:(Scn.Build.baselines ~audit:false ~seed:r.seed r.spec)
+      r.spec flows
   in
-  Printf.printf "\nmetrics:\n";
-  List.iter
-    (fun (k, v) -> Printf.printf "  %-24s %.4f\n" k v)
-    metric_vals;
+  if metric_vals <> [] then begin
+    Printf.printf "\nmetrics:\n";
+    List.iter (fun (k, v) -> Printf.printf "  %-24s %.4f\n" k v) metric_vals
+  end;
   (match series with
   | Some bin when bin > 0.0 ->
       Printf.printf "\nthroughput series (Mbps per %.1f s bin):\n" bin;
@@ -203,221 +286,32 @@ let run_scenario ~path ~seed:seed_opt ~series ~trace_file ~metrics_file
       Printf.printf "(wrote %s)\n" path
   | _ -> ());
   (match manifest_file with
-  | Some mpath ->
-      Obs.Manifest.write ~path:mpath ~run:"proteus-sim" ~seed
-        ~scenario:inst.Scn.Grid.id
-        ~params:
-          [
-            ("scenario_file", path);
-            ("combo", inst.Scn.Grid.combo);
-            ("duration_s", Printf.sprintf "%g" duration);
-            ("measure_from_s", Printf.sprintf "%g" t0);
-            ("outcome", Proteus_harness.Outcome.label outcome);
-          ]
+  | Some path ->
+      Obs.Manifest.write ~path ~run:"proteus-sim" ~seed:r.seed
+        ~scenario:r.scenario
+        ~params:(r.params @ [ ("outcome", Harness.Outcome.label outcome) ])
         ~metrics:metric_vals ?registry ();
-      Printf.printf "(wrote %s)\n" mpath
+      Printf.printf "(wrote %s)\n" path
   | None -> ());
   match outcome with
-  | Proteus_harness.Outcome.Completed () -> 0
+  | Harness.Outcome.Completed () -> 0
   | o ->
       Printf.eprintf "proteus-sim: run failed: %s (stats above are partial)\n"
-        (Proteus_harness.Outcome.describe o);
+        (Harness.Outcome.describe o);
       2
 
-(* Exit codes: 0 = clean run, 2 = the supervised simulation failed
-   (crash / audit violation / budget) but was reported, 1 = usage or
-   internal error. *)
-let run bw rtt buffer_kb loss noise duration seed_opt series topology
-    scenario_file trace_file metrics_file manifest_file wall_budget
-    stall_budget event_budget specs =
-  match scenario_file with
-  | Some path ->
-      if specs <> [] then begin
-        prerr_endline "proteus-sim: --scenario and flow specs are exclusive";
-        exit 1
-      end;
-      run_scenario ~path ~seed:seed_opt ~series ~trace_file ~metrics_file
-        ~manifest_file ~wall_budget ~stall_budget ~event_budget
-  | None ->
-  let seed = Option.value seed_opt ~default:42 in
-  match
-    ( List.map parse_flow_spec specs
-      |> List.fold_left
-           (fun acc r ->
-             match (acc, r) with
-             | Error e, _ -> Error e
-             | Ok l, Ok v -> Ok (v :: l)
-             | Ok _, Error e -> Error e)
-           (Ok [])
-      |> Result.map List.rev,
-      parse_noise noise,
-      parse_topology topology )
-  with
-  | Error e, _, _ | _, Error e, _ | _, _, Error e ->
-      prerr_endline ("proteus-sim: " ^ e);
-      exit 1
-  | Ok flows, Ok noise_spec, Ok hops ->
-      if flows = [] then begin
-        prerr_endline "proteus-sim: no flows given (try: proteus-sim cubic)";
-        exit 1
-      end;
-      let cfg ~rtt_ms =
-        Net.Link.config ~loss_rate:loss ~noise:noise_spec ~bandwidth_mbps:bw
-          ~rtt_ms
-          ~buffer_bytes:(Net.Units.kb buffer_kb)
-          ()
-      in
-      let trace =
-        match trace_file with
-        | Some _ -> Obs.Trace.create ()
-        | None -> Obs.Trace.disabled
-      in
-      let topo =
-        Net.Topology.chain
-          (List.init hops (fun _ -> cfg ~rtt_ms:(rtt /. float_of_int hops)))
-      in
-      let runner = Net.Runner.create_topo ~seed ~trace topo in
-      let route_for spec =
-        match spec.route with
-        | Forward -> None
-        | Hop h ->
-            if h >= hops then begin
-              prerr_endline
-                (Printf.sprintf
-                   "proteus-sim: hop %d out of range (chain has %d hops)" h
-                   hops);
-              exit 1
-            end;
-            Some (Net.Topology.hop_route topo ~hop:h)
-        | Reverse ->
-            (* Data retraces the reverse links; its ACKs ride the other
-               flows' forward links. *)
-            Some
-              (Net.Topology.route topo
-                 ~fwd:(List.init hops (fun i -> (2 * hops) - 1 - i))
-                 ~rev:(List.init hops (fun i -> i)))
-      in
-      let handles =
-        List.mapi
-          (fun i spec ->
-            match protocol_factory spec.proto with
-            | Error e ->
-                prerr_endline ("proteus-sim: " ^ e);
-                exit 1
-            | Ok factory ->
-                let label = Printf.sprintf "%s#%d" spec.proto i in
-                let size_bytes =
-                  Option.map (fun mb -> int_of_float (mb *. 1e6)) spec.size_mb
-                in
-                ( spec,
-                  Net.Runner.add_flow runner ~start:spec.start ?size_bytes
-                    ?route:(route_for spec) ~label ~factory ))
-          flows
-      in
-      (* The simulation proper runs supervised: budgets (if any) are
-         armed on the runner's sim, and a crash / audit violation /
-         stall / budget overrun is reported with the stats collected so
-         far instead of a raw backtrace. *)
-      let outcome =
-        Proteus_harness.Supervisor.run
-          ~budget:
-            {
-              Proteus_harness.Supervisor.max_events = event_budget;
-              max_sim_time = None;
-              wall_s = wall_budget;
-              stall_s = stall_budget;
-            }
-          (fun () ->
-            Proteus_harness.Supervisor.arm_runner runner;
-            Net.Runner.run runner ~until:duration)
-      in
-      Printf.printf
-        "link: %.0f Mbps, %.0f ms RTT, %.0f KB buffer, loss %.3f%%, noise %s, \
-         topology %s\n\n"
-        bw rtt buffer_kb (100.0 *. loss) noise topology;
-      Printf.printf "%-16s %10s %10s %9s %9s %10s\n" "flow" "tput Mbps"
-        "p95 ms" "loss %" "pkts" "done";
-      List.iter
-        (fun (spec, flow) ->
-          let st = Net.Runner.stats flow in
-          let t0 = Float.min (spec.start +. (duration /. 4.0)) duration in
-          let tput =
-            if duration > t0 then
-              Net.Flow_stats.throughput_mbps st ~t0 ~t1:duration
-            else 0.0
-          in
-          Printf.printf "%-16s %10.2f %10.1f %9.3f %9d %10s\n"
-            (Net.Runner.label flow) tput
-            (match
-               Net.Flow_stats.rtt_percentile st ~t0 ~t1:duration ~p:95.0
-             with
-            | Some r -> Net.Units.sec_to_ms r
-            | None -> nan)
-            (100.0 *. Net.Flow_stats.loss_fraction st)
-            (Net.Flow_stats.packets_sent st)
-            (match Net.Runner.completion_time flow with
-            | Some t -> Printf.sprintf "t=%.1fs" t
-            | None -> if Net.Runner.is_complete flow then "yes" else "-"))
-        handles;
-      (match series with
-      | Some bin when bin > 0.0 ->
-          Printf.printf "\nthroughput series (Mbps per %.1f s bin):\n" bin;
-          List.iter
-            (fun (_, flow) ->
-              let s =
-                Net.Flow_stats.throughput_series (Net.Runner.stats flow) ~bin
-                  ~until:duration
-              in
-              Printf.printf "%-16s" (Net.Runner.label flow);
-              Array.iter (fun (_, m) -> Printf.printf "%6.1f" m) s;
-              print_newline ())
-            handles
-      | _ -> ());
-      (match trace_file with
-      | Some path ->
-          Obs.Export.trace_to_file ~path trace;
-          Printf.printf "\n(wrote %s: %d events, %d dropped by wraparound)\n"
-            path (Obs.Trace.length trace) (Obs.Trace.dropped trace);
-          Obs.Export.warn_dropped ~label:path trace
-      | None -> ());
-      let registry =
-        match (metrics_file, manifest_file) with
-        | None, None -> None
-        | _ ->
-            let reg = Obs.Metrics.create () in
-            Net.Runner.snapshot_metrics runner reg;
-            Some reg
-      in
-      (match (metrics_file, registry) with
-      | Some path, Some reg ->
-          Obs.Export.metrics_to_file ~path reg;
-          Printf.printf "(wrote %s)\n" path
-      | _ -> ());
-      (match manifest_file with
-      | Some path ->
-          Obs.Manifest.write ~path ~run:"proteus-sim" ~seed
-            ~scenario:(String.concat " " specs)
-            ~params:
-              [
-                ("bandwidth_mbps", Printf.sprintf "%g" bw);
-                ("rtt_ms", Printf.sprintf "%g" rtt);
-                ("buffer_kb", Printf.sprintf "%g" buffer_kb);
-                ("loss", Printf.sprintf "%g" loss);
-                ("noise", noise);
-                ("topology", topology);
-                ("duration_s", Printf.sprintf "%g" duration);
-                ("outcome", Proteus_harness.Outcome.label outcome);
-              ]
-            ?registry ();
-          Printf.printf "(wrote %s)\n" path
-      | None -> ());
-      match outcome with
-      | Proteus_harness.Outcome.Completed () -> 0
-      | o ->
-          Printf.eprintf "proteus-sim: run failed: %s (stats above are \
-                          partial)\n"
-            (Proteus_harness.Outcome.describe o);
-          2
+let main bw rtt buffer_kb loss noise duration seed series topology
+    scenario_file trace_file metrics_file manifest_file wall_s stall_s
+    max_events specs =
+  execute ~series ~trace_file ~metrics_file ~manifest_file
+    ~budget:(Harness.Supervisor.budget ?max_events ?wall_s ?stall_s ())
+    (match scenario_file with
+    | Some path ->
+        if specs <> [] then fatal "--scenario and flow specs are exclusive";
+        of_scenario ~path ~seed
+    | None ->
+        of_flags ~bw ~rtt ~buffer_kb ~loss ~noise ~topology ~duration ~seed
+          specs)
 
 open Cmdliner
 
@@ -513,7 +407,11 @@ let event_budget =
               code 2).")
 
 let specs =
-  Arg.(value & pos_all string [] & info [] ~docv:"FLOW" ~doc:"Flow specs: PROTO[@START][:SIZE_MB].")
+  Arg.(
+    value & pos_all string []
+    & info [] ~docv:"FLOW"
+        ~doc:"Flow specs: PROTO[%HOP|%rev][@START][:SIZE_MB]; flow $(i,i) \
+              is labelled PROTO.$(i,i).")
 
 let cmd =
   let doc = "packet-level congestion-control scenarios (PCC Proteus reproduction)" in
@@ -522,7 +420,7 @@ let cmd =
   Cmd.v
     (Cmd.info "proteus-sim" ~doc)
     Term.(
-      const run $ bw $ rtt $ buffer_kb $ loss $ noise $ duration $ seed
+      const main $ bw $ rtt $ buffer_kb $ loss $ noise $ duration $ seed
       $ series $ topology $ scenario_file $ trace_file $ metrics_file
       $ manifest_file $ wall_budget $ stall_budget $ event_budget $ specs)
 
