@@ -103,20 +103,6 @@ let degraded : (string * Harness.Sweep.summary) list ref = ref []
 let note_failures id (s : Harness.Sweep.summary) =
   if s.failed > 0 then degraded := (id, s) :: !degraded
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* The explicit failed-runs section every sweep's BENCH json carries:
    an empty array on a clean sweep (so clean outputs are stable), one
    entry per degraded run otherwise. *)
@@ -124,14 +110,14 @@ let emit_failed_runs oc (failures : Harness.Sweep.failure list) =
   match failures with
   | [] -> output_string oc "  \"failed_runs\": [],\n"
   | fs ->
+      let esc = Proteus_obs.Export.json_escape in
       output_string oc "  \"failed_runs\": [\n";
       List.iteri
         (fun i (f : Harness.Sweep.failure) ->
           Printf.fprintf oc
             "    {\"run\": \"%s\", \"outcome\": \"%s\", \"detail\": \"%s\", \
              \"attempts\": %d}%s\n"
-            (json_escape f.f_run) (json_escape f.f_outcome)
-            (json_escape f.f_detail) f.f_attempts
+            (esc f.f_run) (esc f.f_outcome) (esc f.f_detail) f.f_attempts
             (if i = List.length fs - 1 then "" else ","))
         fs;
       output_string oc "  ],\n"

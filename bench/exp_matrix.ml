@@ -146,8 +146,8 @@ let emit_json ~id ~trials ~n_files ~n_instances ~digest cells failures =
       Printf.fprintf oc
         "    {\"id\": \"%s\", \"metric\": \"%s\", \"mean\": %s, \"sd\": %s, \
          \"ci95\": %s, \"trials\": %d}%s\n"
-        (Exp_common.json_escape c.cell_id)
-        (Exp_common.json_escape c.metric)
+        (Proteus_obs.Export.json_escape c.cell_id)
+        (Proteus_obs.Export.json_escape c.metric)
         (json_num c.mean) (json_num c.sd) (json_num c.ci95) c.trials
         (if i = n - 1 then "" else ","))
     cells;

@@ -116,8 +116,6 @@ val eval : expr -> regs:float array -> sigs:float array -> float
 (** Total: division by zero and NaN propagate IEEE-style; comparisons
     involving NaN are false. *)
 
-val cmp_holds : cmp -> float -> float -> bool
-
 val expr_signals : expr -> signal list
 (** The signals an expression reads, each once, in slot order: what a
     program built from expressions declares in [p_reads]. *)
@@ -163,8 +161,6 @@ val validate_program : program -> (unit, string) result
     register indices in bounds. Folds are opaque closures and cannot be
     checked — {!fold_of_assigns} programs are safe by construction. *)
 
-val register_index : program -> string -> int option
-
 val with_overrides :
   ?interval:float -> ?consts:(string * float) list -> program -> program
 (** Scenario-level parameterization without OCaml edits: [consts]
@@ -172,8 +168,9 @@ val with_overrides :
     [Every interval] trigger (handlers that only act on [Loss_event]
     reports make this observable via trace yet behavior-neutral).
     Raises [Invalid_argument] on unknown register names or a
-    non-positive interval — validate first via {!register_index} /
-    [Protocols.validate] when the values come from user input. *)
+    non-positive interval — validate first (the scenario layer checks
+    names against [Protocols.datapath_registers]) when the values come
+    from user input. *)
 
 (** {1 Reports, actions, control handlers} *)
 

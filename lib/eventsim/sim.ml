@@ -55,12 +55,6 @@ type interrupt = Event_budget | Sim_time_budget | Wall_clock | No_progress
 
 exception Interrupted of interrupt
 
-let interrupt_label = function
-  | Event_budget -> "event-budget"
-  | Sim_time_budget -> "sim-time-budget"
-  | Wall_clock -> "wall-clock"
-  | No_progress -> "no-progress"
-
 let make_guard ?(max_events = max_int) ?(max_sim_time = infinity) () =
   {
     g_max_events = max_events;

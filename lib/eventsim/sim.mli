@@ -64,13 +64,6 @@ exception Interrupted of interrupt
     {!pending}) but the interrupted run should be discarded, not
     resumed. *)
 
-val interrupt_label : interrupt -> string
-(** Stable kebab-case name, e.g. for journals: ["event-budget"],
-    ["sim-time-budget"], ["wall-clock"], ["no-progress"]. *)
-
-val make_guard : ?max_events:int -> ?max_sim_time:float -> unit -> guard
-(** Fresh guard with its own atomics (defaults: unlimited). *)
-
 val set_guard : t -> guard -> unit
 (** Install a guard. May be called at any time; budgets compare against
     the sim's lifetime event counter and absolute virtual clock. *)

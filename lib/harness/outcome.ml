@@ -11,7 +11,6 @@ type 'a t =
   | Budget_exceeded of { kind : budget_kind }
 
 let completed = function Completed v -> Some v | _ -> None
-let is_completed = function Completed _ -> true | _ -> false
 
 let label = function
   | Completed _ -> "completed"

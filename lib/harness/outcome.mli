@@ -27,7 +27,6 @@ type 'a t =
       (** A kernel budget (max events / max sim-time) was exhausted. *)
 
 val completed : 'a t -> 'a option
-val is_completed : _ t -> bool
 
 val label : _ t -> string
 (** Stable kebab-case class name: ["completed"], ["crashed"],

@@ -30,7 +30,6 @@ type cls_spec = {
 
 type cls = cls_spec
 
-let cls_label c = c.s_label
 let cls_flows c = c.s_flows
 
 let check_fin what v =
@@ -126,8 +125,6 @@ let create ?(buffer_share = 0.5) specs =
 let flows t =
   Array.fold_left (fun acc c -> acc + c.c_flows) 0 t.classes
 
-let n_classes t = Array.length t.classes
-
 let class_stats t i =
   let c = t.classes.(i) in
   (c.c_label, c.c_flows, c.c_acc.(0), c.c_acc.(1))
@@ -136,10 +133,6 @@ let served_rate t = t.fl.(2)
 let loss_prob t = t.fl.(3)
 let backlog t = t.fl.(1)
 let totals t = (t.fl.(4), t.fl.(5), t.fl.(6), t.fl.(1))
-
-let conservation_residual t =
-  let fl = t.fl in
-  fl.(4) -. (fl.(5) +. fl.(6) +. fl.(1))
 
 (* Exact integration from the last sync time to [until] under the
    current [capacity] / [buffer]. Both may have changed since the last

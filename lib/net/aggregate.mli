@@ -32,7 +32,7 @@
 
     {b Conservation.} At any sync point,
     [bytes in = bytes out + bytes shed + backlog] holds to
-    floating-point rounding ({!conservation_residual}); the {!Audit}
+    floating-point rounding (terms from {!totals}); the {!Audit}
     checks it per link at quiesce. *)
 
 type cls
@@ -55,7 +55,6 @@ val cls :
     [Invalid_argument] on an empty envelope, negative or non-finite
     times/rates, [flows <= 0], or responsiveness outside [0,1]. *)
 
-val cls_label : cls -> string
 val cls_flows : cls -> int
 
 type t
@@ -98,14 +97,8 @@ val totals : t -> float * float * float * float
 (** [(bytes_in, bytes_out, bytes_shed, backlog)] — lifetime fluid byte
     accounting, the terms of the conservation law. *)
 
-val conservation_residual : t -> float
-(** [bytes_in - (bytes_out + bytes_shed + backlog)]; zero up to
-    floating-point rounding by construction. *)
-
 val flows : t -> int
 (** Total flow population across classes (scale reporting). *)
-
-val n_classes : t -> int
 
 val class_stats : t -> int -> string * int * float * float
 (** [(label, flows, bytes_in, bytes_shed)] for class [i] (creation

@@ -45,8 +45,6 @@ let spec ?(start = 0.0) ?stop ?size_bytes ?route ~label factory =
     sp_route = route;
   }
 
-let spec_label s = s.sp_label
-
 (* Link ids touched by a spec (the union of its forward and reverse
    paths). *)
 let spec_links topo s =
@@ -212,8 +210,6 @@ let assert_quiesced t =
     (fun st ->
       match st.sh_audit with Some a -> Audit.assert_quiesced a | None -> ())
     t.shards
-
-let audit_at t s = t.shards.(s).sh_audit
 
 let events_fired t =
   Array.fold_left

@@ -45,8 +45,6 @@ val spec :
     built by {!Topology.make}; a missing one raises [Invalid_argument]
     at {!create} / {!components} time. *)
 
-val spec_label : spec -> string
-
 val components : Topology.t -> spec list -> int array
 (** The link partition: entry [i] is the dense component index of link
     [i], where two links share a component iff some flow's route
@@ -112,8 +110,6 @@ val fluid_totals : t -> int -> (float * float * float * float) option
 val runner_at : t -> int -> Runner.t
 (** Shard [s]'s runner (diagnostics; flows/links are best reached
     through the spec- and link-indexed accessors). *)
-
-val audit_at : t -> int -> Audit.t option
 
 val assert_quiesced : t -> unit
 (** [Audit.assert_quiesced] on every shard's auditor (packet and hop

@@ -30,10 +30,6 @@ val trace_to_file : ?run:string -> path:string -> Trace.t -> unit
 (** Write (truncate) [path]; CSV when the extension is [.csv], JSONL
     otherwise. *)
 
-val write_trace : ?run:string -> out_channel -> path:string -> Trace.t -> unit
-(** As {!trace_to_file} on an already-open channel ([path] only picks
-    the format). *)
-
 val warn_dropped : label:string -> Trace.t -> unit
 (** Print a warning naming [label] on stderr when the bus overwrote
     events ({!Trace.dropped} > 0), so an export of it silently missing
@@ -42,7 +38,6 @@ val warn_dropped : label:string -> Trace.t -> unit
 (** {1 Metrics} *)
 
 val metrics_to_string : Metrics.t -> string
-val write_metrics : out_channel -> Metrics.t -> unit
 val metrics_to_file : path:string -> Metrics.t -> unit
 
 (** {1 Re-import} *)

@@ -7,13 +7,8 @@
 
 type t = Atom of string | List of t list
 
-exception Parse_error of string
-
 val parse_string : string -> (t list, string) result
 (** All top-level forms in the input, or a positioned error. *)
-
-val parse_string_exn : string -> t list
-(** As {!parse_string}, raising {!Parse_error}. *)
 
 val parse_file : string -> (t list, string) result
 (** Reads and parses a whole file; IO errors surface as [Error]. *)

@@ -18,8 +18,6 @@ let value_exn t =
   if Float.is_nan t.avg then invalid_arg "Ewma.value_exn: no samples"
   else t.avg
 
-let[@inline] value_nan t = t.avg
-
 module Mean_dev = struct
   type nonrec t = {
     mean : t;

@@ -20,10 +20,6 @@ val value : t -> float option
 val value_exn : t -> float
 (** Current average; raises [Invalid_argument] before the first sample. *)
 
-val value_nan : t -> float
-(** Current average, [Float.nan] before the first sample. Allocation-free
-    variant of {!value} for per-packet hot paths. *)
-
 module Mean_dev : sig
   type t
   (** Tracks an EWMA of samples and an EWMA of the absolute deviation of
@@ -42,7 +38,7 @@ module Mean_dev : sig
 
   val mean_nan : t -> float
   (** The moving average, [Float.nan] before the first sample.
-      Allocation-free, like {!value_nan}. *)
+      Allocation-free. *)
 
   val deviation_nan : t -> float
   (** The moving absolute deviation, [Float.nan] before the second

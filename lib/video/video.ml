@@ -9,7 +9,6 @@ type t = {
 
 let duration t = float_of_int t.n_chunks *. t.chunk_duration
 let max_bitrate t = t.bitrates_mbps.(Array.length t.bitrates_mbps - 1)
-let min_bitrate t = t.bitrates_mbps.(0)
 
 let chunk_bytes t ~bitrate_mbps =
   int_of_float
@@ -45,6 +44,3 @@ let make_custom ~name ~chunk_duration ~bitrates_mbps ~n_chunks =
     bitrates_mbps;
   { name; chunk_duration; bitrates_mbps; n_chunks }
 
-let corpus_1080p ~n =
-  List.init n (fun i ->
-      make_1080p ~seed:(200 + i) ~name:(Printf.sprintf "1080p-%02d" i) ())

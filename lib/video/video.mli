@@ -13,7 +13,6 @@ type t = {
 
 val duration : t -> float
 val max_bitrate : t -> float
-val min_bitrate : t -> float
 
 val chunk_bytes : t -> bitrate_mbps:float -> int
 (** Size of one chunk encoded at the given bitrate. *)
@@ -27,7 +26,6 @@ val make_1080p : ?seed:int -> name:string -> unit -> t
 (** A 1080p video: ladder topping at ~10 Mbps. *)
 
 val corpus_4k : n:int -> t list
-val corpus_1080p : n:int -> t list
 
 val make_custom :
   name:string -> chunk_duration:float -> bitrates_mbps:float array ->
