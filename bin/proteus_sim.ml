@@ -203,11 +203,23 @@ let of_scenario ~path ~seed =
 
 (* ---------- the run path ---------- *)
 
+(* The longest throughput series printed: more bins than this is a
+   mistyped bin width, not a plot. *)
+let max_series_bins = 1e6
+
 (* Exit codes: 0 = clean run, 2 = the supervised simulation failed
    (crash / audit violation / budget) but was reported, 1 = usage
    error. *)
 let execute ~series ~trace_file ~metrics_file ~manifest_file ~budget r =
   let duration = r.spec.duration in
+  (match series with
+  | Some bin when not (Float.is_finite bin && bin > 0.0) ->
+      fatal (Printf.sprintf "--series: bin must be positive and finite, got %g" bin)
+  | Some bin when Float.ceil (duration /. bin) > max_series_bins ->
+      fatal
+        (Printf.sprintf "--series: %g s bins over %g s are more than %.0f bins"
+           bin duration max_series_bins)
+  | _ -> ());
   let trace =
     match trace_file with
     | Some _ -> Obs.Trace.create ()
@@ -252,7 +264,7 @@ let execute ~series ~trace_file ~metrics_file ~manifest_file ~budget r =
     List.iter (fun (k, v) -> Printf.printf "  %-24s %.4f\n" k v) metric_vals
   end;
   (match series with
-  | Some bin when bin > 0.0 ->
+  | Some bin ->
       Printf.printf "\nthroughput series (Mbps per %.1f s bin):\n" bin;
       List.iter
         (fun (label, flow) ->
@@ -264,7 +276,7 @@ let execute ~series ~trace_file ~metrics_file ~manifest_file ~budget r =
           Array.iter (fun (_, m) -> Printf.printf "%6.1f" m) s;
           print_newline ())
         flows
-  | _ -> ());
+  | None -> ());
   (match trace_file with
   | Some path ->
       Obs.Export.trace_to_file ~path trace;

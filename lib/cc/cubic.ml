@@ -31,7 +31,11 @@ let i_now = Dp.signal_index Dp.Now
    signed zeros and NaN included. Local and inlined, like every float
    helper on the per-ACK path: across a module boundary the dev
    profile's [-opaque] would box its arguments. *)
-let[@inline] fmax a b = if a > b then a else if b > a then b else Float.max a b
+let[@inline] fmax (a : float) b =
+  if a > b then a
+  else if b > a then b
+  else if a = b then (if a = 0.0 then a +. b else a)
+  else Float.max a b
 
 (* [x ** 3.0] bit for bit, mostly without the libm call (DESIGN §2b).
    Veltkamp's split and Dekker's product give x³ = q + e2 + e1·x

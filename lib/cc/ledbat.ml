@@ -40,12 +40,28 @@ let i_rtt = Dp.signal_index Dp.Rtt_sample
 let i_now = Dp.signal_index Dp.Now
 let i_bytes = Dp.signal_index Dp.Bytes_acked
 
+(* Branch-only [Float.max] / [Float.min], equal to them on every input
+   (see [Descriptive.fmax]): the stdlib's call the C [caml_signbit]
+   whenever their first comparison fails. Local and inlined, so no
+   float crosses a module boundary. *)
+let[@inline] fmax (a : float) b =
+  if a > b then a
+  else if b > a then b
+  else if a = b then (if a = 0.0 then a +. b else a)
+  else Float.max a b
+
+let[@inline] fmin (a : float) b =
+  if a < b then a
+  else if b < a then b
+  else if a = b then (if a = 0.0 then -.(-.a -. b) else a)
+  else Float.min a b
+
 (* Minimum over the live entries of a newest-first bank, seeded with
    [infinity]. *)
 let[@inline] bank_min regs ~first ~live =
   let m = ref infinity in
   for i = 0 to int_of_float regs.(live) - 1 do
-    m := Float.min !m regs.(first + i)
+    m := fmin !m regs.(first + i)
   done;
   !m
 
@@ -69,7 +85,7 @@ let on_ack regs sigs =
     if regs.(r_nbase) < float_of_int base_history then
       regs.(r_nbase) <- regs.(r_nbase) +. 1.0
   end
-  else regs.(r_base0) <- Float.min regs.(r_base0) rtt;
+  else regs.(r_base0) <- fmin regs.(r_base0) rtt;
   (* Current filter: the newest [current_filter] samples. *)
   for i = current_filter - 1 downto 1 do
     regs.(r_recent0 + i) <- regs.(r_recent0 + i - 1)
@@ -79,7 +95,7 @@ let on_ack regs sigs =
     regs.(r_nrecent) <- regs.(r_nrecent) +. 1.0;
   let base = bank_min regs ~first:r_base0 ~live:r_nbase in
   let cur = bank_min regs ~first:r_recent0 ~live:r_nrecent in
-  let queuing = Float.max 0.0 (cur -. base) in
+  let queuing = fmax 0.0 (cur -. base) in
   let off_target = (regs.(r_target) -. queuing) /. regs.(r_target) in
   let bytes = sigs.(i_bytes) in
   let increment =
@@ -89,8 +105,8 @@ let on_ack regs sigs =
      of acked data; the proportional controller above already respects
      that for gain <= 1. Decrease is clamped so one bad sample cannot
      collapse the window. *)
-  let increment = Float.max increment (-1.0) in
-  regs.(r_cwnd) <- Float.max min_cwnd (regs.(r_cwnd) +. increment)
+  let increment = fmax increment (-1.0) in
+  regs.(r_cwnd) <- fmax min_cwnd (regs.(r_cwnd) +. increment)
 
 let on_loss _regs _sigs = ()
 
@@ -122,7 +138,7 @@ let handler (rep : Dp.report) (act : Dp.actions) =
       let now = rep.Dp.rp_time in
       if now -. regs.(r_last_red) > regs.(r_srtt) then begin
         regs.(r_last_red) <- now;
-        regs.(r_cwnd) <- Float.max min_cwnd (regs.(r_cwnd) /. 2.0);
+        regs.(r_cwnd) <- fmax min_cwnd (regs.(r_cwnd) /. 2.0);
         act.Dp.a_cwnd <- regs.(r_cwnd)
       end
   | Dp.Interval | Dp.Predicate -> ()

@@ -26,7 +26,11 @@ let is_filtering t = not (Float.is_nan t.st.(2))
 
 (* Branch-only [Float.max], equal to it on every input (see
    [Descriptive.fmax]); local, so no float crosses a module boundary. *)
-let[@inline] fmax a b = if a > b then a else if b > a then b else Float.max a b
+let[@inline] fmax (a : float) b =
+  if a > b then a
+  else if b > a then b
+  else if a = b then (if a = 0.0 then a +. b else a)
+  else Float.max a b
 
 let[@inline] interval_ratio a b =
   if a <= 0.0 || b <= 0.0 then 1.0 else fmax (a /. b) (b /. a)

@@ -240,8 +240,18 @@ type t = {
    (see [Descriptive.fmax]): the stdlib's call the C [caml_signbit]
    whenever their first comparison fails. Local and inlined, so no
    float crosses a module boundary. *)
-let[@inline] fmax a b = if a > b then a else if b > a then b else Float.max a b
-let[@inline] fmin a b = if a < b then a else if b < a then b else Float.min a b
+let[@inline] fmax (a : float) b =
+  if a > b then a
+  else if b > a then b
+  else if a = b then (if a = 0.0 then a +. b else a)
+  else Float.max a b
+
+let[@inline] fmin (a : float) b =
+  if a < b then a
+  else if b < a then b
+  else if a = b then (if a = 0.0 then -.(-.a -. b) else a)
+  else Float.min a b
+
 let[@inline] clamp_rate t r = fmin t.fl.max_rate (fmax t.fl.min_rate r)
 
 let create (config : config) (env : Sender.env) =

@@ -1,7 +1,10 @@
 (** Per-flow measurement record collected by the {!Runner}.
 
-    Samples are appended in simulation-time order, so windowed queries
-    use binary search over the ACK log's timestamps. *)
+    Every ACK is logged as its arrival time and RTT sample (16 bytes);
+    its size is taken to be {!Units.mtu} unless it was recorded with
+    another size, which a sparse side table keeps. ACKs are appended in
+    simulation-time order, so windowed queries use binary search over
+    the log's timestamps. *)
 
 type t
 
@@ -65,7 +68,8 @@ val rtt_percentile : t -> t0:float -> t1:float -> p:float -> float option
 
 val throughput_series : t -> bin:float -> until:float -> (float * float) array
 (** [(bin_start_time, mbps)] series of goodput binned at [bin]-second
-    granularity from time 0 to [until]. *)
+    granularity from time 0 to [until]. Raises [Invalid_argument]
+    unless [bin] is positive and finite. *)
 
 val first_ack_time : t -> float option
 val last_ack_time : t -> float option

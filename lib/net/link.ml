@@ -211,6 +211,16 @@ let create ?(trace = Trace.disabled) cfg ~rng =
     trace;
   }
 
+(* Branch-only [Float.max], equal to it on every input
+   (see [Descriptive.fmax]): the stdlib's calls the C [caml_signbit]
+   whenever its first comparison fails. Local and inlined, so no
+   float crosses a module boundary. *)
+let[@inline] fmax (a : float) b =
+  if a > b then a
+  else if b > a then b
+  else if a = b then (if a = 0.0 then a +. b else a)
+  else Float.max a b
+
 (* Advance the fluid aggregate to [now] and refresh the packet tier's
    effective capacity. When the fluid claim changed, the unserved
    packet backlog is re-served at the new rate — the same conversion
@@ -226,7 +236,7 @@ let apply_fluid t ~now =
          keeps a positive service floor. *)
       let ce = t.capacity -. Aggregate.served_rate a in
       if ce <> t.cap_eff then begin
-        let unserved = Float.max 0.0 (t.fl.(0) -. now) *. t.cap_eff in
+        let unserved = fmax 0.0 (t.fl.(0) -. now) *. t.cap_eff in
         t.cap_eff <- ce;
         t.fl.(0) <- now +. (unserved /. ce)
       end
@@ -253,7 +263,7 @@ let sync_at t =
     if t.agg <> None then apply_fluid t ~now:tc;
     (match t.sched_imp.(t.sched_idx) with
     | Set_bandwidth mbps ->
-        let unserved = Float.max 0.0 (t.fl.(0) -. tc) *. t.cap_eff in
+        let unserved = fmax 0.0 (t.fl.(0) -. tc) *. t.cap_eff in
         t.capacity <- Units.mbps_to_bytes_per_sec mbps;
         (* The fluid share of the new capacity is re-deducted by the
            [apply_fluid] at the end of this sync. *)
@@ -280,7 +290,7 @@ let sync_at t =
             ~seq:t.sched_idx ~a:(average_loss m) ~b:0.0 ~note:"set-loss"
     | Down { duration; flush } ->
         let o_end = tc +. duration in
-        t.fl.(0) <- (if flush then o_end else Float.max t.fl.(0) o_end);
+        t.fl.(0) <- (if flush then o_end else fmax t.fl.(0) o_end);
         if Trace.enabled t.trace then
           Trace.emit t.trace ~time:tc ~kind:Trace.Impairment ~flow:(-1)
             ~seq:t.sched_idx ~a:duration
@@ -343,11 +353,11 @@ let[@inline] is_down t ~now =
 
 let[@inline] backlog_bytes t ~now =
   sync t ~now;
-  Float.max 0.0 (t.fl.(0) -. now) *. t.cap_eff
+  fmax 0.0 (t.fl.(0) -. now) *. t.cap_eff
 
 let[@inline] queue_delay t ~now =
   sync t ~now;
-  Float.max 0.0 (t.fl.(0) -. now)
+  fmax 0.0 (t.fl.(0) -. now)
 
 let draw_loss t =
   match t.loss with

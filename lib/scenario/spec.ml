@@ -804,6 +804,10 @@ let validate_exn t =
       (match f.size_mb with
       | Some x when (not (Float.is_finite x)) || x <= 0.0 ->
           bad "flow %s: size-mb must be positive" f.label
+      | Some x when x *. 1e6 < 1.0 ->
+          (* [Build.instantiate] truncates the byte count; a flow of 0
+             bytes would never complete. *)
+          bad "flow %s: size-mb %s is less than one byte" f.label (fstr x)
       | _ -> ());
       match (t.topology, f.route) with
       | Dumbbell _, E2e -> ()

@@ -42,10 +42,22 @@ let[@inline] square x =
   else x ** 2.0
 
 (* Branch-only [Float.max] / [Float.min]: a strict comparison settles
-   every ordered pair of distinct values; the stdlib functions settle
-   equal values (signed zeros) and NaN. *)
-let[@inline] fmax a b = if a > b then a else if b > a then b else Float.max a b
-let[@inline] fmin a b = if a < b then a else if b < a then b else Float.min a b
+   every ordered pair of distinct values, and [=] every equal pair.
+   Equal values share their bits unless they are zeros of opposite
+   sign; then the sum is the maximum (+0 + -0 = +0) and the negated sum
+   of the negations the minimum. The stdlib functions, which call the
+   C [caml_signbit], settle only a NaN operand. *)
+let[@inline] fmax (a : float) b =
+  if a > b then a
+  else if b > a then b
+  else if a = b then (if a = 0.0 then a +. b else a)
+  else Float.max a b
+
+let[@inline] fmin (a : float) b =
+  if a < b then a
+  else if b < a then b
+  else if a = b then (if a = 0.0 then -.(-.a -. b) else a)
+  else Float.min a b
 
 let[@inline] variance_around xs ~len m =
   let s = ref 0.0 in

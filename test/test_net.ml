@@ -215,6 +215,50 @@ let test_flow_stats_series_edge () =
   Alcotest.(check int) "ceil bins" 3 (Array.length series2);
   check_float "fractional last bin" 0.8 (snd series2.(2))
 
+let test_flow_stats_series_bad_bin () =
+  let st = Flow_stats.create () in
+  Flow_stats.record_ack st ~now:0.5 ~size:Units.mtu ~rtt:0.02;
+  List.iter
+    (fun bin ->
+      Alcotest.check_raises (Printf.sprintf "bin %g" bin)
+        (Invalid_argument "Flow_stats.throughput_series: bin") (fun () ->
+          ignore (Flow_stats.throughput_series st ~bin ~until:2.0)))
+    [ 0.0; -1.0; Float.nan; Float.infinity ]
+
+let words st = Obj.reachable_words (Obj.repr st)
+
+(* The log keeps two floats per ACK: time and RTT. Bytes are implied
+   by the MTU, so 100,000 MTU ACKs must fit in 2 words each plus what a
+   fresh record holds (the record and its first chunk); a third column
+   would add another 100,000 words. *)
+let test_flow_stats_memory () =
+  let empty = words (Flow_stats.create ()) in
+  let st = Flow_stats.create () in
+  let n = 100_000 in
+  for i = 1 to n do
+    Flow_stats.record_ack st ~now:(float_of_int i *. 1e-4) ~size:Units.mtu
+      ~rtt:0.02
+  done;
+  let w = words st in
+  if w > (2 * n) + empty then
+    Alcotest.failf "%d MTU ACKs hold %d words, over 2 per ACK + %d" n w empty
+
+(* Sizes off the MTU go to a side table that is not allocated until
+   the first one arrives. *)
+let test_flow_stats_side_table_lazy () =
+  let st = Flow_stats.create () in
+  let empty = words st in
+  for i = 1 to 1000 do
+    Flow_stats.record_ack st ~now:(float_of_int i) ~size:Units.mtu ~rtt:0.02
+  done;
+  Alcotest.(check int) "MTU ACKs in the first chunk allocate nothing" empty
+    (words st);
+  Flow_stats.record_ack st ~now:1001.0 ~size:40 ~rtt:0.02;
+  if words st <= empty then
+    Alcotest.fail "a non-MTU ACK must allocate the side table";
+  check_float "bytes" ((1000.0 *. 1500.0) +. 40.0)
+    (Flow_stats.bytes_acked_window st ~t0:0.0 ~t1:2000.0)
+
 (* ---------- Runner ---------- *)
 
 let standard_cfg ?loss_rate ?noise () =
@@ -364,6 +408,9 @@ let suite =
     ("flow stats negative hop", `Quick, test_flow_stats_negative_hop);
     ("flow stats series", `Quick, test_flow_stats_series);
     ("flow stats series edge", `Quick, test_flow_stats_series_edge);
+    ("flow stats series bad bin", `Quick, test_flow_stats_series_bad_bin);
+    ("flow stats memory per ACK", `Quick, test_flow_stats_memory);
+    ("flow stats side table is lazy", `Quick, test_flow_stats_side_table_lazy);
     ("runner conservation", `Quick, test_runner_packet_conservation);
     ("runner finite flow", `Quick, test_runner_finite_flow_completes);
     ("runner finite flow with loss", `Quick,

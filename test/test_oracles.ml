@@ -659,20 +659,55 @@ let gen_acks =
         (!now, size, rtt))
       steps)
 
-(* Window edges fall on logged ACK times as often as between them, so
-   the ACKs at a window's edges and runs of equal timestamps are
-   decided by the half-open rule. *)
+(* All-MTU logs of three to four chunks with a single ACK off the MTU,
+   at the first or the last slot of a chunk: the log keeps sizes other
+   than the MTU apart from the chunks, and these place one where a scan
+   crosses from chunk to chunk. *)
+let gen_mtu_log =
+  let mtu = Proteus_net.Units.mtu in
+  QCheck.Gen.(
+    int_range (3 * 1024) ((4 * 1024) + 1) >>= fun n ->
+    int_range 0 ((n - 1) / 1024) >>= fun m ->
+    oneofl [ m * 1024; min (n - 1) ((m * 1024) + 1023) ] >>= fun k ->
+    frequency
+      [ (2, int_range 1 (mtu - 1)); (1, return 40); (1, int_range (mtu + 1) 9000) ]
+    >>= fun odd ->
+    list_repeat n
+      (pair
+         (frequency [ (1, return 0.0); (4, float_range 1e-4 1e-3) ])
+         (float_range 0.001 0.3))
+    >|= fun steps ->
+    let now = ref 0.0 in
+    List.mapi
+      (fun i (dt, rtt) ->
+        now := !now +. dt;
+        (!now, (if i = k then odd else mtu), rtt))
+      steps)
+
+let gen_log = QCheck.Gen.(frequency [ (4, gen_acks); (1, gen_mtu_log) ])
+
+(* Window edges fall on logged ACK times as often as between them, and
+   often on the time of an ACK off the MTU, so the ACKs at a window's
+   edges and runs of equal timestamps are decided by the half-open
+   rule. *)
 let gen_window acks =
   QCheck.Gen.(
     let times = Array.of_list (List.map (fun (t, _, _) -> t) acks) in
+    let odd_times =
+      List.filter_map
+        (fun (t, size, _) ->
+          if size <> Proteus_net.Units.mtu then Some t else None)
+        acks
+    in
     let edge =
       if Array.length times = 0 then float_range (-0.1) 1.6
       else
         frequency
-          [
-            (1, float_range (-0.1) 1.6);
-            (1, map (fun i -> times.(i)) (int_bound (Array.length times - 1)));
-          ]
+          ([
+             (1, float_range (-0.1) 1.6);
+             (1, map (fun i -> times.(i)) (int_bound (Array.length times - 1)));
+           ]
+          @ if odd_times = [] then [] else [ (1, oneofl odd_times) ])
     in
     pair edge edge >>= fun (a, b) ->
     frequency
@@ -689,7 +724,7 @@ let prop_flow_stats =
               (List.map (fun (a, b) -> Printf.sprintf "[%h,%h)" a b) windows))
            bin until p)
        QCheck.Gen.(
-         gen_acks >>= fun acks ->
+         gen_log >>= fun acks ->
          (* The series' end falls before, among or past the logged ACKs,
             so every chunk of a long log is summed some of the time. *)
          let last =
@@ -767,6 +802,72 @@ let prop_flow_stats =
          || QCheck.Test.fail_report "throughput_series differs")
       && same_opt (Flow_stats.first_ack_time st) first
       && same_opt (Flow_stats.last_ack_time st) last)
+
+(* A record reused through [clear] answers every query as a fresh one
+   filled with the same log: nothing of the first log (counts, losses,
+   sizes off the MTU) survives into the second. *)
+let prop_flow_stats_clear =
+  QCheck.Test.make ~count:100
+    ~name:"flow_stats clear then refill equals a fresh record"
+    (QCheck.make
+       ~print:(fun (first, acks, windows) ->
+         Printf.sprintf "%d acks, cleared, %d acks, windows %s"
+           (List.length first) (List.length acks)
+           (String.concat " "
+              (List.map (fun (a, b) -> Printf.sprintf "[%h,%h)" a b) windows)))
+       QCheck.Gen.(
+         pair gen_log gen_log >>= fun (first, acks) ->
+         list_size (int_range 1 4) (gen_window acks) >|= fun windows ->
+         (first, acks, windows)))
+    (fun (first, acks, windows) ->
+      let fill st =
+        List.iteri
+          (fun i (now, size, rtt) ->
+            Flow_stats.record_sent st ~now ~size;
+            if i mod 7 = 3 then Flow_stats.record_loss ~hop:(i mod 3) st ~size;
+            if i mod 11 = 5 then Flow_stats.record_dup_ack st;
+            Flow_stats.record_ack st ~now ~size ~rtt)
+      in
+      let observe st =
+        let f = float_of_int in
+        let window (t0, t1) =
+          Array.to_list (Flow_stats.rtt_samples st ~t0 ~t1)
+          @ [
+              Option.value ~default:Float.nan
+                (Flow_stats.rtt_percentile st ~t0 ~t1 ~p:50.0);
+            ]
+          @
+          if t1 <= t0 then []
+          else
+            [
+              Flow_stats.bytes_acked_window st ~t0 ~t1;
+              Flow_stats.throughput_mbps st ~t0 ~t1;
+            ]
+        in
+        [
+          f (Flow_stats.packets_sent st);
+          f (Flow_stats.packets_acked st);
+          f (Flow_stats.packets_lost st);
+          f (Flow_stats.packets_dup_acked st);
+          Flow_stats.bytes_acked st;
+          Flow_stats.loss_fraction st;
+          Option.value ~default:Float.nan (Flow_stats.first_ack_time st);
+          Option.value ~default:Float.nan (Flow_stats.last_ack_time st);
+        ]
+        @ List.map f (Array.to_list (Flow_stats.losses_by_hop st))
+        @ List.concat_map window windows
+        @ List.map snd
+            (Array.to_list (Flow_stats.throughput_series st ~bin:0.1 ~until:2.5))
+      in
+      let reused = Flow_stats.create () in
+      fill reused first;
+      Flow_stats.clear reused;
+      fill reused acks;
+      let fresh = Flow_stats.create () in
+      fill fresh acks;
+      let a = observe reused and b = observe fresh in
+      (List.length a = List.length b && List.for_all2 same a b)
+      || QCheck.Test.fail_report "a query differs after clear")
 
 (* ---------- windowed extremum filter vs a list window ---------- *)
 
@@ -1029,6 +1130,7 @@ let suite =
         prop_mi_reuse;
         prop_votes;
         prop_flow_stats;
+        prop_flow_stats_clear;
         prop_winfilter;
         prop_seq_ring;
       ]

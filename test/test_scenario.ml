@@ -186,6 +186,28 @@ let test_validation_errors () =
     (fun n -> expect_spec_error (with_noise n) "sigma_ms")
     [ "(gaussian nan)"; "(gaussian -1)"; "(gaussian inf)" ]
 
+(* [Build.instantiate] truncates a flow's size to whole bytes; a size
+   that truncates to 0 would be a flow that never completes. *)
+let test_size_below_one_byte () =
+  let with_size mb =
+    Printf.sprintf
+      {|(scenario (duration 6)
+         (topology (dumbbell (link (bw-mbps 10) (rtt-ms 30) (buffer-bytes 100000))))
+         (flows (flow (cc cubic) (size-mb %s))))|}
+      mb
+  in
+  List.iter
+    (fun mb -> expect_spec_error (with_size mb) "one byte")
+    [ "1e-9"; "0.0000009" ];
+  (* 1.5 bytes is a one-byte flow, and it completes. *)
+  let r, flows = Scn.Build.instantiate ~seed:1 (parse_spec (with_size "0.0000015")) in
+  Proteus_net.Runner.run r ~until:6.0;
+  List.iter
+    (fun (label, f) ->
+      Alcotest.(check bool) (label ^ " complete") true
+        (Proteus_net.Runner.is_complete f))
+    flows
+
 let test_metric_form_errors () =
   let with_metrics ?(flows = "(flow (cc cubic) (label a)) (flow (cc bbr) (label b))") ms =
     Printf.sprintf
@@ -1126,6 +1148,7 @@ let suite =
     ("spec round-trip", `Quick, test_spec_roundtrip);
     ("spec defaults", `Quick, test_spec_defaults);
     ("validation errors", `Quick, test_validation_errors);
+    ("flow size below one byte", `Quick, test_size_below_one_byte);
     ("metric-form validation errors", `Quick, test_metric_form_errors);
     ("recovery never reached is censored", `Quick, test_recovery_censored);
     ("all-stopped spec must quiesce", `Quick, test_stopped_spec_quiesces);
