@@ -1,6 +1,6 @@
-(* Shared machinery for the paper-reproduction experiments: the
-   protocol registry, standard single-flow and two-flow runs, and
-   output formatting. *)
+(* Shared machinery for the paper-reproduction experiments: scale
+   knobs, manifests, supervised fan-out, standard single-flow and
+   two-flow runs, and output formatting. *)
 
 module Net = Proteus_net
 module Stats = Proteus_stats
@@ -35,13 +35,7 @@ let shards = ref 4
 let scale_name () =
   match !scale with Fast -> "fast" | Default -> "default" | Full -> "full"
 
-(* ---------- observability ---------- *)
-
-(* `--trace FILE` / `--metrics FILE`: experiments that support per-run
-   tracing (the faults smoke) export the bus / a metrics snapshot to
-   these paths. JSONL unless the trace path ends in `.csv`. *)
-let trace_file : string option ref = ref None
-let metrics_file : string option ref = ref None
+(* ---------- manifests ---------- *)
 
 (* One manifest next to each experiment's output, recording what
    produced it. Execution details (`--jobs`) are deliberately excluded
@@ -165,25 +159,6 @@ let sup_map cfg ~run_id ~seed_of ~encode ~decode f keys =
   Harness.Sweep.map cfg
     ~pool_map:(fun g xs -> par_map g xs)
     ~run_id ~seed_of ~encode ~decode f keys
-
-(* ---------- protocol registry ---------- *)
-
-type proto = { name : string; make : unit -> Net.Sender.factory }
-
-(* Every lineup entry is a name in the scenario language's registry. *)
-let proto name =
-  {
-    name;
-    make =
-      (fun () ->
-        match Proteus_scenario.Protocols.factory name with
-        | Ok f -> f
-        | Error e -> invalid_arg e);
-  }
-
-let cubic = proto "cubic"
-let proteus_s = proto "proteus-s"
-let ledbat_100 = proto "ledbat-100"
 
 (* ---------- standard links ---------- *)
 

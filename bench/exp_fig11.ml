@@ -14,10 +14,17 @@ module D = Proteus_stats.Descriptive
 let backgrounds =
   [
     ("none", None);
-    ("proteus-s", Some Exp_common.proteus_s);
-    ("ledbat", Some Exp_common.ledbat_100);
-    ("cubic", Some Exp_common.cubic);
+    ("proteus-s", Some "proteus-s");
+    ("ledbat", Some "ledbat-100");
+    ("cubic", Some "cubic");
   ]
+
+let add_background r = function
+  | Some name -> (
+      match Proteus_scenario.Protocols.factory name with
+      | Ok factory -> ignore (Net.Runner.add_flow r ~label:"background" ~factory)
+      | Error e -> invalid_arg e)
+  | None -> ()
 
 (* A Big-Buck-Bunny-style ladder topping at 16 Mbps, matching the
    bitrate range of the paper's Fig. 11a y-axis. *)
@@ -34,12 +41,7 @@ let access_cfg () =
 
 let dash ~n_videos ~background =
   let r = Net.Runner.create ~seed:5 (access_cfg ()) in
-  (match background with
-  | Some (bg : Exp_common.proto) ->
-      ignore
-        (Net.Runner.add_flow r ~label:"background"
-           ~factory:(bg.Exp_common.make ()))
-  | None -> ());
+  add_background r background;
   let sessions =
     List.init n_videos (fun i ->
         Video.Session.start r ~video:(bbb i) ~startup_offset:2.0
@@ -54,12 +56,7 @@ let dash ~n_videos ~background =
 
 let web ~background =
   let r = Net.Runner.create ~seed:6 (access_cfg ()) in
-  (match background with
-  | Some (bg : Exp_common.proto) ->
-      ignore
-        (Net.Runner.add_flow r ~label:"background"
-           ~factory:(bg.Exp_common.make ()))
-  | None -> ());
+  add_background r background;
   let horizon = Exp_common.pick ~fast:120.0 ~default:300.0 ~full:600.0 in
   let results =
     Web.Load_test.run r

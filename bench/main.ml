@@ -4,16 +4,12 @@
    Usage:  dune exec bench/main.exe --
              [--fast|--full] [--jobs N] [OPTION]... [ids...]
    ids: fig2 paper fig11 fig12 ablation micro faults topology scale
-        matrix all (default: all);
+        scale-smoke matrix all (default: all);
    --help lists every id and option (parsed with Cmdliner).
 
    --jobs N fans independent trials/protocol runs across N domains;
    results are bit-identical to --jobs 1 (every trial owns its seeded
    RNG and par_map preserves ordering).
-
-   --trace FILE / --metrics FILE export the observability bus and a
-   metrics snapshot from experiments that support per-run tracing
-   (currently faults-smoke); tracing never changes results.
 
    paper, faults, topology and matrix are one scenario sweep
    (Exp_matrix) over scenarios/paper (Figs. 3-10, 14 and 18 with their
@@ -28,7 +24,11 @@
    budgets, --resume skips runs already journaled in JOURNAL_<id>.jsonl,
    and --inject KIND:RUN_ID plants deterministic faults for chaos
    testing. Exit code: 0 = every run completed, 2 = degraded (some runs
-   failed but the sweep finished), 1 = fatal. *)
+   failed but the sweep finished), 1 = fatal.
+
+   `dune runtest` runs scale-smoke (via @scale-smoke), and
+   test/test_scenario.ml audits the faults and topology corpora there:
+   every Proteus and BBR instance at one trial. *)
 
 let experiments : (string * (unit -> unit)) list =
   [
@@ -51,13 +51,11 @@ let experiments : (string * (unit -> unit)) list =
             "Fault injection: outages, bandwidth steps, bursty loss (auditor \
              on)"
           "scenarios/faults" );
-    ("faults-smoke", Exp_faults.smoke);
     ( "topology",
       fun () ->
         Exp_matrix.sweep ~id:"topology"
           ~title:"Multi-hop topologies: parking lot and reverse-path congestion"
           "scenarios/topology" );
-    ("topology-smoke", Exp_topology.smoke);
     ("scale", Exp_scale.run);
     ("scale-smoke", Exp_scale.smoke);
     ("matrix", Exp_matrix.run);
@@ -124,11 +122,6 @@ let opt_setting r arg_conv default name ~docv doc =
 let settings =
   let open Exp_common in
   [
-    opt_setting trace_file Arg.(some string) None "trace" ~docv:"FILE"
-      "Export the trace bus (JSONL, or CSV if $(docv) ends in .csv) from \
-       trace-capable experiments.";
-    opt_setting metrics_file Arg.(some string) None "metrics" ~docv:"FILE"
-      "Export a metrics-registry snapshot (JSON).";
     opt_setting trials_override (Arg.some positive) None "trials" ~docv:"N"
       "Override the scale-derived trial count.";
     opt_setting shards positive !shards "shards" ~docv:"N"
@@ -173,7 +166,7 @@ let ids =
         ~doc:
           (Printf.sprintf
              "Experiments to run: $(docv) is one of %s; all (the default) \
-              runs every experiment except the smoke entries and the \
+              runs every experiment except scale-smoke and the \
               matrix. paper holds the paper's figures, Appendix B included."
              (String.concat ", " (List.map fst experiments))))
 
@@ -186,17 +179,13 @@ let run scale_flags jobs ids =
     List.concat_map
       (fun id ->
         match id with
-        (* "all" skips the smoke entries (subsets of the full sweeps,
-           kept for the @*-smoke aliases) and the scenario matrix
-           (thousands of runs; its CI job invokes it explicitly). *)
+        (* "all" skips scale-smoke (a subset of scale, kept for the
+           @scale-smoke alias) and the scenario matrix (thousands of
+           runs; its CI job invokes it explicitly). *)
         | "all" ->
             List.filter_map
               (fun (id, _) ->
-                if
-                  id = "faults-smoke" || id = "topology-smoke"
-                  || id = "scale-smoke" || id = "matrix"
-                then None
-                else Some id)
+                if id = "scale-smoke" || id = "matrix" then None else Some id)
               experiments
         | _ -> [ id ])
       ids

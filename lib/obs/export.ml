@@ -20,50 +20,33 @@ let json_float v =
 
 (* ---------- trace ---------- *)
 
-let write_trace_jsonl ?run oc trace =
-  let run_field =
-    match run with
-    | Some r -> Printf.sprintf ",\"run\":\"%s\"" (json_escape r)
-    | None -> ""
-  in
+let write_trace_jsonl oc trace =
   Trace.iter trace ~f:(fun (e : Trace.event) ->
       Printf.fprintf oc "{\"t\":%.9f,\"kind\":\"%s\",\"flow\":%d,\"seq\":%d"
         e.time (Trace.kind_name e.kind) e.flow e.seq;
       Printf.fprintf oc ",\"a\":%s,\"b\":%s" (json_float e.a) (json_float e.b);
       if e.note <> "" then
         Printf.fprintf oc ",\"note\":\"%s\"" (json_escape e.note);
-      Printf.fprintf oc "%s}\n" run_field)
+      output_string oc "}\n")
 
 let csv_escape s =
   if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
     "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
   else s
 
-let csv_header ?run oc =
-  Printf.fprintf oc "time,kind,flow,seq,a,b,note%s\n"
-    (match run with Some _ -> ",run" | None -> "")
-
-let write_trace_csv ?run ?(header = true) oc trace =
-  if header then csv_header ?run oc;
-  let run_field =
-    match run with Some r -> "," ^ csv_escape r | None -> ""
-  in
+let write_trace_csv oc trace =
+  output_string oc "time,kind,flow,seq,a,b,note\n";
   Trace.iter trace ~f:(fun (e : Trace.event) ->
-      Printf.fprintf oc "%.9f,%s,%d,%d,%.9g,%.9g,%s%s\n" e.time
-        (Trace.kind_name e.kind) e.flow e.seq e.a e.b (csv_escape e.note)
-        run_field)
+      Printf.fprintf oc "%.9f,%s,%d,%d,%.9g,%.9g,%s\n" e.time
+        (Trace.kind_name e.kind) e.flow e.seq e.a e.b (csv_escape e.note))
 
-let is_csv path = Filename.check_suffix path ".csv"
-
-let write_trace ?run oc ~path trace =
-  if is_csv path then write_trace_csv ?run oc trace
-  else write_trace_jsonl ?run oc trace
-
-let trace_to_file ?run ~path trace =
+let trace_to_file ~path trace =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> write_trace ?run oc ~path trace)
+    (fun () ->
+      if Filename.check_suffix path ".csv" then write_trace_csv oc trace
+      else write_trace_jsonl oc trace)
 
 let warn_dropped ~label trace =
   let dropped = Trace.dropped trace in

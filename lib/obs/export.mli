@@ -1,10 +1,9 @@
 (** Exporters for trace buffers and metric registries.
 
     Traces export as JSONL (one JSON object per line — [t], [kind],
-    [flow], [seq], [a], [b], optional [note] and [run]) or CSV; the
-    format is picked from the file extension ([.csv] means CSV) by the
-    [~path] variants. Metric registries export as a single JSON
-    document (schema [pcc-proteus-metrics/1]).
+    [flow], [seq], [a], [b] and an optional [note]) or CSV; the file
+    extension picks the format ([.csv] means CSV). Metric registries
+    export as a single JSON document (schema [pcc-proteus-metrics/1]).
 
     Everything here is hand-rolled string building — no JSON library
     dependency — matching the BENCH_*.json emitters. *)
@@ -17,18 +16,10 @@ val json_float : float -> string
 
 (** {1 Traces} *)
 
-val write_trace_jsonl : ?run:string -> out_channel -> Trace.t -> unit
-(** Append every buffered event, oldest first, one JSON object per
-    line. [run] adds a ["run"] field to each line, to tag events when
-    several runs share one file. *)
-
-val write_trace_csv :
-  ?run:string -> ?header:bool -> out_channel -> Trace.t -> unit
-(** CSV rows ([header] defaults to true). *)
-
-val trace_to_file : ?run:string -> path:string -> Trace.t -> unit
-(** Write (truncate) [path]; CSV when the extension is [.csv], JSONL
-    otherwise. *)
+val trace_to_file : path:string -> Trace.t -> unit
+(** Write (truncate) [path] with every buffered event, oldest first:
+    CSV with a header row when the extension is [.csv], JSONL (one
+    object per line) otherwise. *)
 
 val warn_dropped : label:string -> Trace.t -> unit
 (** Print a warning naming [label] on stderr when the bus overwrote

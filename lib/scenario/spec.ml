@@ -708,8 +708,9 @@ let num_hops = function
   | Chain links -> List.length links
   | Parking_lot { hops; _ } -> hops
 
+(* A dumbbell is the one-hop chain: a forward and a reverse link. *)
 let num_links = function
-  | Dumbbell _ -> 1
+  | Dumbbell _ -> 2
   | Chain links -> 2 * List.length links
   | Parking_lot { hops; _ } -> 2 * hops
 
@@ -808,6 +809,9 @@ let validate_exn t =
           (* [Build.instantiate] truncates the byte count; a flow of 0
              bytes would never complete. *)
           bad "flow %s: size-mb %s is less than one byte" f.label (fstr x)
+      | Some x when x *. 1e6 >= 0x1p62 ->
+          (* ... and a count of 2^62 bytes or more overflows the int. *)
+          bad "flow %s: size-mb %s is 2^62 bytes or more" f.label (fstr x)
       | _ -> ());
       match (t.topology, f.route) with
       | Dumbbell _, E2e -> ()

@@ -137,7 +137,7 @@ let test_trace_export_shapes () =
   let buf = Buffer.create 256 in
   let jsonl =
     let tmp = Filename.temp_file "trace" ".jsonl" in
-    Export.trace_to_file ~run:"t" ~path:tmp tr;
+    Export.trace_to_file ~path:tmp tr;
     let ic = open_in tmp in
     let rec slurp () =
       match input_line ic with
@@ -163,8 +163,7 @@ let test_trace_export_shapes () =
   in
   Alcotest.(check bool) "kind serialized" true
     (has "\"kind\":\"impairment\"" first);
-  Alcotest.(check bool) "note serialized" true (has "\"note\":\"down\"" first);
-  Alcotest.(check bool) "run tag" true (has "\"run\":\"t\"" first)
+  Alcotest.(check bool) "note serialized" true (has "\"note\":\"down\"" first)
 
 (* ---------- manifests ---------- *)
 

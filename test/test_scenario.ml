@@ -166,6 +166,17 @@ let test_validation_errors () =
        (fluid (link 2) (class (label bg) (envelope (0 1))))
        (flows (flow (cc cubic))))|}
     "link";
+  (* A dumbbell is the one-hop chain: link 1 is its reverse link. *)
+  let reverse_fluid =
+    parse_spec
+      {|(scenario (duration 2)
+         (topology (dumbbell (link (bw-mbps 10) (rtt-ms 30) (buffer-bytes 100000))))
+         (fluid (link 1) (class (label bg) (envelope (0 1))))
+         (flows (flow (cc cubic))))|}
+  in
+  ignore (Scn.Build.run_metrics ~seed:1 reverse_fluid);
+  expect_spec_error (dumbbell_flows "(flow (cc cubic) (size-mb 1e300))")
+    "2^62 bytes";
   expect_spec_error
     {|(scenario (duration 6)
        (topology (dumbbell (link (bw-mbps -5) (rtt-ms 30) (buffer-bytes 100000))))
@@ -722,6 +733,49 @@ let test_topology_pinned () =
            Sweep_goldens.topology))
     [ ("parking-lot", "e2e"); ("rev-path", "probe") ]
 
+(* The rest of both corpora, the cells with randomness: every Proteus-P,
+   Proteus-S and BBR instance at one trial, auditor on (run_metrics's
+   default), so any invariant violation raises. Fault instances stop
+   every flow, so they must also end quiesced, and recover; topology
+   instances run their harm baseline too. *)
+let test_corpus_audit () =
+  List.iter
+    (fun (dir, expect) ->
+      let instances =
+        Sys.readdir (Filename.concat scenarios_dir dir)
+        |> Array.to_list
+        |> List.filter_map (Filename.chop_suffix_opt ~suffix:".scn")
+        |> List.sort compare
+        |> List.concat_map (fun name ->
+               List.map
+                 (fun cc -> sweep_instance dir name ("cc=" ^ cc))
+                 [ "proteus-p"; "proteus-s"; "bbr" ])
+      in
+      Alcotest.(check int) (dir ^ " instances") expect (List.length instances);
+      List.iter
+        (fun (i : Grid.instance) ->
+          let ms = Scn.Build.run_metrics ~seed:i.seed i.spec in
+          let value prefix =
+            match
+              List.find_opt (fun (k, _) -> String.starts_with ~prefix k) ms
+            with
+            | Some (_, v) -> v
+            | None -> Alcotest.failf "%s: no %s metric" i.id prefix
+          in
+          if dir = "faults" then begin
+            if
+              List.exists (fun (f : Spec.flow) -> f.stop = None) i.spec.flows
+            then Alcotest.failf "%s: a flow never stops" i.id;
+            Alcotest.(check (float 0.0)) (i.id ^ " recovered") 1.0
+              (value "recovered:")
+          end
+          else
+            let harm = value "harm:" in
+            if not (harm >= 0.0 && harm <= 1.0) then
+              Alcotest.failf "%s: harm %g outside [0, 1]" i.id harm)
+        instances)
+    [ ("faults", 15); ("topology", 6) ]
+
 (* The paper figures' pinned cells, bit for bit. [field] maps each old
    value onto the metric key replacing it, whether the run without s
    reports it, and its unit scale (the old code kept RTTs in seconds);
@@ -1172,6 +1226,7 @@ let suite =
     ("protocol registry", `Quick, test_protocols_registry);
     ("ported fault sweep: pinned cells", `Slow, test_faults_pinned);
     ("ported topology sweep: pinned cells", `Slow, test_topology_pinned);
+    ("fault and topology corpora: audited runs", `Slow, test_corpus_audit);
     ("paper fig3: pinned cells", `Slow, test_fig3_pinned);
     ("paper fig4: pinned cells", `Slow, test_fig4_pinned);
     ("paper fig6/7: pinned cells", `Slow, test_fig6_pinned);

@@ -193,9 +193,17 @@ let parking_lot_trial ~seed =
   let topo = Topology.chain [ mk 0; mk 1; mk 2 ] in
   let r = Net.Runner.create_topo ~seed topo in
   let audit = Net.Runner.attach_audit r in
+  (* The e2e protocol rotates by seed over the lineup, so every seed
+     set covers each controller's per-hop quiesce end to end. *)
+  let e2e_cc =
+    List.nth
+      [ "proteus-p"; "proteus-s"; "cubic"; "bbr"; "copa"; "ledbat-100" ]
+      (seed mod 6)
+  in
   let e2e =
     Net.Runner.add_flow r ~stop:5.0 ~route:(Topology.chain_route topo)
-      ~label:"e2e" ~factory:(Proteus_cc.Cubic.factory ())
+      ~label:"e2e"
+      ~factory:(Result.get_ok (Proteus_scenario.Protocols.factory e2e_cc))
   in
   let protos =
     [|
