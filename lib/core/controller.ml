@@ -191,6 +191,7 @@ type t = {
   rng : Rng.t;
   mtu : int;
   trace : Trace.t;
+  flow : int; (* the runner's flow index, for trace events *)
   fl : floats;
   mutable phase : phase;
   mutable epoch : int; (* of the current probing or moving phase *)
@@ -265,6 +266,7 @@ let create (config : config) (env : Sender.env) =
     rng = env.rng;
     mtu = env.mtu;
     trace = env.trace;
+    flow = env.flow;
     fl =
       {
         base_rate = r0;
@@ -475,7 +477,7 @@ let handle_result t tag (m : Mi.metrics) =
      (each would box a [Some] cell, and [~now] a float, per MI). *)
   let u =
     if Trace.enabled t.trace then
-      Utility.eval ~trace:t.trace ~now:t.fl.now t.utility m
+      Utility.eval ~trace:t.trace ~now:t.fl.now ~flow:t.flow t.utility m
     else Utility.eval t.utility m
   in
   let kind = tag_kind tag in
@@ -488,7 +490,7 @@ let handle_result t tag (m : Mi.metrics) =
       if kind = kind_move && tag_epoch tag = t.epoch then
         handle_move_result t m ~u);
   if Trace.enabled t.trace then
-    Trace.emit t.trace ~time:t.fl.now ~kind:Trace.Rate_decision ~flow:(-1)
+    Trace.emit t.trace ~time:t.fl.now ~kind:Trace.Rate_decision ~flow:t.flow
       ~seq:t.completed_mis ~a:u
       ~b:(Units.bytes_per_sec_to_mbps t.fl.base_rate)
       ~note:(tag_name tag)
@@ -590,7 +592,7 @@ let close_current t ~meta =
     t.mi_times.(2) <- now;
     Mi.close mi ~times:t.mi_times;
     if Trace.enabled t.trace then
-      Trace.emit t.trace ~time:now ~kind:Trace.Mi_boundary ~flow:(-1)
+      Trace.emit t.trace ~time:now ~kind:Trace.Mi_boundary ~flow:t.flow
         ~seq:(Mi.id mi)
         ~a:(now -. Mi.start_time mi)
         ~b:(float_of_int (Mi.packets_sent mi))

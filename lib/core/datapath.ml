@@ -303,6 +303,7 @@ type st = {
   rep : report; (* reused for every report *)
   act : actions; (* reused; fields reset to NaN after application *)
   trace : Trace.t;
+  flow : int; (* the runner's flow index, for trace events *)
   fl : float array;
   trig_last : float array; (* per-trigger last fire time (Every) *)
   mutable last_seq : int;
@@ -332,7 +333,7 @@ let[@inline never] fire st ~meta cause =
       if Float.is_nan st.act.a_cwnd then st.regs.(st.prog.p_cwnd)
       else st.act.a_cwnd
     in
-    Trace.emit st.trace ~time:now ~kind:Trace.Rate_decision ~flow:(-1)
+    Trace.emit st.trace ~time:now ~kind:Trace.Rate_decision ~flow:st.flow
       ~seq:st.rep.rp_seq ~a:code ~b:cw ~note
   end
 
@@ -533,6 +534,7 @@ let make_st (env : Sender.env) prog h =
     rep = { rp_time = 0.0; rp_cause = Interval; rp_seq = 0; rp_regs = regs };
     act = { a_cwnd = Float.nan; a_rate_pps = Float.nan };
     trace = env.trace;
+    flow = env.flow;
     fl = [| 0.0; neg_infinity; 0.0; 0.0; 0.0; Float.nan |];
     trig_last = Array.make (Array.length prog.p_triggers) 0.0;
     last_seq = -1;

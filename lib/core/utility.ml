@@ -15,10 +15,10 @@ module Trace = Proteus_obs.Trace
 
 let name t = t.name
 
-let eval ?(trace = Trace.disabled) ?(now = 0.0) t m =
+let eval ?(trace = Trace.disabled) ?(now = 0.0) ?(flow = -1) t m =
   let u = t.eval m in
   if Trace.enabled trace then
-    Trace.emit trace ~time:now ~kind:Trace.Utility_sample ~flow:(-1) ~seq:0
+    Trace.emit trace ~time:now ~kind:Trace.Utility_sample ~flow ~seq:0
       ~a:u ~b:m.Mi.send_rate_mbps ~note:t.name;
   u
 

@@ -25,13 +25,19 @@ type t
 
 val name : t -> string
 
-val eval : ?trace:Proteus_obs.Trace.t -> ?now:float -> t -> Mi.metrics -> float
+val eval :
+  ?trace:Proteus_obs.Trace.t ->
+  ?now:float ->
+  ?flow:int ->
+  t ->
+  Mi.metrics ->
+  float
 (** Evaluate on (noise-adjusted) MI metrics. The rate term uses the
     MI's achieved send rate. When [trace] (default disabled) is an
     enabled bus, each evaluation publishes a [Utility_sample] event at
-    simulated time [now] ([a] = value, [b] = MI send rate in Mbps,
-    [note] = the function's name). Evaluation consumes no randomness
-    either way. *)
+    simulated time [now] for flow [flow] (default -1) ([a] = value,
+    [b] = MI send rate in Mbps, [note] = the function's name).
+    Evaluation consumes no randomness either way. *)
 
 val make : name:string -> (Mi.metrics -> float) -> t
 (** Register a custom utility function. *)

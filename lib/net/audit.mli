@@ -95,16 +95,13 @@ val hop_events_checked : t -> int
     a probe reading the aggregate's lifetime byte totals
     [(bytes_in, bytes_out, bytes_shed, backlog)]. The probes are
     closure-based so the auditor stays independent of the fluid tier's
-    types. {!check_fluid} — also run by {!assert_quiesced} — raises
-    {!Violation} if any registered link's accounting has a negative or
-    non-finite term, or violates
+    types. {!assert_quiesced} raises {!Violation} if any registered
+    link's accounting has a negative or non-finite term, or violates
     [bytes_in = bytes_out + bytes_shed + backlog] beyond a relative
     [1e-6] tolerance. *)
 
 val register_fluid :
   t -> link:int -> totals:(unit -> float * float * float * float) -> unit
-
-val check_fluid : t -> unit
 
 val fluid_links_checked : t -> int
 (** Number of fluid-carrying links registered for conservation checks. *)
@@ -117,7 +114,8 @@ val events_checked : t -> int
 
 val assert_quiesced : t -> unit
 (** Call once the simulation has drained (no pending events): raises
-    {!Violation} if any packet was neither delivered nor dropped. *)
+    {!Violation} if any packet was neither delivered nor dropped, or a
+    registered fluid link's byte accounting fails (see above). *)
 
 val recent_events : t -> string list
 (** Formatted trace of the retained events, oldest first. *)

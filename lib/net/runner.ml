@@ -82,10 +82,14 @@ let create_topo ?(seed = 42) ?(trace = Trace.disabled) ?kernel:_ topo =
      Explicit loop: [Array.init]'s evaluation order is unspecified and
      the splits are order-sensitive. *)
   let n = Topology.num_links topo in
-  let first = Link.create ~trace (Topology.link_config topo 0) ~rng:(Rng.split root_rng) in
+  let link i =
+    Link.create ~trace ~id:i (Topology.link_config topo i)
+      ~rng:(Rng.split root_rng)
+  in
+  let first = link 0 in
   let links = Array.make n first in
   for i = 1 to n - 1 do
-    links.(i) <- Link.create ~trace (Topology.link_config topo i) ~rng:(Rng.split root_rng)
+    links.(i) <- link i
   done;
   (* Lane ids coincide with link ids (explicit creation order). *)
   let lanes = Array.make n (Sim.lane sim) in
@@ -518,17 +522,18 @@ let add_flow ?(start = 0.0) ?stop ?size_bytes ?on_complete ?on_ack_bytes ?route
           "Runner.add_flow: a topology built by Topology.make needs an \
            explicit ~route"
   in
+  let id = t.next_id in
+  t.next_id <- id + 1;
   let env =
     {
       Sender.rng = Rng.split t.root_rng;
       mtu = Units.mtu;
       trace = t.trace;
       hops = Array.length route_fwd;
+      flow = id;
     }
   in
   let bytes = match size_bytes with Some b -> b | None -> -1 in
-  let id = t.next_id in
-  t.next_id <- id + 1;
   let f =
     {
       label;

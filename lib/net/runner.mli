@@ -117,7 +117,7 @@ val attach_audit : ?trace:int -> t -> Audit.t
     attached before any packet is in flight — the auditor treats
     deliveries of packets it never saw sent as conservation violations.
     Links carrying fluid classes are registered for fluid byte
-    conservation ([Audit.check_fluid], also run at quiesce).
+    conservation, checked by [Audit.assert_quiesced].
     Attaching again replaces the previous auditor. [trace] bounds the
     ring-buffer trace embedded in {!Audit.Violation} reports. The
     auditor shares the runner's observability bus, so violations also

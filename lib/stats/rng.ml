@@ -1,6 +1,27 @@
-type t = { state : Random.State.t; mutable splits : int; seed : int }
+(* A stream is its seed until its first draw: [Random.State.make] hashes
+   the seed twice with MD5, and many streams (a loss-free link's, a
+   sender that never randomises) are derived and never drawn from.
+   [split] and [split_at] read only [seed] and [splits], so deriving a
+   child never builds the parent's state either. The draws below are
+   those of [Random.State.make [| seed |]] whenever it is built. They
+   are [@inline]: the check makes them too large for ocamlopt to
+   inline on its own, and a draw called out of line returns its float
+   boxed, on every MI of a controller. *)
+type t = {
+  mutable state : Random.State.t option;  (* [None] until the first draw *)
+  mutable splits : int;
+  seed : int;
+}
 
-let create ~seed = { state = Random.State.make [| seed |]; splits = 0; seed }
+let create ~seed = { state = None; splits = 0; seed }
+
+let[@inline never] seed_state t =
+  let s = Random.State.make [| t.seed |] in
+  t.state <- Some s;
+  s
+
+let[@inline] state t =
+  match t.state with Some s -> s | None -> seed_state t
 
 let split t =
   t.splits <- t.splits + 1;
@@ -16,21 +37,22 @@ let split t =
    the two families cannot collide on small keys. *)
 let split_at t ~key = create ~seed:(t.seed * 999_983 + (key * 6_700_417) + 29)
 
-let float t bound = Random.State.float t.state bound
-let int t bound = Random.State.int t.state bound
-let bool t = Random.State.bool t.state
-let[@inline] bernoulli t ~p = p > 0. && Random.State.float t.state 1.0 < p
-let uniform t ~lo ~hi = lo +. Random.State.float t.state (hi -. lo)
+let[@inline] float t bound = Random.State.float (state t) bound
+let[@inline] int t bound = Random.State.int (state t) bound
+let[@inline] bool t = Random.State.bool (state t)
+let[@inline] bernoulli t ~p = p > 0. && Random.State.float (state t) 1.0 < p
+let[@inline] uniform t ~lo ~hi = lo +. Random.State.float (state t) (hi -. lo)
 
-let exponential t ~mean =
-  let u = 1.0 -. Random.State.float t.state 1.0 in
+let[@inline] exponential t ~mean =
+  let u = 1.0 -. Random.State.float (state t) 1.0 in
   -.mean *. log u
 
-let gaussian t ~mu ~sigma =
-  let u1 = 1.0 -. Random.State.float t.state 1.0 in
-  let u2 = Random.State.float t.state 1.0 in
+let[@inline] gaussian t ~mu ~sigma =
+  let s = state t in
+  let u1 = 1.0 -. Random.State.float s 1.0 in
+  let u2 = Random.State.float s 1.0 in
   mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
 
-let pareto t ~shape ~scale =
-  let u = 1.0 -. Random.State.float t.state 1.0 in
+let[@inline] pareto t ~shape ~scale =
+  let u = 1.0 -. Random.State.float (state t) 1.0 in
   scale /. (u ** (1.0 /. shape))

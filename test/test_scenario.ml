@@ -776,6 +776,42 @@ let test_corpus_audit () =
         instances)
     [ ("faults", 15); ("topology", 6) ]
 
+(* Trace identity: in a traced run of the outage fault with two
+   Proteus-P flows, each controller's decision, MI and utility events
+   carry its runner flow index, and the outage's two "down" events (the
+   dumbbell's forward and reverse links) carry their link ids. The run
+   stops at 9 s, inside the default ring, so nothing wraps away. *)
+let test_trace_identity () =
+  let module Trace = Proteus_obs.Trace in
+  let i = sweep_instance "faults" "outage" "cc=proteus-p" in
+  let trace = Trace.create () in
+  let r, _ = Scn.Build.instantiate ~trace ~seed:i.seed i.spec in
+  Net.Runner.run r ~until:9.0;
+  Alcotest.(check int) "nothing dropped" 0 (Trace.dropped trace);
+  let events = Trace.to_list trace in
+  let flows_of kind =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (e : Trace.event) -> if e.kind = kind then Some e.flow else None)
+         events)
+  in
+  List.iter
+    (fun kind ->
+      Alcotest.(check (list int))
+        (Trace.kind_name kind ^ " flow indices")
+        [ 0; 1 ] (flows_of kind))
+    [ Trace.Rate_decision; Trace.Mi_boundary; Trace.Utility_sample ];
+  let downs =
+    List.filter
+      (fun (e : Trace.event) -> e.kind = Trace.Impairment && e.note = "down")
+      events
+  in
+  Alcotest.(check (list (pair (float 0.0) int)))
+    "one t=8 down event per link"
+    [ (8.0, 0); (8.0, 1) ]
+    (List.sort compare
+       (List.map (fun (e : Trace.event) -> (e.time, e.seq)) downs))
+
 (* The paper figures' pinned cells, bit for bit. [field] maps each old
    value onto the metric key replacing it, whether the run without s
    reports it, and its unit scale (the old code kept RTTs in seconds);
@@ -1227,6 +1263,7 @@ let suite =
     ("ported fault sweep: pinned cells", `Slow, test_faults_pinned);
     ("ported topology sweep: pinned cells", `Slow, test_topology_pinned);
     ("fault and topology corpora: audited runs", `Slow, test_corpus_audit);
+    ("trace identity: flow and link indices", `Quick, test_trace_identity);
     ("paper fig3: pinned cells", `Slow, test_fig3_pinned);
     ("paper fig4: pinned cells", `Slow, test_fig4_pinned);
     ("paper fig6/7: pinned cells", `Slow, test_fig6_pinned);

@@ -203,6 +203,102 @@ let test_bernoulli_extremes () =
 
 (* ---------- Properties ---------- *)
 
+(* The oracle for lazily seeded streams: every stream eagerly built as
+   [Random.State.make [| seed |]], children derived from the parent's
+   seed and split counter as [Rng.split] and [Rng.split_at] document,
+   and each draw kind's formula applied to the state directly. *)
+type rng_model = { st : Random.State.t; m_seed : int; mutable m_splits : int }
+
+let rng_model seed =
+  { st = Random.State.make [| seed |]; m_seed = seed; m_splits = 0 }
+
+let model_split m =
+  m.m_splits <- m.m_splits + 1;
+  rng_model ((m.m_seed * 1_000_003) + (m.m_splits * 7919) + 17)
+
+let model_split_at m ~key =
+  rng_model ((m.m_seed * 999_983) + (key * 6_700_417) + 29)
+
+(* Draw kind [k] from the stream and from its model, as float bits. *)
+let rng_draw_pair k r m =
+  let u () = 1.0 -. Random.State.float m.st 1.0 in
+  let drawn, expected =
+    match k with
+    | 0 -> (Rng.float r 3.5, Random.State.float m.st 3.5)
+    | 1 ->
+        ( float_of_int (Rng.int r 1000),
+          float_of_int (Random.State.int m.st 1000) )
+    | 2 -> (Bool.to_float (Rng.bool r), Bool.to_float (Random.State.bool m.st))
+    | 3 ->
+        ( Bool.to_float (Rng.bernoulli r ~p:0.3),
+          Bool.to_float (Random.State.float m.st 1.0 < 0.3) )
+    | 4 ->
+        (* p = 0 draws nothing, on either side. *)
+        (Bool.to_float (Rng.bernoulli r ~p:0.0), 0.0)
+    | 5 ->
+        (Rng.uniform r ~lo:(-2.0) ~hi:5.0, -2.0 +. Random.State.float m.st 7.0)
+    | 6 -> (Rng.exponential r ~mean:0.4, -0.4 *. log (u ()))
+    | 7 ->
+        let drawn = Rng.gaussian r ~mu:1.0 ~sigma:0.5 in
+        let u1 = u () in
+        let u2 = Random.State.float m.st 1.0 in
+        ( drawn,
+          1.0 +. (0.5 *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)) )
+    | _ -> (Rng.pareto r ~shape:1.5 ~scale:2.0, 2.0 /. (u () ** (1.0 /. 1.5)))
+  in
+  (Int64.bits_of_float drawn, Int64.bits_of_float expected)
+
+type rng_op = Draw of int * int | Split of int | Split_at of int * int
+
+let rng_op_to_string = function
+  | Draw (s, k) -> Printf.sprintf "draw%d@%d" k s
+  | Split s -> Printf.sprintf "split@%d" s
+  | Split_at (s, key) -> Printf.sprintf "split_at%d@%d" key s
+
+let rng_case =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (6, map2 (fun s k -> Draw (s, k)) small_nat (int_range 0 8));
+        (2, map (fun s -> Split s) small_nat);
+        (1, map2 (fun s key -> Split_at (s, key)) small_nat (int_range 0 50));
+      ]
+  in
+  pair (int_range 0 1_000_000) (list_size (int_range 1 80) op)
+
+(* Streams are addressed modulo the number derived so far, so every op
+   lands on a live stream. *)
+let prop_rng_lazy_matches_eager =
+  QCheck.Test.make
+    ~name:"a lazily seeded stream draws what Random.State.make does"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (seed, ops) ->
+         Printf.sprintf "seed=%d [%s]" seed
+           (String.concat "; " (List.map rng_op_to_string ops)))
+       rng_case)
+    (fun (seed, ops) ->
+      let streams = ref [| (Rng.create ~seed, rng_model seed) |] in
+      let pick s = !streams.(s mod Array.length !streams) in
+      let add child = streams := Array.append !streams [| child |] in
+      List.for_all
+        (fun op ->
+          match op with
+          | Draw (s, k) ->
+              let r, m = pick s in
+              let drawn, expected = rng_draw_pair k r m in
+              Int64.equal drawn expected
+          | Split s ->
+              let r, m = pick s in
+              add (Rng.split r, model_split m);
+              true
+          | Split_at (s, key) ->
+              let r, m = pick s in
+              add (Rng.split_at r ~key, model_split_at m ~key);
+              true)
+        ops)
+
 let nonempty_floats =
   QCheck.(list_of_size Gen.(int_range 1 50) (float_bound_exclusive 1000.0))
 
@@ -372,4 +468,5 @@ let suite =
         prop_winfilter_matches_naive;
         prop_regression_recovers_slope;
         prop_cdf_monotone;
+        prop_rng_lazy_matches_eager;
       ]
