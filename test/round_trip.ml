@@ -13,10 +13,10 @@ type outcome =
   | Dropped
 
 (* Both links draw from [rng] in creation order, forward first, so the
-   forward link's stream is the one a lone [Link.create cfg ~rng] gets. *)
+   forward link's stream is the one a lone [Link.create ~id:0 cfg ~rng] gets. *)
 let create ?rev cfg ~rng =
-  let fwd = Link.create cfg ~rng in
-  let rev = Link.create (Option.value rev ~default:cfg) ~rng in
+  let fwd = Link.create ~id:0 cfg ~rng in
+  let rev = Link.create ~id:1 (Option.value rev ~default:cfg) ~rng in
   { fwd; rev; pkt = [| 0.0; 0.0 |] }
 
 let send t ~now ~size =

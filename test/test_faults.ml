@@ -85,7 +85,7 @@ let test_config_validation () =
   expect_invalid "nan lte outage" (fun () -> lte ~outage_max_ms:Float.nan ());
   (* Link.create re-validates records built without the constructor. *)
   expect_invalid "create with nan sigma" (fun () ->
-      Link.create
+      Link.create ~id:0
         { (base ()) with noise = Noise.Gaussian { sigma_ms = Float.nan } }
         ~rng:(Rng.create ~seed:1))
 
@@ -114,7 +114,7 @@ let test_schedule_validation () =
      [Link.create]. *)
   let cfg = base () in
   expect_invalid "create validates raw record" (fun () ->
-      Link.create
+      Link.create ~id:0
         { cfg with Link.bandwidth_mbps = -1.0 }
         ~rng:(Rng.create ~seed:1))
 
