@@ -185,7 +185,7 @@ let sender_micro ~name factory =
     factory
       (Net.Sender.make_env ~rng:(Proteus_stats.Rng.create ~seed:1) ~mtu:1500 ())
   in
-  let meta = Array.make 6 0.0 and next = ref 0 in
+  let meta = Array.make 4 0.0 and next = ref 0 in
   { name;
     body = (fun () ->
       for _ = 0 to 99 do
@@ -210,6 +210,11 @@ let copa_micro = sender_micro ~name:"copa ack x100" (Proteus_cc.Copa.factory ())
 let cubic_micro =
   sender_micro ~name:"cubic ack x100"
     (Proteus_cc.Cubic.factory ~consts:[ ("ssthresh", 10.0) ] ())
+
+(* Every LEDBAT ACK folds both delay filters and the proportional
+   window update. *)
+let ledbat_micro =
+  sender_micro ~name:"ledbat ack x100" (Proteus_cc.Ledbat.factory ())
 
 (* ---------- sim-second micros (the headline) ----------
 
@@ -267,7 +272,7 @@ let setup_micro =
 let micros =
   [
     sim_kernel_micro; sim_far_micro; link_micro; audit_micro; flow_stats_micro;
-    mi_micro; utility_micro; bbr_micro; copa_micro; cubic_micro;
+    mi_micro; utility_micro; bbr_micro; copa_micro; cubic_micro; ledbat_micro;
     two_flow_micro; many_flow_micro; setup_micro;
   ]
 

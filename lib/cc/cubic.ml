@@ -108,8 +108,6 @@ let on_ack regs sigs =
     else regs.(r_cwnd) <- regs.(r_cwnd) +. (0.01 /. regs.(r_cwnd))
   end
 
-let on_loss _regs _sigs = ()
-
 (* Register records are immutable and the adapter copies their initial
    values into each flow's own register file, so every flow shares one
    declaration array. *)
@@ -123,17 +121,15 @@ let program (_ : Proteus_net.Sender.env) =
     Dp.p_name = "cubic";
     p_regs = registers;
     p_cwnd = r_cwnd;
-    p_reads = [ Dp.Rtt_sample; Dp.Now ];
     p_on_ack = on_ack;
-    p_on_loss = on_loss;
     p_triggers = [| Dp.On_loss |];
   }
 
 (* One multiplicative decrease per srtt (later losses of the same
    window event are absorbed), fast convergence, epoch reset. Interval
-   and predicate reports are observability-only for CUBIC, so
-   scenario-level (interval T) overrides stay behaviour-neutral. *)
-let handler (rep : Dp.report) (act : Dp.actions) =
+   reports are observability-only for CUBIC, so scenario-level
+   (interval T) overrides stay behaviour-neutral. *)
+let handler (rep : Dp.report) =
   match rep.Dp.rp_cause with
   | Dp.Loss_event ->
       let regs = rep.Dp.rp_regs in
@@ -147,10 +143,9 @@ let handler (rep : Dp.report) (act : Dp.actions) =
         else regs.(r_w_max) <- regs.(r_cwnd);
         regs.(r_cwnd) <- fmax min_cwnd (regs.(r_cwnd) *. beta);
         regs.(r_ssthresh) <- fmax min_cwnd regs.(r_cwnd);
-        regs.(r_epoch) <- Float.nan;
-        act.Dp.a_cwnd <- regs.(r_cwnd)
+        regs.(r_epoch) <- Float.nan
       end
-  | Dp.Interval | Dp.Predicate -> ()
+  | Dp.Interval -> ()
 
 let factory ?interval ?consts () : Proteus_net.Sender.factory =
   Dp.to_factory

@@ -5,14 +5,14 @@
     Written as a datapath fold program plus control handler
     ({!Proteus.Datapath}): the per-ACK growth is the fold; the
     multiplicative decrease runs in the handler behind an [On_loss]
-    report. The fold declares the two signals it reads ([Rtt_sample],
-    [Now]); the adapter fills no other. The cubic term comes from
-    {!cube}, which calls libm only on its fallback. *)
+    report. The fold reads [Rtt_sample] and [Now]. The cubic term comes
+    from {!cube}, which calls libm only on its fallback. *)
 
 val register_names : string list
-(** Names accepted by scenario [(const REG V)] overrides, in register
-    order: cwnd, ssthresh, w_max, epoch_start, k, srtt,
-    last_reduction. *)
+(** Every register, in order: cwnd, ssthresh, w_max, epoch_start, k,
+    srtt, last_reduction. [factory]'s [consts] may set any of them; a
+    scenario's [(const REG V)] sets only [cwnd] and [ssthresh], the
+    parameters (see [Proteus_scenario.Protocols.datapath_registers]). *)
 
 val cube : float -> float
 (** [x ** 3.0], bit for bit, computed without a libm call on about
@@ -35,5 +35,4 @@ val factory :
 (** One fresh CUBIC instance per flow. [interval] appends an [Every]
     report trigger (observability-only — the handler ignores interval
     reports); [consts] overrides initial register values by name.
-    Raises [Invalid_argument] on unknown names — validate with
-    {!register_names} first when the values come from user input. *)
+    Raises [Invalid_argument] on unknown names. *)

@@ -108,8 +108,6 @@ let on_ack regs sigs =
   let increment = fmax increment (-1.0) in
   regs.(r_cwnd) <- fmax min_cwnd (regs.(r_cwnd) +. increment)
 
-let on_loss _regs _sigs = ()
-
 (* Initial values in [register_names] order: one live base bucket
    (empty, so infinity), no current-filter samples yet. *)
 let program ?(params = default) (env : Proteus_net.Sender.env) =
@@ -125,23 +123,20 @@ let program ?(params = default) (env : Proteus_net.Sender.env) =
     Dp.p_name = Printf.sprintf "ledbat-%g" (Units.sec_to_ms target);
     p_regs = Array.of_list (List.map2 Dp.reg register_names inits);
     p_cwnd = r_cwnd;
-    p_reads = [ Dp.Bytes_acked; Dp.Rtt_sample; Dp.Now ];
     p_on_ack = on_ack;
-    p_on_loss = on_loss;
     p_triggers = [| Dp.On_loss |];
   }
 
-let handler (rep : Dp.report) (act : Dp.actions) =
+let handler (rep : Dp.report) =
   match rep.Dp.rp_cause with
   | Dp.Loss_event ->
       let regs = rep.Dp.rp_regs in
       let now = rep.Dp.rp_time in
       if now -. regs.(r_last_red) > regs.(r_srtt) then begin
         regs.(r_last_red) <- now;
-        regs.(r_cwnd) <- fmax min_cwnd (regs.(r_cwnd) /. 2.0);
-        act.Dp.a_cwnd <- regs.(r_cwnd)
+        regs.(r_cwnd) <- fmax min_cwnd (regs.(r_cwnd) /. 2.0)
       end
-  | Dp.Interval | Dp.Predicate -> ()
+  | Dp.Interval -> ()
 
 let factory ?params ?interval ?consts () : Proteus_net.Sender.factory =
   Dp.to_factory

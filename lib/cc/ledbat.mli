@@ -12,9 +12,8 @@
     Written as a datapath fold program plus control handler
     ({!Proteus.Datapath}): the RFC's delay filters are fixed register
     banks folded per ACK; the loss halving runs in the handler behind
-    an [On_loss] report. The fold declares the three signals it reads
-    ([Bytes_acked], [Rtt_sample], [Now]); the adapter fills no
-    other. *)
+    an [On_loss] report. The fold reads all three signals
+    ([Bytes_acked], [Rtt_sample], [Now]). *)
 
 type params = {
   target_ms : float;  (** Extra queueing-delay target. *)
@@ -28,9 +27,11 @@ val draft_25ms : params
 (** The 25 ms first-draft target (paper Appendix B). *)
 
 val register_names : string list
-(** Names accepted by scenario [(const REG V)] overrides. Notable:
-    ["target"] (seconds — [(const target 0.025)] reproduces
-    [ledbat-25]), ["gain"], ["mtu"]. *)
+(** Every register, in order. [factory]'s [consts] may set any of
+    them; a scenario's [(const REG V)] sets only the parameters
+    ["cwnd"], ["target"] (seconds — [(const target 0.025)] reproduces
+    [ledbat-25]) and ["gain"] (see
+    [Proteus_scenario.Protocols.datapath_registers]). *)
 
 val program :
   ?params:params -> Proteus_net.Sender.env -> Proteus.Datapath.program
@@ -53,5 +54,4 @@ val factory :
 (** One fresh LEDBAT instance per flow. [interval] appends an [Every]
     report trigger (observability-only); [consts] overrides initial
     register values by name. Raises [Invalid_argument] on unknown
-    names — validate with {!register_names} first when the values come
-    from user input. *)
+    names. *)

@@ -14,8 +14,6 @@ type config = {
   initial_rate_mbps : float;
   min_rate_mbps : float;
   max_rate_mbps : float;
-  max_swing_up : float;
-  yield_hold : float;
 }
 
 let default_config ~utility =
@@ -28,8 +26,6 @@ let default_config ~utility =
     initial_rate_mbps = 2.0;
     min_rate_mbps = 0.05;
     max_rate_mbps = 2000.0;
-    max_swing_up = 0.5;
-    yield_hold = 0.0;
   }
 
 let vivace_config ~utility =
@@ -42,8 +38,6 @@ let vivace_config ~utility =
     initial_rate_mbps = 2.0;
     min_rate_mbps = 0.05;
     max_rate_mbps = 2000.0;
-    max_swing_up = 0.5;
-    yield_hold = 0.0;
   }
 
 (* [Units]' rate conversions, written out: they run once per MI, and a
@@ -167,7 +161,6 @@ type floats = {
   mutable srtt : float;
   mutable next_send : float;
   mutable now : float; (* of the latest ACK or loss *)
-  mutable hold_until : float; (* yield-hold expiry *)
   mutable min_rate : float; (* bytes/s, from the config *)
   mutable max_rate : float;
   (* Probing: the rate the pairs straddle. *)
@@ -275,7 +268,6 @@ let create (config : config) (env : Sender.env) =
         srtt = 0.05;
         next_send = 0.0;
         now = 0.0;
-        hold_until = neg_infinity;
         min_rate = of_mbps config.min_rate_mbps;
         max_rate = of_mbps config.max_rate_mbps;
         probe_base = 0.0;
@@ -373,18 +365,15 @@ let plan_move t =
   push_plan t ~rate:t.fl.base_rate ~tag:(tag ~epoch:t.epoch kind_move)
 
 (* Step size: gradient ascent with a confidence amplifier and a swing
-   boundary proportional to the current rate (Vivace-style). Upward
-   moves are additionally capped by [max_swing_up]: scavengers recover
-   conservatively after yielding, so that bursty foreground traffic
-   (web object waves, video chunks) is not re-taxed at every burst. *)
-let[@inline] step_bytes t ~k ~dir ~gradient =
+   boundary proportional to the current rate (Vivace-style), capped at
+   half the rate. *)
+let[@inline] step_bytes t ~k ~gradient =
   let rate_mbps = to_mbps t.fl.base_rate in
   let amplifier = fmin (2.0 ** float_of_int (k - 1)) 32.0 in
   let raw = amplifier *. Float.abs gradient (* Mbps *) in
-  let cap = if dir > 0.0 then t.config.max_swing_up else 0.5 in
   let boundary =
     fmin ((0.05 +. (0.1 *. float_of_int (k - 1))) *. rate_mbps)
-      (cap *. rate_mbps)
+      (0.5 *. rate_mbps)
   in
   let floor_step = 0.01 *. rate_mbps in
   of_mbps (fmin boundary (fmax floor_step raw))
@@ -422,11 +411,8 @@ let handle_probe_result t ~slot ~u =
   Votes.add v ~slot ~u;
   if Votes.complete v then begin
     let dir_int = Votes.direction v t.config.probing_mode in
-    if dir_int = 0 || (dir_int = 1 && fl.now < fl.hold_until) then begin
-      (* No clear direction, or a recent yield to a deviation signal
-         holds the rate down instead of immediately re-probing upward,
-         so bursty foreground traffic (web object waves, video chunks)
-         is not re-taxed at every burst. *)
+    if dir_int = 0 then begin
+      (* No clear direction: probe again around the same rate. *)
       fl.base_rate <- clamp_rate t fl.probe_base;
       plan_probing t
     end
@@ -437,9 +423,8 @@ let handle_probe_result t ~slot ~u =
       in
       let prev_rate = fl.probe_base *. (1.0 +. (dir *. t.config.epsilon)) in
       let prev_utility = Votes.mean_utility v ~up:(dir_int = 1) in
-      if dir_int < 0 then fl.hold_until <- fl.now +. t.config.yield_hold;
       t.epoch <- t.epoch + 1;
-      let step = step_bytes t ~k:1 ~dir ~gradient in
+      let step = step_bytes t ~k:1 ~gradient in
       fl.base_rate <- clamp_rate t (prev_rate +. (dir *. step));
       plan_move t;
       t.phase <- Moving;
@@ -461,7 +446,7 @@ let handle_move_result t m ~u =
     t.mv_k <- t.mv_k + 1;
     fl.mv_prev_rate <- rate_trialled;
     fl.mv_prev_utility <- u;
-    let step = step_bytes t ~k:t.mv_k ~dir:fl.mv_dir ~gradient:fl.mv_gradient in
+    let step = step_bytes t ~k:t.mv_k ~gradient:fl.mv_gradient in
     let new_rate = clamp_rate t (rate_trialled +. (fl.mv_dir *. step)) in
     if new_rate = rate_trialled then enter_probing t ~at_rate:rate_trialled
     else begin

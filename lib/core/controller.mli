@@ -33,18 +33,9 @@ type config = {
   initial_rate_mbps : float;
   min_rate_mbps : float;
   max_rate_mbps : float;
-  max_swing_up : float;
-      (** Cap on the per-MI relative rate *increase* during the moving
-          phase (default 0.5; decreases are always allowed up to 0.5).
-          Scavenger presets use a smaller cap so that, after yielding,
-          the rate recovers conservatively. *)
-  yield_hold : float;
-      (** After a downward probing decision, suppress upward decisions
-          for this many seconds (default 0: off). Scavenger presets use
-          ~1 s so that bursty foreground traffic (web object waves,
-          video chunks) is not re-taxed at every burst — an extension
-          beyond the paper's described design; see DESIGN.md. *)
 }
+(** A moving-phase step changes the rate by at most half of it, up or
+    down (Vivace's swing boundary). *)
 
 val default_config : utility:Utility.t -> config
 (** Proteus noise pipeline, majority-rule probing, eps 0.05, rates in

@@ -117,7 +117,7 @@ let create_topo ?(seed = 42) ?(trace = Trace.disabled) ?kernel:_ topo =
     root_rng;
     trace;
     pkt = Array.make 2 0.0;
-    meta = Array.make 6 0.0;
+    meta = Array.make 4 0.0;
     flows = [];
     next_id = 0;
     audit = None;
@@ -459,16 +459,6 @@ and handle_loss t f ~seq ~size ~hop =
   if f.total_bytes >= 0 then f.remaining <- f.remaining + size;
   kick t f
 
-(* Runner-supplied datapath signals (meta slots 4 and 5, filled after
-   the slot releases): the authoritative in-flight count is the ring
-   occupancy — packets transmitted and not yet resolved, excluding the
-   one this event resolves (in-flight duplicate-ACK slots transiently
-   count) — and the delivered-byte total is the receiver-side goodput
-   before this event (duplicate ACK bytes never accrue). *)
-let[@inline] fill_runner_signals t f =
-  t.meta.(4) <- float_of_int (Array.length f.ring_free - f.ring_free_len);
-  t.meta.(5) <- float_of_int f.acked_bytes
-
 let on_ack_event t f idx =
   let m = t.meta in
   m.(0) <- Sim.now t.sim;
@@ -476,7 +466,6 @@ let on_ack_event t f idx =
   m.(2) <- rf f idx rf_rtt;
   let seq = ri f idx ri_seq and size = ri f idx ri_size in
   release_slot f idx;
-  fill_runner_signals t f;
   handle_ack t f ~seq ~size
 
 let on_loss_event t f idx =
@@ -487,7 +476,6 @@ let on_loss_event t f idx =
   and size = ri f idx ri_size
   and hop = f.route_fwd.(ri f idx ri_hop) in
   release_slot f idx;
-  fill_runner_signals t f;
   handle_loss t f ~seq ~size ~hop
 
 let on_dup_ack_event t f idx =
@@ -497,7 +485,6 @@ let on_dup_ack_event t f idx =
   m.(2) <- rf f idx rf_rtt;
   let seq = ri f idx ri_seq and size = ri f idx ri_size in
   release_slot f idx;
-  fill_runner_signals t f;
   handle_dup_ack t f ~seq ~size
 
 let add_flow ?(start = 0.0) ?stop ?size_bytes ?on_complete ?on_ack_bytes ?route

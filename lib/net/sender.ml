@@ -13,9 +13,7 @@ let make_env ?(trace = Proteus_obs.Trace.disabled) ?(hops = 1) ~rng ~mtu () =
 (* One call protocol. Calls through a first-class module box every
    float argument and result (no flambda), so every entry point carries
    its floats in a caller-owned scratch array, [meta], read and written
-   unboxed. sender.mli documents the slot layout; slots 4 and 5 are
-   optional runner signals, absent from the 4-slot arrays the
-   float-argument calls below pass. *)
+   unboxed. sender.mli documents the slot layout. *)
 module type S = sig
   type t
 

@@ -59,16 +59,7 @@ val make_env :
     - [meta.(1)] — [send_time] (input to [on_ack_m]/[on_loss_m])
     - [meta.(2)] — [rtt] (input to [on_ack_m]): includes queueing,
       twice the propagation delay and any ACK-path noise
-    - [meta.(3)] — next-send time (output of [next_send_m])
-    - [meta.(4)] — in-flight packets (optional runner-supplied signal:
-      ring occupancy after this event's slot released)
-    - [meta.(5)] — delivered bytes (optional runner-supplied signal:
-      receiver-side goodput before this event, duplicates excluded)
-
-    Slots 4 and 5 are present only when the caller supplies them (the
-    [Runner] does); senders reading them must guard on
-    [Array.length meta] and fall back to their own estimates — see
-    [Proteus.Datapath] for the one consumer. *)
+    - [meta.(3)] — next-send time (output of [next_send_m]) *)
 module type S = sig
   type t
 

@@ -21,13 +21,50 @@ let known =
 (* CUBIC and LEDBAT are fold programs. Their datapath names, cubic-dp
    and ledbat-dp, resolve to the same factories as cubic and ledbat;
    only those two names take the (datapath NAME (interval T)
-   (const REG V) ...) override form. *)
+   (const REG V) ...) override form.
 
-let datapath_registers name =
+   (const REG V) sets a parameter's initial value, each checked here.
+   The other registers are flow state (CUBIC's epoch and smoothed RTT,
+   LEDBAT's delay filters) or, for LEDBAT's mtu, taken from the
+   sender's environment. Values out of these ranges break a run: a
+   window that never fills (a cwnd of 1e300, or one grown there in one
+   ACK by a LEDBAT gain of 1e300 or a far-past CUBIC epoch) keeps the
+   runner sending at one simulated instant, and a filter count past its
+   bank indexes out of bounds. *)
+
+let max_cwnd = 10_000.0
+
+let check_cwnd v =
+  if v >= 1.0 && v <= max_cwnd then None
+  else Some (Printf.sprintf "must be in [1, %g] packets" max_cwnd)
+
+let datapath_params name =
   match String.lowercase_ascii name with
-  | "cubic-dp" -> Proteus_cc.Cubic.register_names
-  | "ledbat-dp" -> Proteus_cc.Ledbat.register_names
+  | "cubic-dp" -> [ ("cwnd", check_cwnd); ("ssthresh", fun _ -> None) ]
+  | "ledbat-dp" ->
+      [
+        ("cwnd", check_cwnd);
+        ( "target",
+          fun v -> if v > 0.0 then None else Some "must be positive (seconds)"
+        );
+        ( "gain",
+          fun v ->
+            if v > 0.0 && v <= 1.0 then None
+            else Some "must be in (0, 1] (RFC 6817)" );
+      ]
   | _ -> []
+
+let datapath_registers name = List.map fst (datapath_params name)
+
+let datapath_const_error name reg v =
+  let params = datapath_params name in
+  match List.assoc_opt reg params with
+  | None ->
+      Some
+        (Printf.sprintf "cannot be set (want one of %s)"
+           (String.concat " " (List.map fst params)))
+  | Some _ when not (Float.is_finite v) -> Some "must be finite"
+  | Some check -> check v
 
 let datapath_factory ?interval ?(consts = []) name :
     (Proteus_net.Sender.factory, string) result =

@@ -17,7 +17,22 @@ val datapath_registers : string -> string list
 (** Register names the datapath protocol accepts in [(const REG V)]
     overrides; [[]] for a name that is not a datapath protocol, i.e.
     may not appear in the scenario language's [(cc (datapath NAME
-    ...))] form. *)
+    ...))] form. [cubic-dp] takes [cwnd] and [ssthresh], [ledbat-dp]
+    [cwnd], [target] and [gain]; every other register is flow state
+    or, for LEDBAT's [mtu], taken from the sender's environment. *)
+
+val max_cwnd : float
+(** The largest initial window [(const cwnd V)] accepts: 10,000
+    packets, 15 MB at the 1500-byte MTU. A larger window only adds a
+    line-rate burst at time 0, and one that never fills keeps the
+    runner sending at one instant. *)
+
+val datapath_const_error : string -> string -> float -> string option
+(** [datapath_const_error name reg v] is [None] when [(const reg v)]
+    is legal on datapath protocol [name], else why not: [reg] is not
+    in {!datapath_registers}, or [v] is not finite, or out of range —
+    [cwnd] in [\[1, max_cwnd\]] packets, LEDBAT's [target] positive,
+    its [gain] in [(0, 1\]] as RFC 6817 requires. *)
 
 val datapath_factory :
   ?interval:float ->

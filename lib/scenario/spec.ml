@@ -787,11 +787,10 @@ let validate_exn t =
           | _ -> ());
           List.iter
             (fun (r, v) ->
-              if not (List.mem r regs) then
-                bad "flow %s: unknown datapath register %S (want one of %s)"
-                  f.label r (String.concat " " regs);
-              if Float.is_nan v then
-                bad "flow %s: datapath const %s must not be NaN" f.label r)
+              match Protocols.datapath_const_error f.cc r v with
+              | Some e ->
+                  bad "flow %s: datapath const %s %s: %s" f.label r (fstr v) e
+              | None -> ())
             d.dp_consts);
       if (not (Float.is_finite f.start)) || f.start < 0.0 then
         bad "flow %s: start must be >= 0" f.label;

@@ -67,11 +67,12 @@ type dp_overrides = {
   dp_interval : float option;
       (** Appends an [Every] report trigger to the fold program. *)
   dp_consts : (string * float) list;
-      (** Initial register values by name; validated against
-          {!Protocols.datapath_registers}. *)
+      (** Initial register values by name; validated by
+          {!Protocols.datapath_const_error}. *)
 }
 (** Overrides carried by the [(cc (datapath NAME ...))] form — only
-    legal on protocols for which {!Protocols.datapath_known} holds. *)
+    legal on protocols with non-empty
+    {!Protocols.datapath_registers}. *)
 
 type flow = {
   cc : string;  (** {!Protocols} registry name *)

@@ -1168,15 +1168,15 @@ let test_datapath_cc_form () =
   | Ok _ -> Alcotest.fail "datapath form did not round-trip structurally"
   | Error e -> Alcotest.failf "round-trip: %s" e);
   (* Rejections: non-datapath protocol, unknown register, bad interval. *)
+  let dp_src frag =
+    Printf.sprintf
+      "(scenario (name dp) (duration 6) (topology (dumbbell (link (bw-mbps \
+       10) (rtt-ms 40) (buffer-bytes 150000)))) (flows (flow (cc %s) (label \
+       a))))"
+      frag
+  in
   let reject frag msg =
-    let src =
-      Printf.sprintf
-        "(scenario (name dp) (duration 6) (topology (dumbbell (link (bw-mbps \
-         10) (rtt-ms 40) (buffer-bytes 150000)))) (flows (flow (cc %s) (label \
-         a))))"
-        frag
-    in
-    match Sexp.parse_string src with
+    match Sexp.parse_string (dp_src frag) with
     | Error e -> Alcotest.failf "sexp: %s" e
     | Ok [ form ] -> (
         match Spec.of_sexp form with
@@ -1188,6 +1188,18 @@ let test_datapath_cc_form () =
   reject "(datapath cubic-dp (const warp 1))" "unknown register";
   reject "(datapath cubic-dp (interval -1))" "negative interval";
   reject "(datapath)" "missing name";
+  (* Values that keep a run sending at one simulated instant until an
+     outside timeout kills it: a window that never fills, given
+     directly or grown there in one ACK by a gain above 1 or a zero
+     mtu. The message names the register. *)
+  List.iter
+    (fun (frag, reg) -> expect_spec_error (dp_src frag) reg)
+    [
+      ("(datapath cubic-dp (const cwnd inf))", "cwnd");
+      ("(datapath cubic-dp (const cwnd 1e300))", "cwnd");
+      ("(datapath ledbat-dp (const gain 1e300))", "gain");
+      ("(datapath ledbat-dp (const mtu 0))", "mtu");
+    ];
   (* An interval-only override is behaviour-neutral (CUBIC's handler
      ignores interval reports): the datapath form must run
      byte-identically to the plain name. Register consts like the
