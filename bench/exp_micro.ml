@@ -51,9 +51,9 @@ let sim_kernel_micro =
       done;
       Sim.run sim) }
 
-(* The same cycle for events 100-199 s ahead, past the wheel's level-1
-   reach (about 65 s): they are clamped on insert and refiled as the
-   cursor jumps across the empty stretches between them. *)
+(* The same cycle for events 100-199 s ahead, one a second, with long
+   empty stretches between them: a store that walks time (a timing
+   wheel) pays for those stretches, the heap does not. *)
 let sim_far_micro =
   let sim = Sim.create () in
   let sink = ref 0 in
@@ -294,7 +294,7 @@ let event_counts =
    deterministic. The blaster pair (two 20 Mbps constant-rate senders
    on one 20 Mbps link) loses about half its packets, so its row
    watches the loss path. The BBR-S pair is counted in its sixth
-   second: its first seconds grow the filters, the wheel's slots and
+   second: its first seconds grow the filters, the event heap and
    the per-ACK log (about 3,300 words in sim-second 1-2), which later
    seconds reuse. *)
 let steady_many_flow_name = "64 flows @500Mbps, sim-second 1-2 (steady state)"

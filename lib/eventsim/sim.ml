@@ -1,4 +1,4 @@
-(* Event kernel: a free-list event pool over a timing wheel, plus
+(* Event kernel: a free-list event pool over a binary heap, plus
    per-source lanes.
 
    Every scheduled event occupies a pooled cell: a handler id plus an
@@ -16,19 +16,20 @@
    the same pooled machinery. Only thunk cells write a pointer.
 
    Ordering. Every event carries a global sequence number assigned at
-   scheduling time. The run loop picks the source (wheel or lane) with
+   scheduling time. The run loop picks the source (heap or lane) with
    the lexicographically smallest [(time, seq)], so equal-time events
    fire in scheduling order no matter where they live: the firing
    order is that of one sorted queue keyed by [(time, seq)].
 
    Stores. Every pooled cell, whatever its handler and however far
-   ahead, goes into the hierarchical timing {!Wheel} (O(1) insert and
-   extract; the wheel jumps its cursor across long empty stretches).
-   Callers with per-source FIFO event streams (e.g. one per network
-   link) can push into {e lanes}: SoA ring buffers consumed directly by
-   the run loop, skipping the cell pool entirely. A lane push whose
-   time would break the lane's monotonicity falls back to the wheel,
-   so lanes are an optimisation, never a semantic constraint. *)
+   ahead, goes into one binary min-{!Heap} on [(time, seq)]. Callers
+   with per-source FIFO event streams (e.g. one per network link) can
+   push into {e lanes}: SoA ring buffers consumed directly by the run
+   loop, skipping the cell pool entirely. They carry the deep streams,
+   so the heap stays shallow (a few dozen cells at most on the
+   benchmark workloads). A lane push whose time would break the lane's
+   monotonicity goes to the heap instead, so lanes are an
+   optimisation, never a semantic constraint. *)
 
 let noop_thunk () = ()
 
@@ -84,7 +85,7 @@ type t = {
      this (mixed) record would box on every store; a float array does
      not. *)
   fl : float array;
-  wheel : Wheel.t;
+  heap : Heap.t;
   mutable lanes : lane_buf array;
   mutable n_lanes : int;
   mutable lane_total : int; (* entries across all lanes *)
@@ -99,11 +100,11 @@ type t = {
   mutable free_len : int;
   (* Run-loop scratch (see fl above for the float half). *)
   mutable sc_seq : int;
-  mutable sc_src : int; (* -1 none, 0 wheel, 1+i lane i *)
+  mutable sc_src : int; (* -1 none, 0 heap, 1+i lane i *)
   mutable guard : guard; (* supervision budgets; default = unlimited *)
   (* Observability counters: plain int bumps, always on (two or three
      integer stores per event — cheap enough not to gate). *)
-  mutable n_queued : int; (* entries across wheel + lanes *)
+  mutable n_queued : int; (* entries across heap + lanes *)
   mutable n_scheduled : int;
   mutable n_fired : int;
   mutable max_queued : int;
@@ -113,7 +114,7 @@ let create () =
   let t =
     {
       fl = Array.make 2 0.0;
-      wheel = Wheel.create ();
+      heap = Heap.create ();
       lanes = [||];
       n_lanes = 0;
       lane_total = 0;
@@ -224,9 +225,9 @@ let note_scheduled t =
   t.n_queued <- q;
   if q > t.max_queued then t.max_queued <- q
 
-(* Clamp a time in the past to now. The wheel refuses the other
-   times no event can have (NaN, infinite, past {!Wheel.max_time});
-   [neg_infinity] is refused here, before it would be clamped. *)
+(* Clamp a time in the past to now. [neg_infinity] is refused here,
+   before it would be clamped; {!schedule_cell} refuses the other times
+   no event can have (NaN, infinite, at or past {!max_time}). *)
 let[@inline] clamp_time t time =
   if time < t.fl.(0) then begin
     if time = neg_infinity then invalid_arg "Sim: event time must be finite";
@@ -234,14 +235,21 @@ let[@inline] clamp_time t time =
   end
   else time
 
-(* File a fresh cell for handler [fn] on the wheel and return its id.
-   The cell is written only once the wheel has accepted [time], so a
-   refused event counts nowhere and holds no closure; its id is never
-   reused. Inlined, as is [Wheel.insert], so [time] reaches the wheel's
-   float arrays unboxed. *)
+(* 2^61 ms, about 2.3e15 s: no simulated event is meant for a later
+   time, so one that asks for it is a caller's bug, refused like NaN.
+   The bound dates from the timing wheel's tick index, and is kept so
+   that the set of accepted times stays the same. *)
+let max_time = 0x1p61 *. 1e-3
+
+(* File a fresh cell for handler [fn] on the heap and return its id.
+   [time] is checked before a cell is taken, so a refused event counts
+   nowhere and holds no cell. Inlined, as is [Heap.insert], so [time]
+   reaches the heap's float array unboxed. *)
 let[@inline] schedule_cell t ~time ~seq ~fn =
+  if not (time < max_time) then
+    invalid_arg "Sim: event time must be finite and below Sim.max_time";
   let id = alloc_cell t in
-  Wheel.insert t.wheel ~time ~seq ~id;
+  Heap.insert t.heap ~time ~seq ~id;
   Array.unsafe_set t.fns id fn;
   note_scheduled t;
   id
@@ -314,7 +322,7 @@ let[@inline] lane_push t lane ~time ~seq ~fn ~arg =
   in
   if not monotone then begin
     (* Out-of-order arrival (ACK-path noise / reordering / loss
-       notifications): route through the wheel, where the carried
+       notifications): file it on the heap, where the carried
        (time, seq) keeps the global order exact. *)
     let id = schedule_cell t ~time ~seq ~fn in
     Array.unsafe_set t.args id arg
@@ -352,7 +360,7 @@ let guard_tick t g =
 
 (* ---------- run loop ---------- *)
 
-(* Fire a pooled cell extracted from the wheel, then recycle it. *)
+(* Fire a pooled cell extracted from the heap, then recycle it. *)
 let fire_cell t id =
   let fn = Array.unsafe_get t.handlers (Array.unsafe_get t.fns id)
   and arg = Array.unsafe_get t.args id in
@@ -369,10 +377,9 @@ let run ?until t =
     fl.(1) <- infinity;
     t.sc_seq <- max_int;
     t.sc_src <- -1;
-    if not (Wheel.is_empty t.wheel) then begin
-      Wheel.prepare t.wheel;
-      fl.(1) <- Wheel.head_time t.wheel;
-      t.sc_seq <- Wheel.head_seq t.wheel;
+    if not (Heap.is_empty t.heap) then begin
+      fl.(1) <- Heap.top_time t.heap;
+      t.sc_seq <- Heap.top_seq t.heap;
       t.sc_src <- 0
     end;
     for i = 0 to t.n_lanes - 1 do
@@ -409,7 +416,7 @@ let run ?until t =
       if t.n_fired land 255 = 0 then guard_tick t g;
       t.n_queued <- t.n_queued - 1;
       match t.sc_src with
-      | 0 -> fire_cell t (Wheel.extract t.wheel)
+      | 0 -> fire_cell t (Heap.extract t.heap)
       | s ->
           let l = Array.unsafe_get t.lanes (s - 1) in
           let h = l.head in
@@ -423,14 +430,14 @@ let run ?until t =
     end
   done
 
-(* Is any event (wheel or lane) due at the current instant?
+(* Is any event (heap or lane) due at the current instant?
    Pending fire times are never in the past (insertion clamps to now,
    and the run loop fires in order), so every comparison is against the
    current instant. Reuses the [sc_src] scratch so the lane scan needs
    no ref cell. *)
 let next_is_now t =
   let now = t.fl.(0) in
-  ((not (Wheel.is_empty t.wheel)) && Wheel.next_time t.wheel <= now)
+  ((not (Heap.is_empty t.heap)) && Heap.top_time t.heap <= now)
   ||
   begin
     t.sc_src <- 0;
@@ -445,6 +452,3 @@ let pending t = t.n_queued
 let events_scheduled t = t.n_scheduled
 let events_fired t = t.n_fired
 let max_queued t = t.max_queued
-let wheel_ticks t = Wheel.ticks t.wheel
-let wheel_cascades t = Wheel.cascades t.wheel
-let wheel_max_occupancy t = Wheel.max_occupancy t.wheel

@@ -14,19 +14,20 @@
     is the hot path used by the packet-level scenario runner.
 
     There is one kernel and one store for pooled cells: {!at_fn} events
-    and thunks ({!at}), however far ahead, go into a hierarchical
-    {!Wheel} (O(1) insert/extract, with cursor jumps across empty
-    stretches); {!lane}s hold per-source FIFO streams. The run loop
-    merges the two by [(time, seq)], so the firing order is that of a
-    single queue sorted by time with scheduling-order ties. Nothing
-    can be cancelled: a caller that may change its mind schedules an
-    event that checks, when it fires, whether it still has work. *)
+    and thunks ({!at}), however far ahead, go into a binary min-{!Heap}
+    on [(time, seq)]; {!lane}s hold per-source FIFO streams, the deep
+    ones, so the heap stays shallow. The run loop merges the two by
+    [(time, seq)], so the firing order is that of a single queue sorted
+    by time with scheduling-order ties. Nothing can be cancelled: a
+    caller that may change its mind schedules an event that checks,
+    when it fires, whether it still has work. *)
 
 type t
 
 (** The only event-kernel backend. Kept as a type so callers that still
-    pass [~kernel:Wheel_kernel] (e.g. to [Runner.create]) compile; there
-    is nothing to choose. *)
+    pass [~kernel:Wheel_kernel] (e.g. to [Runner.create], as perfbench
+    does) compile; there is nothing to choose. The benchmark change of
+    ROADMAP item 6 removes it with the ignored [?kernel] arguments. *)
 type kernel = Wheel_kernel
 
 (** {2 Supervision}
@@ -71,8 +72,8 @@ val set_guard : t -> guard -> unit
 val guard : t -> guard
 
 val create : unit -> t
-(** Fresh simulation with the clock at 0. Cheap: the wheel's slot
-    arrays are small enough to be minor-heap allocations. *)
+(** Fresh simulation with the clock at 0. Cheap: the event heap's
+    arrays are allocated on its first insert. *)
 
 val now : t -> float
 (** Current virtual time in seconds. *)
@@ -80,7 +81,10 @@ val now : t -> float
 val at : t -> time:float -> (unit -> unit) -> unit
 (** Schedule a handler at an absolute time (clamped to [now] if in the
     past). Raises [Invalid_argument] when [time] is NaN, infinite or
-    not below {!Wheel.max_time} (about 2.3e15 s). *)
+    not below {!max_time}. *)
+
+val max_time : float
+(** Exclusive bound on event times: 2^61 ms, about 2.3e15 s. *)
 
 val after : t -> delay:float -> (unit -> unit) -> unit
 (** Schedule a handler [delay] seconds from now (negative delays clamp
@@ -113,15 +117,15 @@ val at_fn : t -> time:float -> fn:handler -> arg:int -> unit
 
     A lane is a per-source FIFO event stream consumed directly by the
     run loop — an SoA ring buffer that skips both the cell pool and the
-    wheel. Intended for event sources that are naturally (almost)
+    heap. Intended for event sources that are naturally (almost)
     time-ordered, e.g. one lane per network link whose delivery times
     are nondecreasing. The caller reserves the global sequence number
     ({!reserve_seq}) at the exact program point where {!at_fn} would
     have been called, so lane events keep their deterministic position
     in the global (time, seq) order. A push that would violate the
-    lane's time-monotonicity transparently falls back to the wheel
-    with the same (time, seq) — correctness never depends on the caller
-    getting monotonicity right. *)
+    lane's time-monotonicity goes to the heap instead, with the same
+    (time, seq) — correctness never depends on the caller getting
+    monotonicity right. *)
 
 type lane
 
@@ -150,11 +154,11 @@ val lane_push :
 (** Schedule handler [fn] with [arg] at [time] (clamped to [now]) on
     the lane, with a sequence number from {!reserve_seq}. Raises
     [Invalid_argument] when [fn] is not in [t]'s handler table, when
-    [time] is [neg_infinity], or when a push that falls back to the
-    wheel has a time {!at} would refuse. *)
+    [time] is [neg_infinity], or when a push that goes to the heap has
+    a time {!at} would refuse. *)
 
 val next_is_now : t -> bool
-(** Whether any scheduled event (wheel or lane) fires at {!now}.
+(** Whether any scheduled event (heap or lane) fires at {!now}.
     Lets handlers detect "nothing else happens at the current instant"
     and run follow-up work inline instead of scheduling a zero-delay
     event — the per-ACK fast-path test on the runner's hot path.
@@ -166,7 +170,7 @@ val run : ?until:float -> t -> unit
     then set to [until]). *)
 
 val pending : t -> int
-(** Number of events still queued (wheel and lanes). *)
+(** Number of events still queued (heap and lanes). *)
 
 (** {2 Kernel observability}
 
@@ -183,15 +187,4 @@ val events_fired : t -> int
 (** Events dispatched. *)
 
 val max_queued : t -> int
-(** High-water mark of the event queue length. *)
-
-val wheel_ticks : t -> int
-(** Timing-wheel cursor advances. *)
-
-val wheel_cascades : t -> int
-(** Level-1 wheel refills (events scheduled more than one level-0
-    span, 256 ms, ahead), counting each cursor jump across an empty
-    stretch as one. *)
-
-val wheel_max_occupancy : t -> int
-(** High-water mark of wheel occupancy. *)
+(** High-water mark of the event queue length (heap and lanes). *)

@@ -64,11 +64,9 @@ type t = {
      packet's (then its ACK's) time, 1 = a duplicate ACK's time. *)
   pkt : float array;
   (* Reusable scratch for the [Sender] call protocol (see [Sender.S]):
-     0 = now, 1 = send_time, 2 = rtt, 3 = next-send result, 4 =
-     in-flight packets, 5 = delivered bytes (the two runner-supplied
-     datapath signals). Safe to share across flows —
-     each event handler fills it before the sender call it guards, and
-     sender calls don't nest. *)
+     0 = now, 1 = send_time, 2 = rtt, 3 = next-send result. Safe to
+     share across flows — each event handler fills it before the sender
+     call it guards, and sender calls don't nest. *)
   meta : float array;
   mutable flows : flow list;
   mutable next_id : int;
@@ -225,8 +223,8 @@ let release_slot f idx =
 (* Schedule a packet-path event (ACK delivery, loss notification, hop
    arrival) produced by [link] on the link's lane — per-link delivery
    times are (nearly) nondecreasing, so the FIFO fast path almost always
-   applies and non-monotone stragglers (reordering noise, loss
-   notifications) fall back to the wheel inside [Sim.lane_push],
+   applies, and [Sim.lane_push] files non-monotone stragglers
+   (reordering noise, loss notifications) on the kernel's heap,
    keeping the global (time, seq) order exact either way. *)
 let[@inline] sched_link t ~link ~time ~fn ~arg =
   Sim.lane_push t.sim t.lanes.(link) ~time ~seq:(Sim.reserve_seq t.sim) ~fn
@@ -580,13 +578,6 @@ let snapshot_metrics t reg =
   Metrics.incr ~by:(Sim.events_fired t.sim) (Metrics.counter reg "sim.events-fired");
   Metrics.incr ~by:(Sim.max_queued t.sim) (Metrics.counter reg "sim.max-queued");
   Metrics.set (Metrics.gauge reg "sim.pending") (float_of_int (Sim.pending t.sim));
-  Metrics.incr ~by:(Sim.wheel_ticks t.sim) (Metrics.counter reg "sim.wheel-ticks");
-  Metrics.incr
-    ~by:(Sim.wheel_cascades t.sim)
-    (Metrics.counter reg "sim.wheel-cascades");
-  Metrics.set
-    (Metrics.gauge reg "sim.wheel-max-occupancy")
-    (float_of_int (Sim.wheel_max_occupancy t.sim));
   if Trace.enabled t.trace then begin
     Metrics.incr ~by:(Trace.total_emitted t.trace)
       (Metrics.counter reg "trace.emitted");

@@ -45,7 +45,8 @@ val create :
     when; both show in the kernel counters (see {!snapshot_metrics}).
 
     [kernel] is accepted for source compatibility and ignored: the
-    kernel has one backend, [Sim.Wheel_kernel]. *)
+    kernel has one backend, [Sim.Wheel_kernel], a name kept until the
+    benchmark change of ROADMAP item 6 removes it. *)
 
 val create_topo :
   ?seed:int ->
@@ -129,8 +130,8 @@ val audit : t -> Audit.t option
 val snapshot_metrics : t -> Proteus_obs.Metrics.t -> unit
 (** Populate a metrics registry with an end-of-run snapshot: event-kernel
     counters ([sim.*]; [sim.events-scheduled] counts lane pushes but not
-    the post-ACK polls run inline, and the [sim.wheel-*] counters read
-    the timing wheel that carries every flow's polls), trace-bus
+    the post-ACK polls run inline, and [sim.max-queued] is the
+    high-water mark of heap and lanes together), trace-bus
     counters ([trace.*]) when tracing is enabled, the current backlog
     of every link ([link.<id>.backlog-bytes]; links 0 and 1 on a
     dumbbell), and per-flow packet counters, goodput

@@ -125,8 +125,8 @@ let test_sim_fired_thunk_released () =
   Gc.full_major ();
   Alcotest.(check bool) "drained closure released" false (Weak.check queued 0)
 
-(* No event can fire at NaN, at an infinite time, or past the wheel's
-   largest tick index: scheduling one raises, queues nothing, and leaves
+(* No event can fire at NaN, at an infinite time, or at or past
+   [Sim.max_time]: scheduling one raises, queues nothing, and leaves
    the sim usable. *)
 let test_sim_refuses_bad_times () =
   let sim = Sim.create () in
@@ -136,7 +136,7 @@ let test_sim_refuses_bad_times () =
     | () -> Alcotest.failf "%s accepted" what
     | exception Invalid_argument _ -> ()
   in
-  let too_far = Wheel.max_time (Wheel.create ()) in
+  let too_far = Sim.max_time in
   List.iter
     (fun time ->
       let what = Printf.sprintf "time %g" time in

@@ -205,9 +205,10 @@ let test_sim_counters () =
   Alcotest.(check int) "callbacks ran" 5 !fired;
   Alcotest.(check bool) "high-water mark" true (Sim.max_queued sim >= 5)
 
-(* A default runner schedules its packet path through the timing wheel,
-   so the wheel counters it snapshots are live, not zero. *)
-let test_runner_wheel_counters () =
+(* The kernel counters a runner snapshots are live, not zero, equal
+   the kernel's own, and are the only [sim.*] keys: [sim.max-queued]
+   is the one occupancy figure. *)
+let test_runner_kernel_counters () =
   let cfg =
     Net.Link.config ~bandwidth_mbps:20.0 ~rtt_ms:30.0 ~buffer_bytes:150_000 ()
   in
@@ -217,11 +218,28 @@ let test_runner_wheel_counters () =
   Net.Runner.run r ~until:1.0;
   let reg = Metrics.create () in
   Net.Runner.snapshot_metrics r reg;
-  let ticks = Metrics.counter_value (Metrics.counter reg "sim.wheel-ticks") in
-  Alcotest.(check bool) "wheel ticks > 0" true (ticks > 0);
-  Alcotest.(check int) "snapshot = kernel counter"
-    (Sim.wheel_ticks (Net.Runner.sim r))
-    ticks
+  let sim = Net.Runner.sim r in
+  List.iter
+    (fun (name, kernel) ->
+      let v = Metrics.counter_value (Metrics.counter reg name) in
+      Alcotest.(check bool) (name ^ " > 0") true (v > 0);
+      Alcotest.(check int) (name ^ " = kernel counter") (kernel sim) v)
+    [
+      ("sim.events-scheduled", Sim.events_scheduled);
+      ("sim.events-fired", Sim.events_fired);
+      ("sim.max-queued", Sim.max_queued);
+    ];
+  let keys =
+    List.rev
+      (Metrics.fold reg ~init:[] ~f:(fun acc e ->
+           let n = Metrics.entry_name e in
+           if String.length n > 4 && String.sub n 0 4 = "sim." then n :: acc
+           else acc))
+  in
+  Alcotest.(check (list string)) "sim keys"
+    [ "sim.now-s"; "sim.events-scheduled"; "sim.events-fired";
+      "sim.max-queued"; "sim.pending" ]
+    keys
 
 (* One metrics name for every topology: a dumbbell exports the backlog
    of its forward link 0 and reverse link 1. *)
@@ -257,7 +275,7 @@ let suite =
     Alcotest.test_case "manifest deterministic" `Quick
       test_manifest_deterministic;
     Alcotest.test_case "sim counters" `Quick test_sim_counters;
-    Alcotest.test_case "runner wheel counters" `Quick
-      test_runner_wheel_counters;
+    Alcotest.test_case "runner kernel counters" `Quick
+      test_runner_kernel_counters;
     Alcotest.test_case "dumbbell metric keys" `Quick test_dumbbell_metric_keys;
   ]

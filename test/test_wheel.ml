@@ -1,97 +1,114 @@
-(* Event-kernel ordering tests. Covers the timing wheel directly
-   (ordering, far-future clamping, counters, jumps across empty
-   stretches), the kernel's firing order on random schedules against a
-   naive (time, seq) oracle (handler cells, thunks and lanes mixed,
-   behind-cursor re-entry, far-future events, sharded sequence
+(* Event-kernel ordering tests. Covers the binary heap that stores
+   every pooled cell directly (ordering, ties, entries below an already
+   extracted one, growth, interleaved inserts and extracts against a
+   sorted-list oracle), the kernel's firing order on random schedules
+   against a naive (time, seq) oracle (handler cells, thunks and lanes
+   mixed, re-entry at [now], far-future events, sharded sequence
    numbers), and full network runs whose flow digests are pinned to
-   golden values on the dumbbell and a 3-hop chain. *)
+   golden values on the dumbbell and a 3-hop chain. The suite and the
+   older case names keep the "wheel" of the timing wheel the heap
+   replaced. *)
 
 open Proteus_eventsim
 module Net = Proteus_net
 module Topology = Proteus_net.Topology
 
-(* ---------- wheel structure ---------- *)
+(* ---------- heap structure ---------- *)
 
-let test_wheel_orders () =
-  let w = Wheel.create ~tick:1e-3 ~slots:8 () in
-  (* Spread inserts across level 0, level 1 and past the clamp range;
-     sequence numbers encode the expected global order. *)
+let rec drain h =
+  if Heap.is_empty h then []
+  else
+    let id = Heap.extract h in
+    id :: drain h
+
+let test_heap_orders () =
+  let h = Heap.create () in
+  (* Times from a millisecond to far ahead; sequence numbers encode the
+     expected global order. *)
   let entries =
     [ (0.004, 2); (0.0041, 3); (2.0, 5); (0.0005, 0); (500.0, 6);
       (0.002, 1); (1.0, 4) ]
   in
-  List.iteri (fun id (time, seq) -> Wheel.insert w ~time ~seq ~id) entries;
-  let order = List.init (List.length entries) (fun _ -> Wheel.extract w) in
+  List.iteri (fun id (time, seq) -> Heap.insert h ~time ~seq ~id) entries;
+  let order = drain h in
   let expected =
     List.mapi (fun id (_, seq) -> (seq, id)) entries
     |> List.sort compare |> List.map snd
   in
   Alcotest.(check (list int)) "extraction order" expected order;
-  Alcotest.(check int) "drained" 0 (Wheel.count w);
-  Alcotest.(check bool) "cascaded for far entries" true (Wheel.cascades w > 0)
+  Alcotest.(check bool) "drained" true (Heap.is_empty h);
+  match Heap.extract h with
+  | _ -> Alcotest.fail "extract from an empty heap"
+  | exception Invalid_argument _ -> ()
 
-let test_wheel_equal_time_seq_ties () =
-  let w = Wheel.create () in
+let test_heap_equal_time_seq_ties () =
+  let h = Heap.create () in
   (* Same fire time, shuffled insert order: extraction must follow the
      sequence numbers exactly. *)
   List.iter
-    (fun (seq, id) -> Wheel.insert w ~time:0.5 ~seq ~id)
+    (fun (seq, id) -> Heap.insert h ~time:0.5 ~seq ~id)
     [ (3, 30); (0, 0); (2, 20); (1, 10) ];
-  let order = List.init 4 (fun _ -> Wheel.extract w) in
-  Alcotest.(check (list int)) "seq ties" [ 0; 10; 20; 30 ] order
+  Alcotest.(check (list int)) "seq ties" [ 0; 10; 20; 30 ] (drain h)
 
-let test_wheel_behind_cursor () =
-  let w = Wheel.create ~tick:1e-3 ~slots:4 () in
-  Wheel.insert w ~time:0.25 ~seq:0 ~id:0;
-  Alcotest.(check int) "first" 0 (Wheel.extract w);
-  (* The cursor now sits at 0.25; entries behind it must still come out
-     in (time, seq) order, merged into the due batch. *)
-  Wheel.insert w ~time:0.3 ~seq:3 ~id:3;
-  Wheel.insert w ~time:0.1 ~seq:1 ~id:1;
-  Wheel.insert w ~time:0.1 ~seq:2 ~id:2;
-  let order = List.init 3 (fun _ -> Wheel.extract w) in
-  Alcotest.(check (list int)) "behind-cursor merge" [ 1; 2; 3 ] order
+let test_heap_below_extracted () =
+  let h = Heap.create () in
+  Heap.insert h ~time:0.25 ~seq:0 ~id:0;
+  Alcotest.(check int) "first" 0 (Heap.extract h);
+  (* Entries earlier than one already extracted still come out in
+     (time, seq) order. *)
+  Heap.insert h ~time:0.3 ~seq:3 ~id:3;
+  Heap.insert h ~time:0.1 ~seq:1 ~id:1;
+  Heap.insert h ~time:0.1 ~seq:2 ~id:2;
+  Alcotest.(check (float 0.0)) "top time" 0.1 (Heap.top_time h);
+  Alcotest.(check int) "top seq" 1 (Heap.top_seq h);
+  Alcotest.(check (list int)) "earlier entries first" [ 1; 2; 3 ] (drain h)
 
-(* Slot counts are powers of two (indices are masks); anything else is
-   refused up front, not wrapped wrongly later. *)
-let test_wheel_slot_counts () =
-  List.iter
-    (fun slots ->
-      match Wheel.create ~slots () with
-      | _ -> Alcotest.failf "slots=%d accepted" slots
-      | exception Invalid_argument _ -> ())
-    [ -4; 0; 1; 3; 6; 12; 100; 255; 257 ];
-  List.iter
-    (fun slots ->
-      let w = Wheel.create ~tick:1e-3 ~slots () in
-      (* Level 0, level 1 and the clamp range, out of order. *)
-      List.iteri
-        (fun id time -> Wheel.insert w ~time ~seq:id ~id)
-        [ 0.0005; 0.0015; 0.9; 0.003; 700.0; 0.05 ];
-      Alcotest.(check (list int))
-        (Printf.sprintf "slots=%d order" slots)
-        [ 0; 1; 3; 5; 2; 4 ]
-        (List.init 6 (fun _ -> Wheel.extract w)))
-    [ 2; 4; 64; 1024 ]
-
-let prop_wheel_sorted_extraction =
-  QCheck.Test.make ~name:"wheel extracts in (time, seq) order" ~count:200
+(* Random inserts and extracts, interleaved, against a sorted list.
+   Times come from a coarse grid, so equal times with distinct seqs are
+   frequent. Each case opens with 17 to 60 inserts, past the heap's
+   first capacity of 16, so every case grows it. Every extract checks
+   the top it read first. *)
+let prop_heap_oracle =
+  let op =
+    QCheck.Gen.(
+      frequency [ (2, return None); (3, map Option.some (int_range 0 20)) ])
+  in
+  QCheck.Test.make ~name:"heap vs sorted-list oracle" ~count:300
     QCheck.(
-      list_of_size Gen.(int_range 0 200)
-        (float_bound_exclusive 5.0))
-    (fun times ->
-      let w = Wheel.create ~tick:1e-3 ~slots:16 () in
-      List.iteri (fun seq time -> Wheel.insert w ~time ~seq ~id:seq) times;
-      let popped = List.init (List.length times) (fun _ -> Wheel.extract w) in
-      let expected =
-        List.mapi (fun seq time -> (time, seq)) times
-        |> List.sort compare |> List.map snd
+      make
+        ~print:
+          Print.(
+            list (function
+              | None -> "extract"
+              | Some k -> Printf.sprintf "insert %d" k))
+        Gen.(
+          map2 ( @ )
+            (list_size (int_range 17 60) (map Option.some (int_range 0 20)))
+            (list_size (int_range 0 400) op)))
+    (fun ops ->
+      let h = Heap.create () in
+      let oracle = ref [] and seq = ref 0 in
+      let step = function
+        | Some k ->
+            let time = float_of_int k *. 0.01 and id = !seq * 7 in
+            Heap.insert h ~time ~seq:!seq ~id;
+            oracle := (time, !seq, id) :: !oracle;
+            incr seq;
+            true
+        | None -> (
+            match List.sort compare !oracle with
+            | [] -> Heap.is_empty h
+            | (time, s, id) :: rest ->
+                oracle := rest;
+                Heap.top_time h = time
+                && Heap.top_seq h = s
+                && Heap.extract h = id)
       in
-      popped = expected && Wheel.count w = 0)
+      List.for_all step ops
+      && drain h = List.map (fun (_, _, id) -> id) (List.sort compare !oracle))
 
-(* Far-future entries are reached by cursor jumps, not by walking every
-   tick in between (1e9 s is 1e12 ticks), and still fire in order among
-   thunks and handler cells. *)
+(* Far-future events fire in order among thunks and handler cells, and
+   the clock lands on each of them exactly. *)
 let test_far_future_jumps () =
   let sim = Sim.create () in
   let log = ref [] in
@@ -104,10 +121,7 @@ let test_far_future_jumps () =
   Alcotest.(check (list (pair int (float 0.0))))
     "order and clock"
     [ (0, 1.0); (1, 1e6); (2, 1e9) ]
-    (List.rev !log);
-  let moves = Sim.wheel_ticks sim + Sim.wheel_cascades sim in
-  if moves >= 10_000 then
-    Alcotest.failf "%d ticks + cascades to reach 1e9 s" moves
+    (List.rev !log)
 
 (* ---------- reference replay ---------- *)
 
@@ -161,13 +175,13 @@ let oracle_backend fire =
   }
 
 (* Event [i] of the initial schedule reacts when it fires: a zero-delay
-   follow-up lands behind the wheel cursor, [now + 100] lies beyond
-   level 1's range (clamped, then refiled), a lane push at a short
-   offset breaks the lane's monotonicity, and a thunk in the past is
+   follow-up lands at [now], among events already due, [now + 100]
+   lands far ahead, a lane push at a short offset breaks the lane's
+   monotonicity (so it goes to the heap), and a thunk in the past is
    clamped to [now]. Follow-ups (labels >= 1000) do not react, so every
    schedule ends. Between the two runs a handler cell and a thunk are
-   scheduled just after the mid-run clock: a far event may already have
-   pulled the wheel's cursor past them. *)
+   scheduled just after the mid-run clock, earlier than far events
+   already queued. *)
 let replay ops mk ~until =
   let log = ref [] and fire = ref ignore in
   let b = mk fire in
@@ -199,9 +213,9 @@ let gen_time =
       [
         (* coarse grid: equal-time ties are frequent *)
         (6, map (fun k -> float_of_int k *. 0.01) (int_range 0 300));
-        (* straddles the ~65 s reach of level 1 *)
+        (* around a minute ahead *)
         (1, map (fun k -> 60.0 +. (float_of_int k *. 0.5)) (int_range 0 280));
-        (* far future: past level 1's reach, up to 1e6 s and at 1e9 s *)
+        (* far future: up to 1e6 s and at 1e9 s *)
         (1, float_range 65.0 1e6);
         (1, map (fun k -> 1e9 +. float_of_int k) (int_range 0 3));
       ])
@@ -240,9 +254,9 @@ let arb_schedule ~max_ops gen_op =
             map (fun i -> (i, c)) (int_range 0 (c - 1)) )
           (map (fun k -> float_of_int k *. 0.05) (int_range 0 80))))
 
-(* The oracle's (time, seq) order is the order the former heap-only
-   kernel fired in, which this property has always pinned; the name
-   is kept from then. *)
+(* The oracle's (time, seq) order is the order every kernel of this
+   project has fired in, which this property has always pinned; the
+   name is kept from the timing-wheel kernel it first checked. *)
 let prop_oracle_order =
   QCheck.Test.make
     ~name:"wheel kernel fires in heap-kernel order: (time, seq) oracle"
@@ -330,14 +344,12 @@ let test_chain_parity () =
 
 let suite =
   [
-    Alcotest.test_case "wheel: mixed-range ordering" `Quick test_wheel_orders;
+    Alcotest.test_case "wheel: mixed-range ordering" `Quick test_heap_orders;
     Alcotest.test_case "wheel: equal-time seq ties" `Quick
-      test_wheel_equal_time_seq_ties;
+      test_heap_equal_time_seq_ties;
     Alcotest.test_case "wheel: behind-cursor merge" `Quick
-      test_wheel_behind_cursor;
-    Alcotest.test_case "wheel: power-of-two slot counts" `Quick
-      test_wheel_slot_counts;
-    QCheck_alcotest.to_alcotest prop_wheel_sorted_extraction;
+      test_heap_below_extracted;
+    QCheck_alcotest.to_alcotest prop_heap_oracle;
     Alcotest.test_case "wheel: far-future jumps" `Quick test_far_future_jumps;
     QCheck_alcotest.to_alcotest prop_oracle_order;
     Alcotest.test_case "digest parity: dumbbell" `Slow test_dumbbell_parity;
